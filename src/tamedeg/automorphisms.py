@@ -216,6 +216,30 @@ def _verify_realization(
     return endo
 
 
+def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
+    """Unverified tame word for the sorted triple (d1, d2, d3) from the two
+    shear templates of semigroup_witness, or None when neither applies."""
+    if not (1 <= d1 <= d2 <= d3):
+        raise DomainError("degrees must satisfy 1 <= d1 <= d2 <= d3")
+    member = semigroup_member(GroupElem((d3,)), GroupElem((d1,)), GroupElem((d2,)))
+    if member is not None:
+        a, b = member
+        steps = (
+            shear(0, Polynomial.monomial((0, 0, d1))),
+            shear(1, Polynomial.monomial((0, 0, d2))),
+            shear(2, Polynomial.monomial((a, b, 0))),
+        )
+    elif d2 % d1 == 0:
+        steps = (
+            shear(2, Polynomial.monomial((d3, 0, 0))),
+            shear(0, Polynomial.monomial((0, d1, 0))),
+            shear(1, Polynomial.monomial((d2 // d1, 0, 0))),
+        )
+    else:
+        return None
+    return TameWord(steps, 3)
+
+
 def semigroup_witness(
     d1: int, d2: int, d3: int, budget: Optional[Budget] = None
 ) -> Optional[TameWord]:
@@ -229,34 +253,9 @@ def semigroup_witness(
     mismatch raises ConstructionError.  Returns None when neither
     membership holds.
     """
-    if not (1 <= d1 <= d2 <= d3):
-        raise DomainError("degrees must satisfy 1 <= d1 <= d2 <= d3")
-    n = 3
-    x = [GroupElem((v,)) for v in (d1, d2, d3)]
-    member = semigroup_member(x[2], x[0], x[1])
-    if member is not None:
-        a, b = member
-        word = TameWord(
-            (
-                shear(0, Polynomial.monomial((0, 0, d1))),
-                shear(1, Polynomial.monomial((0, 0, d2))),
-                shear(2, Polynomial.monomial((a, b, 0))),
-            ),
-            n,
-        )
-    elif d2 % d1 == 0:
-        m = d2 // d1
-        word = TameWord(
-            (
-                shear(2, Polynomial.monomial((d3, 0, 0))),
-                shear(0, Polynomial.monomial((0, d1, 0))),
-                shear(1, Polynomial.monomial((m, 0, 0))),
-            ),
-            n,
-        )
-    else:
-        return None
-    _verify_realization(word, (d1, d2, d3), budget)
+    word = _witness_word(d1, d2, d3)
+    if word is not None:
+        _verify_realization(word, (d1, d2, d3), budget)
     return word
 
 

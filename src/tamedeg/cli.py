@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = ran and printed a verdict, 2 = usage error, 3 = bad input
-(parse failure, domain error, unreadable file).
+(parse failure, domain error, unreadable file), 4 = internal soundness
+failure (a witness failed its own verification).
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -69,7 +70,6 @@ _INPUT_ERRORS = (
     PolynomialSyntaxError,
     HypothesisViolation,
     SchemaVersionError,
-    ConstructionError,
     BudgetExceededError,
     OSError,
     json.JSONDecodeError,
@@ -137,7 +137,8 @@ def _print_result(result, out) -> None:
             print(f"uncertified conditions: {', '.join(result.reasons)}", file=out)
 
 
-def _print_word(word: TameWord, out) -> None:
+def _print_word(word: TameWord, out) -> Endo:
+    """Print the steps and the realized components; returns the realization."""
     print(f"word ({len(word)} steps):", file=out)
     if not word.steps:
         print("  (identity)", file=out)
@@ -147,6 +148,7 @@ def _print_word(word: TameWord, out) -> None:
     print("realized components:", file=out)
     for i, comp in enumerate(endo.components, start=1):
         print(f"  f{i} = {comp.render()}", file=out)
+    return endo
 
 
 def _report(args, query: dict, result, started: float) -> int:
@@ -236,12 +238,15 @@ def _cmd_witness(args) -> int:
             f"nonnegative combination of {d1} and {d2}"
         )
         return 0
-    _print_word(word, sys.stdout)
+    endo = _print_word(word, sys.stdout)
     if args.verify:
-        endo = realize(word)
         got = mdeg(endo)
         jac = jacobian_det(endo.components)
-        assert got == (d1, d2, d3) and jac.is_constant and not jac.is_zero
+        if got != (d1, d2, d3) or not jac.is_constant or jac.is_zero:
+            raise ConstructionError(
+                f"witness realizes multidegree {got} with Jacobian "
+                f"{jac.render()}; expected {(d1, d2, d3)} and a nonzero constant"
+            )
         print(f"mdeg verified: {got}; Jacobian = {jac.render()}")
     return 0
 
@@ -425,6 +430,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except ConstructionError as exc:
+        print(f"error: internal soundness failure: {exc}", file=sys.stderr)
+        return 4
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,17 +2,27 @@
 
 A polynomial is a finite map from exponent tuples to nonzero rational
 coefficients; the zero polynomial is the empty map, so representations are
-canonical and equality is decidable.  Degrees take values in Z^k under a
-vector of positive weights (one group element per variable), with the zero
-polynomial at minus infinity.  On top of the ring operations this module
-computes leading forms, formal partials, degrees of wedge products of
-differentials, Jacobian determinants and power dependence of pairs.
+canonical and equality is decidable.  Every stored coefficient is in
+canonical form: an ``int`` when it is integral and a ``Fraction`` only when
+it is not, so integral polynomials (every witness template and search word)
+run on machine-friendly integer arithmetic.  ``Polynomial(...)`` validates
+and normalizes input from outside the module; the ring operations build
+their results with the private trusted constructor ``_trusted``, whose
+precondition is that every coefficient is nonzero and canonical and every
+exponent tuple has length nvars.
+
+Degrees take values in Z^k under a vector of positive weights (one group
+element per variable), with the zero polynomial at minus infinity.  On top
+of the ring operations this module computes leading forms, formal
+partials, degrees of wedge products of differentials, Jacobian
+determinants and power dependence of pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import add as _add
+from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError
 from .ordgroup import (
@@ -23,6 +33,28 @@ from .ordgroup import (
 )
 
 Monomial = tuple[int, ...]
+Coeff = Union[int, Fraction]
+
+
+def _canonical(value) -> Coeff:
+    """The canonical form of a rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _settle(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints, in place."""
+    dead = []
+    for mono, c in terms.items():
+        if not c:
+            dead.append(mono)
+        elif type(c) is not int and c.denominator == 1:
+            terms[mono] = c.numerator
+    for mono in dead:
+        del terms[mono]
+    return terms
 
 
 class Budget:
@@ -53,7 +85,13 @@ class Budget:
 
 
 class Polynomial:
-    """Canonical sparse polynomial with Fraction coefficients."""
+    """Canonical sparse polynomial over Q.
+
+    Each coefficient is stored as an int when it is integral and as a
+    Fraction only when it is not.  The constructor validates the exponent
+    tuples and normalizes the coefficients; the ring operations bypass it
+    through ``_trusted``.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -61,7 +99,7 @@ class Polynomial:
         if nvars < 1:
             raise DomainError("polynomials need at least one variable")
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in dict(terms).items():
                 mono = tuple(mono)
@@ -71,7 +109,7 @@ class Polynomial:
                     )
                 if any(e < 0 for e in mono):
                     raise DomainError(f"negative exponent in {mono}")
-                c = Fraction(coeff)
+                c = _canonical(coeff)
                 if c != 0:
                     clean[mono] = c
         self.terms = clean
@@ -82,19 +120,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, nvars: int = 3) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, index: int, nvars: int = 3) -> "Polynomial":
         if not 0 <= index < nvars:
             raise DomainError(f"variable index {index} out of range for n={nvars}")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return _trusted(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff=1, nvars: Optional[int] = None) -> "Polynomial":
         exponents = tuple(exponents)
-        return cls(nvars or len(exponents), {exponents: Fraction(coeff)})
+        return cls(nvars or len(exponents), {exponents: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -109,7 +146,7 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant:
             raise DomainError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -117,7 +154,8 @@ class Polynomial:
                 raise DomainError("variable counts differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other, self.nvars)
+            c = _canonical(other)
+            return _trusted(self.nvars, {(0,) * self.nvars: c} if c else {})
         return NotImplemented
 
     def __add__(self, other):
@@ -125,18 +163,15 @@ class Polynomial:
         if other is NotImplemented:
             return other
         out = dict(self.terms)
+        get = out.get
         for mono, coeff in other.terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-        return Polynomial(self.nvars, out)
+            out[mono] = get(mono, 0) + coeff
+        return _trusted(self.nvars, _settle(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -149,10 +184,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _canonical(other)
+            if other == 1:
+                return self
             if other == 0:
-                return Polynomial.zero(self.nvars)
-            return Polynomial(
-                self.nvars, {m: c * other for m, c in self.terms.items()}
+                return _trusted(self.nvars, {})
+            return _trusted(
+                self.nvars, _settle({m: c * other for m, c in self.terms.items()})
             )
         other = self._coerce(other)
         if other is NotImplemented:
@@ -195,36 +233,53 @@ class Polynomial:
         return f"<poly {render(self)}>"
 
 
+def _trusted(nvars: int, terms: dict) -> Polynomial:
+    """Wrap terms without validation.  Precondition: every coefficient is
+    nonzero and canonical (int when integral) and every key is an exponent
+    tuple of length nvars; the caller keeps no other reference to terms."""
+    p = object.__new__(Polynomial)
+    p.nvars = nvars
+    p.terms = terms
+    return p
+
+
 def multiply(f: Polynomial, g: Polynomial, budget: Optional[Budget] = None) -> Polynomial:
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
     if f.is_zero or g.is_zero:
-        return Polynomial.zero(f.nvars)
-    acc: dict[Monomial, Fraction] = {}
+        return _trusted(f.nvars, {})
+    acc: dict[Monomial, Coeff] = {}
+    get = acc.get
     g_items = list(g.terms.items())
     for ma, ca in f.terms.items():
         for mb, cb in g_items:
-            key = tuple(x + y for x, y in zip(ma, mb))
-            prev = acc.get(key)
-            acc[key] = ca * cb if prev is None else prev + ca * cb
+            key = tuple(map(_add, ma, mb))
+            acc[key] = get(key, 0) + ca * cb
         if budget is not None:
             budget.charge(len(acc), len(g_items))
-    return Polynomial(f.nvars, acc)
+    return _trusted(f.nvars, _settle(acc))
 
 
 def power(f: Polynomial, exponent: int, budget: Optional[Budget] = None) -> Polynomial:
     if not isinstance(exponent, int) or exponent < 0:
         raise DomainError("exponent must be a nonnegative integer")
-    result = Polynomial.constant(1, f.nvars)
-    base = f
-    e = exponent
-    while e:
-        if e & 1:
-            result = multiply(result, base, budget)
-        e >>= 1
-        if e:
-            base = multiply(base, base, budget)
-    return result
+    if exponent == 0:
+        return _trusted(f.nvars, {(0,) * f.nvars: 1})
+    return _power(f, exponent, {1: f}, budget)
+
+
+def _power(f: Polynomial, exponent: int, memo: dict, budget: Optional[Budget]) -> Polynomial:
+    """f**exponent (exponent >= 1) by binary powering from f, most significant
+    bit first; memo maps exponents to powers of f already built and gains
+    every power built here, so powers of one base share their squarings."""
+    p = memo.get(exponent)
+    if p is None:
+        half = _power(f, exponent >> 1, memo, budget)
+        p = multiply(half, half, budget)
+        if exponent & 1:
+            p = multiply(p, f, budget)
+        memo[exponent] = p
+    return p
 
 
 def add(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -248,34 +303,26 @@ def substitute(
         if r.nvars != m:
             raise DomainError("replacements must share one variable count")
     if f.is_zero:
-        return Polynomial.zero(m)
-    max_exp = [0] * f.nvars
-    for mono in f.terms:
-        for i, e in enumerate(mono):
-            if e > max_exp[i]:
-                max_exp[i] = e
-    powers: list[list[Polynomial]] = []
-    for i, r in enumerate(replacements):
-        row = [Polynomial.constant(1, m)]
-        for _ in range(max_exp[i]):
-            row.append(multiply(row[-1], r, budget))
-        powers.append(row)
-    acc: dict[Monomial, Fraction] = {}
+        return _trusted(m, {})
+    memos = [{1: r} for r in replacements]
+    one = {(0,) * m: 1}
+    acc: dict[Monomial, Coeff] = {}
     for mono, coeff in f.terms.items():
-        term = Polynomial.constant(coeff, m)
+        term = None
         for i, e in enumerate(mono):
             if e:
-                term = multiply(term, powers[i][e], budget)
-        for key, c in term.terms.items():
-            prev = acc.get(key)
-            total = c if prev is None else prev + c
+                p = _power(replacements[i], e, memos[i], budget)
+                term = p if term is None else multiply(term, p, budget)
+        # cancelled terms leave at once, so the budget charges live terms
+        for key, c in (one if term is None else term.terms).items():
+            total = acc.get(key, 0) + c * coeff
             if total:
                 acc[key] = total
             else:
-                acc.pop(key, None)
+                del acc[key]
         if budget is not None:
             budget.charge(len(acc), 0)
-    return Polynomial(m, acc)
+    return _trusted(m, _settle(acc))
 
 
 def degree_w(f: Polynomial, weights=None) -> DegreeValue:
@@ -303,7 +350,7 @@ def leading_form(f: Polynomial, weights=None) -> Polynomial:
     """Sum of the terms of maximal weighted degree; zero for zero input."""
     ws = coerce_weight_vector(weights, f.nvars)
     if f.is_zero:
-        return Polynomial.zero(f.nvars)
+        return _trusted(f.nvars, {})
     scored: list[tuple[GroupElem, Monomial]] = []
     for mono in f.terms:
         val = GroupElem.zero(ws[0].rank)
@@ -312,7 +359,7 @@ def leading_form(f: Polynomial, weights=None) -> Polynomial:
                 val = val + e * w
         scored.append((val, mono))
     top = max(val for val, _ in scored)
-    return Polynomial(
+    return _trusted(
         f.nvars, {mono: f.terms[mono] for val, mono in scored if val == top}
     )
 
@@ -321,13 +368,12 @@ def partial(f: Polynomial, index: int) -> Polynomial:
     """Formal partial derivative with respect to variable index (0-based)."""
     if not 0 <= index < f.nvars:
         raise DomainError(f"variable index {index} out of range for n={f.nvars}")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for mono, coeff in f.terms.items():
         e = mono[index]
         if e:
-            key = mono[:index] + (e - 1,) + mono[index + 1 :]
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-    return Polynomial(f.nvars, out)
+            out[mono[:index] + (e - 1,) + mono[index + 1 :]] = coeff * e
+    return _trusted(f.nvars, _settle(out))
 
 
 def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
@@ -367,7 +413,7 @@ def _det(matrix: list[list[Polynomial]]) -> Polynomial:
     if n == 2:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     nvars = matrix[0][0].nvars
-    out = Polynomial.zero(nvars)
+    out = _trusted(nvars, {})
     for j, entry in enumerate(matrix[0]):
         if entry.is_zero:
             continue
@@ -419,9 +465,7 @@ def power_dependence(
     mono = next(iter(p.terms))
     if mono not in h1.terms:
         return None
-    c = h1.terms[mono] / p.terms[mono]
-    if c == 0:
-        return None
+    c = Fraction(h1.terms[mono], p.terms[mono])
     return (l, c) if h1 == c * p else None
 
 

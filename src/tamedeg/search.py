@@ -229,10 +229,10 @@ def generate(
     """
     if stats is None:
         stats = GenerationStats()
-    seen: set[str] = set()
+    seen: set[tuple] = set()
 
     def emit(word: TameWord, endo: Endo) -> Optional[tuple[TameWord, Endo]]:
-        key = hashlib.sha256(repr(endo.fingerprint()).encode()).hexdigest()
+        key = endo.fingerprint()
         if key in seen:
             stats.duplicates += 1
             return None

@@ -1,9 +1,11 @@
 """Brute-force reference implementations the fast paths are checked against.
 
-Everything here is deliberately naive: plain enumeration and dynamic
-programming, independent of the library's algorithms.
+Everything here is deliberately naive: plain enumeration, dynamic
+programming and schoolbook polynomial arithmetic on plain dicts with
+Fraction coefficients, independent of the library's algorithms.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -84,3 +86,65 @@ def triple_semigroup_member(d: int, gens) -> bool:
         if triple_semigroup_member(d - a * g0, gens[1:]):
             return True
     return False
+
+
+def frac_terms(terms) -> dict:
+    """A term map {exponent tuple: coefficient} with every coefficient a
+    Fraction and no zero terms."""
+    out = {}
+    for mono, c in terms.items():
+        c = Fraction(c)
+        if c != 0:
+            out[tuple(mono)] = c
+    return out
+
+
+def frac_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for mono, c in g.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return frac_terms(out)
+
+
+def frac_scale(f: dict, c) -> dict:
+    return frac_terms({mono: v * Fraction(c) for mono, v in f.items()})
+
+
+def frac_multiply(f: dict, g: dict) -> dict:
+    """Schoolbook product of two term maps over Fraction coefficients."""
+    out = {}
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return frac_terms(out)
+
+
+def frac_power(f: dict, exponent: int, nvars: int) -> dict:
+    """f**exponent by repeated multiplication into the constant 1."""
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(exponent):
+        out = frac_multiply(out, f)
+    return out
+
+
+def frac_substitute(f: dict, replacements, nvars: int) -> dict:
+    """f evaluated at the given term maps: the sum over the terms of f of
+    the coefficient times the product of replacement powers."""
+    out = {}
+    for mono, c in f.items():
+        term = {(0,) * nvars: c}
+        for r, e in zip(replacements, mono):
+            term = frac_multiply(term, frac_power(r, e, nvars))
+        out = frac_add(out, term)
+    return out
+
+
+def frac_partial(f: dict, index: int) -> dict:
+    out = {}
+    for mono, c in f.items():
+        e = mono[index]
+        if e:
+            key = mono[:index] + (e - 1,) + mono[index + 1:]
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return frac_terms(out)

@@ -34,6 +34,7 @@ from tamedeg import (
     semigroup_witness,
     shear,
 )
+from tamedeg.automorphisms import _verify_realization
 from oracles import triple_semigroup_member
 
 W111 = Weight.of(1, 1, 1)
@@ -141,6 +142,40 @@ class TestClassifyTotal:
         word = semigroup_witness(2, 3, 4)
         with pytest.raises(ConstructionError):
             make_realizable(word, (2, 3, 5))
+
+    def test_make_realizable_checks_jacobian(self, monkeypatch):
+        # a map with the claimed multidegree but Jacobian 2*x1
+        import tamedeg.automorphisms as automorphisms
+        import tamedeg.classifier as classifier
+
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in range(3))
+        fake = Endo((x1 * x1, x2, x3))
+        for module in (automorphisms, classifier):
+            if hasattr(module, "realize"):
+                monkeypatch.setattr(module, "realize", lambda word, budget=None: fake)
+        with pytest.raises(ConstructionError, match="Jacobian"):
+            make_realizable(TameWord((), 3), (2, 1, 1))
+
+    @pytest.mark.parametrize("triple", [(4, 3, 2), (2, 3, 4)])
+    def test_each_realizable_verdict_realizes_once(self, monkeypatch, triple):
+        import tamedeg.automorphisms as automorphisms
+        import tamedeg.classifier as classifier
+
+        calls = []
+        original = automorphisms.realize
+
+        def counting(word, budget=None):
+            calls.append(word)
+            return original(word, budget)
+
+        for module in (automorphisms, classifier):
+            if hasattr(module, "realize"):
+                monkeypatch.setattr(module, "realize", counting)
+        result = classify_total(*triple)
+        assert isinstance(result, Realizable)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        _verify_realization(result.witness, triple)
 
     def test_nonpositive_degrees_rejected(self):
         with pytest.raises(DomainError):

@@ -218,6 +218,16 @@ class TestOtherCommands:
 
 
 class TestExitCodes:
+    def test_failed_witness_verification_is_internal(self, capsys, monkeypatch):
+        from tamedeg import Endo
+
+        monkeypatch.setattr(
+            "tamedeg.cli.realize", lambda word, budget=None: Endo.identity(word.nvars)
+        )
+        code, _, err = run_cli(capsys, "witness", "2", "3", "4", "--verify")
+        assert code == 4
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
         assert code == 2

@@ -2,7 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    frac_add,
+    frac_multiply,
+    frac_partial,
+    frac_power,
+    frac_scale,
+    frac_substitute,
+    frac_terms,
+)
 from tamedeg import (
     NEG_INF,
     DomainError,
@@ -11,6 +22,7 @@ from tamedeg import (
     ge,
     jacobian_det,
     leading_form,
+    parse_polynomial,
     partial,
     power_dependence,
     render,
@@ -18,6 +30,7 @@ from tamedeg import (
     wedge2_degree,
     wedge3_degree,
 )
+from tamedeg.poly import power
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
 
@@ -180,3 +193,101 @@ class TestRender:
         f = X3 + X1 * X2 + X2 ** 2
         # degree-2 terms first, lex-descending among them
         assert render(f) == "x1*x2 + x2^2 + x3"
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=4),
+    ),
+)
+term_maps = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    coefficients,
+    max_size=5,
+)
+
+
+def assert_matches(poly, oracle_terms):
+    """poly equals the oracle's term map, and stores an int exactly where
+    the coefficient is integral."""
+    assert poly.terms == oracle_terms
+    for c in poly.terms.values():
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, c
+        else:
+            assert type(c) is Fraction, c
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(term_maps, term_maps, coefficients)
+    def test_ring_ops(self, a, b, c):
+        f, g = Polynomial(3, a), Polynomial(3, b)
+        fa, fb = frac_terms(a), frac_terms(b)
+        assert_matches(f, fa)
+        assert_matches(f + g, frac_add(fa, fb))
+        assert_matches(f - g, frac_add(fa, frac_scale(fb, -1)))
+        assert_matches(-f, frac_scale(fa, -1))
+        assert_matches(f * g, frac_multiply(fa, fb))
+        assert_matches(f * c, frac_scale(fa, c))
+        assert_matches(c * f, frac_scale(fa, c))
+        assert_matches(f + c, frac_add(fa, frac_terms({(0, 0, 0): c})))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps, st.integers(min_value=0, max_value=4))
+    def test_power(self, a, e):
+        assert_matches(power(Polynomial(3, a), e), frac_power(frac_terms(a), e, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps, term_maps, term_maps, term_maps)
+    def test_substitute(self, a, r1, r2, r3):
+        reps = [Polynomial(3, r) for r in (r1, r2, r3)]
+        want = frac_substitute(frac_terms(a), [frac_terms(r) for r in (r1, r2, r3)], 3)
+        assert_matches(substitute(Polynomial(3, a), reps), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps, st.integers(min_value=0, max_value=2))
+    def test_partial(self, a, i):
+        assert_matches(partial(Polynomial(3, a), i), frac_partial(frac_terms(a), i))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps)
+    def test_render_parse_round_trip(self, a):
+        f = Polynomial(3, a)
+        back = parse_polynomial(render(f))
+        assert back == f
+        assert_matches(back, frac_terms(a))
+
+
+class TestCanonicalCoefficients:
+    def test_cancellation_leaves_no_zero_term(self):
+        product = (X1 + X2) * (X1 - X2)
+        assert product.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+        assert_matches((X1 + Fraction(1, 2)) * (X1 - Fraction(1, 2)),
+                       {(2, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1, 4)})
+
+    def test_power_dependence_returns_fraction(self):
+        h = X1 + X2 ** 2
+        got = power_dependence(3 * h ** 2, h)
+        assert got == (2, Fraction(3))
+        assert type(got[1]) is Fraction
+        half = power_dependence(Fraction(1, 2) * h, 3 * h)
+        assert half == (1, Fraction(1, 6)) and type(half[1]) is Fraction
+
+    def test_integral_fraction_is_stored_as_int(self):
+        f = Polynomial(3, {(1, 0, 0): Fraction(4, 2)})
+        assert f.terms == {(1, 0, 0): 2}
+        assert type(f.terms[(1, 0, 0)]) is int
+
+    def test_constant_value_is_fraction(self):
+        assert type(Polynomial.constant(5, 3).constant_value()) is Fraction
+        assert type(Polynomial.zero(3).constant_value()) is Fraction
+
+    def test_scaling_by_one_returns_operand(self):
+        f = X1 + Fraction(1, 3) * X2
+        assert f * 1 is f
+        assert f * Fraction(2, 2) is f
+        assert_matches(f * 3, {(1, 0, 0): 3, (0, 1, 0): 1})
