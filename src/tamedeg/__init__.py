@@ -17,13 +17,11 @@ from .automorphisms import (
     compose,
     deg_w_total,
     intro_family,
-    invert,
     mdeg,
     mdeg_w,
     nagata,
     permutation_word,
     realize,
-    scaling_word,
     semigroup_witness,
     shear,
     transposition_word,
@@ -52,6 +50,7 @@ from .classifier import (
 from .errors import (
     BudgetExceededError,
     ConstructionError,
+    DegreeCapError,
     DomainError,
     HypothesisViolation,
     PolynomialSyntaxError,
@@ -71,7 +70,6 @@ from .ordgroup import (
     is_prime,
     least_combination_exceeding,
     least_multiple_exceeding,
-    lex_compare,
     multiple_of,
     rank_profile,
     semigroup_member,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DegreeCapError, DomainError
 from .ordgroup import (
     NEG_INF,
     DegreeValue,
@@ -23,6 +23,7 @@ from .ordgroup import (
     multiple_of,
     semigroup_member,
 )
+from .parse import parse_polynomial
 from .poly import (
     Budget,
     Polynomial,
@@ -112,6 +113,31 @@ class TameWord:
             return "(identity)"
         return "; ".join(s.render() for s in self.steps)
 
+    def to_json(self) -> list:
+        """The steps as [{"target": 1-based index, "scale": "num/den",
+        "shift": rendered polynomial}, ...], the form of --json witnesses
+        and search records."""
+        return [
+            {
+                "target": s.target + 1,
+                "scale": f"{s.scale.numerator}/{s.scale.denominator}",
+                "shift": s.shift.render(),
+            }
+            for s in self.steps
+        ]
+
+    @classmethod
+    def from_json(cls, steps: Sequence[dict]) -> "TameWord":
+        """Inverse of to_json for a word in three variables."""
+        out = []
+        for s in steps:
+            num, _, den = s["scale"].partition("/")
+            scale = Fraction(int(num), int(den) if den else 1)
+            out.append(
+                ElementaryAut(s["target"] - 1, scale, parse_polynomial(s["shift"]))
+            )
+        return cls(tuple(out), 3)
+
 
 @dataclass(frozen=True)
 class Endo:
@@ -160,20 +186,31 @@ def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:
     Each step rewrites its target component to
     scale * component + shift(current components).  Aborts with
     BudgetExceededError if an intermediate outgrows the budget
-    (default cap 200000 terms).
+    (default cap 200000 terms).  When the budget carries a degree_cap,
+    each step's total degree is first predicted from the degrees of the
+    current components, and a step predicted above the cap raises
+    DegreeCapError before it is expanded.
     """
     if budget is None:
         budget = Budget(DEFAULT_TERM_BUDGET)
+    cap = budget.degree_cap
     comps = list(Endo.identity(word.nvars).components)
+    degs = [1] * word.nvars
     for step in word.steps:
+        if cap is not None:
+            degree = degs[step.target]
+            for mono in step.shift.terms:
+                degree = max(degree, sum(e * d for e, d in zip(mono, degs)))
+            if degree > cap:
+                raise DegreeCapError(
+                    f"step would reach total degree {degree} > cap {cap}"
+                )
         shifted = substitute(step.shift, comps, budget)
         comps[step.target] = comps[step.target] * step.scale + shifted
         budget.charge(len(comps[step.target].terms), 0)
+        if cap is not None:
+            degs[step.target] = max(comps[step.target].total_degree_int(), 0)
     return Endo(tuple(comps))
-
-
-def invert(word: TameWord) -> TameWord:
-    return word.inverse()
 
 
 def mdeg_w(endo: Endo, weights=None) -> tuple[DegreeValue, ...]:
@@ -320,12 +357,6 @@ def nagata() -> Endo:
             x2 + x3 * q,
             x3,
         )
-    )
-
-
-def scaling_word(index: int, factor, nvars: int = 3) -> TameWord:
-    return TameWord(
-        (ElementaryAut(index, Fraction(factor), Polynomial.zero(nvars)),), nvars
     )
 
 

@@ -41,6 +41,7 @@ from .ordgroup import (
     as_group_elem,
     dependent_pair,
     gcd_lcm,
+    independent_triple,
     is_prime,
     multiple_of,
     rank_profile,
@@ -663,12 +664,6 @@ def _independent_weights_report(
     return rep
 
 
-def _weights_independent(w: Weight) -> bool:
-    from .ordgroup import _matrix_rank
-
-    return _matrix_rank([c.coords for c in w.components]) == 3
-
-
 def classify_weighted(
     degrees: Sequence,
     weight,
@@ -695,7 +690,7 @@ def classify_weighted(
         if not d.is_positive:
             raise DomainError("degrees must be positive")
     reasons: list[str] = []
-    if _weights_independent(w):
+    if independent_triple(*(c.coords for c in w.components)):
         rep = _independent_weights_report(*ds)
         if rep.holds("1") and rep.holds("2"):
             return Excluded(

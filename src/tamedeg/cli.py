@@ -2,7 +2,8 @@
 
 Exit codes: 0 = ran and printed a verdict, 2 = usage error, 3 = bad input
 (parse failure, domain error, unreadable file), 4 = internal soundness
-failure (a witness failed its own verification).
+failure (a witness failed its own verification, or an internal invariant
+did not hold).
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -86,17 +87,6 @@ def _load_registry(spec: Optional[str]) -> DeltaBoundRegistry:
         return DeltaBoundRegistry.from_lines(fh)
 
 
-def _word_json(word: TameWord) -> list:
-    return [
-        {
-            "target": s.target + 1,
-            "scale": f"{s.scale.numerator}/{s.scale.denominator}",
-            "shift": s.shift.render(),
-        }
-        for s in word.steps
-    ]
-
-
 def _verdict_json(result) -> dict:
     if isinstance(result, Excluded):
         return {"verdict": "excluded", "certificate": result.certificate.to_json()}
@@ -104,7 +94,7 @@ def _verdict_json(result) -> dict:
         return {
             "verdict": "realizable",
             "multidegree": list(result.multidegree),
-            "witness": _word_json(result.witness),
+            "witness": result.witness.to_json(),
         }
     return {"verdict": "unknown", "failed_conditions": list(result.reasons)}
 
@@ -284,7 +274,7 @@ def _cmd_check(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = SearchConfig.from_json(json.load(fh))
     registry = _load_registry(args.registry)
-    report = consistency_check(config, registry, workers=args.workers)
+    report = consistency_check(config, registry)
     if getattr(args, "json", False):
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -398,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="search-vs-classifier consistency check")
     p.add_argument("--config", required=True)
     p.add_argument("--registry", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 

@@ -10,11 +10,17 @@ class DomainError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A witness construction failed its own verification step."""
+    """A witness construction failed its own verification step, or an
+    internal invariant of an algorithm did not hold: a soundness failure of
+    the program, never a fault of the input."""
 
 
 class BudgetExceededError(RuntimeError):
     """An intermediate polynomial outgrew the configured resource budget."""
+
+
+class DegreeCapError(BudgetExceededError):
+    """A realization step would exceed the budget's total-degree cap."""
 
 
 class HypothesisViolation(ValueError):

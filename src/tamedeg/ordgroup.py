@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as _int_gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DomainError, RankMismatchError
+from .errors import ConstructionError, DomainError, RankMismatchError
 
 
 class NegInfinity:
@@ -179,16 +180,6 @@ def as_group_elem(value, rank: Optional[int] = None) -> GroupElem:
     return out
 
 
-def lex_compare(a: GroupElem, b: GroupElem) -> int:
-    """-1, 0 or 1 according to the lexicographic order."""
-    a._check(b)
-    if a.coords < b.coords:
-        return -1
-    if a.coords > b.coords:
-        return 1
-    return 0
-
-
 def _require_positive(*elems: GroupElem) -> None:
     for e in elems:
         if not e.is_positive:
@@ -217,10 +208,12 @@ def dependent_pair(
             ratio = r
         elif r != ratio:
             return None
-    assert ratio is not None and ratio > 0
+    if ratio is None or ratio <= 0:
+        raise ConstructionError(f"positive pair {d1!r}, {d2!r} has ratio {ratio}")
     u1, u2 = ratio.denominator, ratio.numerator
     d = GroupElem(c // u1 for c in d1.coords)
-    assert u1 * d == d1 and u2 * d == d2
+    if u1 * d != d1 or u2 * d != d2:
+        raise ConstructionError(f"{d!r} is not a common divisor of {d1!r}, {d2!r}")
     return u1, u2, d
 
 
@@ -295,7 +288,10 @@ def _solve_independent(
                 break
         if pivot:
             break
-    assert pivot is not None, "independent pair must span a rank-2 minor"
+    if pivot is None:
+        raise ConstructionError(
+            f"independent pair {e1!r}, {e2!r} has no nonzero 2x2 minor"
+        )
     i, j, det = pivot
     a = Fraction(d.coords[i] * e2.coords[j] - d.coords[j] * e2.coords[i], det)
     b = Fraction(e1.coords[i] * d.coords[j] - e1.coords[j] * d.coords[i], det)
@@ -408,59 +404,30 @@ class RankProfile:
         )
 
 
-def _proportional(a: GroupElem, b: GroupElem) -> bool:
-    if a.is_zero or b.is_zero:
-        return True
-    ratio: Optional[Fraction] = None
-    for x, y in zip(a.coords, b.coords):
-        if x == 0 and y == 0:
-            continue
-        if x == 0 or y == 0:
-            return False
-        r = Fraction(y, x)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
-
-
-def _matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def independent_triple(
+    u: Sequence[int], v: Sequence[int], w: Sequence[int]
+) -> bool:
+    """Whether three integer vectors of one length are linearly independent,
+    that is, whether some 3x3 minor of the matrix with rows u, v, w is
+    nonzero."""
+    return any(
+        u[i] * (v[j] * w[k] - v[k] * w[j])
+        - u[j] * (v[i] * w[k] - v[k] * w[i])
+        + u[k] * (v[i] * w[j] - v[j] * w[i])
+        for i, j, k in combinations(range(len(u)), 3)
+    )
 
 
 def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
-    """Exact integer linear algebra: which pairs are proportional over Z and
-    whether the triple spans rank <= 2."""
+    """Exact integer linear algebra for positive elements: which pairs are
+    proportional over Z and whether the triple spans rank <= 2."""
     d1._check(d2)
     d1._check(d3)
     return RankProfile(
-        pair_12_dependent=_proportional(d1, d2),
-        pair_13_dependent=_proportional(d1, d3),
-        pair_23_dependent=_proportional(d2, d3),
-        triple_dependent=_matrix_rank([d1.coords, d2.coords, d3.coords]) <= 2,
+        pair_12_dependent=dependent_pair(d1, d2) is not None,
+        pair_13_dependent=dependent_pair(d1, d3) is not None,
+        pair_23_dependent=dependent_pair(d2, d3) is not None,
+        triple_dependent=not independent_triple(d1.coords, d2.coords, d3.coords),
     )
 
 

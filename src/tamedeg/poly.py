@@ -62,15 +62,23 @@ class Budget:
 
     term_cap bounds the number of stored terms of any single result;
     op_cap bounds the total number of coefficient multiplications across
-    the lifetime of the budget.
+    the lifetime of the budget; degree_cap, when set, bounds the total
+    degree of every component that ``automorphisms.realize`` builds, and
+    realize checks it on the predicted degree before expanding a step.
     """
 
-    __slots__ = ("term_cap", "op_cap", "ops_used")
+    __slots__ = ("term_cap", "op_cap", "ops_used", "degree_cap")
 
-    def __init__(self, term_cap: int = 200_000, op_cap: Optional[int] = None):
+    def __init__(
+        self,
+        term_cap: int = 200_000,
+        op_cap: Optional[int] = None,
+        degree_cap: Optional[int] = None,
+    ):
         self.term_cap = term_cap
         self.op_cap = op_cap
         self.ops_used = 0
+        self.degree_cap = degree_cap
 
     def charge(self, terms: int, ops: int) -> None:
         self.ops_used += ops
@@ -280,10 +288,6 @@ def _power(f: Polynomial, exponent: int, memo: dict, budget: Optional[Budget]) -
             p = multiply(p, f, budget)
         memo[exponent] = p
     return p
-
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
 
 
 def substitute(

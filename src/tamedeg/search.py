@@ -7,10 +7,12 @@ certified wild.  Any violation is dumped in full (word, realization,
 multidegree, certificate) as a falsification record.
 
 Generation is deterministic: randomized mode drives a counter-based RNG
-keyed by (seed, word index), so any sharding of the index space reproduces
-the serial stream.  Worker sharding partitions indices round-robin, workers
-share nothing, and the merge step orders violations by fingerprint; reports
-are identical for 1 and N workers given equal seeds.
+keyed by (seed, word index), so equal configs give equal streams.  Each word
+is realized by ``automorphisms.realize`` under a budget that carries the
+config's term budget and degree cap; words that hit either cap are counted,
+not dropped silently.  ``consistency_check`` and ``run_search`` share one
+loop that classifies each realized multidegree once per weight, with the
+verdicts cached by (weight, sorted multidegree).
 """
 
 from __future__ import annotations
@@ -37,12 +39,18 @@ from .classifier import (
     Realizable,
     builtin_registry,
     certify_wild,
+    check_weighted_conditions,
     classify_total,
     classify_weighted,
 )
-from .errors import BudgetExceededError, DomainError, SchemaVersionError
+from .errors import (
+    BudgetExceededError,
+    DegreeCapError,
+    DomainError,
+    SchemaVersionError,
+)
 from .ordgroup import NEG_INF, Weight
-from .poly import Budget, Polynomial, substitute
+from .poly import Budget, Polynomial
 
 SCHEMA_VERSION = 1
 
@@ -71,6 +79,15 @@ class SearchConfig:
             raise DomainError("sample_count must be nonnegative")
         if not self.coefficient_pool:
             raise DomainError("coefficient pool must not be empty")
+        if 0 in self.coefficient_pool or 0 in self.scale_pool:
+            raise DomainError("coefficient and scale pools must not contain 0")
+        if not 0 <= self.shear_probability <= 1:
+            raise DomainError("shear_probability must lie in [0, 1]")
+        if not isinstance(self.weights, (tuple, list)) or not all(
+            isinstance(w, (tuple, list)) and len(w) == 3 for w in self.weights
+        ):
+            raise DomainError("weights must be a list of three-entry weights")
+        self.weight_objects()  # bad weight entries fail here, not mid-run
 
     def weight_objects(self) -> tuple[Weight, ...]:
         return tuple(Weight.of(*w) for w in self.weights)
@@ -92,20 +109,18 @@ class SearchConfig:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SearchConfig":
-        kwargs = dict(data)
-        if "weights" in kwargs:
-            kwargs["weights"] = tuple(
-                tuple(tuple(c) if isinstance(c, list) else c for c in w)
-                for w in kwargs["weights"]
-            )
-        for key in ("coefficient_pool", "scale_pool"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+    def from_json(cls, data) -> "SearchConfig":
+        if not isinstance(data, dict):
+            raise DomainError("search config must be a JSON object")
         try:
-            return cls(**kwargs)
+            return cls(**{key: _frozen(value) for key, value in data.items()})
         except TypeError as exc:
             raise DomainError(f"bad search config: {exc}") from exc
+
+
+def _frozen(value):
+    """JSON lists as tuples, recursively."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
 @dataclass
@@ -164,34 +179,6 @@ def _random_word(rng: random.Random, config: SearchConfig, nvars: int = 3) -> Ta
     )
 
 
-def _realize_capped(
-    word: TameWord, config: SearchConfig, stats: GenerationStats
-) -> Optional[Endo]:
-    """Realize step by step, pruning on predicted total degree before any
-    expensive expansion and on the term budget during it."""
-    comps = list(Endo.identity(word.nvars).components)
-    degs = [1] * word.nvars
-    budget = Budget(config.term_budget)
-    for step in word.steps:
-        predicted = 0
-        for mono in step.shift.terms:
-            predicted = max(
-                predicted, sum(e * d for e, d in zip(mono, degs))
-            )
-        if max(predicted, degs[step.target]) > config.degree_cap:
-            stats.degree_pruned += 1
-            return None
-        try:
-            shifted = substitute(step.shift, comps, budget)
-            comps[step.target] = comps[step.target] * step.scale + shifted
-            budget.charge(len(comps[step.target].terms), 0)
-        except BudgetExceededError:
-            stats.budget_skipped += 1
-            return None
-        degs[step.target] = max(comps[step.target].total_degree_int(), 0)
-    return Endo(tuple(comps))
-
-
 def _generator_pool(config: SearchConfig, nvars: int = 3) -> list[ElementaryAut]:
     pool: list[ElementaryAut] = []
     cap = config.shift_monomial_exponent_cap
@@ -231,6 +218,16 @@ def generate(
         stats = GenerationStats()
     seen: set[tuple] = set()
 
+    def capped_realize(word: TameWord) -> Optional[Endo]:
+        try:
+            budget = Budget(config.term_budget, degree_cap=config.degree_cap)
+            return realize(word, budget)
+        except DegreeCapError:
+            stats.degree_pruned += 1
+        except BudgetExceededError:
+            stats.budget_skipped += 1
+        return None
+
     def emit(word: TameWord, endo: Endo) -> Optional[tuple[TameWord, Endo]]:
         key = endo.fingerprint()
         if key in seen:
@@ -245,7 +242,7 @@ def generate(
             stats.samples_drawn += 1
             rng = _child_rng(config.seed, index)
             word = _random_word(rng, config)
-            endo = _realize_capped(word, config, stats)
+            endo = capped_realize(word)
             if endo is None:
                 continue
             item = emit(word, endo)
@@ -265,7 +262,7 @@ def generate(
             steps = prefix + (step,)
             stats.samples_drawn += 1
             word = TameWord(steps, 3)
-            endo = _realize_capped(word, config, stats)
+            endo = capped_realize(word)
             if endo is None:
                 continue
             item = emit(word, endo)
@@ -287,6 +284,18 @@ class Violation:
     realization: str
     multidegree: tuple
     certificate: dict
+
+    @classmethod
+    def of(cls, kind, weight: Weight, fingerprint, word, endo, mdeg, cert):
+        return cls(
+            kind=kind,
+            weight=tuple(c.coords for c in weight.components),
+            fingerprint=fingerprint,
+            word=word.render(),
+            realization=endo.render(),
+            multidegree=mdeg,
+            certificate=cert.to_json(),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -348,12 +357,38 @@ def _mdeg_key(degs) -> tuple:
     return tuple(d.coords for d in degs)
 
 
+def _classified(
+    config: SearchConfig,
+    registry: DeltaBoundRegistry,
+    classify_fn: Callable,
+    stats: GenerationStats,
+) -> Iterator[tuple[TameWord, Endo, list]]:
+    """The generate -> mdeg_w -> classify loop: for each generated word,
+    yields (word, realization, rows) with one row (weight, key, degrees,
+    verdict) per configured weight under which no component is zero.  The
+    key is (rendered weight, sorted multidegree), and verdicts are cached
+    by key, so each distinct multidegree is classified once per weight."""
+    weights = [(w, w.render()) for w in config.weight_objects()]
+    cache: dict = {}
+    for word, endo in generate(config, stats):
+        rows = []
+        for w, name in weights:
+            degs = mdeg_w(endo, w.components)
+            if any(d is NEG_INF for d in degs):
+                continue
+            ordered = tuple(sorted(degs))
+            key = (name, _mdeg_key(ordered))
+            if key not in cache:
+                cache[key] = classify_fn(ordered, w, registry)
+            rows.append((w, key, degs, cache[key]))
+        yield word, endo, rows
+
+
 def consistency_check(
     config: SearchConfig,
     registry: Optional[DeltaBoundRegistry] = None,
     classify_fn: Optional[Callable] = None,
     certify: bool = True,
-    workers: int = 1,
 ) -> ConsistencyReport:
     """Run the generated stream against the classifier and the wildness
     certifier; every Excluded multidegree or wildness certificate on a
@@ -364,80 +399,46 @@ def consistency_check(
     """
     if registry is None:
         registry = builtin_registry()
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
     if classify_fn is None:
         classify_fn = classify_weighted
-    weight_objs = config.weight_objects()
     stats = GenerationStats()
-    # Workers share nothing: one verdict/screen cache per shard; items are
-    # dealt round-robin and processed streaming, the merge below sorts.
-    verdict_caches: list[dict] = [{} for _ in range(workers)]
-    screen_caches: list[dict] = [{} for _ in range(workers)]
-    all_violations: list[Violation] = []
-    mdeg_counts: dict[str, set] = {w.render(): set() for w in weight_objs}
+    # key -> whether K1..K4 all hold, the screen in front of certify_wild
+    screen_cache: dict = {}
+    violations: list[Violation] = []
+    mdeg_counts: dict[str, set] = {w.render(): set() for w in config.weight_objects()}
     words_checked = 0
-    for index, (word, endo) in enumerate(generate(config, stats)):
-        shard = index % workers
-        verdict_cache = verdict_caches[shard]
-        screen_cache = screen_caches[shard]
+    for word, endo, rows in _classified(config, registry, classify_fn, stats):
         words_checked += 1
         fp = word_fingerprint(word)
-        for w in weight_objs:
-            degs = mdeg_w(endo, w.components)
-            if any(d is NEG_INF for d in degs):
-                continue
-            key = (w.render(), _mdeg_key(sorted(degs)))
-            mdeg_counts[w.render()].add(key[1])
-            if key not in verdict_cache:
-                verdict_cache[key] = classify_fn(tuple(sorted(degs)), w, registry)
-            verdict = verdict_cache[key]
+        for w, key, degs, verdict in rows:
+            mdeg_counts[key[0]].add(key[1])
             if isinstance(verdict, Excluded):
-                all_violations.append(
-                    Violation(
-                        kind="excluded",
-                        weight=tuple(c.coords for c in w.components),
-                        fingerprint=fp,
-                        word=word.render(),
-                        realization=endo.render(),
-                        multidegree=key[1],
-                        certificate=verdict.certificate.to_json(),
-                    )
+                cert = verdict.certificate
+                violations.append(
+                    Violation.of("excluded", w, fp, word, endo, key[1], cert)
                 )
-            if certify:
-                if key not in screen_cache:
-                    d1, d2, d3 = sorted(degs)
-                    if d1 < d2 < d3:
-                        from .classifier import check_weighted_conditions
-
-                        rep = check_weighted_conditions(d1, d2, d3, w, registry)
-                        screen_cache[key] = all(
-                            rep.holds(n) for n in ("K1", "K2", "K3", "K4")
-                        )
-                    else:
-                        screen_cache[key] = False
-                if screen_cache[key]:
-                    cert = certify_wild(endo, w, registry, assume_automorphism=True)
-                    if isinstance(cert, Certificate):
-                        all_violations.append(
-                            Violation(
-                                kind="certified-wild",
-                                weight=tuple(c.coords for c in w.components),
-                                fingerprint=fp,
-                                word=word.render(),
-                                realization=endo.render(),
-                                multidegree=key[1],
-                                certificate=cert.to_json(),
-                            )
-                        )
-    all_violations.sort(key=lambda v: (v.weight, v.fingerprint, v.kind))
+            if not certify:
+                continue
+            if key not in screen_cache:
+                d1, d2, d3 = sorted(degs)
+                screen_cache[key] = d1 < d2 < d3 and all(
+                    map(check_weighted_conditions(d1, d2, d3, w, registry).holds,
+                        ("K1", "K2", "K3", "K4"))
+                )
+            if screen_cache[key]:
+                cert = certify_wild(endo, w, registry, assume_automorphism=True)
+                if isinstance(cert, Certificate):
+                    violations.append(
+                        Violation.of("certified-wild", w, fp, word, endo, key[1], cert)
+                    )
+    violations.sort(key=lambda v: (v.weight, v.fingerprint, v.kind))
     return ConsistencyReport(
         config=config,
         registry_fingerprint=registry.fingerprint(),
         stats=stats,
         words_checked=words_checked,
         distinct_multidegrees={k: len(v) for k, v in mdeg_counts.items()},
-        violations=tuple(all_violations),
+        violations=tuple(violations),
     )
 
 
@@ -513,7 +514,7 @@ class SearchRecord:
 
     seed: int
     fingerprint: str
-    word: tuple  # ((target 1-based, scale "num/den", shift string), ...)
+    word: list  # TameWord.to_json() of the word, shared by its records
     weight: tuple
     multidegree: tuple
     verdict: str
@@ -525,9 +526,7 @@ class SearchRecord:
             "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "fingerprint": self.fingerprint,
-            "word": [
-                {"target": t, "scale": s, "shift": sh} for (t, s, sh) in self.word
-            ],
+            "word": self.word,
             "weight": [list(c) for c in self.weight],
             "mdeg": [list(c) for c in self.multidegree],
             "verdict": self.verdict,
@@ -545,9 +544,7 @@ class SearchRecord:
         return cls(
             seed=data["seed"],
             fingerprint=data["fingerprint"],
-            word=tuple(
-                (s["target"], s["scale"], s["shift"]) for s in data["word"]
-            ),
+            word=data["word"],
             weight=tuple(tuple(c) for c in data["weight"]),
             multidegree=tuple(tuple(c) for c in data["mdeg"]),
             verdict=data["verdict"],
@@ -556,30 +553,7 @@ class SearchRecord:
         )
 
     def to_word(self) -> TameWord:
-        from .parse import parse_polynomial
-
-        steps = []
-        for target, scale, shift in self.word:
-            num, _, den = scale.partition("/")
-            steps.append(
-                ElementaryAut(
-                    target - 1,
-                    Fraction(int(num), int(den) if den else 1),
-                    parse_polynomial(shift),
-                )
-            )
-        return TameWord(tuple(steps), 3)
-
-
-def _word_record_steps(word: TameWord) -> tuple:
-    return tuple(
-        (
-            s.target + 1,
-            f"{s.scale.numerator}/{s.scale.denominator}",
-            s.shift.render(),
-        )
-        for s in word.steps
-    )
+        return TameWord.from_json(self.word)
 
 
 def run_search(
@@ -589,22 +563,12 @@ def run_search(
     if registry is None:
         registry = builtin_registry()
     reg_fp = registry.fingerprint()
-    weight_objs = config.weight_objects()
     stats = GenerationStats()
     records: list[SearchRecord] = []
-    verdict_cache: dict = {}
-    for word, endo in generate(config, stats):
+    for word, _, rows in _classified(config, registry, classify_weighted, stats):
         fp = word_fingerprint(word)
-        steps = _word_record_steps(word)
-        for w in weight_objs:
-            degs = mdeg_w(endo, w.components)
-            if any(d is NEG_INF for d in degs):
-                continue
-            key = (w.render(), _mdeg_key(sorted(degs)))
-            if key not in verdict_cache:
-                verdict_cache[key] = classify_weighted(
-                    tuple(sorted(degs)), w, registry
-                ).kind
+        steps = word.to_json()
+        for w, _, degs, verdict in rows:
             records.append(
                 SearchRecord(
                     seed=config.seed,
@@ -612,7 +576,7 @@ def run_search(
                     word=steps,
                     weight=tuple(c.coords for c in w.components),
                     multidegree=_mdeg_key(degs),
-                    verdict=verdict_cache[key],
+                    verdict=verdict.kind,
                     registry_fingerprint=reg_fp,
                     timestamp=time.time(),
                 )

@@ -88,6 +88,23 @@ def triple_semigroup_member(d: int, gens) -> bool:
     return False
 
 
+def fraction_rank(rows) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def frac_terms(terms) -> dict:
     """A term map {exponent tuple: coefficient} with every coefficient a
     Fraction and no zero terms."""

@@ -6,6 +6,7 @@ import pytest
 from tamedeg import (
     Budget,
     BudgetExceededError,
+    DegreeCapError,
     DomainError,
     ElementaryAut,
     Endo,
@@ -15,7 +16,6 @@ from tamedeg import (
     deg_w_total,
     ge,
     intro_family,
-    invert,
     jacobian_det,
     leading_form,
     mdeg,
@@ -26,6 +26,7 @@ from tamedeg import (
     realize,
     semigroup_witness,
     shear,
+    substitute,
     transposition_word,
     wedge3_degree,
 )
@@ -101,8 +102,8 @@ class TestRealize:
         rng = random.Random(43)
         for _ in range(25):
             word = random_word(rng, rng.randint(1, 6), exp_cap=2)
-            assert realize(word + invert(word)) == Endo.identity(3)
-            assert realize(invert(word) + word) == Endo.identity(3)
+            assert realize(word + word.inverse()) == Endo.identity(3)
+            assert realize(word.inverse() + word) == Endo.identity(3)
 
     def test_budget_abort(self):
         steps = []
@@ -113,6 +114,27 @@ class TestRealize:
             steps.append(shear(target, Polynomial.monomial(expo)))
         with pytest.raises(BudgetExceededError):
             realize(TameWord(tuple(steps), 3), Budget(term_cap=50))
+        # a term-cap hit under a loose degree cap is not a degree-cap hit
+        with pytest.raises(BudgetExceededError) as err:
+            realize(TameWord(tuple(steps), 3), Budget(term_cap=50, degree_cap=10**6))
+        assert not isinstance(err.value, DegreeCapError)
+
+    def test_degree_cap_stops_before_expansion(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+
+        expanded = []
+
+        def counting_substitute(f, comps, budget=None):
+            expanded.append(f)
+            return substitute(f, comps, budget)
+
+        monkeypatch.setattr(automorphisms, "substitute", counting_substitute)
+        # x1 -> x1 + x3^2 (degree 2), then x3 -> x3 + x1^3 (degree 6)
+        word = TameWord((shear(0, mono3(0, 0, 2)), shear(2, mono3(3, 0, 0))), 3)
+        with pytest.raises(DegreeCapError):
+            realize(word, Budget(degree_cap=5))
+        assert expanded == [mono3(0, 0, 2)]
+        assert mdeg(realize(word, Budget(degree_cap=6))) == (2, 1, 6)
 
     def test_jacobian_is_product_of_scales(self):
         rng = random.Random(47)

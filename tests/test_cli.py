@@ -124,6 +124,17 @@ class TestClassifyCommand:
         assert doc["multidegree"] == [2, 3, 4]
         assert doc["witness"]
 
+    def test_permuted_witness_json_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "4", "3", "2", "--json")
+        assert code == 0
+        steps = [
+            (1, "1/1", "x3^2"), (2, "1/1", "x3^3"), (3, "1/1", "x1^2"),
+            (1, "1/1", "x3"), (3, "1/1", "-x1"), (1, "1/1", "x3"), (3, "-1/1", "0"),
+        ]
+        assert json.loads(out)["witness"] == [
+            {"target": t, "scale": sc, "shift": sh} for t, sc, sh in steps
+        ]
+
     def test_human_and_json_verdicts_agree(self, capsys):
         for triple in ((3, 4, 5), (2, 3, 4), (3, 4, 7), (4, 5, 6)):
             argv = ["classify", *map(str, triple)]
@@ -218,6 +229,30 @@ class TestOtherCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["check", "search"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {"weights": [[1, 2]]},
+            {"weights": 5},
+            {"coefficient_pool": [1, 0]},
+            {"scale_pool": [0, 2]},
+            {"shear_probability": 1.5},
+        ],
+        ids=["not-object", "weight-shape", "weights-scalar", "zero-coefficient",
+             "zero-scale", "shear-probability"],
+    )
+    def test_bad_search_config(self, capsys, tmp_path, command, config):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg_path)]
+        if command == "search":
+            argv += ["--out", str(tmp_path / "records.jsonl")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_failed_witness_verification_is_internal(self, capsys, monkeypatch):
         from tamedeg import Endo
 

@@ -17,13 +17,19 @@ from tamedeg import (
     ge,
     least_combination_exceeding,
     least_multiple_exceeding,
-    lex_compare,
     multiple_of,
     rank_profile,
     semigroup_member,
     w_star,
 )
-from oracles import dp_frobenius, dp_representable, enum_least_combination, enum_w_star
+from tamedeg.ordgroup import independent_triple
+from oracles import (
+    dp_frobenius,
+    dp_representable,
+    enum_least_combination,
+    enum_w_star,
+    fraction_rank,
+)
 
 vectors = st.integers(min_value=1, max_value=4).flatmap(
     lambda k: st.tuples(*([st.integers(min_value=-50, max_value=50)] * k))
@@ -32,14 +38,14 @@ vectors = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestLexOrder:
     def test_basic_comparisons(self):
-        assert lex_compare(ge(1, 2), ge(1, 3)) == -1
-        assert lex_compare(ge(0, 5), ge(1, 0)) == -1
-        assert lex_compare(ge(4, 7), ge(4, 7)) == 0
+        assert ge(1, 2) < ge(1, 3)
+        assert ge(0, 5) < ge(1, 0)
+        assert ge(4, 7) == ge(4, 7) and not ge(4, 7) < ge(4, 7)
         assert ge(2, -1) > ge(1, 100)
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
-            lex_compare(ge(1), ge(1, 2))
+            ge(1) < ge(1, 2)
         with pytest.raises(RankMismatchError):
             ge(1, 2) + ge(1, 2, 3)
 
@@ -267,6 +273,17 @@ class TestRankProfile:
         assert p.triple_dependent
         p = rank_profile(ge(1, 0, 0), ge(0, 1, 0), ge(0, 0, 1))
         assert p.pairwise_independent and not p.triple_dependent
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda k: st.tuples(
+                *[st.tuples(*[st.integers(min_value=-4, max_value=4)] * k)] * 3
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_minor_test_matches_elimination(self, rows):
+        assert independent_triple(*rows) == (fraction_rank(rows) == 3)
 
 
 class TestWeight:
