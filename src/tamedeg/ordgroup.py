@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -376,11 +377,20 @@ def least_combination_exceeding(
 def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     """Smallest element of {a*w_s1 + b*w_s2 : a, b >= 1} strictly above
     w_s1 + w_s3, capped by 2*w_s1 + w_s3, where s sorts the three weights
-    ascending.  Equals 3 for unit weights on Z."""
+    ascending.  Equals 3 for unit weights on Z.
+
+    The value depends on the sorted weight triple alone and is memoized on
+    it in a bounded LRU cache; the input is validated on every call, so a
+    bad triple raises each time and is never cached."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
     s1, s2, s3 = sorted(weights)
     _require_positive(s1, s2, s3)
+    return _w_star_sorted(s1, s2, s3)
+
+
+@lru_cache(maxsize=1024)
+def _w_star_sorted(s1: GroupElem, s2: GroupElem, s3: GroupElem) -> GroupElem:
     fallback = 2 * s1 + s3
     stair = least_combination_exceeding(s1, s2, s1 + s3)
     if stair is None or fallback < stair:
@@ -467,9 +477,6 @@ class Weight:
     def sorted_components(self) -> tuple[GroupElem, GroupElem, GroupElem]:
         a, b, c = sorted(self.components)
         return (a, b, c)
-
-    def star(self) -> GroupElem:
-        return w_star(self.components)
 
     def render(self) -> str:
         return ",".join(w.render() for w in self.components)

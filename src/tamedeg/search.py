@@ -37,6 +37,7 @@ from .classifier import (
     DeltaBoundRegistry,
     Excluded,
     Realizable,
+    Unknown,
     builtin_registry,
     certify_wild,
     check_weighted_conditions,
@@ -286,11 +287,11 @@ class Violation:
     certificate: dict
 
     @classmethod
-    def of(cls, kind, weight: Weight, fingerprint, word, endo, mdeg, cert):
+    def of(cls, kind, weight: Weight, word, endo, mdeg, cert):
         return cls(
             kind=kind,
             weight=tuple(c.coords for c in weight.components),
-            fingerprint=fingerprint,
+            fingerprint=word_fingerprint(word),
             word=word.render(),
             realization=endo.render(),
             multidegree=mdeg,
@@ -384,6 +385,24 @@ def _classified(
         yield word, endo, rows
 
 
+_WILDNESS_CONDITIONS = ("K1", "K2", "K3", "K4")
+
+
+def _k1_to_k4_hold(verdict, degs, w: Weight, registry) -> bool:
+    """The wildness screen in front of certify_wild: whether the sorted
+    degrees are strictly ascending and K1..K4 all hold.  An Unknown verdict
+    already names every failed condition in its reasons (classify_weighted
+    appends "K1" when the degrees are not strictly ascending); any other
+    verdict carries no K1..K4 report, so the conditions are checked here."""
+    if isinstance(verdict, Unknown):
+        return not any(n in verdict.reasons for n in _WILDNESS_CONDITIONS)
+    d1, d2, d3 = sorted(degs)
+    return d1 < d2 < d3 and all(map(
+        check_weighted_conditions(d1, d2, d3, w, registry).holds,
+        _WILDNESS_CONDITIONS,
+    ))
+
+
 def consistency_check(
     config: SearchConfig,
     registry: Optional[DeltaBoundRegistry] = None,
@@ -395,41 +414,33 @@ def consistency_check(
     realized tame word is a falsification and is dumped in the report.
 
     classify_fn(sorted_degrees, weight, registry) may be injected to
-    self-test the harness against a deliberately corrupted classifier.
+    self-test the harness against a deliberately corrupted classifier.  Its
+    contract: an Unknown verdict names every failed K1..K4 condition in
+    ``reasons``, as classify_weighted's do, because the wildness screen in
+    front of certify_wild reads them instead of re-checking the conditions.
     """
     if registry is None:
         registry = builtin_registry()
     if classify_fn is None:
         classify_fn = classify_weighted
     stats = GenerationStats()
-    # key -> whether K1..K4 all hold, the screen in front of certify_wild
-    screen_cache: dict = {}
     violations: list[Violation] = []
     mdeg_counts: dict[str, set] = {w.render(): set() for w in config.weight_objects()}
     words_checked = 0
     for word, endo, rows in _classified(config, registry, classify_fn, stats):
         words_checked += 1
-        fp = word_fingerprint(word)
         for w, key, degs, verdict in rows:
             mdeg_counts[key[0]].add(key[1])
             if isinstance(verdict, Excluded):
                 cert = verdict.certificate
                 violations.append(
-                    Violation.of("excluded", w, fp, word, endo, key[1], cert)
+                    Violation.of("excluded", w, word, endo, key[1], cert)
                 )
-            if not certify:
-                continue
-            if key not in screen_cache:
-                d1, d2, d3 = sorted(degs)
-                screen_cache[key] = d1 < d2 < d3 and all(
-                    map(check_weighted_conditions(d1, d2, d3, w, registry).holds,
-                        ("K1", "K2", "K3", "K4"))
-                )
-            if screen_cache[key]:
+            if certify and _k1_to_k4_hold(verdict, degs, w, registry):
                 cert = certify_wild(endo, w, registry, assume_automorphism=True)
                 if isinstance(cert, Certificate):
                     violations.append(
-                        Violation.of("certified-wild", w, fp, word, endo, key[1], cert)
+                        Violation.of("certified-wild", w, word, endo, key[1], cert)
                     )
     violations.sort(key=lambda v: (v.weight, v.fingerprint, v.kind))
     return ConsistencyReport(

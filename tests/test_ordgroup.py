@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +262,28 @@ class TestWStar:
             want = enum_w_star(*[w.coords for w in ws])
             assert got.coords == want
             checked += 1
+
+
+    def test_memoized_value_ignores_order_and_bad_input_always_raises(self):
+        for ws in (
+            (ge(2), ge(3), ge(5)),
+            (ge(1), ge(1), ge(2)),
+            (ge(1, 2), ge(0, 3), ge(1, -1)),
+        ):
+            want = enum_w_star(*[w.coords for w in ws])
+            for _ in range(2):
+                for perm in permutations(ws):
+                    assert w_star(list(perm)).coords == want
+        for bad in (
+            [ge(1), ge(0), ge(2)],
+            [ge(1), ge(-3), ge(2)],
+            [ge(1), ge(2)],
+            [ge(1), ge(2), ge(3), ge(4)],
+        ):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    w_star(bad)
+        assert w_star([ge(3), ge(2), ge(1)]) == ge(5)
 
 
 class TestRankProfile:

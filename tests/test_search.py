@@ -1,5 +1,7 @@
 import json
 import threading
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -13,10 +15,14 @@ from tamedeg import (
     Unknown,
     Weight,
     builtin_registry,
+    check_weighted_conditions,
+    classify_weighted,
     consistency_check,
+    ge,
     generate,
     load,
     mdeg,
+    mdeg_w,
     persist,
     realize,
     realizability_table,
@@ -24,7 +30,7 @@ from tamedeg import (
     word_fingerprint,
 )
 from tamedeg.classifier import Certificate, Theorem
-from tamedeg.search import GenerationStats
+from tamedeg.search import GenerationStats, _classified, _k1_to_k4_hold
 
 
 SMALL = SearchConfig(seed=101, sample_count=250, weights=((1, 1, 1), (1, 2, 3)))
@@ -112,6 +118,86 @@ class TestConsistency:
         first = report.violations[0]
         assert first.kind == "excluded"
         assert first.word and first.realization and first.multidegree
+
+
+class TestWildnessScreen:
+    """The K1..K4 screen in front of certify_wild reads the verdict that
+    classification already cached instead of re-checking the conditions."""
+
+    CONFIG = SearchConfig(
+        seed=11, sample_count=150, weights=((1, 1, 1), (1, 2, 3), (1, 1, 2))
+    )
+
+    def test_conditions_checked_once_per_key(self, monkeypatch):
+        import tamedeg.classifier as classifier_mod
+        import tamedeg.search as search_mod
+
+        real = classifier_mod.check_weighted_conditions
+        calls = Counter()
+
+        def counted(d1, d2, d3, w, *args):
+            calls[(w.render(), (d1.coords, d2.coords, d3.coords))] += 1
+            return real(d1, d2, d3, w, *args)
+
+        monkeypatch.setattr(classifier_mod, "check_weighted_conditions", counted)
+        monkeypatch.setattr(search_mod, "check_weighted_conditions", counted)
+        report = consistency_check(self.CONFIG)
+        assert report.ok
+        keys = set()
+        for _, endo in generate(self.CONFIG):
+            for w in self.CONFIG.weight_objects():
+                d1, d2, d3 = sorted(mdeg_w(endo, w.components))
+                if d1 < d2 < d3:
+                    keys.add((w.render(), (d1.coords, d2.coords, d3.coords)))
+        # no realized word here passes the screen, so certify_wild adds no
+        # calls of its own: every call comes from classification
+        assert len(keys) > 100
+        assert calls == Counter(dict.fromkeys(keys, 1))
+
+    @staticmethod
+    def _direct(degs, w, registry):
+        d1, d2, d3 = sorted(degs)
+        return d1 < d2 < d3 and all(
+            check_weighted_conditions(d1, d2, d3, w, registry).holds(n)
+            for n in ("K1", "K2", "K3", "K4")
+        )
+
+    def test_verdict_screen_matches_direct_check_on_search_rows(self):
+        registry = builtin_registry()
+        config = SearchConfig(
+            seed=12,
+            sample_count=120,
+            weights=((1, 1, 1), (1, 2, 3), (1, 1, 2), (3, 1, 1)),
+        )
+        rows = [
+            row
+            for _, _, rows in _classified(
+                config, registry, classify_weighted, GenerationStats()
+            )
+            for row in rows
+        ]
+        assert len(rows) > 300
+        for w, _, degs, verdict in rows:
+            assert isinstance(verdict, Unknown)
+            assert _k1_to_k4_hold(verdict, degs, w, registry) == self._direct(
+                degs, w, registry
+            )
+
+    def test_verdict_screen_matches_direct_check_on_triples(self):
+        # unlike realized words, the grid has triples on which K1..K4 all
+        # hold, with Unknown and Excluded verdicts alike
+        registry = builtin_registry()
+        outcomes = Counter()
+        for weight in ((1, 1, 1), (1, 1, 2), (2, 3, 5)):
+            w = Weight.of(*weight)
+            for triple in product(range(1, 13), repeat=3):
+                degs = tuple(ge(d) for d in triple)
+                verdict = classify_weighted(degs, w, registry)
+                screen = _k1_to_k4_hold(verdict, degs, w, registry)
+                assert screen == self._direct(degs, w, registry), (weight, triple)
+                outcomes[verdict.kind, screen] += 1
+        assert outcomes["unknown", True] and outcomes["unknown", False]
+        assert outcomes["excluded", True]
 
 
 class TestRealizabilityTable:
