@@ -40,7 +40,6 @@ from .classifier import (
     Unknown,
     builtin_registry,
     certify_wild,
-    check_weighted_conditions,
     classify_total,
     classify_weighted,
 )
@@ -385,24 +384,6 @@ def _classified(
         yield word, endo, rows
 
 
-_WILDNESS_CONDITIONS = ("K1", "K2", "K3", "K4")
-
-
-def _k1_to_k4_hold(verdict, degs, w: Weight, registry) -> bool:
-    """The wildness screen in front of certify_wild: whether the sorted
-    degrees are strictly ascending and K1..K4 all hold.  An Unknown verdict
-    already names every failed condition in its reasons (classify_weighted
-    appends "K1" when the degrees are not strictly ascending); any other
-    verdict carries no K1..K4 report, so the conditions are checked here."""
-    if isinstance(verdict, Unknown):
-        return not any(n in verdict.reasons for n in _WILDNESS_CONDITIONS)
-    d1, d2, d3 = sorted(degs)
-    return d1 < d2 < d3 and all(map(
-        check_weighted_conditions(d1, d2, d3, w, registry).holds,
-        _WILDNESS_CONDITIONS,
-    ))
-
-
 def consistency_check(
     config: SearchConfig,
     registry: Optional[DeltaBoundRegistry] = None,
@@ -418,6 +399,7 @@ def consistency_check(
     contract: an Unknown verdict names every failed K1..K4 condition in
     ``reasons``, as classify_weighted's do, because the wildness screen in
     front of certify_wild reads them instead of re-checking the conditions.
+    Every other row goes to certify_wild, which checks K1..K4 itself.
     """
     if registry is None:
         registry = builtin_registry()
@@ -429,14 +411,17 @@ def consistency_check(
     words_checked = 0
     for word, endo, rows in _classified(config, registry, classify_fn, stats):
         words_checked += 1
-        for w, key, degs, verdict in rows:
+        for w, key, _, verdict in rows:
             mdeg_counts[key[0]].add(key[1])
             if isinstance(verdict, Excluded):
                 cert = verdict.certificate
                 violations.append(
                     Violation.of("excluded", w, word, endo, key[1], cert)
                 )
-            if certify and _k1_to_k4_hold(verdict, degs, w, registry):
+            if certify and not (
+                isinstance(verdict, Unknown)
+                and any(n in verdict.reasons for n in ("K1", "K2", "K3", "K4"))
+            ):
                 cert = certify_wild(endo, w, registry, assume_automorphism=True)
                 if isinstance(cert, Certificate):
                     violations.append(

@@ -30,7 +30,7 @@ from tamedeg import (
     word_fingerprint,
 )
 from tamedeg.classifier import Certificate, Theorem
-from tamedeg.search import GenerationStats, _classified, _k1_to_k4_hold
+from tamedeg.search import GenerationStats
 
 
 SMALL = SearchConfig(seed=101, sample_count=250, weights=((1, 1, 1), (1, 2, 3)))
@@ -120,6 +120,22 @@ class TestConsistency:
         assert first.word and first.realization and first.multidegree
 
 
+def _screened_out(verdict) -> bool:
+    """The wildness screen of consistency_check: a row stays away from
+    certify_wild only when its Unknown verdict names a failed K1..K4."""
+    return isinstance(verdict, Unknown) and any(
+        n in verdict.reasons for n in ("K1", "K2", "K3", "K4")
+    )
+
+
+def _k1_to_k4_hold(degs, w, registry) -> bool:
+    d1, d2, d3 = sorted(degs)
+    return d1 < d2 < d3 and all(
+        check_weighted_conditions(d1, d2, d3, w, registry).holds(n)
+        for n in ("K1", "K2", "K3", "K4")
+    )
+
+
 class TestWildnessScreen:
     """The K1..K4 screen in front of certify_wild reads the verdict that
     classification already cached instead of re-checking the conditions."""
@@ -130,7 +146,6 @@ class TestWildnessScreen:
 
     def test_conditions_checked_once_per_key(self, monkeypatch):
         import tamedeg.classifier as classifier_mod
-        import tamedeg.search as search_mod
 
         real = classifier_mod.check_weighted_conditions
         calls = Counter()
@@ -140,7 +155,6 @@ class TestWildnessScreen:
             return real(d1, d2, d3, w, *args)
 
         monkeypatch.setattr(classifier_mod, "check_weighted_conditions", counted)
-        monkeypatch.setattr(search_mod, "check_weighted_conditions", counted)
         report = consistency_check(self.CONFIG)
         assert report.ok
         keys = set()
@@ -154,50 +168,62 @@ class TestWildnessScreen:
         assert len(keys) > 100
         assert calls == Counter(dict.fromkeys(keys, 1))
 
-    @staticmethod
-    def _direct(degs, w, registry):
-        d1, d2, d3 = sorted(degs)
-        return d1 < d2 < d3 and all(
-            check_weighted_conditions(d1, d2, d3, w, registry).holds(n)
-            for n in ("K1", "K2", "K3", "K4")
-        )
-
-    def test_verdict_screen_matches_direct_check_on_search_rows(self):
-        registry = builtin_registry()
-        config = SearchConfig(
-            seed=12,
-            sample_count=120,
-            weights=((1, 1, 1), (1, 2, 3), (1, 1, 2), (3, 1, 1)),
-        )
-        rows = [
-            row
-            for _, _, rows in _classified(
-                config, registry, classify_weighted, GenerationStats()
-            )
-            for row in rows
-        ]
-        assert len(rows) > 300
-        for w, _, degs, verdict in rows:
-            assert isinstance(verdict, Unknown)
-            assert _k1_to_k4_hold(verdict, degs, w, registry) == self._direct(
-                degs, w, registry
-            )
-
-    def test_verdict_screen_matches_direct_check_on_triples(self):
+    def test_screen_matches_direct_check_on_triples(self):
         # unlike realized words, the grid has triples on which K1..K4 all
-        # hold, with Unknown and Excluded verdicts alike
+        # hold, with Unknown and Excluded verdicts alike; a screened-out row
+        # never passes the direct check, and on Unknown rows the screen is
+        # exact, so certify_wild sees no row it would reject on K1..K4 alone
         registry = builtin_registry()
         outcomes = Counter()
-        for weight in ((1, 1, 1), (1, 1, 2), (2, 3, 5)):
+        for weight in ((1, 1, 1), (1, 1, 2), (1, 2, 3), (3, 1, 1), (2, 3, 5)):
             w = Weight.of(*weight)
             for triple in product(range(1, 13), repeat=3):
                 degs = tuple(ge(d) for d in triple)
                 verdict = classify_weighted(degs, w, registry)
-                screen = _k1_to_k4_hold(verdict, degs, w, registry)
-                assert screen == self._direct(degs, w, registry), (weight, triple)
-                outcomes[verdict.kind, screen] += 1
+                out = _screened_out(verdict)
+                direct = _k1_to_k4_hold(degs, w, registry)
+                assert not (out and direct), (weight, triple)
+                if isinstance(verdict, Unknown):
+                    assert out != direct, (weight, triple)
+                outcomes[verdict.kind, direct] += 1
         assert outcomes["unknown", True] and outcomes["unknown", False]
         assert outcomes["excluded", True]
+
+    def test_corrupted_classifier_report_with_certify(self, monkeypatch):
+        # the corrupted Unknown names no K1..K4 condition, so every row goes
+        # on to certify_wild; the report is the one a screen by the direct
+        # check gives: no realized word here passes K1..K4, so certification
+        # adds nothing to the excluded violations
+        import tamedeg.search as search_mod
+
+        def corrupted(degrees, weight, registry):
+            d1, d2, d3 = sorted(d.coords[0] for d in degrees)
+            if d2 % d1 == 0:
+                return Excluded(Certificate(Theorem.TOTAL_DEGREE, ()))
+            return Unknown(("c",))
+
+        config = SearchConfig(seed=3, sample_count=60, weights=((1, 1, 1),))
+        registry = builtin_registry()
+        rows = [
+            (w, degs)
+            for _, endo in generate(config)
+            for w in config.weight_objects()
+            for degs in [mdeg_w(endo, w.components)]
+        ]
+        assert not any(_k1_to_k4_hold(d, w, registry) for w, d in rows)
+        real = search_mod.certify_wild
+        certified = []
+
+        def counted(endo, w, *args, **kwargs):
+            certified.append(w.render())
+            return real(endo, w, *args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "certify_wild", counted)
+        report = consistency_check(config, classify_fn=corrupted)
+        assert len(certified) == len(rows)
+        unscreened = consistency_check(config, classify_fn=corrupted, certify=False)
+        assert report.to_json() == unscreened.to_json()
+        assert Counter(v.kind for v in report.violations) == {"excluded": 47}
 
 
 class TestRealizabilityTable:
