@@ -12,6 +12,11 @@ Condition names follow the classical labels embedded in reports: K1..K5 and
 A1..A3, B1..B2 for the weighted criteria, a1..a2, b1..b2, c for the
 total-degree criteria, and 1..2 for the independent-weights criterion.
 
+Deciding comes before explaining.  Whether a condition holds is decided at
+once, in exact integer arithmetic; the text of its clauses is built only
+when the condition is read, as a certificate does.  An Unknown verdict,
+which keeps only the names of the failed conditions, builds no text.
+
 The quantity Delta(d, e) (minimal wedge degree over tame maps with two
 prescribed component degrees) is never computed exactly; every use is
 replaced by a certified lower bound, which keeps Excluded verdicts sound
@@ -347,36 +352,76 @@ def _cmp_clause(label_l: str, val_l, rel: str, label_r: str, val_r, holds: bool)
     )
 
 
+def _ratio_clause(d2, d3, relation: str, holds: bool) -> Clause:
+    """The 3*d2 versus 2*d3 test of a1, K3, A1 and A2."""
+    return _cmp_clause("3*d2", 3 * d2, relation, "2*d3", 2 * d3, holds)
+
+
+def _odd_clause(s: Optional[int], holds: bool) -> Clause:
+    """The odd s >= 3 with s*d1 = 2*d3 test of a1, K4, A1 and A3."""
+    return Clause(
+        left="odd s >= 3 with s*d1 = 2*d3",
+        relation="exists" if s is not None else "none",
+        right=f"s = {s}" if s is not None else "",
+        holds=holds,
+    )
+
+
+def _member_clause(d3, member: Optional[tuple[int, int]]) -> Clause:
+    """d3 outside the semigroup <d1,d2>, as in c and K2."""
+    return Clause(
+        left=f"d3 = {_fmt(d3)}",
+        relation="not in",
+        right="<d1,d2>" + (f" (d3 = {member[0]}*d1 + {member[1]}*d2)" if member else ""),
+        holds=member is None,
+    )
+
+
 class ConditionReport:
-    """Ordered set of named condition evaluations."""
+    """Ordered set of named condition evaluations that decides first and
+    explains on demand.
+
+    put() stores whether a condition holds at once, together with a
+    zero-argument builder of its clauses.  The builder runs only when the
+    condition is first read through __getitem__ or conditions(), and the
+    Condition it yields is memoized.  holds(), failed_names() and ``in``
+    never build clause text, so a verdict that keeps only the failed names
+    pays for no formatting.
+    """
 
     def __init__(self):
-        self._conditions: dict[str, Condition] = {}
+        self._holds: dict[str, bool] = {}
+        self._builders: dict[str, Callable[[], tuple[Clause, ...]]] = {}
+        self._built: dict[str, Condition] = {}
 
-    def put(self, name: str, holds: bool, clauses: Sequence[Clause]) -> Condition:
-        cond = Condition(name, holds, tuple(clauses))
-        self._conditions[name] = cond
-        return cond
+    def put(self, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]) -> None:
+        self._holds[name] = holds
+        self._builders[name] = build
 
     def __getitem__(self, name: str) -> Condition:
-        return self._conditions[name]
+        cond = self._built.get(name)
+        if cond is None:
+            clauses = tuple(self._builders[name]())
+            cond = self._built[name] = Condition(name, self._holds[name], clauses)
+        return cond
 
     def __contains__(self, name: str) -> bool:
-        return name in self._conditions
+        return name in self._holds
 
     def holds(self, name: str) -> bool:
-        return self._conditions[name].holds
+        return self._holds[name]
 
     def conditions(self) -> tuple[Condition, ...]:
-        return tuple(self._conditions.values())
+        return tuple(self[name] for name in self._holds)
 
     def failed_names(self) -> tuple[str, ...]:
-        return tuple(n for n, c in self._conditions.items() if not c.holds)
+        return tuple(n for n, h in self._holds.items() if not h)
 
 
 def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     """Evaluate the total-degree exclusion conditions a1, a2, b1, b2, c for a
-    sorted positive triple, with the witnessing quantities recorded."""
+    sorted positive triple, with the witnessing quantities recorded (the
+    clauses are built when read, see ConditionReport)."""
     if not (0 < d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
     from math import gcd, lcm
@@ -384,54 +429,48 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     rep = ConditionReport()
     g1, g3 = as_group_elem(d1), as_group_elem(d3)
     s = _odd_scalar_multiplier(g1, g3)
-    c1 = _cmp_clause("3*d2", 3 * d2, "!=", "2*d3", 2 * d3, 3 * d2 != 2 * d3)
-    c2 = Clause(
-        left="odd s >= 3 with s*d1 = 2*d3",
-        relation="exists" if s is not None else "none",
-        right=f"s = {s}" if s is not None else "",
-        holds=s is None,
-    )
-    rep.put("a1", c1.holds and c2.holds, (c1, c2))
+    ratio_ok = 3 * d2 != 2 * d3
     rep.put(
-        "a2",
-        d1 + d2 <= d3 + 2,
-        (_cmp_clause("d1+d2", d1 + d2, "<=", "d3+2", d3 + 2, d1 + d2 <= d3 + 2),),
+        "a1",
+        ratio_ok and s is None,
+        lambda: (_ratio_clause(d2, d3, "!=", ratio_ok), _odd_clause(s, s is None)),
     )
+    a2 = d1 + d2 <= d3 + 2
+    rep.put("a2", a2, lambda: (_cmp_clause("d1+d2", d1 + d2, "<=", "d3+2", d3 + 2, a2),))
     g = gcd(d1, d2)
-    b1a = _cmp_clause("gcd(d1,d2)", g, "<=", "", 3, g <= 3)
-    b1b = Clause(
-        left=f"gcd(d1,d2) = {g}",
-        relation="divides",
-        right=f"d3 = {d3}",
-        holds=d3 % g == 0,
+    g_small, g_divides = g <= 3, d3 % g == 0
+    rep.put(
+        "b1",
+        g_small and g_divides,
+        lambda: (
+            _cmp_clause("gcd(d1,d2)", g, "<=", "", 3, g_small),
+            Clause(f"gcd(d1,d2) = {g}", "divides", f"d3 = {d3}", g_divides),
+        ),
     )
-    rep.put("b1", b1a.holds and b1b.holds, (b1a, b1b))
     l = lcm(d1, d2)
+    b2 = d1 + d2 + d3 <= l + 2
     rep.put(
         "b2",
-        d1 + d2 + d3 <= l + 2,
-        (
-            _cmp_clause(
-                "d1+d2+d3", d1 + d2 + d3, "<=", "lcm(d1,d2)+2", l + 2,
-                d1 + d2 + d3 <= l + 2,
-            ),
+        b2,
+        lambda: (
+            _cmp_clause("d1+d2+d3", d1 + d2 + d3, "<=", "lcm(d1,d2)+2", l + 2, b2),
         ),
     )
     divides = d2 % d1 == 0
     member = semigroup_member(g3, g1, as_group_elem(d2))
-    cc1 = Clause(
-        left=f"d1 = {d1}",
-        relation="does not divide",
-        right=f"d2 = {d2}" + (f" (d2 = {d2 // d1}*d1)" if divides else ""),
-        holds=not divides,
+    rep.put(
+        "c",
+        not divides and member is None,
+        lambda: (
+            Clause(
+                left=f"d1 = {d1}",
+                relation="does not divide",
+                right=f"d2 = {d2}" + (f" (d2 = {d2 // d1}*d1)" if divides else ""),
+                holds=not divides,
+            ),
+            _member_clause(d3, member),
+        ),
     )
-    cc2 = Clause(
-        left=f"d3 = {d3}",
-        relation="not in",
-        right="<d1,d2>" + (f" (d3 = {member[0]}*d1 + {member[1]}*d2)" if member else ""),
-        holds=member is None,
-    )
-    rep.put("c", cc1.holds and cc2.holds, (cc1, cc2))
     return rep
 
 
@@ -452,7 +491,9 @@ def check_weighted_conditions(
     """Evaluate K1..K5, A1..A3, B1..B2 for strictly ascending positive
     degrees.  Every Delta occurrence is replaced by delta_lower_bound, so a
     reported 'holds' is sound and a failed report only means 'not
-    certified'."""
+    certified'.  Each condition is decided here; its clauses, and the
+    quantities only they show, are built when it is read (see
+    ConditionReport)."""
     if registry is None:
         registry = builtin_registry()
     if not (d1 < d2 < d3):
@@ -466,154 +507,139 @@ def check_weighted_conditions(
     total = d1 + d2 + d3
     wtotal = w.total
     star = w_star(w.components)
+    pair = dependent_pair(d1, d2)
 
+    k1 = total > wtotal
     rep.put(
         "K1",
-        total > wtotal,
-        (
+        k1,
+        lambda: (
             _cmp_clause("d1", d1, "<", "d2", d2, True),
             _cmp_clause("d2", d2, "<", "d3", d3, True),
-            _cmp_clause("d1+d2+d3", total, ">", "|w|", wtotal, total > wtotal),
+            _cmp_clause("d1+d2+d3", total, ">", "|w|", wtotal, k1),
         ),
     )
 
-    m12 = multiple_of(d2, d1)
+    # d2 is an integer multiple of d1 exactly when d2 = u2*d1, that is u1 = 1.
+    m12 = pair[1] if pair is not None and pair[0] == 1 else None
     member = semigroup_member(d3, d1, d2)
-    k2a = Clause(
-        left=f"d2 = {_fmt(d2)}",
-        relation="not in",
-        right="N*d1" + (f" (d2 = {m12}*d1)" if m12 is not None else ""),
-        holds=m12 is None,
+    rep.put(
+        "K2",
+        m12 is None and member is None,
+        lambda: (
+            Clause(
+                left=f"d2 = {_fmt(d2)}",
+                relation="not in",
+                right="N*d1" + (f" (d2 = {m12}*d1)" if m12 is not None else ""),
+                holds=m12 is None,
+            ),
+            _member_clause(d3, member),
+        ),
     )
-    k2b = Clause(
-        left=f"d3 = {_fmt(d3)}",
-        relation="not in",
-        right="<d1,d2>"
-        + (f" (d3 = {member[0]}*d1 + {member[1]}*d2)" if member else ""),
-        holds=member is None,
-    )
-    rep.put("K2", k2a.holds and k2b.holds, (k2a, k2b))
 
-    def delta(a: GroupElem, b: GroupElem) -> GroupElem:
-        return delta_lower_bound(a, b, w, registry, _tracker)
+    def put_guarded(k_name, a_name, k_guard, a_guard, pair_label, bound):
+        """K3/A2 and K4/A3 share one shape.  bound is the certified Delta
+        bound for the pair when the guard (3*d2 = 2*d3, or an odd s >= 3
+        with s*d1 = 2*d3) is met, None when it is not; k_guard and a_guard
+        build the guard clause of K and of A.  An unmet guard makes K hold
+        and A fail on the guard clause alone; a met guard makes each hold
+        when d1+d2 < d3 + bound, where A raises the bound to |w|*."""
+        if bound is None:
+            rep.put(k_name, True, lambda: (k_guard(),))
+            rep.put(a_name, False, lambda: (a_guard(),))
+            return
+        gap = d1 + d2 - d3
+        a_bound = max(bound, star)
+        k_holds, a_holds = gap < bound, gap < a_bound
+        delta = f"Delta_lb({pair_label})"
+        rep.put(k_name, k_holds, lambda: (
+            k_guard(),
+            _cmp_clause("d1+d2", d1 + d2, "<", f"d3+{delta}", d3 + bound, k_holds),
+        ))
+        rep.put(a_name, a_holds, lambda: (
+            a_guard(),
+            _cmp_clause(
+                "d1+d2", d1 + d2, "<", f"d3+max({delta},|w|*)", d3 + a_bound, a_holds
+            ),
+        ))
 
-    # K3 / A2 share the 3*d2 = 2*d3 ratio test.
     ratio32 = 3 * d2 == 2 * d3
-    k3_first = _cmp_clause("3*d2", 3 * d2, "!=", "2*d3", 2 * d3, not ratio32)
-    if ratio32:
-        bound = delta(d2, d3)
-        k3_second = _cmp_clause(
-            "d1+d2", d1 + d2, "<", "d3+Delta_lb(d2,d3)", d3 + bound,
-            d1 + d2 < d3 + bound,
-        )
-        rep.put("K3", k3_second.holds, (k3_first, k3_second))
-        a2_bound = max(bound, star)
-        a2_second = _cmp_clause(
-            "d1+d2", d1 + d2, "<", "d3+max(Delta_lb(d2,d3),|w|*)", d3 + a2_bound,
-            d1 + d2 < d3 + a2_bound,
-        )
-        rep.put("A2", a2_second.holds, (k3_first, a2_second))
-    else:
-        rep.put("K3", True, (k3_first,))
-        rep.put(
-            "A2",
-            False,
-            (
-                Clause(
-                    left=f"3*d2 = {_fmt(3 * d2)}",
-                    relation="=",
-                    right=f"2*d3 = {_fmt(2 * d3)}",
-                    holds=False,
-                ),
-            ),
-        )
 
-    # K4 / A3 share the odd multiplier test.
-    s = _odd_scalar_multiplier(d1, d3)
-    k4_first = Clause(
-        left="odd s >= 3 with s*d1 = 2*d3",
-        relation="exists" if s is not None else "none",
-        right=f"s = {s}" if s is not None else "",
-        holds=s is None,
+    def k3_guard():
+        return _ratio_clause(d2, d3, "!=", not ratio32)
+
+    put_guarded(
+        "K3",
+        "A2",
+        k3_guard,
+        lambda: _ratio_clause(d2, d3, "!=" if ratio32 else "=", False),
+        "d2,d3",
+        delta_lower_bound(d2, d3, w, registry, _tracker) if ratio32 else None,
     )
-    if s is not None:
-        bound = delta(d1, d3)
-        k4_second = _cmp_clause(
-            "d1+d2", d1 + d2, "<", "d3+Delta_lb(d1,d3)", d3 + bound,
-            d1 + d2 < d3 + bound,
-        )
-        rep.put("K4", k4_second.holds, (k4_first, k4_second))
-        a3_bound = max(bound, star)
-        a3_second = _cmp_clause(
-            "d1+d2", d1 + d2, "<", "d3+max(Delta_lb(d1,d3),|w|*)", d3 + a3_bound,
-            d1 + d2 < d3 + a3_bound,
-        )
-        a3_first = Clause(
-            left="odd s >= 3 with s*d1 = 2*d3",
-            relation="exists",
-            right=f"s = {s}",
-            holds=True,
-        )
-        rep.put("A3", a3_second.holds, (a3_first, a3_second))
-    else:
-        rep.put("K4", True, (k4_first,))
+    s = _odd_scalar_multiplier(d1, d3)
+
+    def k4_guard():
+        return _odd_clause(s, s is None)
+
+    put_guarded(
+        "K4",
+        "A3",
+        k4_guard,
+        lambda: _odd_clause(s, s is not None),
+        "d1,d3",
+        delta_lower_bound(d1, d3, w, registry, _tracker) if s is not None else None,
+    )
+    # No builder refers to rep: a report is then freed by reference
+    # counting alone, without leaving garbage cycles for the collector.
+    rep.put("A1", not ratio32 and s is None, lambda: (k3_guard(), k4_guard()))
+
+    if 4 * d1 == 3 * d2:
+        g = pair[2]
+        bound43 = delta_lower_bound(2 * d1, d2, w, registry, _tracker)
+        k5 = d3 < 5 * g + bound43
         rep.put(
-            "A3",
-            False,
-            (
-                Clause(
-                    left="odd s >= 3 with s*d1 = 2*d3",
-                    relation="none",
-                    right="",
-                    holds=False,
+            "K5",
+            k5,
+            lambda: (
+                _cmp_clause("4*d1", 4 * d1, "!=", "3*d2", 3 * d2, False),
+                _cmp_clause(
+                    "d3", d3, "<", "5*gcd(d1,d2)+Delta_lb(2*d1,d2)", 5 * g + bound43, k5
                 ),
             ),
         )
-
-    rep.put("A1", not ratio32 and s is None, (k3_first, k4_first))
-
-    ratio43 = 4 * d1 == 3 * d2
-    k5_first = _cmp_clause("4*d1", 4 * d1, "!=", "3*d2", 3 * d2, not ratio43)
-    if ratio43:
-        g, _ = gcd_lcm(d1, d2)
-        bound = delta(2 * d1, d2)
-        k5_second = _cmp_clause(
-            "d3", d3, "<", "5*gcd(d1,d2)+Delta_lb(2*d1,d2)", 5 * g + bound,
-            d3 < 5 * g + bound,
-        )
-        rep.put("K5", k5_second.holds, (k5_first, k5_second))
     else:
-        rep.put("K5", True, (k5_first,))
+        rep.put("K5", True, lambda: (_cmp_clause("4*d1", 4 * d1, "!=", "3*d2", 3 * d2, True),))
 
-    pair = dependent_pair(d1, d2)
     if pair is None:
-        indep = Clause(
-            left="d1, d2",
-            relation="linearly independent over Z ((B) holds)",
-            right="",
-            holds=True,
-        )
-        rep.put("B1", True, (indep,))
-        rep.put("B2", True, (indep,))
+        def indep():
+            return (Clause("d1, d2", "linearly independent over Z ((B) holds)", "", True),)
+
+        rep.put("B1", True, indep)
+        rep.put("B2", True, indep)
     else:
-        g, l = gcd_lcm(d1, d2)
+        u1, u2, g = pair
+        lcm = (u1 * u2) * g
         m3 = multiple_of(d3, g)
-        b1a = _cmp_clause("gcd(d1,d2)", g, "<=", "|w|*", star, g <= star)
-        b1b = Clause(
-            left=f"d3 = {_fmt(d3)}",
-            relation="in" if m3 is not None else "not in",
-            right="N*gcd(d1,d2)" + (f" (d3 = {m3}*gcd)" if m3 is not None else ""),
-            holds=m3 is not None,
+        g_small = g <= star
+        rep.put(
+            "B1",
+            g_small and m3 is not None,
+            lambda: (
+                _cmp_clause("gcd(d1,d2)", g, "<=", "|w|*", star, g_small),
+                Clause(
+                    left=f"d3 = {_fmt(d3)}",
+                    relation="in" if m3 is not None else "not in",
+                    right="N*gcd(d1,d2)" + (f" (d3 = {m3}*gcd)" if m3 is not None else ""),
+                    holds=m3 is not None,
+                ),
+            ),
         )
-        rep.put("B1", b1a.holds and b1b.holds, (b1a, b1b))
+        b2 = total < lcm + star
         rep.put(
             "B2",
-            total < l + star,
-            (
-                _cmp_clause(
-                    "d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star,
-                    total < l + star,
-                ),
+            b2,
+            lambda: (
+                _cmp_clause("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", lcm + star, b2),
             ),
         )
     return rep
@@ -630,37 +656,37 @@ def _independent_weights_report(
 ) -> ConditionReport:
     rep = ConditionReport()
     profile = rank_profile(d1, d2, d3)
-    clauses1 = (
-        Clause("d1, d2", "linearly independent", "", not profile.pair_12_dependent),
-        Clause("d1, d3", "linearly independent", "", not profile.pair_13_dependent),
-        Clause("d2, d3", "linearly independent", "", not profile.pair_23_dependent),
-        Clause("d1, d2, d3", "linearly dependent", "", profile.triple_dependent),
-    )
     rep.put(
         "1",
         profile.pairwise_independent and profile.triple_dependent,
-        clauses1,
+        lambda: (
+            Clause("d1, d2", "linearly independent", "", not profile.pair_12_dependent),
+            Clause("d1, d3", "linearly independent", "", not profile.pair_13_dependent),
+            Clause("d2, d3", "linearly independent", "", not profile.pair_23_dependent),
+            Clause("d1, d2, d3", "linearly dependent", "", profile.triple_dependent),
+        ),
     )
-    clauses2 = []
-    holds2 = True
-    for name, d, e1, e2 in (
-        ("d1", d1, d2, d3),
-        ("d2", d2, d3, d1),
-        ("d3", d3, d1, d2),
-    ):
-        member = semigroup_member(d, e1, e2)
-        ok = member is None
-        holds2 = holds2 and ok
-        clauses2.append(
+    members = [
+        (name, d, semigroup_member(d, e1, e2))
+        for name, d, e1, e2 in (
+            ("d1", d1, d2, d3),
+            ("d2", d2, d3, d1),
+            ("d3", d3, d1, d2),
+        )
+    ]
+    rep.put(
+        "2",
+        all(m is None for _, _, m in members),
+        lambda: tuple(
             Clause(
                 left=f"{name} = {_fmt(d)}",
                 relation="not in",
-                right="<other two>"
-                + (f" ({member[0]}, {member[1]})" if member else ""),
-                holds=ok,
+                right="<other two>" + (f" ({m[0]}, {m[1]})" if m else ""),
+                holds=m is None,
             )
-        )
-    rep.put("2", holds2, tuple(clauses2))
+            for name, d, m in members
+        ),
+    )
     return rep
 
 

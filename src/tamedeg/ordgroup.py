@@ -14,10 +14,10 @@ Everything here is an immutable value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConstructionError, DomainError, RankMismatchError
@@ -71,6 +71,14 @@ class GroupElem:
                 raise DomainError(f"coordinates must be integers, got {c!r}")
         self.coords = coords
 
+    @staticmethod
+    def _trusted(coords: tuple) -> "GroupElem":
+        """Wrap coords without validation.  Precondition: a nonempty tuple
+        of ints, as the group operations produce from valid operands."""
+        e = object.__new__(GroupElem)
+        e.coords = coords
+        return e
+
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -91,19 +99,19 @@ class GroupElem:
         if other is NEG_INF:
             return NEG_INF
         self._check(other)
-        return GroupElem(a + b for a, b in zip(self.coords, other.coords))
+        return GroupElem._trusted(tuple(map(_add, self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElem(a - b for a, b in zip(self.coords, other.coords))
+        return GroupElem._trusted(tuple(map(_sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return GroupElem(-a for a in self.coords)
+        return GroupElem._trusted(tuple(map(_neg, self.coords)))
 
     def __mul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return GroupElem(n * a for a in self.coords)
+        return GroupElem._trusted(tuple([n * a for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -192,27 +200,30 @@ def dependent_pair(
 ) -> Optional[tuple[int, int, GroupElem]]:
     """Coprime (u1, u2) with u2*d1 == u1*d2, plus the common d with d_i == u_i*d.
 
-    Returns None when d1 and d2 are linearly independent over Z.  The common
-    element d always has integer coordinates because u1 divides every
-    coordinate of d1.
+    Returns None when d1 and d2 are linearly independent over Z.  The ratio
+    u2/u1 is read off the first coordinate where the pair is nonzero, in
+    lowest terms by an integer gcd, and every later coordinate is checked
+    against it by cross-multiplication.  The common element d always has
+    integer coordinates because u1 divides every coordinate of d1.
     """
     _require_positive(d1, d2)
     d1._check(d2)
-    ratio: Optional[Fraction] = None
+    u1 = u2 = 0
     for a, b in zip(d1.coords, d2.coords):
         if a == 0 and b == 0:
             continue
         if a == 0 or b == 0:
             return None
-        r = Fraction(b, a)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
+        if u1 == 0:
+            g = _int_gcd(a, b)
+            u1, u2 = a // g, b // g
+        elif a * u2 != b * u1:
             return None
-    if ratio is None or ratio <= 0:
-        raise ConstructionError(f"positive pair {d1!r}, {d2!r} has ratio {ratio}")
-    u1, u2 = ratio.denominator, ratio.numerator
-    d = GroupElem(c // u1 for c in d1.coords)
+    if u1 < 0:
+        u1, u2 = -u1, -u2
+    if u1 == 0 or u2 <= 0:
+        raise ConstructionError(f"positive pair {d1!r}, {d2!r} has ratio {u2}/{u1}")
+    d = GroupElem._trusted(tuple([c // u1 for c in d1.coords]))
     if u1 * d != d1 or u2 * d != d2:
         raise ConstructionError(f"{d!r} is not a common divisor of {d1!r}, {d2!r}")
     return u1, u2, d
@@ -251,10 +262,21 @@ def semigroup_member(
     Independent generators give an exact 2-unknown linear solve (at most one
     rational solution); dependent generators reduce to a coin problem on the
     coprime multipliers, solved with the smallest a as tie-break.
+
+    The input is validated on every call; the answer is then memoized on
+    (d, e1, e2) in a bounded LRU cache, so a bad input raises each time and
+    is never cached.
     """
     _require_positive(e1, e2)
     d._check(e1)
     d._check(e2)
+    return _semigroup_solve(d, e1, e2)
+
+
+@lru_cache(maxsize=1024)
+def _semigroup_solve(
+    d: GroupElem, e1: GroupElem, e2: GroupElem
+) -> Optional[tuple[int, int]]:
     pair = dependent_pair(e1, e2)
     if pair is None:
         return _solve_independent(d, e1, e2)
@@ -294,11 +316,10 @@ def _solve_independent(
             f"independent pair {e1!r}, {e2!r} has no nonzero 2x2 minor"
         )
     i, j, det = pivot
-    a = Fraction(d.coords[i] * e2.coords[j] - d.coords[j] * e2.coords[i], det)
-    b = Fraction(e1.coords[i] * d.coords[j] - e1.coords[j] * d.coords[i], det)
-    if a.denominator != 1 or b.denominator != 1 or a < 0 or b < 0:
+    a, ra = divmod(d.coords[i] * e2.coords[j] - d.coords[j] * e2.coords[i], det)
+    b, rb = divmod(e1.coords[i] * d.coords[j] - e1.coords[j] * d.coords[i], det)
+    if ra or rb or a < 0 or b < 0:
         return None
-    a, b = int(a), int(b)
     if a * e1 + b * e2 != d:
         return None
     return a, b

@@ -21,7 +21,7 @@ determinants and power dependence of pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, mul as _mul
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError
@@ -336,9 +336,8 @@ def degree_w(f: Polynomial, weights=None) -> DegreeValue:
         return NEG_INF
     if all(w.rank == 1 for w in ws):
         ints = [w.coords[0] for w in ws]
-        return GroupElem(
-            (max(sum(e * w for e, w in zip(mono, ints)) for mono in f.terms),)
-        )
+        top = max(sum(map(_mul, mono, ints)) for mono in f.terms)
+        return GroupElem._trusted((top,))
     best: Optional[GroupElem] = None
     for mono in f.terms:
         val = GroupElem.zero(ws[0].rank)

@@ -2,11 +2,23 @@
 
 Everything here is deliberately naive: plain enumeration, dynamic
 programming and schoolbook polynomial arithmetic on plain dicts with
-Fraction coefficients, independent of the library's algorithms.
+Fraction coefficients, independent of the library's algorithms.  The two
+exceptions at the end are earlier, simpler versions of library code kept as
+references for their faster replacements: ``frac_dependent_pair`` finds the
+ratio of a pair with Fraction, and ``eager_weighted_conditions`` evaluates
+K1..K5, A1..A3, B1..B2 and formats every clause at once.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from tamedeg.classifier import (
+    Clause,
+    Condition,
+    _odd_scalar_multiplier,
+    delta_lower_bound,
+)
+from tamedeg.ordgroup import GroupElem, multiple_of, semigroup_member, w_star
 
 
 def dp_representable(target: int, e1: int, e2: int):
@@ -165,3 +177,130 @@ def frac_partial(f: dict, index: int) -> dict:
             key = mono[:index] + (e - 1,) + mono[index + 1:]
             out[key] = out.get(key, Fraction(0)) + c * e
     return frac_terms(out)
+
+
+def frac_dependent_pair(d1: GroupElem, d2: GroupElem):
+    """(u1, u2, d) with coprime u1, u2, u2*d1 == u1*d2 and d_i == u_i*d for
+    a positive pair, or None when it is independent; the ratio d2/d1 is
+    taken as one Fraction per coordinate."""
+    ratio = None
+    for a, b in zip(d1.coords, d2.coords):
+        if a == 0 and b == 0:
+            continue
+        if a == 0 or b == 0:
+            return None
+        r = Fraction(b, a)
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    u1, u2 = ratio.denominator, ratio.numerator
+    return u1, u2, GroupElem(c // u1 for c in d1.coords)
+
+
+def _fmt(v) -> str:
+    return v.render() if isinstance(v, GroupElem) else str(v)
+
+
+def _cmp(label_l, val_l, rel, label_r, val_r, holds) -> Clause:
+    return Clause(
+        left=f"{label_l} = {_fmt(val_l)}",
+        relation=rel,
+        right=f"{label_r} = {_fmt(val_r)}" if label_r else _fmt(val_r),
+        holds=holds,
+    )
+
+
+def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
+    """The Conditions K1, K2, K3, A2, K4, A3, A1, K5, B1, B2 of strictly
+    ascending positive degrees, each clause formatted as it is decided."""
+    out = []
+
+    def put(name, holds, clauses):
+        out.append(Condition(name, holds, tuple(clauses)))
+
+    def delta(a, b):
+        return delta_lower_bound(a, b, w, registry, tracker)
+
+    def gcd_lcm(a, b):
+        u1, u2, d = frac_dependent_pair(a, b)
+        return d, (u1 * u2) * d
+
+    total = d1 + d2 + d3
+    wtotal = w.total
+    star = w_star(w.components)
+    put("K1", total > wtotal, (
+        _cmp("d1", d1, "<", "d2", d2, True),
+        _cmp("d2", d2, "<", "d3", d3, True),
+        _cmp("d1+d2+d3", total, ">", "|w|", wtotal, total > wtotal),
+    ))
+    m12 = multiple_of(d2, d1)
+    member = semigroup_member(d3, d1, d2)
+    k2a = Clause(f"d2 = {_fmt(d2)}", "not in",
+                 "N*d1" + (f" (d2 = {m12}*d1)" if m12 is not None else ""), m12 is None)
+    k2b = Clause(f"d3 = {_fmt(d3)}", "not in",
+                 "<d1,d2>" + (f" (d3 = {member[0]}*d1 + {member[1]}*d2)" if member else ""),
+                 member is None)
+    put("K2", k2a.holds and k2b.holds, (k2a, k2b))
+
+    ratio32 = 3 * d2 == 2 * d3
+    k3_first = _cmp("3*d2", 3 * d2, "!=", "2*d3", 2 * d3, not ratio32)
+    if ratio32:
+        bound = delta(d2, d3)
+        k3_second = _cmp("d1+d2", d1 + d2, "<", "d3+Delta_lb(d2,d3)", d3 + bound,
+                         d1 + d2 < d3 + bound)
+        put("K3", k3_second.holds, (k3_first, k3_second))
+        a2_bound = max(bound, star)
+        a2_second = _cmp("d1+d2", d1 + d2, "<", "d3+max(Delta_lb(d2,d3),|w|*)",
+                         d3 + a2_bound, d1 + d2 < d3 + a2_bound)
+        put("A2", a2_second.holds, (k3_first, a2_second))
+    else:
+        put("K3", True, (k3_first,))
+        put("A2", False, (Clause(f"3*d2 = {_fmt(3 * d2)}", "=",
+                                 f"2*d3 = {_fmt(2 * d3)}", False),))
+
+    s = _odd_scalar_multiplier(d1, d3)
+    odd = "odd s >= 3 with s*d1 = 2*d3"
+    k4_first = Clause(odd, "exists" if s is not None else "none",
+                      f"s = {s}" if s is not None else "", s is None)
+    if s is not None:
+        bound = delta(d1, d3)
+        k4_second = _cmp("d1+d2", d1 + d2, "<", "d3+Delta_lb(d1,d3)", d3 + bound,
+                         d1 + d2 < d3 + bound)
+        put("K4", k4_second.holds, (k4_first, k4_second))
+        a3_bound = max(bound, star)
+        a3_second = _cmp("d1+d2", d1 + d2, "<", "d3+max(Delta_lb(d1,d3),|w|*)",
+                         d3 + a3_bound, d1 + d2 < d3 + a3_bound)
+        put("A3", a3_second.holds, (Clause(odd, "exists", f"s = {s}", True), a3_second))
+    else:
+        put("K4", True, (k4_first,))
+        put("A3", False, (Clause(odd, "none", "", False),))
+
+    put("A1", not ratio32 and s is None, (k3_first, k4_first))
+
+    ratio43 = 4 * d1 == 3 * d2
+    k5_first = _cmp("4*d1", 4 * d1, "!=", "3*d2", 3 * d2, not ratio43)
+    if ratio43:
+        g, _ = gcd_lcm(d1, d2)
+        bound = delta(2 * d1, d2)
+        k5_second = _cmp("d3", d3, "<", "5*gcd(d1,d2)+Delta_lb(2*d1,d2)", 5 * g + bound,
+                         d3 < 5 * g + bound)
+        put("K5", k5_second.holds, (k5_first, k5_second))
+    else:
+        put("K5", True, (k5_first,))
+
+    if frac_dependent_pair(d1, d2) is None:
+        indep = Clause("d1, d2", "linearly independent over Z ((B) holds)", "", True)
+        put("B1", True, (indep,))
+        put("B2", True, (indep,))
+    else:
+        g, l = gcd_lcm(d1, d2)
+        m3 = multiple_of(d3, g)
+        b1a = _cmp("gcd(d1,d2)", g, "<=", "|w|*", star, g <= star)
+        b1b = Clause(f"d3 = {_fmt(d3)}", "in" if m3 is not None else "not in",
+                     "N*gcd(d1,d2)" + (f" (d3 = {m3}*gcd)" if m3 is not None else ""),
+                     m3 is not None)
+        put("B1", b1a.holds and b1b.holds, (b1a, b1b))
+        put("B2", total < l + star,
+            (_cmp("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star, total < l + star),))
+    return out

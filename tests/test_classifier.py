@@ -1,7 +1,11 @@
+import gc
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     Certificate,
@@ -35,7 +39,9 @@ from tamedeg import (
     shear,
 )
 from tamedeg.automorphisms import _verify_realization
-from oracles import triple_semigroup_member
+from tamedeg.classifier import Clause, _DeltaTracker
+from tamedeg.ordgroup import GroupElem, _semigroup_solve
+from oracles import eager_weighted_conditions, triple_semigroup_member
 
 W111 = Weight.of(1, 1, 1)
 
@@ -223,6 +229,123 @@ class TestWeightedConditions:
         rep = check_weighted_conditions(ge(3), ge(4), ge(5), W111)
         k5 = rep["K5"]
         assert k5.holds and len(k5.clauses) == 2
+
+
+def _elems(rank: int):
+    return st.tuples(*[st.integers(-3, 8)] * rank).map(GroupElem).filter(
+        lambda e: e.is_positive
+    )
+
+
+@st.composite
+def _weighted_queries(draw):
+    """Strictly ascending positive degrees and a positive weight of one rank
+    1..3; the degrees are often small multiples of one element, so the
+    3*d2 = 2*d3, s*d1 = 2*d3 and 4*d1 = 3*d2 branches come up."""
+    rank = draw(st.integers(1, 3))
+    weights = tuple(draw(_elems(rank)) for _ in range(3))
+    if draw(st.booleans()):
+        base = draw(_elems(rank))
+        ds = [draw(st.integers(1, 12)) * base for _ in range(2)]
+        ds.append(draw(_elems(rank)) if draw(st.booleans()) else draw(st.integers(1, 12)) * base)
+    else:
+        ds = [draw(_elems(rank)) for _ in range(3)]
+    d1, d2, d3 = sorted(ds)
+    assume(d1 < d2 < d3)
+    return (d1, d2, d3), Weight(*weights)
+
+
+class TestDecideBeforeExplaining:
+    """check_weighted_conditions decides every condition at once and builds
+    its clauses on read; the reports equal the eager reference's."""
+
+    REGISTRIES = (
+        builtin_registry(),
+        builtin_registry()
+        .with_entry(Weight.of(1, 2, 3), ge(4), ge(6), ge(9))
+        .with_entry(Weight.of(1, 1, 1), ge(3), ge(9), ge(7))
+        .with_entry(Weight.of(1, 1, 1), ge(6), ge(8), ge(12)),
+    )
+
+    @staticmethod
+    def assert_matches_oracle(ds, w, registry):
+        tracker, oracle_tracker = _DeltaTracker(), _DeltaTracker()
+        rep = check_weighted_conditions(*ds, w, registry, tracker)
+        expected = eager_weighted_conditions(*ds, w, registry, oracle_tracker)
+        # the decisions are read before any clause is built
+        assert rep.failed_names() == tuple(c.name for c in expected if not c.holds)
+        assert [(c.name, rep.holds(c.name), c.name in rep) for c in expected] == [
+            (c.name, c.holds, True) for c in expected
+        ]
+        assert rep.conditions() == tuple(expected)
+        assert rep["A1"] is rep.conditions()[6]
+        assert tracker.uses == oracle_tracker.uses
+
+    def test_matches_eager_oracle_on_rank1_grid(self):
+        for registry in self.REGISTRIES:
+            for weight in ((1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 1, 1), (1, 1, 2)):
+                w = Weight.of(*weight)
+                for triple in combinations(range(1, 16), 3):
+                    self.assert_matches_oracle(tuple(map(ge, triple)), w, registry)
+
+    @given(_weighted_queries(), st.sampled_from(REGISTRIES))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_eager_oracle_ranks_1_to_3(self, query, registry):
+        ds, w = query
+        self.assert_matches_oracle(ds, w, registry)
+
+    def test_unknown_verdict_builds_no_clause(self, monkeypatch):
+        built = []
+        init = Clause.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Clause, "__init__", counting)
+        queries = (
+            ((1, 2, 3), (1, 1, 1)),
+            ((4, 6, 9), (1, 1, 1)),
+            (((2, 1), (1, 2), (3, 3)), ((1, 0), (0, 1), (1, 1))),
+            (((1, 2, 0), (2, 1, 0), (1, -1, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        )
+        for degrees, weight in queries:
+            assert isinstance(classify_weighted(degrees, weight), Unknown)
+        assert isinstance(classify_total(4, 6, 9), Unknown)
+        assert built == []
+        # reading a report builds its clauses, once
+        rep = check_weighted_conditions(ge(1), ge(2), ge(3), W111)
+        first = rep.conditions()
+        assert len(built) == sum(len(c.clauses) for c in first) == 17
+        assert rep.conditions() == first and len(built) == 17
+        assert isinstance(classify_weighted((4, 5, 7), (1, 1, 1)), Excluded)
+
+    def test_reports_leave_no_garbage_cycles(self):
+        # a builder that refers to its own report makes every report cyclic
+        # garbage, and the collector's extra passes show in the latency tail
+        gc.collect()
+        gc.disable()
+        try:
+            for triple in ((1, 2, 3), (4, 5, 7), (4, 6, 9), (2, 3, 4)):
+                for weight in ((1, 1, 1), (1, 2, 3)):
+                    check_weighted_conditions(*map(ge, triple), Weight.of(*weight)).conditions()
+                    classify_weighted(triple, weight)
+                check_total_abc(*triple).conditions()
+                classify_total(*triple)
+            for degrees in (((2, 1), (1, 2), (3, 3)), ((1, 0), (0, 1), (1, 1))):
+                classify_weighted(degrees, ((1, 0), (0, 1), (1, 1)))
+            unit3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            assert isinstance(classify_weighted(((1, 0, 0), (1, 1, 0), (1, 2, 0)), unit3), Excluded)
+            certify_wild(nagata(), (4, 3, 3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("triple", [(4, 5, 6), (3, 4, 5), (4, 6, 9), (6, 7, 8), (2, 3, 4)])
+    def test_membership_solved_once_per_triple(self, triple):
+        _semigroup_solve.cache_clear()
+        classify_total(*triple)
+        assert _semigroup_solve.cache_info().misses == 1
 
 
 class TestClassifyWeighted:

@@ -22,12 +22,13 @@ from tamedeg import (
     semigroup_member,
     w_star,
 )
-from tamedeg.ordgroup import independent_triple
+from tamedeg.ordgroup import _semigroup_solve, independent_triple
 from oracles import (
     dp_frobenius,
     dp_representable,
     enum_least_combination,
     enum_w_star,
+    frac_dependent_pair,
     fraction_rank,
 )
 
@@ -97,6 +98,23 @@ class TestDependentPair:
         assert v1 * e == u1 * d and v2 * e == u2 * d
         assert (v1, v2) == (u1, u2)
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(*[st.tuples(*[st.integers(-6, 6)] * k)] * 3)
+        ),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.booleans(),
+    )
+    @settings(max_examples=400)
+    def test_matches_fraction_oracle(self, coords, m1, m2, dependent):
+        # half the pairs are dependent by construction, the rest mostly not
+        a, b, c = map(GroupElem, coords)
+        d1, d2 = (m1 * c, m2 * c) if dependent else (a, b)
+        if not (d1.is_positive and d2.is_positive):
+            return
+        assert dependent_pair(d1, d2) == frac_dependent_pair(d1, d2)
+
     def test_gcd_lcm(self):
         assert gcd_lcm(ge(6), ge(9)) == (ge(3), ge(18))
         assert gcd_lcm(ge(2, 4), ge(3, 6)) == (ge(1, 2), ge(6, 12))
@@ -135,6 +153,22 @@ class TestSemigroupMember:
     def test_independent_solvable(self):
         # 2*(1,1,0) + 3*(1,-1,2) = (5,-1,6)
         assert semigroup_member(ge(5, -1, 6), ge(1, 1, 0), ge(1, -1, 2)) == (2, 3)
+
+    def test_memoized_value_and_bad_input_always_raises(self):
+        _semigroup_solve.cache_clear()
+        assert semigroup_member(ge(17), ge(3), ge(4)) == (3, 2)
+        assert semigroup_member(ge(17), ge(3), ge(4)) == (3, 2)
+        assert semigroup_member(ge(5, -1, 6), ge(1, 1, 0), ge(1, -1, 2)) == (2, 3)
+        info = _semigroup_solve.cache_info()
+        assert (info.hits, info.misses) == (1, 2) and info.maxsize is not None
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                semigroup_member(ge(5), ge(0), ge(3))
+            with pytest.raises(DomainError):
+                semigroup_member(ge(5), ge(3), ge(-1))
+            with pytest.raises(RankMismatchError):
+                semigroup_member(ge(5, 1), ge(1), ge(3))
+        assert _semigroup_solve.cache_info().currsize == 2
 
     def test_against_dp_oracle(self):
         for e1, e2 in product(range(1, 11), repeat=2):

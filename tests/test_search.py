@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from tamedeg import (
+    NEG_INF,
     DeltaBoundRegistry,
     Excluded,
     Realizable,
@@ -29,7 +30,7 @@ from tamedeg import (
     run_search,
     word_fingerprint,
 )
-from tamedeg.classifier import Certificate, Theorem
+from tamedeg.classifier import Certificate, Clause, Condition, Theorem
 from tamedeg.search import GenerationStats
 
 
@@ -118,6 +119,77 @@ class TestConsistency:
         first = report.violations[0]
         assert first.kind == "excluded"
         assert first.word and first.realization and first.multidegree
+
+    def test_certified_wild_violations_are_reported(self, monkeypatch):
+        # no realized word passes K1..K4, so a stand-in certifier that
+        # calls every map wild drives the certified-wild path; the corrupted
+        # classifier's Unknown names no K1..K4 condition, so every row
+        # reaches it, and its Excluded rows add a second violation each
+        import tamedeg.search as search_mod
+
+        wild = Certificate(
+            Theorem.F_SPECIFIC, (Condition("K1", True, (Clause("d1", "<", "d2", True),)),)
+        )
+        excluded = Certificate(Theorem.TOTAL_DEGREE, ())
+        certified = []
+
+        def always_wild(endo, w, registry, assume_automorphism=False):
+            certified.append(assume_automorphism)
+            return wild
+
+        def corrupted(degrees, weight, registry):
+            d1, d2, d3 = sorted(d.coords[0] for d in degrees)
+            if d2 % d1 == 0:
+                return Excluded(excluded)
+            return Unknown(("c",))
+
+        monkeypatch.setattr(search_mod, "certify_wild", always_wild)
+        config = SearchConfig(seed=3, sample_count=20, weights=((1, 2, 3), (1, 1, 1)))
+        report = consistency_check(config, classify_fn=corrupted)
+
+        expected, words, rows = [], 0, 0
+        keys = {w.render(): set() for w in config.weight_objects()}
+        for word, endo in generate(config):
+            words += 1
+            for w in config.weight_objects():
+                degs = mdeg_w(endo, w.components)
+                if any(d is NEG_INF for d in degs):
+                    continue
+                rows += 1
+                key = tuple(d.coords for d in sorted(degs))
+                keys[w.render()].add(key)
+                kinds = [("certified-wild", wild)]
+                if isinstance(corrupted(degs, w, None), Excluded):
+                    kinds.append(("excluded", excluded))
+                for kind, cert in kinds:
+                    expected.append({
+                        "kind": kind,
+                        "weight": [list(c.coords) for c in w.components],
+                        "fingerprint": word_fingerprint(word),
+                        "word": word.render(),
+                        "realization": endo.render(),
+                        "multidegree": [list(k) for k in key],
+                        "certificate": cert.to_json(),
+                    })
+        expected.sort(key=lambda v: (v["weight"], v["fingerprint"], v["kind"]))
+
+        assert rows > 0 and certified == [True] * rows
+        assert not report.ok
+        kinds = Counter(v.kind for v in report.violations)
+        assert kinds["certified-wild"] == rows and 0 < kinds["excluded"] < rows
+        first = report.violations[0]
+        assert isinstance(first.weight, tuple) and isinstance(first.multidegree, tuple)
+        assert first.certificate == (wild if first.kind == "certified-wild" else excluded).to_json()
+        sort_keys = [(v.weight, v.fingerprint, v.kind) for v in report.violations]
+        assert sort_keys == sorted(sort_keys)
+        assert json.dumps([v.to_json() for v in report.violations]) == json.dumps(expected)
+        assert report.to_json() == {
+            "registry_fingerprint": builtin_registry().fingerprint(),
+            "stats": report.stats.as_dict(),
+            "words_checked": words,
+            "distinct_multidegrees": {k: len(v) for k, v in sorted(keys.items())},
+            "violations": expected,
+        }
 
 
 def _screened_out(verdict) -> bool:
