@@ -44,7 +44,6 @@ from .classifier import (
     corollary_names,
     corollary_suite,
     delta_lower_bound,
-    lemma_a_conditions,
     make_realizable,
 )
 from .errors import (
@@ -69,7 +68,6 @@ from .ordgroup import (
     ge,
     is_prime,
     least_combination_exceeding,
-    least_multiple_exceeding,
     multiple_of,
     rank_profile,
     semigroup_member,
@@ -83,11 +81,9 @@ from .poly import (
     jacobian_det,
     leading_form,
     partial,
-    power_dependence,
     render,
     substitute,
     wedge2_degree,
-    wedge3_degree,
 )
 from .search import (
     ConsistencyReport,

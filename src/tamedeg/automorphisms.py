@@ -66,12 +66,6 @@ class ElementaryAut:
         inv = 1 / self.scale
         return ElementaryAut(self.target, inv, self.shift * -inv)
 
-    def components(self) -> tuple[Polynomial, ...]:
-        n = self.nvars
-        comps = [Polynomial.variable(i, n) for i in range(n)]
-        comps[self.target] = comps[self.target] * self.scale + self.shift
-        return tuple(comps)
-
     def render(self) -> str:
         head = f"x{self.target + 1} <- "
         if self.scale == 1:

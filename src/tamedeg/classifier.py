@@ -29,6 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .automorphisms import (
@@ -110,13 +111,6 @@ class Certificate:
     conditions: tuple[Condition, ...]
     delta_bounds_used: tuple[DeltaBoundUse, ...] = ()
 
-    def rows(self) -> list[tuple[str, str, str, str, bool]]:
-        return [
-            (cond.name, cl.left, cl.relation, cl.right, cl.holds)
-            for cond in self.conditions
-            for cl in cond.clauses
-        ]
-
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem.value,
@@ -158,6 +152,7 @@ class Excluded:
 class Realizable:
     witness: TameWord
     multidegree: tuple[int, ...]
+    endo: Endo = field(compare=False, repr=False)  # verified realization
 
     kind = "realizable"
 
@@ -176,9 +171,8 @@ def make_realizable(word: TameWord, expected: Sequence[int]) -> Realizable:
     """Verdict constructor and the single verification point of a witness:
     realizes the word once and insists on the exact total-degree
     multidegree of the query and a nonzero constant Jacobian, raising
-    ConstructionError otherwise."""
-    _verify_realization(word, expected)
-    return Realizable(word, tuple(expected))
+    ConstructionError otherwise.  The verdict keeps that realization."""
+    return Realizable(word, tuple(expected), _verify_realization(word, expected))
 
 
 class DeltaBoundRegistry:
@@ -201,13 +195,6 @@ class DeltaBoundRegistry:
     @classmethod
     def empty(cls) -> "DeltaBoundRegistry":
         return cls()
-
-    @classmethod
-    def builtin(cls) -> "DeltaBoundRegistry":
-        reg = cls()
-        return reg.with_entry(
-            Weight.of(1, 1, 1), as_group_elem(4), as_group_elem(6), as_group_elem(4)
-        )
 
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
@@ -275,8 +262,15 @@ class DeltaBoundRegistry:
         return reg
 
 
+_BUILTIN_REGISTRY = DeltaBoundRegistry().with_entry(
+    Weight.of(1, 1, 1), as_group_elem(4), as_group_elem(6), as_group_elem(4)
+)
+
+
 def builtin_registry() -> DeltaBoundRegistry:
-    return DeltaBoundRegistry.builtin()
+    """The registry with the single classical entry; one shared instance,
+    since registries are immutable (with_entry returns a copy)."""
+    return _BUILTIN_REGISTRY
 
 
 @dataclass
@@ -424,8 +418,6 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     clauses are built when read, see ConditionReport)."""
     if not (0 < d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
-    from math import gcd, lcm
-
     rep = ConditionReport()
     g1, g3 = as_group_elem(d1), as_group_elem(d3)
     s = _odd_scalar_multiplier(g1, g3)
@@ -618,7 +610,7 @@ def check_weighted_conditions(
         rep.put("B2", True, indep)
     else:
         u1, u2, g = pair
-        lcm = (u1 * u2) * g
+        l = (u1 * u2) * g
         m3 = multiple_of(d3, g)
         g_small = g <= star
         rep.put(
@@ -634,12 +626,12 @@ def check_weighted_conditions(
                 ),
             ),
         )
-        b2 = total < lcm + star
+        b2 = total < l + star
         rep.put(
             "B2",
             b2,
             lambda: (
-                _cmp_clause("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", lcm + star, b2),
+                _cmp_clause("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star, b2),
             ),
         )
     return rep
@@ -827,7 +819,7 @@ def certify_wild(
             raise DomainError("rejected input: Jacobian is not a nonzero constant")
     scored = []
     for comp in endo.components:
-        deg = degree_w(comp, w.components)
+        deg = degree_w(comp, w)
         if deg is NEG_INF:
             return Unknown(("K1",))
         scored.append((deg, comp))
@@ -846,7 +838,7 @@ def certify_wild(
             return Unknown(("K5",))
         conditions.append(rep["K5"])
         _, l = gcd_lcm(d1, d2)
-        wedge = wedge2_degree(f1, f2, w.components)
+        wedge = wedge2_degree(f1, f2, w)
         total = d1 + d2 + d3
         ok = wedge is not NEG_INF and total < l + wedge
         clause = Clause(
@@ -870,58 +862,6 @@ def certify_wild(
     return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(tracker.uses))
 
 
-@dataclass(frozen=True)
-class LemmaAReport:
-    """Arithmetic screens, any of which certifies condition (a) for a sorted
-    triple satisfying (c): the reduced degrees d_i' = d_i / gcd(d1,d2,d3)
-    drive parity and congruence tests, plus primality of d3 and two gap
-    inequalities."""
-
-    conditions: tuple[Condition, ...]
-    c_holds: bool
-
-    def holds(self, name: str) -> bool:
-        for c in self.conditions:
-            if c.name == name:
-                return c.holds
-        raise KeyError(name)
-
-    @property
-    def any_condition(self) -> bool:
-        return any(c.holds for c in self.conditions)
-
-    @property
-    def implies_a(self) -> bool:
-        return self.c_holds and self.any_condition
-
-
-def lemma_a_conditions(d1: int, d2: int, d3: int) -> LemmaAReport:
-    if not (0 < d1 <= d2 <= d3):
-        raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
-    from math import gcd
-
-    g = gcd(gcd(d1, d2), d3)
-    r1, r2, r3 = d1 // g, d2 // g, d3 // g
-    odd1, odd2, odd3 = r1 % 2 == 1, r2 % 2 == 1, r3 % 2 == 1
-    conds = []
-
-    def put(name, holds, text):
-        conds.append(Condition(name, holds, (Clause(text, "", "", holds),)))
-
-    put("1", odd1 and (odd2 or r3 % 3 != 0),
-        f"d1'={r1} odd and (d2'={r2} odd or d3'={r3} not divisible by 3)")
-    put("2", d1 != 2 * gcd(d1, d3) and odd2,
-        f"d1={d1} != 2*gcd(d1,d3)={2 * gcd(d1, d3)} and d2'={r2} odd")
-    put("3", r1 % 4 == 0 and odd2 and odd3,
-        f"d1'={r1} divisible by 4 and d2'={r2}, d3'={r3} odd")
-    put("4", is_prime(d3), f"d3={d3} prime")
-    put("5", d3 - d2 >= d1 - 2, f"d3-d2={d3 - d2} >= d1-2={d1 - 2}")
-    put("6", odd1 and (3 * d2 != 2 * d3 or 2 * d1 <= d2 + 5),
-        f"d1'={r1} odd and (3*d2={3 * d2} != 2*d3={2 * d3} or 2*d1={2 * d1} <= d2+5={d2 + 5})")
-    c = check_total_abc(d1, d2, d3).holds("c")
-    return LemmaAReport(tuple(conds), c)
-
-
 def _hyp(cond: bool, name: str):
     if not cond:
         raise HypothesisViolation(name)
@@ -931,8 +871,6 @@ def _corollary_karas_zygadlo(args):
     d1, d2, d3 = args
     _hyp(3 <= d1 <= d2 <= d3, "3 <= d1 <= d2 <= d3")
     _hyp(d1 % 2 == 1 and d2 % 2 == 1, "d1 and d2 odd")
-    from math import gcd
-
     _hyp(gcd(d1, d2) == 1, "gcd(d1,d2) = 1")
     return (d1, d2, d3), None
 
@@ -947,8 +885,6 @@ def _corollary_sun_chen(args):
     d1, d2, d3 = args
     _hyp(3 <= d1 <= d2 <= d3, "3 <= d1 <= d2 <= d3")
     _hyp(is_prime(d1), "d1 prime")
-    from math import gcd
-
     g = gcd(d2, d3)
     _hyp(
         d2 // g != 2 or d3 // g != 3 or d2 >= 2 * d1 - 5,
@@ -970,8 +906,6 @@ def _corollary_li_du_mid_prime(args):
     d1, d2, d3 = args
     _hyp(3 <= d1 <= d2 <= d3, "3 <= d1 <= d2 <= d3")
     _hyp(is_prime(d2), "d2 prime")
-    from math import gcd
-
     _hyp(d1 // gcd(d1, d3) != 2, "d1/gcd(d1,d3) != 2")
     return (d1, d2, d3), None
 
@@ -979,8 +913,6 @@ def _corollary_li_du_mid_prime(args):
 def _corollary_li_du_top_prime(args):
     d1, d2, d3 = args
     _hyp(3 <= d1 <= d2 <= d3, "3 <= d1 <= d2 <= d3")
-    from math import gcd
-
     _hyp(gcd(d1, d2) == 1, "gcd(d1,d2) = 1")
     _hyp(is_prime(d3), "d3 prime")
     return (d1, d2, d3), None
@@ -1017,8 +949,6 @@ def _corollary_kanehira(args):
     d1, d2, d3, w1, w2, w3 = args
     _hyp(3 <= d1 < d2 <= d3, "3 <= d1 < d2 <= d3")
     _hyp(d1 % 2 == 1 and d2 % 2 == 1, "d1 and d2 odd")
-    from math import gcd
-
     _hyp(gcd(d1, d2) == 1, "gcd(d1,d2) = 1")
     _hyp(min(w1, w2, w3) >= 1, "positive weights")
     _hyp(d1 + d2 + d3 > w1 + w2 + w3, "deg_w F > |w|")

@@ -29,7 +29,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .automorphisms import Endo, TameWord, mdeg, realize
+from .automorphisms import Endo, _witness_word, mdeg
 from .poly import jacobian_det
 from .classifier import (
     Certificate,
@@ -43,6 +43,7 @@ from .classifier import (
     corollary_inputs,
     corollary_names,
     corollary_suite,
+    make_realizable,
 )
 from .errors import (
     BudgetExceededError,
@@ -88,6 +89,8 @@ def _load_registry(spec: Optional[str]) -> DeltaBoundRegistry:
 
 
 def _verdict_json(result) -> dict:
+    if isinstance(result, Certificate):
+        return {"verdict": "wild", "certificate": result.to_json()}
     if isinstance(result, Excluded):
         return {"verdict": "excluded", "certificate": result.certificate.to_json()}
     if isinstance(result, Realizable):
@@ -110,7 +113,10 @@ def _print_certificate(cert: Certificate, out) -> None:
 
 
 def _print_result(result, out) -> None:
-    if isinstance(result, Excluded):
+    if isinstance(result, Certificate):
+        print("verdict: Wild (certified)", file=out)
+        _print_certificate(result, out)
+    elif isinstance(result, Excluded):
         extra = ""
         if result.certificate.delta_bounds_used:
             extra = " (registry: " + ", ".join(
@@ -120,25 +126,24 @@ def _print_result(result, out) -> None:
         _print_certificate(result.certificate, out)
     elif isinstance(result, Realizable):
         print(f"verdict: Realizable, multidegree {result.multidegree}", file=out)
-        _print_word(result.witness, out)
+        _print_word(result, out)
     else:
         print("verdict: Unknown", file=out)
         if result.reasons:
             print(f"uncertified conditions: {', '.join(result.reasons)}", file=out)
 
 
-def _print_word(word: TameWord, out) -> Endo:
-    """Print the steps and the realized components; returns the realization."""
+def _print_word(result: Realizable, out) -> None:
+    """Print the witness steps and the components of its verified realization."""
+    word = result.witness
     print(f"word ({len(word)} steps):", file=out)
     if not word.steps:
         print("  (identity)", file=out)
     for i, step in enumerate(word.steps, start=1):
         print(f"  step {i}: {step.render()}", file=out)
-    endo = realize(word)
     print("realized components:", file=out)
-    for i, comp in enumerate(endo.components, start=1):
+    for i, comp in enumerate(result.endo.components, start=1):
         print(f"  f{i} = {comp.render()}", file=out)
-    return endo
 
 
 def _report(args, query: dict, result, started: float) -> int:
@@ -198,38 +203,22 @@ def _cmd_certify_wild(args) -> int:
         "components": [c.render() for c in comps],
         "weight": [list(w.coords) for w in weights],
     }
-    if isinstance(outcome, Certificate):
-        if getattr(args, "json", False):
-            doc = {
-                "schema": REPORT_SCHEMA,
-                "query": query,
-                "verdict": "wild",
-                "certificate": outcome.to_json(),
-                "timings": {
-                    "total_ms": round((time.perf_counter() - started) * 1e3, 3)
-                },
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print("verdict: Wild (certified)")
-            _print_certificate(outcome, sys.stdout)
-        return 0
     return _report(args, query, outcome, started)
 
 
 def _cmd_witness(args) -> int:
-    from .automorphisms import semigroup_witness
-
     d1, d2, d3 = sorted((args.d1, args.d2, args.d3))
-    word = semigroup_witness(d1, d2, d3)
+    word = _witness_word(d1, d2, d3)
     if word is None:
         print(
             f"no witness: {d2} is not a multiple of {d1} and {d3} is not a "
             f"nonnegative combination of {d1} and {d2}"
         )
         return 0
-    endo = _print_word(word, sys.stdout)
+    result = make_realizable(word, (d1, d2, d3))
+    _print_word(result, sys.stdout)
     if args.verify:
+        endo = result.endo
         got = mdeg(endo)
         jac = jacobian_det(endo.components)
         if got != (d1, d2, d3) or not jac.is_constant or jac.is_zero:

@@ -484,9 +484,6 @@ class Weight:
     def components(self) -> tuple[GroupElem, GroupElem, GroupElem]:
         return (self.w1, self.w2, self.w3)
 
-    def __iter__(self):
-        return iter(self.components)
-
     @property
     def rank(self) -> int:
         return self.w1.rank
@@ -495,10 +492,6 @@ class Weight:
     def total(self) -> GroupElem:
         return self.w1 + self.w2 + self.w3
 
-    def sorted_components(self) -> tuple[GroupElem, GroupElem, GroupElem]:
-        a, b, c = sorted(self.components)
-        return (a, b, c)
-
     def render(self) -> str:
         return ",".join(w.render() for w in self.components)
 
@@ -506,22 +499,24 @@ class Weight:
 def coerce_weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
     """Normalize a weight specification to a tuple of nvars positive group
     elements of equal rank.  Accepts a Weight, ints, coordinate tuples or
-    GroupElems; None means unit weights on Z (total degree)."""
+    GroupElems; None means unit weights on Z (total degree).  A Weight
+    checked its rank and positivity when it was built, so its components
+    are returned as they are."""
     if weights is None:
         return tuple(GroupElem((1,)) for _ in range(nvars))
-    if isinstance(weights, Weight):
-        items = list(weights.components)
-    else:
-        items = [as_group_elem(w) for w in weights]
+    trusted = isinstance(weights, Weight)
+    items = weights.components if trusted else tuple(as_group_elem(w) for w in weights)
     if len(items) != nvars:
         raise DomainError(f"expected {nvars} weights, got {len(items)}")
+    if trusted:
+        return items
     rank = items[0].rank
     for w in items:
         if w.rank != rank:
             raise RankMismatchError("weights must share one rank")
         if not w.is_positive:
             raise DomainError(f"weights must be positive, got {w!r}")
-    return tuple(items)
+    return items
 
 
 def is_prime(n: int) -> bool:

@@ -14,8 +14,8 @@ exponent tuple has length nvars.
 Degrees take values in Z^k under a vector of positive weights (one group
 element per variable), with the zero polynomial at minus infinity.  On top
 of the ring operations this module computes leading forms, formal
-partials, degrees of wedge products of differentials, Jacobian
-determinants and power dependence of pairs.
+partials, degrees of wedge products of differentials and Jacobian
+determinants.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .ordgroup import (
     NEG_INF,
     DegreeValue,
     GroupElem,
+    Weight,
     coerce_weight_vector,
 )
 
@@ -220,11 +221,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def total_degree(self) -> DegreeValue:
-        if not self.terms:
-            return NEG_INF
-        return GroupElem((max(sum(m) for m in self.terms),))
-
     def total_degree_int(self) -> int:
         """Total degree as a plain int; -1 for the zero polynomial."""
         if not self.terms:
@@ -329,9 +325,23 @@ def substitute(
     return _trusted(m, _settle(acc))
 
 
+def _weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
+    """The weights as group elements.  A Weight checked its rank and
+    positivity when it was built, so it is used as it is; any other
+    specification is validated by coerce_weight_vector on every call."""
+    if nvars == 3 and isinstance(weights, Weight):
+        return weights.components
+    return coerce_weight_vector(weights, nvars)
+
+
 def degree_w(f: Polynomial, weights=None) -> DegreeValue:
     """Maximal weighted degree over the terms of f; NEG_INF for zero."""
-    ws = coerce_weight_vector(weights, f.nvars)
+    return _degree_w(f, _weight_vector(weights, f.nvars))
+
+
+def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> DegreeValue:
+    """degree_w under weights already checked: f.nvars positive group
+    elements of one rank."""
     if f.is_zero:
         return NEG_INF
     if all(w.rank == 1 for w in ws):
@@ -351,7 +361,7 @@ def degree_w(f: Polynomial, weights=None) -> DegreeValue:
 
 def leading_form(f: Polynomial, weights=None) -> Polynomial:
     """Sum of the terms of maximal weighted degree; zero for zero input."""
-    ws = coerce_weight_vector(weights, f.nvars)
+    ws = _weight_vector(weights, f.nvars)
     if f.is_zero:
         return _trusted(f.nvars, {})
     scored: list[tuple[GroupElem, Monomial]] = []
@@ -386,7 +396,7 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
     n = f.nvars
-    ws = coerce_weight_vector(weights, n)
+    ws = _weight_vector(weights, n)
     df = [partial(f, i) for i in range(n)]
     dg = [partial(g, i) for i in range(n)]
     best: DegreeValue = NEG_INF
@@ -395,18 +405,10 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
             minor = df[i] * dg[j] - df[j] * dg[i]
             if minor.is_zero:
                 continue
-            cand = degree_w(minor, ws) + ws[i] + ws[j]
+            cand = _degree_w(minor, ws) + ws[i] + ws[j]
             if best is NEG_INF or cand > best:
                 best = cand
     return best
-
-
-def jacobian_matrix(components: Sequence[Polynomial]) -> list[list[Polynomial]]:
-    n = len(components)
-    for c in components:
-        if c.nvars != n:
-            raise DomainError("need as many variables as components")
-    return [[partial(c, j) for j in range(n)] for c in components]
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -428,48 +430,11 @@ def _det(matrix: list[list[Polynomial]]) -> Polynomial:
 
 def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     """Determinant of the matrix of partials of the components."""
-    return _det(jacobian_matrix(components))
-
-
-def wedge3_degree(
-    f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None
-) -> DegreeValue:
-    """Weighted degree of df1 ^ df2 ^ df3 in three variables: degree of the
-    Jacobian determinant times x1*x2*x3, NEG_INF for vanishing Jacobian."""
-    if not (f1.nvars == f2.nvars == f3.nvars == 3):
-        raise DomainError("wedge3_degree needs three trivariate polynomials")
-    ws = coerce_weight_vector(weights, 3)
-    jac = jacobian_det([f1, f2, f3])
-    if jac.is_zero:
-        return NEG_INF
-    return degree_w(jac, ws) + ws[0] + ws[1] + ws[2]
-
-
-def power_dependence(
-    h1: Polynomial, h2: Polynomial
-) -> Optional[tuple[int, Fraction]]:
-    """(l, c) with h1 == c * h2**l for a positive integer l and nonzero
-    rational c, or None.  The only candidate l is the total-degree ratio."""
-    if h1.is_zero or h2.is_zero:
-        raise DomainError("power_dependence needs nonzero polynomials")
-    if h1.nvars != h2.nvars:
-        raise DomainError("variable counts differ")
-    deg1 = h1.total_degree_int()
-    deg2 = h2.total_degree_int()
-    if deg2 == 0:
-        if deg1 != 0:
-            return None
-        c = h1.constant_value() / h2.constant_value()
-        return (1, c)
-    if deg1 == 0 or deg1 % deg2 != 0:
-        return None
-    l = deg1 // deg2
-    p = power(h2, l)
-    mono = next(iter(p.terms))
-    if mono not in h1.terms:
-        return None
-    c = Fraction(h1.terms[mono], p.terms[mono])
-    return (l, c) if h1 == c * p else None
+    n = len(components)
+    for c in components:
+        if c.nvars != n:
+            raise DomainError("need as many variables as components")
+    return _det([[partial(c, j) for j in range(n)] for c in components])
 
 
 def _render_coeff(c: Fraction) -> str:

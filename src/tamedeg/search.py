@@ -373,7 +373,7 @@ def _classified(
     for word, endo in generate(config, stats):
         rows = []
         for w, name in weights:
-            degs = mdeg_w(endo, w.components)
+            degs = mdeg_w(endo, w)
             if any(d is NEG_INF for d in degs):
                 continue
             ordered = tuple(sorted(degs))
@@ -487,7 +487,7 @@ def realizability_table(
                     entry = TableEntry("unknown", reasons=verdict.reasons)
                 table[(d1, d2, d3)] = entry
     if config is not None:
-        ws = (w or Weight.of(1, 1, 1)).components
+        ws = w or Weight.of(1, 1, 1)
         for word, endo in generate(config):
             degs = mdeg_w(endo, ws)
             if any(d is NEG_INF for d in degs):

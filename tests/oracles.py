@@ -2,23 +2,44 @@
 
 Everything here is deliberately naive: plain enumeration, dynamic
 programming and schoolbook polynomial arithmetic on plain dicts with
-Fraction coefficients, independent of the library's algorithms.  The two
-exceptions at the end are earlier, simpler versions of library code kept as
+Fraction coefficients, independent of the library's algorithms.  Two
+exceptions are earlier, simpler versions of library code kept as
 references for their faster replacements: ``frac_dependent_pair`` finds the
 ratio of a pair with Fraction, and ``eager_weighted_conditions`` evaluates
 K1..K5, A1..A3, B1..B2 and formats every clause at once.
+
+Helpers moved out of the library.  The last section holds code that only
+the invariant suites call, built on the library's public kernel:
+``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian),
+``power_dependence`` (whether h1 == c * h2**l), and
+``lemma_a_conditions`` with its ``LemmaAReport`` (arithmetic screens that
+imply condition (a) of the total-degree criterion).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from typing import Optional
 
 from tamedeg.classifier import (
     Clause,
     Condition,
     _odd_scalar_multiplier,
+    check_total_abc,
     delta_lower_bound,
 )
-from tamedeg.ordgroup import GroupElem, multiple_of, semigroup_member, w_star
+from tamedeg.errors import DomainError
+from tamedeg.ordgroup import (
+    NEG_INF,
+    GroupElem,
+    coerce_weight_vector,
+    is_prime,
+    multiple_of,
+    semigroup_member,
+    w_star,
+)
+from tamedeg.poly import Polynomial, degree_w, jacobian_det, power
 
 
 def dp_representable(target: int, e1: int, e2: int):
@@ -304,3 +325,87 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
         put("B2", total < l + star,
             (_cmp("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star, total < l + star),))
     return out
+
+
+# Helpers moved out of the library: only the invariant suites call them.
+
+
+def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):
+    """Weighted degree of df1 ^ df2 ^ df3 in three variables: degree of the
+    Jacobian determinant times x1*x2*x3, NEG_INF for vanishing Jacobian."""
+    if not (f1.nvars == f2.nvars == f3.nvars == 3):
+        raise DomainError("wedge3_degree needs three trivariate polynomials")
+    ws = coerce_weight_vector(weights, 3)
+    jac = jacobian_det([f1, f2, f3])
+    if jac.is_zero:
+        return NEG_INF
+    return degree_w(jac, ws) + ws[0] + ws[1] + ws[2]
+
+
+def power_dependence(h1: Polynomial, h2: Polynomial) -> Optional[tuple[int, Fraction]]:
+    """(l, c) with h1 == c * h2**l for a positive integer l and nonzero
+    rational c, or None.  The only candidate l is the total-degree ratio."""
+    if h1.is_zero or h2.is_zero:
+        raise DomainError("power_dependence needs nonzero polynomials")
+    if h1.nvars != h2.nvars:
+        raise DomainError("variable counts differ")
+    deg1 = h1.total_degree_int()
+    deg2 = h2.total_degree_int()
+    if deg2 == 0:
+        if deg1 != 0:
+            return None
+        return (1, h1.constant_value() / h2.constant_value())
+    if deg1 == 0 or deg1 % deg2 != 0:
+        return None
+    l = deg1 // deg2
+    p = power(h2, l)
+    mono = next(iter(p.terms))
+    if mono not in h1.terms:
+        return None
+    c = Fraction(h1.terms[mono], p.terms[mono])
+    return (l, c) if h1 == c * p else None
+
+
+@dataclass(frozen=True)
+class LemmaAReport:
+    """Arithmetic screens, any of which certifies condition (a) for a sorted
+    triple satisfying (c): the reduced degrees d_i' = d_i / gcd(d1,d2,d3)
+    drive parity and congruence tests, plus primality of d3 and two gap
+    inequalities."""
+
+    conditions: tuple
+    c_holds: bool
+
+    def holds(self, name: str) -> bool:
+        for c in self.conditions:
+            if c.name == name:
+                return c.holds
+        raise KeyError(name)
+
+    @property
+    def implies_a(self) -> bool:
+        return self.c_holds and any(c.holds for c in self.conditions)
+
+
+def lemma_a_conditions(d1: int, d2: int, d3: int) -> LemmaAReport:
+    if not (0 < d1 <= d2 <= d3):
+        raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
+    g = gcd(gcd(d1, d2), d3)
+    r1, r2, r3 = d1 // g, d2 // g, d3 // g
+    odd1, odd2, odd3 = r1 % 2 == 1, r2 % 2 == 1, r3 % 2 == 1
+    conds = []
+
+    def put(name, holds, text):
+        conds.append(Condition(name, holds, (Clause(text, "", "", holds),)))
+
+    put("1", odd1 and (odd2 or r3 % 3 != 0),
+        f"d1'={r1} odd and (d2'={r2} odd or d3'={r3} not divisible by 3)")
+    put("2", d1 != 2 * gcd(d1, d3) and odd2,
+        f"d1={d1} != 2*gcd(d1,d3)={2 * gcd(d1, d3)} and d2'={r2} odd")
+    put("3", r1 % 4 == 0 and odd2 and odd3,
+        f"d1'={r1} divisible by 4 and d2'={r2}, d3'={r3} odd")
+    put("4", is_prime(d3), f"d3={d3} prime")
+    put("5", d3 - d2 >= d1 - 2, f"d3-d2={d3 - d2} >= d1-2={d1 - 2}")
+    put("6", odd1 and (3 * d2 != 2 * d3 or 2 * d1 <= d2 + 5),
+        f"d1'={r1} odd and (3*d2={3 * d2} != 2*d3={2 * d3} or 2*d1={2 * d1} <= d2+5={d2 + 5})")
+    return LemmaAReport(tuple(conds), check_total_abc(d1, d2, d3).holds("c"))

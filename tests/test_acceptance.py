@@ -30,12 +30,10 @@ from tamedeg import (
     least_combination_exceeding,
     mdeg,
     mdeg_w,
-    power_dependence,
     realize,
     semigroup_member,
     shear,
     w_star,
-    wedge3_degree,
 )
 from tamedeg.cli import main as cli_main
 from tamedeg.search import generate
@@ -44,7 +42,9 @@ from oracles import (
     dp_representable,
     enum_least_combination,
     enum_w_star,
+    power_dependence,
     triple_semigroup_member,
+    wedge3_degree,
 )
 
 

@@ -22,15 +22,13 @@ from tamedeg import (
     mdeg_w,
     nagata,
     permutation_word,
-    power_dependence,
     realize,
     semigroup_witness,
     shear,
     substitute,
     transposition_word,
-    wedge3_degree,
 )
-from oracles import triple_semigroup_member
+from oracles import power_dependence, triple_semigroup_member, wedge3_degree
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
 

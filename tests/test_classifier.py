@@ -30,7 +30,6 @@ from tamedeg import (
     corollary_suite,
     delta_lower_bound,
     ge,
-    lemma_a_conditions,
     make_realizable,
     mdeg,
     nagata,
@@ -41,7 +40,7 @@ from tamedeg import (
 from tamedeg.automorphisms import _verify_realization
 from tamedeg.classifier import Clause, _DeltaTracker
 from tamedeg.ordgroup import GroupElem, _semigroup_solve
-from oracles import eager_weighted_conditions, triple_semigroup_member
+from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
 
 W111 = Weight.of(1, 1, 1)
 

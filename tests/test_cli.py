@@ -181,12 +181,86 @@ class TestOtherCommands:
         )
         assert code == 0 and "Unknown" in out
 
+    def test_certify_wild_golden(self, capsys):
+        comps = [c.render() for c in nagata().components]
+        argv = ["certify-wild", "--f1", comps[0], "--f2", comps[1], "--f3", comps[2],
+                "--weight", "4,3,3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            "verdict: Wild (certified)\n"
+            "theorem: FSpecific\n"
+            "conditions:\n"
+            "  K1 + (d1 = 3 < d2 = 10 [yes]; d2 = 10 < d3 = 17 [yes]; "
+            "d1+d2+d3 = 30 > |w| = 10 [yes])\n"
+            "  K2 + (d2 = 10 not in N*d1 [yes]; d3 = 17 not in <d1,d2> [yes])\n"
+            "  K3 + (3*d2 = 30 != 2*d3 = 34 [yes])\n"
+            "  K4 + (odd s >= 3 with s*d1 = 2*d3 none [yes])\n"
+            "  K5 + (4*d1 = 12 != 3*d2 = 30 [yes])\n"
+            "  prop:main + (d1+d2+d3 = 30 < lcm(d1,d2)+deg_w(df1^df2) = 43 [yes])\n"
+        )
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc) == ["schema", "query", "verdict", "certificate", "timings"]
+        assert list(doc.pop("timings")) == ["total_ms"]
+
+        def cond(name, *clauses):
+            return {"name": name, "holds": True, "clauses": [
+                {"left": l, "relation": r, "right": rr, "holds": True}
+                for l, r, rr in clauses]}
+
+        assert doc == {
+            "schema": "tamedeg.report/1",
+            "query": {"command": "certify-wild", "components": comps,
+                      "weight": [[4], [3], [3]]},
+            "verdict": "wild",
+            "certificate": {
+                "theorem": "FSpecific",
+                "conditions": [
+                    cond("K1", ("d1 = 3", "<", "d2 = 10"), ("d2 = 10", "<", "d3 = 17"),
+                         ("d1+d2+d3 = 30", ">", "|w| = 10")),
+                    cond("K2", ("d2 = 10", "not in", "N*d1"),
+                         ("d3 = 17", "not in", "<d1,d2>")),
+                    cond("K3", ("3*d2 = 30", "!=", "2*d3 = 34")),
+                    cond("K4", ("odd s >= 3 with s*d1 = 2*d3", "none", "")),
+                    cond("K5", ("4*d1 = 12", "!=", "3*d2 = 30")),
+                    cond("prop:main", ("d1+d2+d3 = 30", "<",
+                                       "lcm(d1,d2)+deg_w(df1^df2) = 43")),
+                ],
+                "delta_bounds_used": [],
+            },
+        }
+        assert out == json.dumps({**doc, "timings": json.loads(out)["timings"]},
+                                 indent=2) + "\n"
+
     def test_witness_verify(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "2", "3", "4", "--verify")
         assert code == 0
         assert "mdeg verified: (2, 3, 4)" in out
         code, out, _ = run_cli(capsys, "witness", "3", "4", "5")
         assert code == 0 and "no witness" in out
+
+    @pytest.mark.parametrize("argv", [["classify", "2", "3", "4"],
+                                      ["witness", "2", "3", "4", "--verify"]])
+    def test_human_output_realizes_once(self, capsys, monkeypatch, argv):
+        import sys
+
+        import tamedeg.automorphisms
+
+        calls = []
+        original = tamedeg.automorphisms.realize
+
+        def counting(word, budget=None):
+            calls.append(word)
+            return original(word, budget)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tamedeg") and vars(module).get("realize") is original:
+                monkeypatch.setattr(module, "realize", counting)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "f3 = x3^4 + 2*x1*x3^2 + x1^2 + x3" in out
+        assert len(calls) == 1
 
     def test_wstar_and_frobenius(self, capsys):
         code, out, _ = run_cli(capsys, "wstar", "1", "1", "1")
@@ -257,7 +331,8 @@ class TestExitCodes:
         from tamedeg import Endo
 
         monkeypatch.setattr(
-            "tamedeg.cli.realize", lambda word, budget=None: Endo.identity(word.nvars)
+            "tamedeg.automorphisms.realize",
+            lambda word, budget=None: Endo.identity(word.nvars),
         )
         code, _, err = run_cli(capsys, "witness", "2", "3", "4", "--verify")
         assert code == 4
@@ -287,3 +362,32 @@ class TestExitCodes:
             capsys, "classify-weighted", "--deg", "1,[1,0],3", "--weight", "1,1,1"
         )
         assert code == 3
+
+
+def test_public_names_are_the_used_surface():
+    import types
+
+    import tamedeg
+
+    public = {name for name in dir(tamedeg) if not name.startswith("_")
+              and not isinstance(getattr(tamedeg, name), types.ModuleType)}
+    assert public == {
+        "Budget", "BudgetExceededError", "Certificate", "ClassificationResult",
+        "Condition", "ConsistencyReport", "ConstructionError", "DegreeCapError",
+        "DegreeValue", "DeltaBoundRegistry", "DomainError", "ElementaryAut", "Endo",
+        "Excluded", "GroupElem", "HypothesisViolation", "NEG_INF", "Polynomial",
+        "PolynomialSyntaxError", "RankMismatchError", "Realizable",
+        "SchemaVersionError", "SearchConfig", "SearchRecord", "TameWord", "Theorem",
+        "Unknown", "Weight", "as_group_elem", "builtin_registry", "certify_wild",
+        "check_total_abc", "check_weighted_conditions", "classify_total",
+        "classify_weighted", "compose", "consistency_check", "corollary_names",
+        "corollary_suite", "deg_w_total", "degree_w", "delta_lower_bound",
+        "dependent_pair", "frobenius_number", "gcd_lcm", "ge", "generate",
+        "intro_family", "is_prime", "jacobian_det", "leading_form",
+        "least_combination_exceeding", "load", "make_realizable", "mdeg", "mdeg_w",
+        "multiple_of", "nagata", "parse_polynomial", "parse_vector",
+        "parse_vector_list", "partial", "permutation_word", "persist",
+        "rank_profile", "realizability_table", "realize", "render", "run_search",
+        "semigroup_member", "semigroup_witness", "shear", "substitute",
+        "transposition_word", "w_star", "wedge2_degree", "word_fingerprint",
+    }

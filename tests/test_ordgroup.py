@@ -16,13 +16,17 @@ from tamedeg import (
     gcd_lcm,
     ge,
     least_combination_exceeding,
-    least_multiple_exceeding,
     multiple_of,
     rank_profile,
     semigroup_member,
     w_star,
 )
-from tamedeg.ordgroup import _semigroup_solve, independent_triple
+from tamedeg.ordgroup import (
+    _semigroup_solve,
+    coerce_weight_vector,
+    independent_triple,
+    least_multiple_exceeding,
+)
 from oracles import (
     dp_frobenius,
     dp_representable,
@@ -352,4 +356,18 @@ class TestWeight:
     def test_total_and_sorted(self):
         w = Weight.of(3, 1, 2)
         assert w.total == ge(6)
-        assert w.sorted_components() == (ge(1), ge(2), ge(3))
+
+    def test_coerce_trusts_a_weight_and_checks_raw_input(self):
+        w = Weight.of(3, 1, (2,))
+        got = coerce_weight_vector(w, 3)
+        assert got == (ge(3), ge(1), ge(2))
+        assert all(a is b for a, b in zip(got, (w.w1, w.w2, w.w3)))
+        with pytest.raises(DomainError):
+            coerce_weight_vector(w, 2)
+        for _ in range(2):  # raw input is validated on every call
+            with pytest.raises(DomainError):
+                coerce_weight_vector((1, 0, 1), 3)
+            with pytest.raises(DomainError):
+                coerce_weight_vector((1, 1), 3)
+            with pytest.raises(RankMismatchError):
+                coerce_weight_vector((1, (1, 0), 1), 3)

@@ -13,6 +13,8 @@ from oracles import (
     frac_scale,
     frac_substitute,
     frac_terms,
+    power_dependence,
+    wedge3_degree,
 )
 from tamedeg import (
     NEG_INF,
@@ -24,11 +26,9 @@ from tamedeg import (
     leading_form,
     parse_polynomial,
     partial,
-    power_dependence,
     render,
     substitute,
     wedge2_degree,
-    wedge3_degree,
 )
 from tamedeg.poly import power
 
