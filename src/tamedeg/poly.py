@@ -29,7 +29,6 @@ from .ordgroup import (
     NEG_INF,
     DegreeValue,
     GroupElem,
-    Weight,
     coerce_weight_vector,
 )
 
@@ -325,18 +324,9 @@ def substitute(
     return _trusted(m, _settle(acc))
 
 
-def _weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
-    """The weights as group elements.  A Weight checked its rank and
-    positivity when it was built, so it is used as it is; any other
-    specification is validated by coerce_weight_vector on every call."""
-    if nvars == 3 and isinstance(weights, Weight):
-        return weights.components
-    return coerce_weight_vector(weights, nvars)
-
-
 def degree_w(f: Polynomial, weights=None) -> DegreeValue:
     """Maximal weighted degree over the terms of f; NEG_INF for zero."""
-    return _degree_w(f, _weight_vector(weights, f.nvars))
+    return _degree_w(f, coerce_weight_vector(weights, f.nvars))
 
 
 def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> DegreeValue:
@@ -361,7 +351,7 @@ def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> DegreeValue:
 
 def leading_form(f: Polynomial, weights=None) -> Polynomial:
     """Sum of the terms of maximal weighted degree; zero for zero input."""
-    ws = _weight_vector(weights, f.nvars)
+    ws = coerce_weight_vector(weights, f.nvars)
     if f.is_zero:
         return _trusted(f.nvars, {})
     scored: list[tuple[GroupElem, Monomial]] = []
@@ -396,7 +386,7 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
     n = f.nvars
-    ws = _weight_vector(weights, n)
+    ws = coerce_weight_vector(weights, n)
     df = [partial(f, i) for i in range(n)]
     dg = [partial(g, i) for i in range(n)]
     best: DegreeValue = NEG_INF

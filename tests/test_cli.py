@@ -337,6 +337,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "witness", "2", "3", "4", "--verify")
         assert code == 4
         assert err.startswith("error:") and "Traceback" not in err
+        assert "witness realizes multidegree (1, 1, 1), expected (2, 3, 4)" in err
 
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
