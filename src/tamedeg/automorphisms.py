@@ -3,15 +3,24 @@
 A tame word is a sequence of elementary steps; realizing it folds the steps
 left to right into an endomorphism, each step rewriting one component as
 scale * component + shift(components).  Realization is the only bridge from
-words to polynomial maps, and every constructive witness produced here is
-verified after the fact by recomputing its multidegree and Jacobian rather
-than trusted from its construction.
+words to polynomial maps.
+
+Every constructive witness produced here is verified after the fact rather
+than trusted from its construction, and without expanding it:
+certified_mdeg derives the multidegree of the realization from the steps
+alone, by total degrees and leading forms, and the Jacobian of a tame word
+is the product of its step scales by the chain rule.  Where the degree
+calculus cannot rule out a cancellation of top-degree terms, as in the
+staircase of intro_family, the witness is realized under a budget and its
+multidegree and Jacobian are recomputed from the expansion.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ConstructionError, DegreeCapError, DomainError
@@ -225,26 +234,136 @@ def deg_w_total(endo: Endo, weights=None) -> DegreeValue:
 def mdeg(endo: Endo) -> tuple[int, ...]:
     """Total-degree multidegree as plain ints (zero components excluded)."""
     out = []
-    for d in mdeg_w(endo):
-        if d is NEG_INF:
+    for c in endo.components:
+        d = c.total_degree_int()
+        if d < 0:
             raise DomainError("zero component has no total degree")
-        out.append(d.coords[0])
+        out.append(d)
     return tuple(out)
+
+
+# Leading forms are tracked by their values at a fixed point modulo this
+# (Mersenne) prime; see certified_mdeg.
+_P = (1 << 61) - 1
+
+
+@lru_cache(maxsize=8)
+def _point(nvars: int) -> tuple[int, ...]:
+    """A fixed pseudo-random point mod _P, one coordinate per variable, so
+    that a small relation such as x2 - 2*x1 or x1*x3 - x2^2 is unlikely to
+    vanish on it and force a fallback."""
+    rng = random.Random(f"certified_mdeg/{nvars}")
+    return tuple(rng.randrange(1, _P) for _ in range(nvars))
+
+
+def _top(combo: dict, atoms: list) -> Optional[tuple[int, int]]:
+    """(degree, leading-form value) of the linear combination combo of
+    atoms, or None when its top-degree atoms may cancel."""
+    if not combo:
+        return None
+    best = max(atoms[a][0] for a in combo)
+    value = 0
+    for a, c in combo.items():
+        degree, lead = atoms[a]
+        if degree == best:
+            if type(c) is not int:
+                if c.denominator % _P == 0:  # no residue mod _P
+                    return None
+                c = c.numerator * pow(c.denominator, -1, _P)
+            value += c * lead
+    value %= _P
+    return (best, value) if value else None
+
+
+def certified_mdeg(word: TameWord) -> Optional[tuple[int, ...]]:
+    """Total-degree multidegree of realize(word), derived from the steps
+    without expanding them, or None when the derivation cannot decide.
+
+    Each component is kept as an exact linear combination of atoms: the
+    variables, and one atom per nonlinear shift term of each step (the
+    term's monomial in the components of that moment), so linear shift
+    terms, such as the transposition tails of permuted witnesses, combine
+    and cancel exactly.  An atom carries its total degree and its leading
+    form, and Q[x] is a domain: the leading form of a product is the
+    product of the leading forms and degrees add.  A leading form is kept
+    only as its value at a fixed point modulo the prime _P, which expands
+    nothing.  Where top-degree atoms tie, their sum is a nonzero form of
+    that degree when the tied values do not sum to 0 mod _P, since a form
+    with a nonzero value is nonzero; when they do (a true cancellation,
+    such as the staircase of intro_family, or a rare coincidence mod _P)
+    the answer is None.
+    """
+    n = word.nvars
+    atoms = [(1, v) for v in _point(n)]  # (degree, leading-form value) per atom
+    combos = [{i: 1} for i in range(n)]  # component -> {atom: coefficient}
+    tops = list(atoms)  # (degree, leading-form value) per component
+    for step in word.steps:
+        scale = step.scale
+        if scale.denominator == 1:
+            scale = scale.numerator
+        old = combos[step.target]
+        combo = dict(old) if scale == 1 else {a: c * scale for a, c in old.items()}
+        # a constant shift term never reaches the top of a component
+        for mono, c in step.shift.terms.items():
+            total = sum(mono)
+            if total == 1:
+                for a, k in combos[mono.index(1)].items():
+                    merged = combo.get(a, 0) + c * k
+                    if merged:
+                        combo[a] = merged
+                    else:
+                        del combo[a]
+            elif total:
+                degree, lead = 0, 1
+                for j, e in enumerate(mono):
+                    if e:
+                        d, v = tops[j]
+                        degree += e * d
+                        lead = lead * pow(v, e, _P) % _P
+                combo[len(atoms)] = c
+                atoms.append((degree, lead))
+        top = _top(combo, atoms)
+        if top is None:
+            return None
+        combos[step.target] = combo
+        tops[step.target] = top
+    return tuple(d for d, _ in tops)
+
+
+def _check_mdeg(got: tuple[int, ...], expected: Sequence[int]) -> None:
+    if got != tuple(expected):
+        raise ConstructionError(
+            f"witness realizes multidegree {got}, expected {tuple(expected)}"
+        )
 
 
 def _verify_realization(
     word: TameWord, expected: Sequence[int], budget: Optional[Budget] = None
 ) -> Endo:
     endo = realize(word, budget)
-    got = mdeg(endo)
-    if got != tuple(expected):
-        raise ConstructionError(
-            f"witness realizes multidegree {got}, expected {tuple(expected)}"
-        )
+    _check_mdeg(mdeg(endo), expected)
     jac = jacobian_det(endo.components)
     if not jac.is_constant or jac.is_zero:
         raise ConstructionError("witness Jacobian is not a nonzero constant")
     return endo
+
+
+def _verify_witness(
+    word: TameWord, expected: Sequence[int], budget: Optional[Budget] = None
+) -> None:
+    """Prove that word realizes the multidegree expected with a nonzero
+    constant Jacobian, or raise ConstructionError.
+
+    The multidegree comes from certified_mdeg.  The Jacobian is the
+    product of the step scales by the chain rule, and ElementaryAut
+    rejects a zero scale.  Only when certified_mdeg falls back is the word
+    expanded, under budget, by _verify_realization.
+    """
+    got = certified_mdeg(word)
+    if got is None:
+        _verify_realization(word, expected, budget)
+    else:
+        _check_mdeg(got, expected)
 
 
 def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
@@ -280,13 +399,13 @@ def semigroup_witness(
     Two shear templates cover the cases:
       (i)  d3 = a*d1 + b*d2: components (x1+x3^d1, x2+x3^d2, x3+f1^a*f2^b);
       (ii) d2 = m*d1: components (x1+x2^d1, x2+f1^m, x3+x1^d3).
-    The realized multidegree and constant Jacobian are re-verified and a
-    mismatch raises ConstructionError.  Returns None when neither
-    membership holds.
+    The multidegree and constant Jacobian of the word are verified by
+    _verify_witness and a mismatch raises ConstructionError.  Returns None
+    when neither membership holds.
     """
     word = _witness_word(d1, d2, d3)
     if word is not None:
-        _verify_realization(word, (d1, d2, d3), budget)
+        _verify_witness(word, (d1, d2, d3), budget)
     return word
 
 
@@ -331,7 +450,7 @@ def intro_family(
         shear(n - 1, mono(n - 3, degrees[n - 2]) - mono(n - 2, degrees[n - 3]))
     )
     word = TameWord(tuple(steps), n)
-    _verify_realization(word, degrees, budget)
+    _verify_witness(word, degrees, budget)
     g1 = GroupElem((degrees[0],))
     if multiple_of(GroupElem((degrees[1],)), g1) is not None:
         raise ConstructionError("second degree is a multiple of the first")

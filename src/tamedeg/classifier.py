@@ -29,6 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,6 +37,7 @@ from .automorphisms import (
     Endo,
     TameWord,
     _verify_realization,
+    _verify_witness,
     _witness_word,
     permutation_word,
 )
@@ -152,9 +154,14 @@ class Excluded:
 class Realizable:
     witness: TameWord
     multidegree: tuple[int, ...]
-    endo: Endo = field(compare=False, repr=False)  # verified realization
 
     kind = "realizable"
+
+    @cached_property
+    def endo(self) -> Endo:
+        """The witness expanded on first read, its multidegree and Jacobian
+        checked again from the expansion (ConstructionError on a mismatch)."""
+        return _verify_realization(self.witness, self.multidegree)
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,14 @@ ClassificationResult = Union[Excluded, Realizable, Unknown]
 
 def make_realizable(word: TameWord, expected: Sequence[int]) -> Realizable:
     """Verdict constructor and the single verification point of a witness:
-    realizes the word once and insists on the exact total-degree
-    multidegree of the query and a nonzero constant Jacobian, raising
-    ConstructionError otherwise.  The verdict keeps that realization."""
-    return Realizable(word, tuple(expected), _verify_realization(word, expected))
+    proves that the word realizes the exact total-degree multidegree of the
+    query with a nonzero constant Jacobian, raising ConstructionError
+    otherwise.  The proof is the degree calculus of certified_mdeg plus the
+    product of the step scales, or full expansion where the calculus falls
+    back; the verdict's endo expands the word and checks it again when it
+    is first read."""
+    _verify_witness(word, expected)
+    return Realizable(word, tuple(expected))
 
 
 class DeltaBoundRegistry:

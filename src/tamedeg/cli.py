@@ -134,7 +134,9 @@ def _print_result(result, out) -> None:
 
 
 def _print_word(result: Realizable, out) -> None:
-    """Print the witness steps and the components of its verified realization."""
+    """Print the witness steps and the components of its realization,
+    which reading result.endo expands and checks before anything prints."""
+    endo = result.endo
     word = result.witness
     print(f"word ({len(word)} steps):", file=out)
     if not word.steps:
@@ -142,7 +144,7 @@ def _print_word(result: Realizable, out) -> None:
     for i, step in enumerate(word.steps, start=1):
         print(f"  step {i}: {step.render()}", file=out)
     print("realized components:", file=out)
-    for i, comp in enumerate(result.endo.components, start=1):
+    for i, comp in enumerate(endo.components, start=1):
         print(f"  f{i} = {comp.render()}", file=out)
 
 
@@ -218,7 +220,8 @@ def _cmd_witness(args) -> int:
     result = make_realizable(word, (d1, d2, d3))
     _print_word(result, sys.stdout)
     if args.verify:
-        # make_realizable already checked both; this reports them.
+        # _print_word read result.endo, which expanded the word and checked
+        # both independently of make_realizable; this reports them.
         jac = jacobian_det(result.endo.components)
         print(f"mdeg verified: {mdeg(result.endo)}; Jacobian = {jac.render()}")
     return 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     Budget,
@@ -28,6 +30,8 @@ from tamedeg import (
     substitute,
     transposition_word,
 )
+from tamedeg.automorphisms import _witness_word, certified_mdeg
+from tamedeg.classifier import _matching_permutation
 from oracles import power_dependence, triple_semigroup_member, wedge3_degree
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
@@ -55,6 +59,78 @@ def random_word(rng, length, nvars=3, exp_cap=3):
         coeff = rng.choice([-2, -1, 1, 2])
         steps.append(ElementaryAut(target, Fraction(1), Polynomial.monomial(expo, coeff)))
     return TameWord(tuple(steps), nvars)
+
+
+@st.composite
+def tame_words(draw):
+    """Affine steps, shears of degree <= 3 by up to three terms and shears
+    by x_i^a - x_j^b (whose top degrees may tie and cancel, as in the
+    staircase), then a permutation of the variables as a transposition
+    tail (empty for the identity)."""
+    coeffs = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        target = draw(st.integers(0, 2))
+        others = [i for i in range(3) if i != target]
+        terms = {}
+        if draw(st.booleans()):
+            top = draw(st.sampled_from([1, 2, 3]))
+            for _ in range(draw(st.integers(0, 3))):
+                expo = [0, 0, 0]
+                budget = draw(st.integers(0, top))
+                for i in others:
+                    expo[i] = draw(st.integers(0, budget))
+                    budget -= expo[i]
+                terms[tuple(expo)] = draw(coeffs)
+        else:
+            for i, sign in zip(others, (1, -1)):
+                expo = [0, 0, 0]
+                expo[i] = draw(st.integers(1, 3))
+                terms[tuple(expo)] = sign
+        scale = draw(st.sampled_from([1, 1, 1, -1, 2, Fraction(1, 3)]))
+        steps.append(ElementaryAut(target, Fraction(scale), Polynomial(3, terms)))
+    word = TameWord(tuple(steps), 3)
+    perm = draw(st.permutations(range(3)))
+    return word + permutation_word(perm, 3)
+
+
+class TestCertifiedMdeg:
+    @settings(max_examples=300, deadline=None)
+    @given(tame_words())
+    def test_agrees_with_expansion_or_falls_back(self, word):
+        got = certified_mdeg(word)
+        assert got is None or got == mdeg(realize(word))
+
+    def test_tied_atoms(self):
+        # the shifts of f1 = x1 + x3^2 and f2 = x2 + x3^2 are distinct
+        # atoms with one leading form, x3^2; x3 <- x3 + x1 + x2 adds them
+        # (degree 2) and x3 <- x3 + x1 - x2 cancels them, which the
+        # calculus leaves to expansion (degree 1)
+        head = (shear(0, mono3(0, 0, 2)), shear(1, mono3(0, 0, 2)))
+        word = TameWord(head + (shear(2, X1 + X2),), 3)
+        assert certified_mdeg(word) == mdeg(realize(word)) == (2, 2, 2)
+        word = TameWord(head + (shear(2, X1 - X2),), 3)
+        assert certified_mdeg(word) is None
+        assert mdeg(realize(word)) == (2, 2, 1)
+
+    def test_staircase_top_cancellation_falls_back(self):
+        _, word = intro_family((2, 3))
+        assert certified_mdeg(word) is None
+
+    def test_witnesses_decided_without_fallback(self):
+        checked = 0
+        for d1 in range(1, 13):
+            for d2 in range(1, 13):
+                for d3 in range(1, 13):
+                    asked = (d1, d2, d3)
+                    word = _witness_word(*sorted(asked))
+                    if word is None:
+                        continue
+                    if asked != tuple(sorted(asked)):
+                        word = word + permutation_word(_matching_permutation(asked), 3)
+                    assert certified_mdeg(word) == asked
+                    checked += 1
+        assert checked > 1000
 
 
 class TestElementarySteps:

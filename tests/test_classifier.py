@@ -158,6 +158,8 @@ class TestClassifyTotal:
         for module in (automorphisms, classifier):
             if hasattr(module, "realize"):
                 monkeypatch.setattr(module, "realize", lambda word, budget=None: fake)
+        # force the fallback to full expansion, the path that checks it
+        monkeypatch.setattr(automorphisms, "certified_mdeg", lambda word: None)
         with pytest.raises(ConstructionError, match="Jacobian"):
             make_realizable(TameWord((), 3), (2, 1, 1))
 
@@ -178,9 +180,28 @@ class TestClassifyTotal:
                 monkeypatch.setattr(module, "realize", counting)
         result = classify_total(*triple)
         assert isinstance(result, Realizable)
+        assert len(calls) == 0
+        assert mdeg(result.endo) == triple
+        assert result.endo is result.endo
         assert len(calls) == 1
         monkeypatch.undo()
         _verify_realization(result.witness, triple)
+
+    @pytest.mark.parametrize("triple", [(1, 1, 2000), (2, 3, 10**6)])
+    def test_realizable_verdict_expands_nothing(self, monkeypatch, triple):
+        import tamedeg.automorphisms as automorphisms
+        import tamedeg.classifier as classifier
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the verdict path must not expand the witness")
+
+        for module in (automorphisms, classifier):
+            for name in ("realize", "jacobian_det"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        result = classify_total(*triple)
+        assert isinstance(result, Realizable)
+        assert result.multidegree == triple
 
     def test_nonpositive_degrees_rejected(self):
         with pytest.raises(DomainError):
