@@ -339,13 +339,15 @@ def _check_mdeg(got: tuple[int, ...], expected: Sequence[int]) -> None:
 
 def _verify_realization(
     word: TameWord, expected: Sequence[int], budget: Optional[Budget] = None
-) -> Endo:
+) -> tuple[Endo, Polynomial]:
+    """Expand word and check the multidegree and Jacobian of the expansion;
+    returns the expansion and its Jacobian determinant."""
     endo = realize(word, budget)
     _check_mdeg(mdeg(endo), expected)
     jac = jacobian_det(endo.components)
     if not jac.is_constant or jac.is_zero:
         raise ConstructionError("witness Jacobian is not a nonzero constant")
-    return endo
+    return endo, jac
 
 
 def _verify_witness(

@@ -161,7 +161,8 @@ class Realizable:
     def endo(self) -> Endo:
         """The witness expanded on first read, its multidegree and Jacobian
         checked again from the expansion (ConstructionError on a mismatch)."""
-        return _verify_realization(self.witness, self.multidegree)
+        endo, _ = _verify_realization(self.witness, self.multidegree)
+        return endo
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .automorphisms import Endo, _witness_word, mdeg
-from .poly import jacobian_det
+from .automorphisms import Endo, TameWord, _verify_realization, _witness_word, mdeg
 from .classifier import (
     Certificate,
     DeltaBoundRegistry,
@@ -126,18 +125,16 @@ def _print_result(result, out) -> None:
         _print_certificate(result.certificate, out)
     elif isinstance(result, Realizable):
         print(f"verdict: Realizable, multidegree {result.multidegree}", file=out)
-        _print_word(result, out)
+        # reading result.endo expands the witness and checks it again
+        _print_word(result.witness, result.endo, out)
     else:
         print("verdict: Unknown", file=out)
         if result.reasons:
             print(f"uncertified conditions: {', '.join(result.reasons)}", file=out)
 
 
-def _print_word(result: Realizable, out) -> None:
-    """Print the witness steps and the components of its realization,
-    which reading result.endo expands and checks before anything prints."""
-    endo = result.endo
-    word = result.witness
+def _print_word(word: TameWord, endo: Endo, out) -> None:
+    """Print the witness steps and the components of its realization."""
     print(f"word ({len(word)} steps):", file=out)
     if not word.steps:
         print("  (identity)", file=out)
@@ -217,13 +214,13 @@ def _cmd_witness(args) -> int:
             f"nonnegative combination of {d1} and {d2}"
         )
         return 0
-    result = make_realizable(word, (d1, d2, d3))
-    _print_word(result, sys.stdout)
+    make_realizable(word, (d1, d2, d3))
+    # expand the word and check its multidegree and Jacobian again, from
+    # the expansion, independently of make_realizable
+    endo, jac = _verify_realization(word, (d1, d2, d3))
+    _print_word(word, endo, sys.stdout)
     if args.verify:
-        # _print_word read result.endo, which expanded the word and checked
-        # both independently of make_realizable; this reports them.
-        jac = jacobian_det(result.endo.components)
-        print(f"mdeg verified: {mdeg(result.endo)}; Jacobian = {jac.render()}")
+        print(f"mdeg verified: {mdeg(endo)}; Jacobian = {jac.render()}")
     return 0
 
 
@@ -278,7 +275,7 @@ def _cmd_table(args) -> int:
         weight = Weight(*weight)
     table = realizability_table(args.max, weight=weight, registry=registry)
     lines = [
-        f"{d1} {d2} {d3} {entry.describe()}"
+        f"{d1} {d2} {d3} {entry.kind}"
         for (d1, d2, d3), entry in sorted(table.items())
     ]
     body = "\n".join(lines)

@@ -12,7 +12,9 @@ is realized by ``automorphisms.realize`` under a budget that carries the
 config's term budget and degree cap; words that hit either cap are counted,
 not dropped silently.  ``consistency_check`` and ``run_search`` share one
 loop that classifies each realized multidegree once per weight, with the
-verdicts cached by (weight, sorted multidegree).
+verdicts cached by (weight, sorted multidegree).  ``realizability_table``
+maps each sorted degree triple to the verdict object the classifier
+returned for it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .automorphisms import (
@@ -34,9 +37,9 @@ from .automorphisms import (
 )
 from .classifier import (
     Certificate,
+    ClassificationResult,
     DeltaBoundRegistry,
     Excluded,
-    Realizable,
     Unknown,
     builtin_registry,
     certify_wild,
@@ -53,6 +56,16 @@ from .ordgroup import NEG_INF, Weight
 from .poly import Budget, Polynomial
 
 SCHEMA_VERSION = 1
+
+# Integer fields of SearchConfig and the least value each may take.
+_INT_MINIMA = {
+    "max_word_length": 0,
+    "shift_monomial_exponent_cap": 0,
+    "shift_term_count_cap": 1,
+    "degree_cap": 1,
+    "term_budget": 1,
+    "sample_count": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -73,10 +86,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("randomized", "exhaustive"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.max_word_length < 0 or self.degree_cap < 1 or self.term_budget < 1:
-            raise DomainError("caps must be positive")
-        if self.mode == "randomized" and self.sample_count < 0:
-            raise DomainError("sample_count must be nonnegative")
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
         if not self.coefficient_pool:
             raise DomainError("coefficient pool must not be empty")
         if 0 in self.coefficient_pool or 0 in self.scale_pool:
@@ -91,22 +106,6 @@ class SearchConfig:
 
     def weight_objects(self) -> tuple[Weight, ...]:
         return tuple(Weight.of(*w) for w in self.weights)
-
-    def to_json(self) -> dict:
-        return {
-            "max_word_length": self.max_word_length,
-            "shift_monomial_exponent_cap": self.shift_monomial_exponent_cap,
-            "shift_term_count_cap": self.shift_term_count_cap,
-            "coefficient_pool": list(self.coefficient_pool),
-            "scale_pool": list(self.scale_pool),
-            "weights": [list(w) for w in self.weights],
-            "degree_cap": self.degree_cap,
-            "term_budget": self.term_budget,
-            "seed": self.seed,
-            "mode": self.mode,
-            "sample_count": self.sample_count,
-            "shear_probability": self.shear_probability,
-        }
 
     @classmethod
     def from_json(cls, data) -> "SearchConfig":
@@ -132,13 +131,7 @@ class GenerationStats:
     degree_pruned: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "samples_drawn": self.samples_drawn,
-            "emitted": self.emitted,
-            "duplicates": self.duplicates,
-            "budget_skipped": self.budget_skipped,
-            "degree_pruned": self.degree_pruned,
-        }
+        return asdict(self)
 
 
 def _child_rng(seed: int, index: int) -> random.Random:
@@ -153,43 +146,37 @@ def word_fingerprint(word: TameWord) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _random_step(rng: random.Random, config: SearchConfig, nvars: int = 3) -> ElementaryAut:
-    target = rng.randrange(nvars)
+def _random_step(rng: random.Random, config: SearchConfig) -> ElementaryAut:
+    target = rng.randrange(3)
     if config.scale_pool and rng.random() >= config.shear_probability:
         scale = Fraction(rng.choice(config.scale_pool))
-        return ElementaryAut(target, scale, Polynomial.zero(nvars))
-    others = [i for i in range(nvars) if i != target]
-    shift = Polynomial.zero(nvars)
+        return ElementaryAut(target, scale, Polynomial.zero(3))
+    others = [i for i in range(3) if i != target]
+    shift = Polynomial.zero(3)
     terms = rng.randint(1, config.shift_term_count_cap)
     for _ in range(terms):
-        expo = [0] * nvars
+        expo = [0] * 3
         for i in others:
             expo[i] = rng.randint(0, config.shift_monomial_exponent_cap)
         coeff = rng.choice(config.coefficient_pool)
         shift = shift + Polynomial.monomial(expo, coeff)
     if shift.is_zero:
-        shift = Polynomial.monomial([0] * nvars, config.coefficient_pool[0])
+        shift = Polynomial.monomial([0] * 3, config.coefficient_pool[0])
     return ElementaryAut(target, Fraction(1), shift)
 
 
-def _random_word(rng: random.Random, config: SearchConfig, nvars: int = 3) -> TameWord:
+def _random_word(rng: random.Random, config: SearchConfig) -> TameWord:
     length = rng.randint(1, config.max_word_length) if config.max_word_length else 0
-    return TameWord(
-        tuple(_random_step(rng, config, nvars) for _ in range(length)), nvars
-    )
+    return TameWord(tuple(_random_step(rng, config) for _ in range(length)), 3)
 
 
-def _generator_pool(config: SearchConfig, nvars: int = 3) -> list[ElementaryAut]:
+def _generator_pool(config: SearchConfig) -> list[ElementaryAut]:
     pool: list[ElementaryAut] = []
-    cap = config.shift_monomial_exponent_cap
-    for target in range(nvars):
-        others = [i for i in range(nvars) if i != target]
-        expo_ranges = [range(cap + 1)] * len(others)
-        combos = [[]]
-        for r in expo_ranges:
-            combos = [c + [e] for c in combos for e in r]
-        for combo in combos:
-            expo = [0] * nvars
+    exponents = range(config.shift_monomial_exponent_cap + 1)
+    for target in range(3):
+        others = [i for i in range(3) if i != target]
+        for combo in product(exponents, repeat=len(others)):
+            expo = [0] * 3
             for i, e in zip(others, combo):
                 expo[i] = e
             for coeff in config.coefficient_pool:
@@ -199,7 +186,7 @@ def _generator_pool(config: SearchConfig, nvars: int = 3) -> list[ElementaryAut]
                     )
                 )
         for scale in config.scale_pool:
-            pool.append(ElementaryAut(target, Fraction(scale), Polynomial.zero(nvars)))
+            pool.append(ElementaryAut(target, Fraction(scale), Polynomial.zero(3)))
     return pool
 
 
@@ -209,70 +196,51 @@ def generate(
     """Deterministic stream of (word, realization) pairs.
 
     Randomized mode draws sample_count words from the counter-based RNG;
-    exhaustive mode enumerates all words over the generator pool up to the
-    length cap, depth first.  Resource-pruned words are counted, never
-    silently dropped, and duplicate realizations are deduplicated by
-    canonical form.
+    exhaustive mode walks all words over the generator pool up to the
+    length cap, depth first from the empty word.  Resource-pruned words are
+    counted, never silently dropped, and duplicate realizations are
+    deduplicated by canonical form.  The walk extends every word that
+    realizes, duplicates included, and no word that a cap pruned.
     """
     if stats is None:
         stats = GenerationStats()
     seen: set[tuple] = set()
 
-    def capped_realize(word: TameWord) -> Optional[Endo]:
+    def visit(word: TameWord) -> Iterator[tuple[TameWord, Endo]]:
+        """Realize word under the caps, count it, and yield it unless its
+        realization was seen before; returns whether it realized."""
+        stats.samples_drawn += 1
         try:
-            budget = Budget(config.term_budget, degree_cap=config.degree_cap)
-            return realize(word, budget)
+            endo = realize(word, Budget(config.term_budget, degree_cap=config.degree_cap))
         except DegreeCapError:
             stats.degree_pruned += 1
+            return False
         except BudgetExceededError:
             stats.budget_skipped += 1
-        return None
-
-    def emit(word: TameWord, endo: Endo) -> Optional[tuple[TameWord, Endo]]:
+            return False
         key = endo.fingerprint()
         if key in seen:
             stats.duplicates += 1
-            return None
-        seen.add(key)
-        stats.emitted += 1
-        return (word, endo)
+        else:
+            seen.add(key)
+            stats.emitted += 1
+            yield word, endo
+        return True
 
     if config.mode == "randomized":
         for index in range(config.sample_count):
-            stats.samples_drawn += 1
-            rng = _child_rng(config.seed, index)
-            word = _random_word(rng, config)
-            endo = capped_realize(word)
-            if endo is None:
-                continue
-            item = emit(word, endo)
-            if item:
-                yield item
+            yield from visit(_random_word(_child_rng(config.seed, index), config))
         return
 
     pool = _generator_pool(config)
-    identity = TameWord((), 3)
-    stats.samples_drawn += 1
-    item = emit(identity, Endo.identity(3))
-    if item:
-        yield item
 
-    def extend(prefix: tuple[ElementaryAut, ...]) -> Iterator[tuple[TameWord, Endo]]:
-        for step in pool:
-            steps = prefix + (step,)
-            stats.samples_drawn += 1
-            word = TameWord(steps, 3)
-            endo = capped_realize(word)
-            if endo is None:
-                continue
-            item = emit(word, endo)
-            if item:
-                yield item
-            if len(steps) < config.max_word_length:
-                yield from extend(steps)
+    def walk(steps: tuple[ElementaryAut, ...]) -> Iterator[tuple[TameWord, Endo]]:
+        realized = yield from visit(TameWord(steps, 3))
+        if realized and len(steps) < config.max_word_length:
+            for step in pool:
+                yield from walk(steps + (step,))
 
-    if config.max_word_length >= 1:
-        yield from extend(())
+    yield from walk(())
 
 
 @dataclass(frozen=True)
@@ -311,7 +279,6 @@ class Violation:
 
 @dataclass
 class ConsistencyReport:
-    config: SearchConfig
     registry_fingerprint: str
     stats: GenerationStats
     words_checked: int
@@ -388,7 +355,6 @@ def consistency_check(
     config: SearchConfig,
     registry: Optional[DeltaBoundRegistry] = None,
     classify_fn: Optional[Callable] = None,
-    certify: bool = True,
 ) -> ConsistencyReport:
     """Run the generated stream against the classifier and the wildness
     certifier; every Excluded multidegree or wildness certificate on a
@@ -418,7 +384,7 @@ def consistency_check(
                 violations.append(
                     Violation.of("excluded", w, word, endo, key[1], cert)
                 )
-            if certify and not (
+            if not (
                 isinstance(verdict, Unknown)
                 and any(n in verdict.reasons for n in ("K1", "K2", "K3", "K4"))
             ):
@@ -429,7 +395,6 @@ def consistency_check(
                     )
     violations.sort(key=lambda v: (v.weight, v.fingerprint, v.kind))
     return ConsistencyReport(
-        config=config,
         registry_fingerprint=registry.fingerprint(),
         stats=stats,
         words_checked=words_checked,
@@ -438,69 +403,30 @@ def consistency_check(
     )
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    kind: str  # "realizable" | "excluded" | "unknown" | "search-found"
-    witness: Optional[TameWord] = None
-    reasons: tuple = ()
-
-    def describe(self) -> str:
-        return self.kind
-
-
 def realizability_table(
     max_degree: int,
     weight=None,
-    config: Optional[SearchConfig] = None,
     registry: Optional[DeltaBoundRegistry] = None,
-) -> dict[tuple[int, int, int], TableEntry]:
+) -> dict[tuple[int, int, int], ClassificationResult]:
     """Verdict per sorted triple with entries up to max_degree.
 
-    Total degree (weight None) merges classifier verdicts with constructive
-    witnesses; an integer weight triple classifies through the weighted
-    criteria and, when a search config is supplied, tags classifier-Unknown
-    triples whose multidegree was realized by a sampled word as
-    search-found, re-verifying each witness before tagging.
+    Each value is the Realizable, Excluded or Unknown object the classifier
+    returned: classify_total's under total degree (weight None), and
+    classify_weighted's under an integer weight triple.
     """
     if registry is None:
         registry = builtin_registry()
-    table: dict[tuple[int, int, int], TableEntry] = {}
-    if max_degree < 1:
-        return table
     w = None if weight is None else (
         weight if isinstance(weight, Weight) else Weight.of(*weight)
     )
     if w is not None and w.rank != 1:
         raise DomainError("tables index integer degree triples: rank-1 weights only")
-    for d1 in range(1, max_degree + 1):
-        for d2 in range(d1, max_degree + 1):
-            for d3 in range(d2, max_degree + 1):
-                if w is None:
-                    verdict = classify_total(d1, d2, d3, registry)
-                else:
-                    verdict = classify_weighted((d1, d2, d3), w, registry)
-                if isinstance(verdict, Realizable):
-                    entry = TableEntry("realizable", witness=verdict.witness)
-                elif isinstance(verdict, Excluded):
-                    entry = TableEntry("excluded")
-                else:
-                    entry = TableEntry("unknown", reasons=verdict.reasons)
-                table[(d1, d2, d3)] = entry
-    if config is not None:
-        ws = w or Weight.of(1, 1, 1)
-        for word, endo in generate(config):
-            degs = mdeg_w(endo, ws)
-            if any(d is NEG_INF for d in degs):
-                continue
-            triple = tuple(sorted(d.coords[0] for d in degs))
-            entry = table.get(triple)
-            if entry is not None and entry.kind == "unknown":
-                check = tuple(
-                    sorted(d.coords[0] for d in mdeg_w(realize(word), ws))
-                )
-                if check != triple:
-                    raise DomainError("search witness failed re-verification")
-                table[triple] = TableEntry("search-found", witness=word)
+    table: dict[tuple[int, int, int], ClassificationResult] = {}
+    for triple in combinations_with_replacement(range(1, max_degree + 1), 3):
+        if w is None:
+            table[triple] = classify_total(*triple, registry)
+        else:
+            table[triple] = classify_weighted(triple, w, registry)
     return table
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from tamedeg import (
 )
 from tamedeg.cli import main
 from tamedeg.errors import DomainError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +244,36 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "witness", "3", "4", "5")
         assert code == 0 and "no witness" in out
 
+    def test_witness_verify_computes_jacobian_once(self, capsys, monkeypatch):
+        import tamedeg.automorphisms
+        import tamedeg.classifier
+        import tamedeg.cli
+        import tamedeg.poly
+
+        calls = []
+        original = tamedeg.poly.jacobian_det
+
+        def counting(components):
+            calls.append(components)
+            return original(components)
+
+        for module in (tamedeg.poly, tamedeg.automorphisms, tamedeg.classifier,
+                       tamedeg.cli):
+            monkeypatch.setattr(module, "jacobian_det", counting, raising=False)
+        code, out, _ = run_cli(capsys, "witness", "2", "3", "4", "--verify")
+        assert code == 0 and len(calls) == 1
+        assert out == (
+            "word (3 steps):\n"
+            "  step 1: x1 <- x1 + x3^2\n"
+            "  step 2: x2 <- x2 + x3^3\n"
+            "  step 3: x3 <- x3 + x1^2\n"
+            "realized components:\n"
+            "  f1 = x3^2 + x1\n"
+            "  f2 = x3^3 + x2\n"
+            "  f3 = x3^4 + 2*x1*x3^2 + x1^2 + x3\n"
+            "mdeg verified: (2, 3, 4); Jacobian = 1\n"
+        )
+
     @pytest.mark.parametrize("argv", [["classify", "2", "3", "4"],
                                       ["witness", "2", "3", "4", "--verify"]])
     def test_human_output_realizes_once(self, capsys, monkeypatch, argv):
@@ -284,6 +317,15 @@ class TestOtherCommands:
         assert "3 4 5 excluded" in lines
         assert "1 1 1 realizable" in lines
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["table", "--max", "6"], "table_max6.txt"),
+        (["table", "--max", "6", "--weight", "1,2,3"], "table_max6_weight123.txt"),
+    ])
+    def test_table_golden(self, capsys, argv, golden):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_search_and_check(self, capsys, tmp_path):
         config = {
             "seed": 11,
@@ -305,19 +347,28 @@ class TestOtherCommands:
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["check", "search"])
     @pytest.mark.parametrize(
-        "config",
+        "config, field",
         [
-            [1, 2],
-            {"weights": [[1, 2]]},
-            {"weights": 5},
-            {"coefficient_pool": [1, 0]},
-            {"scale_pool": [0, 2]},
-            {"shear_probability": 1.5},
+            ([1, 2], None),
+            ({"weights": [[1, 2]]}, None),
+            ({"weights": 5}, None),
+            ({"coefficient_pool": [1, 0]}, None),
+            ({"scale_pool": [0, 2]}, None),
+            ({"shear_probability": 1.5}, None),
+            ({"sample_count": 2.5}, "sample_count"),
+            ({"max_word_length": 2.5}, "max_word_length"),
+            ({"shift_term_count_cap": 0}, "shift_term_count_cap"),
+            ({"shift_monomial_exponent_cap": -1}, "shift_monomial_exponent_cap"),
+            ({"degree_cap": 2.5}, "degree_cap"),
+            ({"term_budget": 1.5}, "term_budget"),
+            ({"term_budget": True}, "term_budget"),
         ],
         ids=["not-object", "weight-shape", "weights-scalar", "zero-coefficient",
-             "zero-scale", "shear-probability"],
+             "zero-scale", "shear-probability", "float-sample-count",
+             "float-word-length", "zero-term-count", "negative-exponent-cap",
+             "float-degree-cap", "float-term-budget", "bool-term-budget"],
     )
-    def test_bad_search_config(self, capsys, tmp_path, command, config):
+    def test_bad_search_config(self, capsys, tmp_path, command, config, field):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         argv = [command, "--config", str(cfg_path)]
@@ -326,6 +377,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
+        assert field is None or field in err
 
     def test_failed_witness_verification_is_internal(self, capsys, monkeypatch):
         from tamedeg import Endo

@@ -12,7 +12,6 @@ from tamedeg import (
     Realizable,
     SchemaVersionError,
     SearchConfig,
-    TameWord,
     Unknown,
     Weight,
     builtin_registry,
@@ -88,9 +87,13 @@ class TestGenerate:
         # (samples, emitted, duplicates, budget-skipped, degree-pruned):
         # degree-cap and term-budget hits are counted apart
         budgeted = SearchConfig(seed=7, sample_count=200, term_budget=40)
+        walk = dict(mode="exhaustive", max_word_length=2, shift_monomial_exponent_cap=2,
+                    coefficient_pool=(1,), scale_pool=(-1,))
         for config, counts in (
             (SMALL, (250, 208, 6, 0, 36)),
             (budgeted, (200, 152, 4, 21, 23)),
+            (SearchConfig(**walk, degree_cap=3), (841, 508, 147, 0, 186)),
+            (SearchConfig(**walk, term_budget=3), (931, 592, 177, 162, 0)),
         ):
             stats = GenerationStats()
             list(generate(config, stats))
@@ -104,9 +107,14 @@ class TestConsistency:
         assert report.words_checked > 0
         assert report.stats.samples_drawn == 250
 
-    def test_corrupted_classifier_is_caught(self):
+    def test_corrupted_classifier_is_caught(self, monkeypatch):
         # negate the realizability side: flag exactly the constructible
-        # multidegrees as excluded; the harness must notice immediately
+        # multidegrees as excluded; the harness must notice immediately,
+        # with the wildness certifier stubbed out
+        import tamedeg.search as search_mod
+
+        monkeypatch.setattr(search_mod, "certify_wild", lambda *a, **k: Unknown(()))
+
         def corrupted(degrees, weight, registry):
             d1, d2, d3 = sorted(d.coords[0] for d in degrees)
             if d2 % d1 == 0:
@@ -114,7 +122,7 @@ class TestConsistency:
             return Unknown(("c",))
 
         config = SearchConfig(seed=3, sample_count=60, weights=((1, 1, 1),))
-        report = consistency_check(config, classify_fn=corrupted, certify=False)
+        report = consistency_check(config, classify_fn=corrupted)
         assert not report.ok
         first = report.violations[0]
         assert first.kind == "excluded"
@@ -293,8 +301,9 @@ class TestWildnessScreen:
         monkeypatch.setattr(search_mod, "certify_wild", counted)
         report = consistency_check(config, classify_fn=corrupted)
         assert len(certified) == len(rows)
-        unscreened = consistency_check(config, classify_fn=corrupted, certify=False)
-        assert report.to_json() == unscreened.to_json()
+        monkeypatch.setattr(search_mod, "certify_wild", lambda *a, **k: Unknown(()))
+        uncertified = consistency_check(config, classify_fn=corrupted)
+        assert report.to_json() == uncertified.to_json()
         assert Counter(v.kind for v in report.violations) == {"excluded": 47}
 
 
@@ -319,16 +328,6 @@ class TestRealizabilityTable:
     def test_registry_changes_single_cell(self):
         empty = realizability_table(6, registry=DeltaBoundRegistry.empty())
         assert empty[(4, 5, 6)].kind == "unknown"
-
-    def test_search_found_weighted(self):
-        config = SearchConfig(mode="exhaustive", max_word_length=0)
-        table = realizability_table(
-            4, weight=Weight.of(1, 2, 3), config=config
-        )
-        # the identity realizes weighted multidegree (1, 2, 3), which the
-        # weighted criteria leave unknown
-        assert table[(1, 2, 3)].kind == "search-found"
-        assert isinstance(table[(1, 2, 3)].witness, TameWord)
 
 
 class TestPersistence:
