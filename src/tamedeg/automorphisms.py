@@ -3,7 +3,13 @@
 A tame word is a sequence of elementary steps; realizing it folds the steps
 left to right into an endomorphism, each step rewriting one component as
 scale * component + shift(components).  Realization is the only bridge from
-words to polynomial maps.
+words to polynomial maps.  The fold keeps its components in the packed form
+of the poly kernel (one int per monomial) across all steps and unpacks each
+component once at the end; the field width comes from the steps' degrees
+predicted with cancellation ignored (and the degree cap, when set), before
+anything is expanded.  The exhaustive search walk extends a prefix's
+packed fold by one step per word.  Endo, compose and the witness checks
+work on unpacked polynomials, whose ring arithmetic stays on the tuple loop.
 
 Every constructive witness produced here is verified after the fact rather
 than trusted from its construction, and without expanding it:
@@ -21,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConstructionError, DegreeCapError, DomainError
@@ -36,6 +43,11 @@ from .parse import parse_polynomial
 from .poly import (
     Budget,
     Polynomial,
+    _pack,
+    _pack_width,
+    _psubstitute,
+    _settle,
+    _unpack,
     degree_w,
     jacobian_det,
     substitute,
@@ -66,6 +78,17 @@ class ElementaryAut:
         for mono in self.shift.terms:
             if mono[self.target] != 0:
                 raise DomainError("shift must not involve the target variable")
+
+    @classmethod
+    def _trusted(cls, target: int, scale: Fraction, shift: Polynomial) -> "ElementaryAut":
+        """Build a step without validation.  Precondition: scale is a
+        nonzero Fraction, 0 <= target < shift.nvars, and no term of shift
+        involves the target variable."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "target", target)
+        object.__setattr__(step, "scale", scale)
+        object.__setattr__(step, "shift", shift)
+        return step
 
     @property
     def nvars(self) -> int:
@@ -163,9 +186,6 @@ class Endo:
     def identity(cls, nvars: int = 3) -> "Endo":
         return cls(tuple(Polynomial.variable(i, nvars) for i in range(nvars)))
 
-    def fingerprint(self) -> tuple:
-        return tuple(c.fingerprint() for c in self.components)
-
     def render(self) -> str:
         return "(" + ", ".join(c.render() for c in self.components) + ")"
 
@@ -196,24 +216,98 @@ def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:
     """
     if budget is None:
         budget = Budget(DEFAULT_TERM_BUDGET)
-    cap = budget.degree_cap
-    comps = list(Endo.identity(word.nvars).components)
-    degs = [1] * word.nvars
-    for step in word.steps:
-        if cap is not None:
-            degree = degs[step.target]
-            for mono in step.shift.terms:
-                degree = max(degree, sum(e * d for e, d in zip(mono, degs)))
-            if degree > cap:
-                raise DegreeCapError(
-                    f"step would reach total degree {degree} > cap {cap}"
-                )
-        shifted = substitute(step.shift, comps, budget)
-        comps[step.target] = comps[step.target] * step.scale + shifted
-        budget.charge(len(comps[step.target].terms), 0)
-        if cap is not None:
-            degs[step.target] = max(comps[step.target].total_degree_int(), 0)
-    return Endo(tuple(comps))
+    return _Fold.identity(word.nvars).extend(word.steps, budget).endo()
+
+
+class _Fold:
+    """The realization of a word with its components kept packed: comps
+    in fields of width bits (see poly._pack), degs their total degrees,
+    and polys their unpacked forms, filled on first read and shared with
+    the folds that extend this one where a component is unchanged.  Apart
+    from that cache a fold is never modified, so folds can be extended
+    again and again, as the exhaustive walk of search.generate does."""
+
+    __slots__ = ("width", "comps", "degs", "polys")
+
+    def __init__(self, width: int, comps: tuple, degs: tuple, polys: list):
+        self.width = width
+        self.comps = comps
+        self.degs = degs
+        self.polys = polys
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def identity(nvars: int) -> "_Fold":
+        """The fold of the empty word, shared: it has nothing to unpack."""
+        variables = list(Endo.identity(nvars).components)
+        return _Fold(
+            1, tuple(_pack(v.terms, 1) for v in variables), (1,) * nvars, variables
+        )
+
+    def extend(self, steps: Sequence[ElementaryAut], budget: Budget) -> "_Fold":
+        """This fold followed by steps, charging budget as realize does.
+
+        The field width comes from an exponent bound proved before
+        anything is expanded: each step's total degree predicted from the
+        bounds of the components, with cancellation ignored, and never
+        more than the degree cap, since a step predicted above the cap
+        raises before it is expanded.  Every exponent of every partial
+        product of a step is at most that step's total degree.
+        """
+        cap = budget.degree_cap
+        bounds = list(self.degs)
+        top = 0
+        for step in steps:
+            bounds[step.target] = _predicted(step, bounds)
+            top = max(top, bounds[step.target])
+        width = max(self.width, _pack_width(top if cap is None else min(top, cap)))
+        n = len(self.comps)
+        comps = list(self.comps)
+        if width != self.width:
+            comps = [_pack(p.terms, width) for p in self.endo().components]
+        degs = list(self.degs)
+        polys = list(self.polys)
+        for step in steps:
+            t = step.target
+            if cap is not None:
+                degree = _predicted(step, degs)
+                if degree > cap:
+                    raise DegreeCapError(
+                        f"step would reach total degree {degree} > cap {cap}"
+                    )
+            shifted = _psubstitute(step.shift, comps, budget)
+            scale = step.scale
+            if scale == 1:
+                new = dict(comps[t])
+            else:
+                scale = scale.numerator if scale.denominator == 1 else scale
+                new = {k: c * scale for k, c in comps[t].items()}
+            get = new.get
+            for k, c in shifted.items():
+                new[k] = get(k, 0) + c
+            _settle(new)
+            budget.charge(len(new), 0)
+            comps[t] = new
+            degs[t] = max(new) >> n * width if new else 0
+            polys[t] = None
+        return _Fold(width, tuple(comps), tuple(degs), polys)
+
+    def endo(self) -> Endo:
+        """The realization, each component unpacked once."""
+        polys = self.polys
+        for i, p in enumerate(polys):
+            if p is None:
+                polys[i] = _unpack(self.comps[i], len(polys), self.width)
+        return Endo(tuple(polys))
+
+
+def _predicted(step: ElementaryAut, degs: Sequence[int]) -> int:
+    """Total degree of step's new component when the components have total
+    degrees degs, with cancellation ignored: an upper bound."""
+    degree = degs[step.target]
+    for mono in step.shift.terms:
+        degree = max(degree, sum(map(mul, mono, degs)))
+    return degree
 
 
 def mdeg_w(endo: Endo, weights=None) -> tuple[DegreeValue, ...]:

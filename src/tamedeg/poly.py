@@ -16,6 +16,18 @@ element per variable), with the zero polynomial at minus infinity.  On top
 of the ring operations this module computes leading forms, formal
 partials, degrees of wedge products of differentials and Jacobian
 determinants.
+
+Composition runs on a private packed kernel: each exponent tuple becomes
+one int, with a field per variable and the total degree above them, so a
+monomial product is one int addition and the keys are small ints that the
+garbage collector does not track.  ``substitute``, ``power`` and the
+realization fold of ``automorphisms`` use it, sizing the fields from an
+exponent bound they prove before multiplying anything.  General ring
+arithmetic (``multiply``, ``Polynomial.__mul__``, ``jacobian_det``,
+``wedge2_degree``) keeps the tuple-keyed loop: its operands arrive
+unpacked and leave unpacked, mostly as one product each, so packing them
+on every call would cost more than the packed loop saves (``certify_wild``
+runs on these).
 """
 
 from __future__ import annotations
@@ -226,9 +238,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def fingerprint(self) -> tuple:
-        return (self.nvars, tuple(sorted(self.terms.items())))
-
     def render(self) -> str:
         return render(self)
 
@@ -268,21 +277,100 @@ def power(f: Polynomial, exponent: int, budget: Optional[Budget] = None) -> Poly
         raise DomainError("exponent must be a nonnegative integer")
     if exponent == 0:
         return _trusted(f.nvars, {(0,) * f.nvars: 1})
-    return _power(f, exponent, {1: f}, budget)
+    width = _pack_width(exponent * max(f.total_degree_int(), 0))
+    base = _pack(f.terms, width)
+    return _unpack(_ppow(base, exponent, {1: base}, budget), f.nvars, width)
 
 
-def _power(f: Polynomial, exponent: int, memo: dict, budget: Optional[Budget]) -> Polynomial:
-    """f**exponent (exponent >= 1) by binary powering from f, most significant
-    bit first; memo maps exponents to powers of f already built and gains
-    every power built here, so powers of one base share their squarings."""
+# The packed kernel.  A packed polynomial in n variables is a dict from int
+# keys to canonical coefficients: exponent e_i sits in bits
+# [i*width, (i+1)*width) and the total degree above bit n*width, so the
+# product of two monomials is the sum of their keys and the total degree of
+# a packed polynomial is max(keys) >> (n*width).  The sum is exact as long
+# as no exponent of any partial product reaches 2**width, so a caller sizes
+# the width from an exponent bound proved before it multiplies anything.
+
+
+def _pack_width(bound: int) -> int:
+    """Bits per exponent field that hold every exponent up to bound."""
+    return max(bound, 1).bit_length()
+
+
+def _pack(terms: dict, width: int) -> dict:
+    """Packed form of a tuple-keyed term map whose exponents fit width."""
+    out = {}
+    for mono, c in terms.items():
+        key = sum(mono)
+        for e in reversed(mono):
+            key = key << width | e
+        out[key] = c
+    return out
+
+
+def _unpack(packed: dict, nvars: int, width: int) -> Polynomial:
+    mask = (1 << width) - 1
+    fields = [[k >> s & mask for k in packed] for s in range(0, nvars * width, width)]
+    return _trusted(nvars, dict(zip(zip(*fields), packed.values())))
+
+
+def _pmul(a: dict, b: dict, budget: Optional[Budget]) -> dict:
+    """Product of two packed polynomials; charges the budget as multiply
+    does, once per term of a."""
+    if not a or not b:
+        return {}
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+        if budget is not None:
+            budget.charge(len(acc), len(b_items))
+    return _settle(acc)
+
+
+def _ppow(base: dict, exponent: int, memo: dict, budget: Optional[Budget]) -> dict:
+    """base**exponent (exponent >= 1) by binary powering, most significant
+    bit first; memo maps exponents to powers of base already built and
+    gains every power built here, so powers of one base share their
+    squarings."""
     p = memo.get(exponent)
     if p is None:
-        half = _power(f, exponent >> 1, memo, budget)
-        p = multiply(half, half, budget)
+        half = _ppow(base, exponent >> 1, memo, budget)
+        p = _pmul(half, half, budget)
         if exponent & 1:
-            p = multiply(p, f, budget)
+            p = _pmul(p, base, budget)
         memo[exponent] = p
     return p
+
+
+def _psubstitute(f: Polynomial, replacements: Sequence[dict], budget: Optional[Budget]) -> dict:
+    """f evaluated at packed replacements, one per variable of f; the
+    width of the replacements must hold every exponent of the result's
+    partial products."""
+    memos = [{1: r} for r in replacements]
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    for mono, coeff in f.terms.items():
+        term = _ONE
+        for i, e in enumerate(mono):
+            if e:
+                p = _ppow(replacements[i], e, memos[i], budget)
+                term = p if term is _ONE else _pmul(term, p, budget)
+        # cancelled terms leave at once, so the budget charges live terms
+        for key, c in term.items():
+            total = get(key, 0) + c * coeff
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+        if budget is not None:
+            budget.charge(len(acc), 0)
+    return _settle(acc)
+
+
+_ONE = {0: 1}
 
 
 def substitute(
@@ -303,25 +391,11 @@ def substitute(
             raise DomainError("replacements must share one variable count")
     if f.is_zero:
         return _trusted(m, {})
-    memos = [{1: r} for r in replacements]
-    one = {(0,) * m: 1}
-    acc: dict[Monomial, Coeff] = {}
-    for mono, coeff in f.terms.items():
-        term = None
-        for i, e in enumerate(mono):
-            if e:
-                p = _power(replacements[i], e, memos[i], budget)
-                term = p if term is None else multiply(term, p, budget)
-        # cancelled terms leave at once, so the budget charges live terms
-        for key, c in (one if term is None else term.terms).items():
-            total = acc.get(key, 0) + c * coeff
-            if total:
-                acc[key] = total
-            else:
-                del acc[key]
-        if budget is not None:
-            budget.charge(len(acc), 0)
-    return _trusted(m, _settle(acc))
+    degs = [max(r.total_degree_int(), 0) for r in replacements]
+    bound = max(degs + [sum(map(_mul, mono, degs)) for mono in f.terms])
+    width = _pack_width(bound)
+    packed = [_pack(r.terms, width) for r in replacements]
+    return _unpack(_psubstitute(f, packed, budget), m, width)
 
 
 def degree_w(f: Polynomial, weights=None) -> DegreeValue:

@@ -22,17 +22,18 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .automorphisms import (
     ElementaryAut,
     Endo,
     TameWord,
-    mdeg_w,
+    _Fold,
     realize,
 )
 from .classifier import (
@@ -52,8 +53,8 @@ from .errors import (
     DomainError,
     SchemaVersionError,
 )
-from .ordgroup import NEG_INF, Weight
-from .poly import Budget, Polynomial
+from .ordgroup import GroupElem, Weight
+from .poly import Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
 
@@ -92,10 +93,10 @@ class SearchConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
+        for name in ("coefficient_pool", "scale_pool"):
+            object.__setattr__(self, name, _pool(name, getattr(self, name)))
         if not self.coefficient_pool:
-            raise DomainError("coefficient pool must not be empty")
-        if 0 in self.coefficient_pool or 0 in self.scale_pool:
-            raise DomainError("coefficient and scale pools must not contain 0")
+            raise DomainError("coefficient_pool must not be empty")
         if not 0 <= self.shear_probability <= 1:
             raise DomainError("shear_probability must lie in [0, 1]")
         if not isinstance(self.weights, (tuple, list)) or not all(
@@ -115,6 +116,34 @@ class SearchConfig:
             return cls(**{key: _frozen(value) for key, value in data.items()})
         except TypeError as exc:
             raise DomainError(f"bad search config: {exc}") from exc
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _pool(name: str, entries) -> tuple:
+    """The entries of a coefficient or scale pool as canonical rationals
+    (an int when integral, else a Fraction).  An entry is an int (not a
+    bool), a Fraction, or a string "p" or "p/q"; it must not be 0."""
+    if not isinstance(entries, (tuple, list)):
+        raise DomainError(f"{name} must be a list, got {entries!r}")
+    out = []
+    for entry in entries:
+        value = entry
+        if isinstance(entry, str) and _RATIONAL.fullmatch(entry):
+            num, _, den = entry.partition("/")
+            try:
+                value = Fraction(int(num), int(den or 1))
+            except (ValueError, ZeroDivisionError):
+                value = None
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise DomainError(
+                f'{name} entries must be integers or "p/q" strings, got {entry!r}'
+            )
+        if value == 0:
+            raise DomainError(f"{name} must not contain 0")
+        out.append(_canonical(value))
+    return tuple(out)
 
 
 def _frozen(value):
@@ -150,19 +179,25 @@ def _random_step(rng: random.Random, config: SearchConfig) -> ElementaryAut:
     target = rng.randrange(3)
     if config.scale_pool and rng.random() >= config.shear_probability:
         scale = Fraction(rng.choice(config.scale_pool))
-        return ElementaryAut(target, scale, Polynomial.zero(3))
+        return ElementaryAut._trusted(target, scale, _trusted(3, {}))
     others = [i for i in range(3) if i != target]
-    shift = Polynomial.zero(3)
-    terms = rng.randint(1, config.shift_term_count_cap)
-    for _ in range(terms):
+    terms: dict = {}
+    for _ in range(rng.randint(1, config.shift_term_count_cap)):
         expo = [0] * 3
         for i in others:
             expo[i] = rng.randint(0, config.shift_monomial_exponent_cap)
-        coeff = rng.choice(config.coefficient_pool)
-        shift = shift + Polynomial.monomial(expo, coeff)
-    if shift.is_zero:
-        shift = Polynomial.monomial([0] * 3, config.coefficient_pool[0])
-    return ElementaryAut(target, Fraction(1), shift)
+        mono = tuple(expo)
+        total = terms.get(mono, 0) + rng.choice(config.coefficient_pool)
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
+    if not terms:
+        terms[(0, 0, 0)] = config.coefficient_pool[0]
+    return ElementaryAut._trusted(target, _UNIT, _trusted(3, _settle(terms)))
+
+
+_UNIT = Fraction(1)
 
 
 def _random_word(rng: random.Random, config: SearchConfig) -> TameWord:
@@ -180,13 +215,12 @@ def _generator_pool(config: SearchConfig) -> list[ElementaryAut]:
             for i, e in zip(others, combo):
                 expo[i] = e
             for coeff in config.coefficient_pool:
-                pool.append(
-                    ElementaryAut(
-                        target, Fraction(1), Polynomial.monomial(expo, coeff)
-                    )
-                )
+                shift = _trusted(3, {tuple(expo): coeff})
+                pool.append(ElementaryAut._trusted(target, _UNIT, shift))
         for scale in config.scale_pool:
-            pool.append(ElementaryAut(target, Fraction(scale), Polynomial.zero(3)))
+            pool.append(
+                ElementaryAut._trusted(target, Fraction(scale), _trusted(3, {}))
+            )
     return pool
 
 
@@ -199,48 +233,58 @@ def generate(
     exhaustive mode walks all words over the generator pool up to the
     length cap, depth first from the empty word.  Resource-pruned words are
     counted, never silently dropped, and duplicate realizations are
-    deduplicated by canonical form.  The walk extends every word that
-    realizes, duplicates included, and no word that a cap pruned.
+    deduplicated by canonical form, which does not depend on how the
+    realization was packed.  The walk extends every word that realizes,
+    duplicates included, and no word that a cap pruned; it realizes a word
+    by extending the packed realization of its prefix by the last step.
     """
     if stats is None:
         stats = GenerationStats()
-    seen: set[tuple] = set()
+    seen: set[Endo] = set()  # compared by their term maps
 
-    def visit(word: TameWord) -> Iterator[tuple[TameWord, Endo]]:
+    def visit(word: TameWord, prefix: Optional[_Fold]) -> Iterator[tuple[TameWord, Endo]]:
         """Realize word under the caps, count it, and yield it unless its
-        realization was seen before; returns whether it realized."""
+        realization was seen before.  With prefix, the fold of all but the
+        last step of word, only that step is expanded.  Returns the fold of
+        word (None in randomized mode), or None when a cap pruned it."""
         stats.samples_drawn += 1
+        budget = Budget(config.term_budget, degree_cap=config.degree_cap)
+        fold = None
         try:
-            endo = realize(word, Budget(config.term_budget, degree_cap=config.degree_cap))
+            if prefix is None:
+                endo = realize(word, budget)
+            else:
+                fold = prefix.extend(word.steps[-1:], budget)
+                endo = fold.endo()
         except DegreeCapError:
             stats.degree_pruned += 1
-            return False
+            return None
         except BudgetExceededError:
             stats.budget_skipped += 1
-            return False
-        key = endo.fingerprint()
-        if key in seen:
+            return None
+        size = len(seen)
+        seen.add(endo)
+        if len(seen) == size:
             stats.duplicates += 1
         else:
-            seen.add(key)
             stats.emitted += 1
             yield word, endo
-        return True
+        return fold
 
     if config.mode == "randomized":
         for index in range(config.sample_count):
-            yield from visit(_random_word(_child_rng(config.seed, index), config))
+            yield from visit(_random_word(_child_rng(config.seed, index), config), None)
         return
 
     pool = _generator_pool(config)
 
-    def walk(steps: tuple[ElementaryAut, ...]) -> Iterator[tuple[TameWord, Endo]]:
-        realized = yield from visit(TameWord(steps, 3))
-        if realized and len(steps) < config.max_word_length:
+    def walk(word: TameWord, prefix: _Fold) -> Iterator[tuple[TameWord, Endo]]:
+        fold = yield from visit(word, prefix)
+        if fold is not None and len(word) < config.max_word_length:
             for step in pool:
-                yield from walk(steps + (step,))
+                yield from walk(TameWord(word.steps + (step,), 3), fold)
 
-    yield from walk(())
+    yield from walk(TameWord((), 3), _Fold.identity(3))
 
 
 @dataclass(frozen=True)
@@ -320,35 +364,55 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def _mdeg_key(degs) -> tuple:
-    return tuple(d.coords for d in degs)
-
-
 def _classified(
     config: SearchConfig,
     registry: DeltaBoundRegistry,
     classify_fn: Callable,
     stats: GenerationStats,
 ) -> Iterator[tuple[TameWord, Endo, list]]:
-    """The generate -> mdeg_w -> classify loop: for each generated word,
+    """The generate -> degrees -> classify loop: for each generated word,
     yields (word, realization, rows) with one row (weight, key, degrees,
-    verdict) per configured weight under which no component is zero.  The
-    key is (rendered weight, sorted multidegree), and verdicts are cached
-    by key, so each distinct multidegree is classified once per weight."""
-    weights = [(w, w.render()) for w in config.weight_objects()]
+    verdict) per configured weight, or no rows when a component is zero.
+    Degrees are coordinate tuples, in component order.  The key is
+    (rendered weight, sorted multidegree), and verdicts are cached by key,
+    so each distinct multidegree is classified once per weight."""
+    weights = config.weight_objects()
+    names = [w.render() for w in weights]
+    # one integer row (the weights of x1, x2, x3) per coordinate of each weight
+    rows = [tuple(g.coords[i] for g in w.components)
+            for w in weights for i in range(w.rank)]
+    ends = list(accumulate(w.rank for w in weights))
+    spans = list(zip([0] + ends, ends))
     cache: dict = {}
     for word, endo in generate(config, stats):
-        rows = []
-        for w, name in weights:
-            degs = mdeg_w(endo, w)
-            if any(d is NEG_INF for d in degs):
-                continue
+        if any(c.is_zero for c in endo.components):
+            yield word, endo, []
+            continue
+        per_component = [_degrees(c.terms, rows, spans) for c in endo.components]
+        out = []
+        for j, w in enumerate(weights):
+            degs = tuple(d[j] for d in per_component)
             ordered = tuple(sorted(degs))
-            key = (name, _mdeg_key(ordered))
-            if key not in cache:
-                cache[key] = classify_fn(ordered, w, registry)
-            rows.append((w, key, degs, cache[key]))
-        yield word, endo, rows
+            key = (names[j], ordered)
+            verdict = cache.get(key)
+            if verdict is None:
+                elems = tuple(GroupElem._trusted(d) for d in ordered)
+                verdict = cache[key] = classify_fn(elems, w, registry)
+            out.append((w, key, degs, verdict))
+        yield word, endo, out
+
+
+def _degrees(terms: dict, rows: list, spans: list) -> list[tuple[int, ...]]:
+    """The weighted degree of a nonzero polynomial in x1, x2, x3 under each
+    weight, as coordinates: one pass over the terms evaluates every row of
+    every weight, then each weight takes the lexicographic maximum over its
+    span of rows (plain maximum for rank 1)."""
+    columns = list(zip(*[[a * x + b * y + c * z for a, b, c in rows]
+                         for x, y, z in terms]))
+    return [
+        (max(columns[i]),) if j == i + 1 else max(zip(*columns[i:j]))
+        for i, j in spans
+    ]
 
 
 def consistency_check(
@@ -497,7 +561,7 @@ def run_search(
                     fingerprint=fp,
                     word=steps,
                     weight=tuple(c.coords for c in w.components),
-                    multidegree=_mdeg_key(degs),
+                    multidegree=degs,
                     verdict=verdict.kind,
                     registry_fingerprint=reg_fp,
                     timestamp=time.time(),

@@ -27,12 +27,19 @@ from tamedeg import (
     realize,
     semigroup_witness,
     shear,
-    substitute,
     transposition_word,
 )
 from tamedeg.automorphisms import _witness_word, certified_mdeg
 from tamedeg.classifier import _matching_permutation
-from oracles import power_dependence, triple_semigroup_member, wedge3_degree
+from oracles import (
+    frac_add,
+    frac_scale,
+    frac_substitute,
+    frac_terms,
+    power_dependence,
+    triple_semigroup_member,
+    wedge3_degree,
+)
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
 
@@ -197,18 +204,51 @@ class TestRealize:
         import tamedeg.automorphisms as automorphisms
 
         expanded = []
+        expand = automorphisms._psubstitute
 
-        def counting_substitute(f, comps, budget=None):
+        def counting_expand(f, comps, budget):
             expanded.append(f)
-            return substitute(f, comps, budget)
+            return expand(f, comps, budget)
 
-        monkeypatch.setattr(automorphisms, "substitute", counting_substitute)
+        # realize expands each step through the packed kernel
+        monkeypatch.setattr(automorphisms, "_psubstitute", counting_expand)
         # x1 -> x1 + x3^2 (degree 2), then x3 -> x3 + x1^3 (degree 6)
         word = TameWord((shear(0, mono3(0, 0, 2)), shear(2, mono3(3, 0, 0))), 3)
         with pytest.raises(DegreeCapError):
             realize(word, Budget(degree_cap=5))
         assert expanded == [mono3(0, 0, 2)]
         assert mdeg(realize(word, Budget(degree_cap=6))) == (2, 1, 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words())
+    def test_matches_fraction_fold(self, word):
+        # the packed fold against the same fold on Fraction term maps
+        comps = [frac_terms(Polynomial.variable(i, 3).terms) for i in range(3)]
+        for step in word.steps:
+            shifted = frac_substitute(frac_terms(step.shift.terms), comps, 3)
+            comps[step.target] = frac_add(
+                frac_scale(comps[step.target], step.scale), shifted
+            )
+        assert realize(word) == Endo(tuple(Polynomial(3, c) for c in comps))
+
+    def test_exponents_past_every_field_boundary(self):
+        # exponents above 2**21 and 2**32, so that no fixed field width
+        # (three 21-bit fields in 63 bits, or 32-bit fields) could hold them
+        a, b = 2**32 + 3, 2**21 + 1
+        word = TameWord(
+            (
+                shear(0, mono3(0, a, 0)),
+                shear(2, mono3(1, b, 0)),
+                shear(1, mono3(1, 0, 2, 3), scale=-1),
+            ),
+            3,
+        )
+        f1 = X1 + mono3(0, a, 0)
+        f3 = X3 + f1 * mono3(0, b, 0)
+        f2 = -X2 + 3 * f1 * f3 * f3
+        endo = realize(word)
+        assert endo == Endo((f1, f2, f3))
+        assert mdeg(endo) == (a, 3 * a + 2 * b, a + b)
 
     def test_jacobian_is_product_of_scales(self):
         rng = random.Random(47)

@@ -352,8 +352,18 @@ class TestExitCodes:
             ([1, 2], None),
             ({"weights": [[1, 2]]}, None),
             ({"weights": 5}, None),
-            ({"coefficient_pool": [1, 0]}, None),
-            ({"scale_pool": [0, 2]}, None),
+            ({"coefficient_pool": [1, 0]}, "coefficient_pool"),
+            ({"scale_pool": [0, 2]}, "scale_pool"),
+            ({"coefficient_pool": [0.1]}, "coefficient_pool"),
+            ({"coefficient_pool": ["a"]}, "coefficient_pool"),
+            ({"scale_pool": ["a"]}, "scale_pool"),
+            ({"scale_pool": [2.0]}, "scale_pool"),
+            ({"scale_pool": [True]}, "scale_pool"),
+            ({"coefficient_pool": ["1/0"]}, "coefficient_pool"),
+            ({"coefficient_pool": ["0/3"]}, "coefficient_pool"),
+            ({"coefficient_pool": [[1]]}, "coefficient_pool"),
+            ({"scale_pool": 2}, "scale_pool"),
+            ({"coefficient_pool": []}, "coefficient_pool"),
             ({"shear_probability": 1.5}, None),
             ({"sample_count": 2.5}, "sample_count"),
             ({"max_word_length": 2.5}, "max_word_length"),
@@ -364,7 +374,10 @@ class TestExitCodes:
             ({"term_budget": True}, "term_budget"),
         ],
         ids=["not-object", "weight-shape", "weights-scalar", "zero-coefficient",
-             "zero-scale", "shear-probability", "float-sample-count",
+             "zero-scale", "float-coefficient", "text-coefficient", "text-scale",
+             "float-scale", "bool-scale", "zero-denominator", "zero-fraction",
+             "list-coefficient", "scalar-scale-pool", "empty-coefficient-pool",
+             "shear-probability", "float-sample-count",
              "float-word-length", "zero-term-count", "negative-exponent-cap",
              "float-degree-cap", "float-term-budget", "bool-term-budget"],
     )

@@ -286,6 +286,16 @@ class TestCanonicalCoefficients:
         assert type(Polynomial.constant(5, 3).constant_value()) is Fraction
         assert type(Polynomial.zero(3).constant_value()) is Fraction
 
+    def test_packed_kernel_exponents_past_field_boundaries(self):
+        # power and substitute size their packing from the exponents they
+        # will reach; the expected values come from the tuple-keyed multiply
+        big = 2**33 + 1
+        assert power(X1 * X2 * X2, big) == Polynomial.monomial((big, 2 * big, 0))
+        r = X1 + Polynomial.monomial((0, 0, 2**21 + 5), 2)
+        want = r * r * Polynomial.monomial((0, 2**32, 0))
+        got = substitute(Polynomial.monomial((2, 1, 0)), [r, Polynomial.monomial((0, 2**32, 0)), X3])
+        assert got == want
+
     def test_scaling_by_one_returns_operand(self):
         f = X1 + Fraction(1, 3) * X2
         assert f * 1 is f

@@ -1,17 +1,20 @@
 import json
 import threading
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from tamedeg import (
     NEG_INF,
+    Budget,
     DeltaBoundRegistry,
     Excluded,
     Realizable,
     SchemaVersionError,
     SearchConfig,
+    TameWord,
     Unknown,
     Weight,
     builtin_registry,
@@ -27,9 +30,14 @@ from tamedeg import (
     realize,
     realizability_table,
     run_search,
+    shear,
     word_fingerprint,
 )
+import tamedeg.automorphisms as automorphisms
+import tamedeg.search as search
+from tamedeg.automorphisms import _Fold
 from tamedeg.classifier import Certificate, Clause, Condition, Theorem
+from tamedeg.poly import Polynomial
 from tamedeg.search import GenerationStats
 
 
@@ -79,9 +87,8 @@ class TestGenerate:
         )
         seen = set()
         for _, endo in items:
-            fp = endo.fingerprint()
-            assert fp not in seen
-            seen.add(fp)
+            assert endo not in seen
+            seen.add(endo)
 
     def test_stats_counts_are_pinned(self):
         # (samples, emitted, duplicates, budget-skipped, degree-pruned):
@@ -98,6 +105,75 @@ class TestGenerate:
             stats = GenerationStats()
             list(generate(config, stats))
             assert tuple(stats.as_dict().values()) == counts
+
+
+    def test_walk_expands_one_step_per_word(self, monkeypatch):
+        expanded = []
+        expand = automorphisms._psubstitute
+
+        def counting_expand(f, comps, budget):
+            expanded.append(f)
+            return expand(f, comps, budget)
+
+        monkeypatch.setattr(automorphisms, "_psubstitute", counting_expand)
+        config = SearchConfig(mode="exhaustive", max_word_length=3,
+                              shift_monomial_exponent_cap=1, coefficient_pool=(1,),
+                              scale_pool=(-1,), degree_cap=3)
+        stats = GenerationStats()
+        list(generate(config, stats))
+        assert tuple(stats.as_dict().values()) == (3616, 2085, 1513, 0, 18)
+        # each word extends its prefix's realization: only its last step
+        # is expanded, and neither the empty word nor a pruned word expands
+        assert len(expanded) <= stats.samples_drawn
+        assert len(expanded) == stats.samples_drawn - stats.degree_pruned - 1
+
+    def test_dedup_key_ignores_packing_width(self, monkeypatch):
+        x2_4 = Polynomial.monomial((0, 4, 0))
+        plain = TameWord((shear(0, Polynomial.variable(1)),), 3)
+        # x1 + x2^4 - x2^4 + x2: the same map, folded at a wider packing
+        detour = TameWord(
+            (shear(0, x2_4), shear(0, -x2_4), shear(0, Polynomial.variable(1))), 3
+        )
+        widths = {
+            _Fold.identity(3).extend(w.steps, Budget(degree_cap=60)).width
+            for w in (plain, detour)
+        }
+        assert len(widths) == 2
+        words = iter([plain, detour])
+        monkeypatch.setattr(search, "_random_word", lambda rng, config: next(words))
+        stats = GenerationStats()
+        items = list(generate(SearchConfig(sample_count=2), stats))
+        assert [w for w, _ in items] == [plain]
+        assert (stats.emitted, stats.duplicates) == (1, 1)
+
+    def test_pools_are_canonical_rationals(self):
+        config = SearchConfig(
+            coefficient_pool=["1/2", "-3", "4/2", 5, Fraction(6, 3)],
+            scale_pool=("+2/3",),
+        )
+        assert config.coefficient_pool == (Fraction(1, 2), -3, 2, 5, 2)
+        assert [type(c) for c in config.coefficient_pool] == [Fraction, int, int, int, int]
+        assert config.scale_pool == (Fraction(2, 3),)
+        loaded = SearchConfig.from_json({"coefficient_pool": ["1/10"], "sample_count": 5})
+        for word, _ in generate(loaded):
+            assert {c for s in word.steps for c in s.shift.terms.values()} <= {Fraction(1, 10)}
+
+
+    def test_rows_carry_each_weights_multidegree(self):
+        # one rank-2 weight among rank-1 ones: every row's degrees are the
+        # componentwise weighted degrees of the realization under its weight
+        weights = ((1, 1, 1), ((1, 0), (1, 2), (0, 1)), (2, 3, 5))
+        config = SearchConfig(seed=5, sample_count=40, weights=weights)
+        rows_seen = 0
+        for _, endo, rows in search._classified(
+            config, builtin_registry(), lambda *args: "verdict", GenerationStats()
+        ):
+            assert [w for w, _, _, _ in rows] == list(config.weight_objects())
+            for w, key, degs, _ in rows:
+                assert degs == tuple(d.coords for d in mdeg_w(endo, w))
+                assert key == (w.render(), tuple(sorted(degs)))
+                rows_seen += 1
+        assert rows_seen > 60
 
 
 class TestConsistency:
