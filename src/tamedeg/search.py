@@ -394,11 +394,10 @@ def _classified(
             degs = tuple(d[j] for d in per_component)
             ordered = tuple(sorted(degs))
             key = (names[j], ordered)
-            verdict = cache.get(key)
-            if verdict is None:
+            if key not in cache:
                 elems = tuple(GroupElem._trusted(d) for d in ordered)
-                verdict = cache[key] = classify_fn(elems, w, registry)
-            out.append((w, key, degs, verdict))
+                cache[key] = classify_fn(elems, w, registry)
+            out.append((w, key, degs, cache[key]))
         yield word, endo, out
 
 
