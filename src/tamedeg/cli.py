@@ -266,6 +266,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.max < 1:
+        raise DomainError(f"--max must be at least 1, got {args.max}")
     registry = _load_registry(args.registry)
     weight = None
     if args.weight:

@@ -88,6 +88,9 @@ class GroupElem:
         return cls((0,) * rank)
 
     def _check(self, other: "GroupElem") -> None:
+        """Raise for an operand that is not a GroupElem of this rank.  The
+        operators test the common case inline and call this only when
+        that test fails."""
         if not isinstance(other, GroupElem):
             raise TypeError(f"expected GroupElem, got {type(other).__name__}")
         if len(self.coords) != len(other.coords):
@@ -98,11 +101,13 @@ class GroupElem:
     def __add__(self, other):
         if other is NEG_INF:
             return NEG_INF
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return GroupElem._trusted(tuple(map(_add, self.coords, other.coords)))
 
     def __sub__(self, other):
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return GroupElem._trusted(tuple(map(_sub, self.coords, other.coords)))
 
     def __neg__(self):
@@ -124,25 +129,29 @@ class GroupElem:
     def __lt__(self, other):
         if other is NEG_INF:
             return False
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return self.coords < other.coords
 
     def __le__(self, other):
         if other is NEG_INF:
             return False
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return self.coords <= other.coords
 
     def __gt__(self, other):
         if other is NEG_INF:
             return True
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return self.coords > other.coords
 
     def __ge__(self, other):
         if other is NEG_INF:
             return True
-        self._check(other)
+        if type(other) is not GroupElem or len(self.coords) != len(other.coords):
+            self._check(other)
         return self.coords >= other.coords
 
     @property

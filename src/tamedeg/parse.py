@@ -8,165 +8,160 @@ Grammar (whitespace insensitive, no implicit multiplication):
     base   := rational | var | '(' expr ')'
     rational := nat ('/' nat)?
     var    := 'x' nat          one-based variable index
+    nat    := [0-9]+           ASCII digits only
 
 The optional leading minus makes the canonical renderer's output for
 polynomials with a negative leading coefficient parse back; apart from that
 the grammar is exactly the one the renderer targets, so parse(render(f)) is
-the identity.
+the identity.  Any other character, a non-ASCII digit included, is a
+syntax error at its position.
+
+Text becomes terms directly: a term's numbers and variable powers multiply
+into one coefficient and one exponent list, and an expression adds its
+terms into one term map, settled once.  Only a parenthesized factor such
+as ``(x2^2+x1*x3)^2`` runs polynomial products and powers.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import add as _add
 from typing import Optional
 
 from .errors import DomainError, PolynomialSyntaxError
 from .ordgroup import GroupElem
-from .poly import Polynomial
+from .poly import Polynomial, _settle, _trusted
 
 DEFAULT_EXPONENT_CAP = 10_000
 
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+# [0-9], not \d: in a str pattern \d also matches non-ASCII digits.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(x[0-9]*)|([-+*^/()])|(\S))")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, value, pos) triples, closed by ("end", None, len(text))."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolynomialSyntaxError("variable needs an index, like x1", i)
-            tokens.append(_Token("var", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        pos = m.start(group)
+        if group == 1:
+            tokens.append(("num", int(m[1]), pos))
+        elif group == 2:
+            if len(m[2]) == 1:
+                raise PolynomialSyntaxError("variable needs an index, like x1", pos)
+            tokens.append(("var", int(m[2][1:]), pos))
+        elif group == 3:
+            tokens.append((m[3], m[3], pos))
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {m[4]!r}", pos)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], nvars: int, exponent_cap: int):
+    def __init__(self, tokens: list[tuple], nvars: int, exponent_cap: int):
         self.tokens = tokens
         self.i = 0
         self.nvars = nvars
         self.exponent_cap = exponent_cap
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise PolynomialSyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise PolynomialSyntaxError(
-                f"expected {kind!r}, found {tok.kind!r}", tok.pos
-            )
-        return self.take()
-
     def parse_expr(self) -> Polynomial:
-        if self.peek().kind == "-":
-            self.take()
-            value = -self.parse_term()
+        terms: dict = {}
+        sign = 1
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
+            sign = -1
+        while True:
+            self.parse_term(terms, sign)
+            kind = self.tokens[self.i][0]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
+                return _trusted(self.nvars, _settle(terms))
+            self.i += 1
+
+    def parse_term(self, terms: dict, sign: int) -> None:
+        """Add sign times the next term into terms."""
+        coeff = sign
+        exps = [0] * self.nvars
+        product: Optional[Polynomial] = None  # of the parenthesized factors
+        while True:
+            kind, value, pos = self.tokens[self.i]
+            self.i += 1
+            if kind == "num":
+                if self.tokens[self.i][0] == "/":
+                    self.i += 1
+                    _, den, den_pos = self.expect("num")
+                    if den == 0:
+                        raise PolynomialSyntaxError("division by zero", den_pos)
+                    value = Fraction(value, den)
+                coeff *= value ** self.exponent()
+            elif kind == "var":
+                if not 1 <= value <= self.nvars:
+                    raise PolynomialSyntaxError(
+                        f"variable x{value} out of range (n = {self.nvars})", pos
+                    )
+                exps[value - 1] += self.exponent()
+            elif kind == "(":
+                inner = self.parse_expr()
+                self.expect(")")
+                e = self.exponent()
+                if e != 1:
+                    inner = inner ** e
+                product = inner if product is None else product * inner
+            else:
+                raise PolynomialSyntaxError(
+                    f"expected a number, variable or '(', found {kind!r}", pos
+                )
+            if self.tokens[self.i][0] != "*":
+                break
+            self.i += 1
+        get = terms.get
+        if product is None:
+            key = tuple(exps)
+            terms[key] = get(key, 0) + coeff
         else:
-            value = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            value = value + term if op.kind == "+" else value - term
+            for mono, c in product.terms.items():
+                key = tuple(map(_add, mono, exps))
+                terms[key] = get(key, 0) + coeff * c
+
+    def exponent(self) -> int:
+        """The '^ nat' after a base, or 1 when there is none."""
+        if self.tokens[self.i][0] != "^":
+            return 1
+        self.i += 1
+        _, value, pos = self.expect("num")
+        if value > self.exponent_cap:
+            raise PolynomialSyntaxError(
+                f"exponent {value} exceeds cap {self.exponent_cap}", pos
+            )
         return value
-
-    def parse_term(self) -> Polynomial:
-        value = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            value = value * self.parse_factor()
-        return value
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_base()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.expect("num")
-            if tok.value > self.exponent_cap:
-                raise PolynomialSyntaxError(
-                    f"exponent {tok.value} exceeds cap {self.exponent_cap}",
-                    tok.pos,
-                )
-            return base ** tok.value
-        return base
-
-    def parse_base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            value = Fraction(tok.value)
-            if self.peek().kind == "/":
-                self.take()
-                den = self.expect("num")
-                if den.value == 0:
-                    raise PolynomialSyntaxError("division by zero", den.pos)
-                value = Fraction(tok.value, den.value)
-            return Polynomial.constant(value, self.nvars)
-        if tok.kind == "var":
-            self.take()
-            if not 1 <= tok.value <= self.nvars:
-                raise PolynomialSyntaxError(
-                    f"variable x{tok.value} out of range (n = {self.nvars})",
-                    tok.pos,
-                )
-            return Polynomial.variable(tok.value - 1, self.nvars)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise PolynomialSyntaxError(
-            f"expected a number, variable or '(', found {tok.kind!r}", tok.pos
-        )
 
 
 def parse_polynomial(
     text: str, nvars: int = 3, exponent_cap: int = DEFAULT_EXPONENT_CAP
 ) -> Polynomial:
     """Parse an expression into a canonical polynomial in nvars variables."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, nvars, exponent_cap)
+    if nvars < 1:
+        raise DomainError("polynomials need at least one variable")
+    parser = _Parser(_tokenize(text), nvars, exponent_cap)
     value = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
+    kind, _, pos = parser.tokens[parser.i]
+    if kind != "end":
         raise PolynomialSyntaxError(
-            f"trailing input starting with {tail.kind!r}"
-            + (" (implicit multiplication is not allowed)" if tail.kind in ("num", "var", "(") else ""),
-            tail.pos,
+            f"trailing input starting with {kind!r}"
+            + (" (implicit multiplication is not allowed)" if kind in ("num", "var", "(") else ""),
+            pos,
         )
     return value
 
@@ -216,6 +211,8 @@ def split_vector_entries(text: str) -> list[str]:
 
 def parse_vector_list(text: str, rank: Optional[int] = None) -> list[GroupElem]:
     """Parse a comma-separated list of vector entries, enforcing one rank."""
+    if rank is not None and rank < 1:
+        raise DomainError(f"rank must be at least 1, got {rank}")
     entries = [parse_vector(p) for p in split_vector_entries(text)]
     if not entries:
         raise DomainError("empty entry list")

@@ -477,6 +477,8 @@ def realizability_table(
     returned: classify_total's under total degree (weight None), and
     classify_weighted's under an integer weight triple.
     """
+    if type(max_degree) is not int or max_degree < 1:
+        raise DomainError(f"max_degree must be an int >= 1, got {max_degree!r}")
     if registry is None:
         registry = builtin_registry()
     w = None if weight is None else (

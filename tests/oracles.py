@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: plain enumeration, dynamic
 programming and schoolbook polynomial arithmetic on plain dicts with
-Fraction coefficients, independent of the library's algorithms.  Two
+Fraction coefficients, independent of the library's algorithms.  Three
 exceptions are earlier, simpler versions of library code kept as
 references for their faster replacements: ``frac_dependent_pair`` finds the
-ratio of a pair with Fraction, and ``eager_weighted_conditions`` evaluates
-K1..K5, A1..A3, B1..B2 and formats every clause at once.
+ratio of a pair with Fraction, ``eager_weighted_conditions`` evaluates
+K1..K5, A1..A3, B1..B2 and formats every clause at once, and
+``factor_parse_polynomial`` parses an expression through one Polynomial
+per factor.
 
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
@@ -29,7 +31,7 @@ from tamedeg.classifier import (
     check_total_abc,
     delta_lower_bound,
 )
-from tamedeg.errors import DomainError
+from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
     NEG_INF,
     GroupElem,
@@ -325,6 +327,153 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
         put("B2", total < l + star,
             (_cmp("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star, total < l + star),))
     return out
+
+
+class _FactorToken:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value, pos: int):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+
+def _factor_tokenize(text: str) -> list[_FactorToken]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_FactorToken("num", int(text[i:j]), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise PolynomialSyntaxError("variable needs an index, like x1", i)
+            tokens.append(_FactorToken("var", int(text[i + 1 : j]), i))
+            i = j
+            continue
+        if ch in "+-*^/()":
+            tokens.append(_FactorToken(ch, ch, i))
+            i += 1
+            continue
+        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(_FactorToken("end", None, n))
+    return tokens
+
+
+class _FactorParser:
+    def __init__(self, tokens: list[_FactorToken], nvars: int, exponent_cap: int):
+        self.tokens = tokens
+        self.i = 0
+        self.nvars = nvars
+        self.exponent_cap = exponent_cap
+
+    def peek(self) -> _FactorToken:
+        return self.tokens[self.i]
+
+    def take(self) -> _FactorToken:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> _FactorToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise PolynomialSyntaxError(
+                f"expected {kind!r}, found {tok.kind!r}", tok.pos
+            )
+        return self.take()
+
+    def parse_expr(self) -> Polynomial:
+        if self.peek().kind == "-":
+            self.take()
+            value = -self.parse_term()
+        else:
+            value = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            term = self.parse_term()
+            value = value + term if op.kind == "+" else value - term
+        return value
+
+    def parse_term(self) -> Polynomial:
+        value = self.parse_factor()
+        while self.peek().kind == "*":
+            self.take()
+            value = value * self.parse_factor()
+        return value
+
+    def parse_factor(self) -> Polynomial:
+        base = self.parse_base()
+        if self.peek().kind == "^":
+            self.take()
+            tok = self.expect("num")
+            if tok.value > self.exponent_cap:
+                raise PolynomialSyntaxError(
+                    f"exponent {tok.value} exceeds cap {self.exponent_cap}",
+                    tok.pos,
+                )
+            return base ** tok.value
+        return base
+
+    def parse_base(self) -> Polynomial:
+        tok = self.peek()
+        if tok.kind == "num":
+            self.take()
+            value = Fraction(tok.value)
+            if self.peek().kind == "/":
+                self.take()
+                den = self.expect("num")
+                if den.value == 0:
+                    raise PolynomialSyntaxError("division by zero", den.pos)
+                value = Fraction(tok.value, den.value)
+            return Polynomial.constant(value, self.nvars)
+        if tok.kind == "var":
+            self.take()
+            if not 1 <= tok.value <= self.nvars:
+                raise PolynomialSyntaxError(
+                    f"variable x{tok.value} out of range (n = {self.nvars})",
+                    tok.pos,
+                )
+            return Polynomial.variable(tok.value - 1, self.nvars)
+        if tok.kind == "(":
+            self.take()
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        raise PolynomialSyntaxError(
+            f"expected a number, variable or '(', found {tok.kind!r}", tok.pos
+        )
+
+
+def factor_parse_polynomial(
+    text: str, nvars: int = 3, exponent_cap: int = 10_000
+) -> Polynomial:
+    """The expression parser as it was before terms were built straight
+    from the text: every factor becomes a Polynomial and every operator a
+    ring operation.  Reference for ASCII input only (it reads digits with
+    str.isdigit, so it takes non-ASCII digits that the library rejects)."""
+    tokens = _factor_tokenize(text)
+    parser = _FactorParser(tokens, nvars, exponent_cap)
+    value = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise PolynomialSyntaxError(
+            f"trailing input starting with {tail.kind!r}"
+            + (" (implicit multiplication is not allowed)" if tail.kind in ("num", "var", "(") else ""),
+            tail.pos,
+        )
+    return value
 
 
 # Helpers moved out of the library: only the invariant suites call them.

@@ -1,8 +1,11 @@
 import json
 import random
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     Polynomial,
@@ -15,6 +18,7 @@ from tamedeg import (
 )
 from tamedeg.cli import main
 from tamedeg.errors import DomainError
+from oracles import factor_parse_polynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +39,58 @@ def random_poly(rng, nvars=3):
 
         p = p + Polynomial.monomial(expo, Fraction(num, den))
     return p
+
+
+_NON_DIGITS = [c for c in string.printable if not c.isdigit()]
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    """ASCII text in the expression grammar: rationals, variables in and out
+    of range, powers, a leading minus and nested parentheses, at most one
+    parenthesized factor per term so that expansions stay small."""
+
+    def factor(parens):
+        kind = draw(st.integers(0, 3 if parens else 2))
+        if kind == 0:
+            base = draw(st.sampled_from(["0", "1", "2", "3", "10", "007"]))
+        elif kind == 1:
+            num = draw(st.sampled_from(["1", "2", "6"]))
+            base = num + "/" + draw(st.sampled_from(["1", "2", "3", "4", "1", "2", "3", "0"]))
+        elif kind == 2:
+            base = draw(st.sampled_from(["x1", "x2", "x3", "x01", "x1", "x2", "x3", "x4", "x0"]))
+        else:
+            base = "(" + draw(_expressions(depth - 1)) + ")"
+        if draw(st.booleans()):
+            base += "^" + draw(st.sampled_from(["0", "1", "2", "3", "03"]))
+        return base, kind == 3
+
+    def term():
+        factors, parens = [], depth > 0
+        for _ in range(draw(st.integers(1, 3))):
+            text, nested = factor(parens)
+            factors.append(text)
+            parens = parens and not nested
+        return "*".join(factors)
+
+    text = draw(st.sampled_from(["", "-"])) + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from(["+", "-", " + ", " - "])) + term()
+    return text
+
+
+@st.composite
+def _mutated_expressions(draw):
+    """Grammar text with a few non-digit ASCII characters inserted or
+    deleted, or plain ASCII text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(st.characters(max_codepoint=127), max_size=20))
+    text = draw(_expressions())
+    edits = st.tuples(st.integers(0, 200), st.sampled_from(_NON_DIGITS + [""]))
+    for pos, ch in draw(st.lists(edits, max_size=2)):
+        pos %= len(text) + 1
+        text = text[:pos] + ch + text[pos:] if ch else text[:pos] + text[pos + 1 :]
+    return text
 
 
 class TestParser:
@@ -72,6 +128,41 @@ class TestParser:
             parse_polynomial("(x1")
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x1^999999", exponent_cap=100)
+
+    def test_needs_a_variable(self):
+        with pytest.raises(DomainError, match="at least one variable"):
+            parse_polynomial("1", nvars=0)
+
+    @pytest.mark.parametrize("text, char, position", [("x1^²", "²", 3), ("٣*x1", "٣", 0)])
+    def test_non_ascii_digits_are_rejected(self, text, char, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+    def test_terms_need_no_polynomial_arithmetic(self, monkeypatch):
+        expected = Polynomial(3, {(3, 1, 0): -2, (0, 0, 1): 1})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial arithmetic on a plain term")
+
+        monkeypatch.setattr("tamedeg.poly.multiply", refuse)
+        monkeypatch.setattr("tamedeg.poly.power", refuse)
+        assert parse_polynomial("-2*x1^3*x2 + x3") == expected
+        with pytest.raises(AssertionError):
+            parse_polynomial("(x1 + x2)^2")
+
+    @given(_mutated_expressions(), st.sampled_from([3, 3, 2, 1]), st.sampled_from([10_000, 10_000, 3, 2, 0]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_factorwise_parser(self, text, nvars, cap):
+        def outcome(parse):
+            try:
+                f = parse(text, nvars=nvars, exponent_cap=cap)
+            except PolynomialSyntaxError as exc:
+                return str(exc), exc.position
+            return f.nvars, {m: (c, type(c)) for m, c in f.terms.items()}
+
+        assert outcome(parse_polynomial) == outcome(factor_parse_polynomial)
 
     def test_parse_render_identity_500(self):
         rng = random.Random(71)
@@ -403,6 +494,30 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("error:") and "Traceback" not in err
         assert "witness realizes multidegree (1, 1, 1), expected (2, 3, 4)" in err
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_table_bound_below_one(self, capsys, bound):
+        code, out, err = run_cli(capsys, "table", "--max", bound)
+        assert code == 3 and out == ""
+        assert err == f"error: --max must be at least 1, got {bound}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wstar", "1", "1", "1", "--rank", "0"],
+         ["classify-weighted", "--deg", "1,2,3", "--weight", "1,1,1", "--rank", "-2"]],
+    )
+    def test_rank_below_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == f"error: rank must be at least 1, got {argv[-1]}\n"
+
+    def test_non_ascii_digit_is_a_positioned_syntax_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "certify-wild", "--f1", "x1^²", "--f2", "x2", "--f3", "x3",
+            "--weight", "1,1,1",
+        )
+        assert code == 3
+        assert err == "error: unexpected character '²' (at position 3)\n"
 
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")

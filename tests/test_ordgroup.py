@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import permutations, product
 
@@ -61,6 +62,23 @@ class TestLexOrder:
             return
         ga, gb, gc = GroupElem(a), GroupElem(b), GroupElem(c)
         assert (ga < gb) == (ga + gc < gb + gc)
+
+    @pytest.mark.parametrize(
+        "op, against_neg_inf",
+        [(operator.lt, False), (operator.le, False), (operator.gt, True),
+         (operator.ge, True), (operator.add, NEG_INF), (operator.sub, TypeError)],
+    )
+    def test_operators_check_their_operand(self, op, against_neg_inf):
+        with pytest.raises(RankMismatchError, match="rank mismatch: 2 vs 3"):
+            op(ge(1, 2), ge(1, 2, 3))
+        for other in (5, (1, 2), None):
+            with pytest.raises(TypeError, match="expected GroupElem"):
+                op(ge(1, 2), other)
+        if against_neg_inf is TypeError:
+            with pytest.raises(TypeError):
+                op(ge(1, 2), NEG_INF)
+        else:
+            assert op(ge(1, 2), NEG_INF) is against_neg_inf
 
     def test_neg_inf_below_everything(self):
         assert NEG_INF < ge(-100, -100)

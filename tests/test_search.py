@@ -10,6 +10,7 @@ from tamedeg import (
     NEG_INF,
     Budget,
     DeltaBoundRegistry,
+    DomainError,
     Excluded,
     Realizable,
     SchemaVersionError,
@@ -398,8 +399,10 @@ class TestRealizabilityTable:
             if entry.kind == "realizable":
                 assert mdeg(realize(entry.witness)) == (d1, d2, d3)
 
-    def test_empty_range(self):
-        assert realizability_table(0) == {}
+    def test_bound_below_one_is_rejected(self):
+        for bound in (0, -3, True, 2.5, "3"):
+            with pytest.raises(DomainError, match="max_degree"):
+                realizability_table(bound)
 
     def test_registry_changes_single_cell(self):
         empty = realizability_table(6, registry=DeltaBoundRegistry.empty())
