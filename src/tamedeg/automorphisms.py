@@ -19,11 +19,17 @@ is the product of its step scales by the chain rule.  Where the degree
 calculus cannot rule out a cancellation of top-degree terms, as in the
 staircase of intro_family, the witness is realized under a budget and its
 multidegree and Jacobian are recomputed from the expansion.
+
+Because of that final check, the parts of a witness are built cheaply:
+the template shears of _witness_word are made with the trusted
+constructors once the degrees have been validated, and permutation words
+are memoized and shared.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +53,7 @@ from .poly import (
     _pack_width,
     _psubstitute,
     _settle,
+    _trusted,
     _unpack,
     degree_w,
     jacobian_det,
@@ -54,6 +61,9 @@ from .poly import (
 )
 
 DEFAULT_TERM_BUDGET = 200_000
+
+_ONE = Fraction(1)  # the scale of every template shear
+_SCALE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a step's scale in to_json
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,8 @@ class ElementaryAut:
     shift: Polynomial
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        if type(self.scale) is not Fraction:
+            object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale == 0:
             raise DomainError("elementary step needs a nonzero scale")
         n = self.shift.nvars
@@ -154,11 +165,19 @@ class TameWord:
 
     @classmethod
     def from_json(cls, steps: Sequence[dict]) -> "TameWord":
-        """Inverse of to_json for a word in three variables."""
+        """Inverse of to_json for a word in three variables.  A scale that
+        is not an integer or "num/den" with den > 0 raises DomainError
+        naming its 1-based step."""
         out = []
-        for s in steps:
-            num, _, den = s["scale"].partition("/")
-            scale = Fraction(int(num), int(den) if den else 1)
+        for k, s in enumerate(steps, 1):
+            text = s["scale"]
+            m = _SCALE.fullmatch(text) if isinstance(text, str) else None
+            try:
+                scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
+            except (ValueError, ZeroDivisionError):  # past int()'s digit limit; n/0
+                scale = None
+            if scale is None:
+                raise DomainError(f"step {k}: malformed scale {text!r}")
             out.append(
                 ElementaryAut(s["target"] - 1, scale, parse_polynomial(s["shift"]))
             )
@@ -353,19 +372,21 @@ def _point(nvars: int) -> tuple[int, ...]:
 def _top(combo: dict, atoms: list) -> Optional[tuple[int, int]]:
     """(degree, leading-form value) of the linear combination combo of
     atoms, or None when its top-degree atoms may cancel."""
-    if not combo:
-        return None
-    best = max(atoms[a][0] for a in combo)
-    value = 0
+    best, value = -1, 0  # value None: a top coefficient has no residue
     for a, c in combo.items():
         degree, lead = atoms[a]
-        if degree == best:
-            if type(c) is not int:
-                if c.denominator % _P == 0:  # no residue mod _P
-                    return None
-                c = c.numerator * pow(c.denominator, -1, _P)
-            value += c * lead
-    value %= _P
+        if degree > best:
+            best, value = degree, 0
+        elif degree < best or value is None:
+            continue
+        if type(c) is not int:
+            if c.denominator % _P == 0:
+                value = None
+                continue
+            c = c.numerator * pow(c.denominator, -1, _P)
+        value += c * lead
+    if value:
+        value %= _P
     return (best, value) if value else None
 
 
@@ -468,22 +489,19 @@ def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
     if not (1 <= d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 1 <= d1 <= d2 <= d3")
     member = semigroup_member(GroupElem((d3,)), GroupElem((d1,)), GroupElem((d2,)))
+    # GroupElem accepted d1, d2, d3 as ints and a, b are nonnegative ints, so
+    # each shift below is a valid monomial that avoids its step's target
     if member is not None:
         a, b = member
-        steps = (
-            shear(0, Polynomial.monomial((0, 0, d1))),
-            shear(1, Polynomial.monomial((0, 0, d2))),
-            shear(2, Polynomial.monomial((a, b, 0))),
-        )
+        shears = ((0, (0, 0, d1)), (1, (0, 0, d2)), (2, (a, b, 0)))
     elif d2 % d1 == 0:
-        steps = (
-            shear(2, Polynomial.monomial((d3, 0, 0))),
-            shear(0, Polynomial.monomial((0, d1, 0))),
-            shear(1, Polynomial.monomial((d2 // d1, 0, 0))),
-        )
+        shears = ((2, (d3, 0, 0)), (0, (0, d1, 0)), (1, (d2 // d1, 0, 0)))
     else:
         return None
-    return TameWord(steps, 3)
+    return TameWord(
+        tuple(ElementaryAut._trusted(t, _ONE, _trusted(3, {e: 1})) for t, e in shears),
+        3,
+    )
 
 
 def semigroup_witness(
@@ -587,9 +605,20 @@ def transposition_word(i: int, j: int, nvars: int = 3) -> TameWord:
 
 
 def permutation_word(perm: Sequence[int], nvars: int = 3) -> TameWord:
-    """Expand a permutation of the variables into transposition words."""
+    """Expand a permutation of the variables into transposition words.
+
+    perm is validated on every call; the word is then memoized on
+    (tuple(perm), nvars), so a bad perm raises each time and is never
+    cached.  Equal permutations get the same word object, with steps
+    shared among the words: like every TameWord, ElementaryAut and
+    Polynomial, they must never be mutated."""
     if sorted(perm) != list(range(nvars)):
         raise DomainError(f"{perm} is not a permutation of 0..{nvars - 1}")
+    return _permutation_word(tuple(perm), nvars)
+
+
+@lru_cache(maxsize=64)
+def _permutation_word(perm: tuple[int, ...], nvars: int) -> TameWord:
     current = list(range(nvars))
     word = TameWord((), nvars)
     for pos in range(nvars):

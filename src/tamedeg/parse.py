@@ -25,6 +25,7 @@ as ``(x2^2+x1*x3)^2`` runs polynomial products and powers.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import add as _add
 from typing import Optional
@@ -46,17 +47,31 @@ def _tokenize(text: str) -> list[tuple]:
         group = m.lastindex
         pos = m.start(group)
         if group == 1:
-            tokens.append(("num", int(m[1]), pos))
+            tokens.append(("num", _nat(m[1], pos), pos))
         elif group == 2:
             if len(m[2]) == 1:
                 raise PolynomialSyntaxError("variable needs an index, like x1", pos)
-            tokens.append(("var", int(m[2][1:]), pos))
+            tokens.append(("var", _nat(m[2][1:], pos), pos))
         elif group == 3:
             tokens.append((m[3], m[3], pos))
         else:
             raise PolynomialSyntaxError(f"unexpected character {m[4]!r}", pos)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _nat(digits: str, pos: int) -> int:
+    """The value of ASCII digits, or a syntax error at pos when there are
+    more of them than Python's int-string digit limit lets int() read
+    (the only way int() fails on [0-9]+)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolynomialSyntaxError(
+            f"{len(digits)}-digit number exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            pos,
+        ) from None
 
 
 class _Parser:

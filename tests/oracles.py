@@ -15,7 +15,9 @@ the invariant suites call, built on the library's public kernel:
 ``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian),
 ``power_dependence`` (whether h1 == c * h2**l), and
 ``lemma_a_conditions`` with its ``LemmaAReport`` (arithmetic screens that
-imply condition (a) of the total-degree criterion).
+imply condition (a) of the total-degree criterion).  ``public_witness_word``
+builds the total-degree witness of ``classify_total`` through the public,
+validating constructors only.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
+from tamedeg.automorphisms import TameWord, shear, transposition_word
 from tamedeg.classifier import (
     Clause,
     Condition,
@@ -558,3 +561,34 @@ def lemma_a_conditions(d1: int, d2: int, d3: int) -> LemmaAReport:
     put("6", odd1 and (3 * d2 != 2 * d3 or 2 * d1 <= d2 + 5),
         f"d1'={r1} odd and (3*d2={3 * d2} != 2*d3={2 * d3} or 2*d1={2 * d1} <= d2+5={d2 + 5})")
     return LemmaAReport(tuple(conds), check_total_abc(d1, d2, d3).holds("c"))
+
+
+def public_witness_word(asked) -> Optional[TameWord]:
+    """The witness classify_total returns for the triple asked (any order),
+    or None when neither semigroup template applies: the template of the
+    sorted triple built through public shear and Polynomial.monomial, then
+    the permutation that carries the sorted triple to asked, expanded into
+    transposition words on every call."""
+    ordered = sorted(asked)
+    d1, d2, d3 = ordered
+    member = semigroup_member(GroupElem((d3,)), GroupElem((d1,)), GroupElem((d2,)))
+    if member is not None:
+        a, b = member
+        shears = ((0, (0, 0, d1)), (1, (0, 0, d2)), (2, (a, b, 0)))
+    elif d2 % d1 == 0:
+        shears = ((2, (d3, 0, 0)), (0, (0, d1, 0)), (1, (d2 // d1, 0, 0)))
+    else:
+        return None
+    word = TameWord(tuple(shear(t, Polynomial.monomial(e)) for t, e in shears), 3)
+    # perm[i] indexes the sorted triple: a stable sort takes equal degrees
+    # left to right
+    perm = [0, 0, 0]
+    for k, i in enumerate(sorted(range(3), key=lambda i: asked[i])):
+        perm[i] = k
+    current = [0, 1, 2]
+    for pos in range(3):
+        at = current.index(perm[pos])
+        if at != pos:
+            word = word + transposition_word(pos, at, 3)
+            current[pos], current[at] = current[at], current[pos]
+    return word

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from tamedeg import (
     Budget,
     BudgetExceededError,
+    ConstructionError,
     DegreeCapError,
     DomainError,
     ElementaryAut,
     Endo,
     Polynomial,
     TameWord,
+    classify_total,
     compose,
     deg_w_total,
     ge,
@@ -29,7 +32,7 @@ from tamedeg import (
     shear,
     transposition_word,
 )
-from tamedeg.automorphisms import _witness_word, certified_mdeg
+from tamedeg.automorphisms import _P, _permutation_word, _witness_word, certified_mdeg
 from tamedeg.classifier import _matching_permutation
 from oracles import (
     frac_add,
@@ -37,6 +40,7 @@ from oracles import (
     frac_substitute,
     frac_terms,
     power_dependence,
+    public_witness_word,
     triple_semigroup_member,
     wedge3_degree,
 )
@@ -120,6 +124,14 @@ class TestCertifiedMdeg:
         assert certified_mdeg(word) is None
         assert mdeg(realize(word)) == (2, 2, 1)
 
+    def test_top_coefficient_without_residue_falls_back(self):
+        # 1/_P has no residue mod _P: undecided at the top, harmless below it
+        tiny = Fraction(1, _P)
+        word = TameWord((ElementaryAut(0, tiny, Polynomial.zero(3)),), 3)
+        assert certified_mdeg(word) is None
+        word = TameWord((ElementaryAut(0, tiny, mono3(0, 2, 0)),), 3)
+        assert certified_mdeg(word) == mdeg(realize(word)) == (2, 1, 1)
+
     def test_staircase_top_cancellation_falls_back(self):
         _, word = intro_family((2, 3))
         assert certified_mdeg(word) is None
@@ -148,6 +160,21 @@ class TestElementarySteps:
     def test_zero_scale_rejected(self):
         with pytest.raises(DomainError):
             ElementaryAut(0, Fraction(0), X2)
+        with pytest.raises(DomainError):
+            ElementaryAut(0, 0, X2)
+
+    def test_scale_becomes_a_fraction_once(self):
+        half = Fraction(1, 2)
+        assert ElementaryAut(0, half, X2).scale is half
+        for scale in (3, -1, 0.5, "2/3"):
+            step = ElementaryAut(0, scale, X2)
+            assert type(step.scale) is Fraction
+            assert step.scale == Fraction(scale)
+
+    def test_target_out_of_range_rejected(self):
+        for target in (-1, 3):
+            with pytest.raises(DomainError, match="out of range"):
+                ElementaryAut(target, Fraction(1), X2)
 
     def test_inverse_examples(self):
         step = shear(2, mono3(2, 0, 0))
@@ -270,6 +297,58 @@ class TestPermutationHelpers:
         endo = realize(permutation_word((2, 0, 1), 3))
         assert endo.components == (X3, X1, X2)
 
+    def test_list_and_tuple_give_one_word(self):
+        for perm in ((2, 0, 1), (1, 0, 2), (0, 1, 2)):
+            word = permutation_word(list(perm), 3)
+            assert word == permutation_word(perm, 3)
+            assert word is permutation_word(perm, 3)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], (1, 2, 3), [0, 1]])
+    def test_bad_permutation_raises_every_time(self, perm):
+        before = _permutation_word.cache_info()
+        for _ in range(3):
+            with pytest.raises(DomainError) as err:
+                permutation_word(perm, 3)
+            assert str(err.value) == f"{perm} is not a permutation of 0..2"
+        after = _permutation_word.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+class TestWordJson:
+    def test_round_trip(self):
+        word = TameWord(
+            (
+                shear(0, mono3(0, 2, 1, Fraction(-3, 2))),
+                ElementaryAut(2, Fraction(-2, 3), X1 + X2),
+                ElementaryAut(1, Fraction(5), Polynomial.zero(3)),
+            ),
+            3,
+        )
+        assert TameWord.from_json(word.to_json()) == word
+
+    def test_integer_scale_without_denominator(self):
+        loaded = TameWord.from_json([{"target": 1, "scale": "-4", "shift": "x2"}])
+        assert loaded.steps[0].scale == -4
+
+    @pytest.mark.parametrize("scale", ["1/0", "a", "1.5", "", "1/", "+1", " 1", "1/-2", 2])
+    def test_malformed_scale_names_its_step(self, scale):
+        steps = [
+            {"target": 1, "scale": "1/1", "shift": "x2"},
+            {"target": 2, "scale": scale, "shift": "x3"},
+        ]
+        with pytest.raises(DomainError) as err:
+            TameWord.from_json(steps)
+        assert str(err.value) == f"step 2: malformed scale {scale!r}"
+
+    def test_over_long_scale_names_its_step(self):
+        digits = "7" * 5000
+        with pytest.raises(DomainError, match="^step 1: malformed scale"):
+            TameWord.from_json([{"target": 1, "scale": digits, "shift": "x2"}])
+
+    def test_zero_scale_still_rejected(self):
+        with pytest.raises(DomainError, match="nonzero scale"):
+            TameWord.from_json([{"target": 1, "scale": "0/1", "shift": "x2"}])
+
 
 class TestMultidegrees:
     def test_identity(self):
@@ -312,6 +391,39 @@ class TestSemigroupWitness:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             semigroup_witness(3, 2, 4)
+
+    def test_non_integer_degrees_rejected(self):
+        for triple in ((2.0, 3, 4), (2, 3, 4.0), (1, 1.5, 2)):
+            with pytest.raises(DomainError):
+                semigroup_witness(*triple)
+
+    def test_classify_total_matches_public_oracle(self):
+        checked = 0
+        for asked in itertools.product(range(1, 15), repeat=3):
+            expected = public_witness_word(asked)
+            result = classify_total(*asked)
+            if expected is None:
+                assert result.kind != "realizable", asked
+                continue
+            assert result.kind == "realizable", asked
+            assert result.witness.to_json() == expected.to_json(), asked
+            assert result.witness.render() == expected.render(), asked
+            checked += 1
+        assert checked > 1500
+
+    def test_wrong_template_exponent_is_caught(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+        from tamedeg.poly import _trusted
+
+        def bumped(nvars, terms):
+            # every nonzero exponent of a template shift one too high; the
+            # shifts still avoid their targets
+            return _trusted(nvars, {tuple(e + (e > 0) for e in m): c for m, c in terms.items()})
+
+        monkeypatch.setattr(automorphisms, "_trusted", bumped)
+        for asked in ((2, 3, 4), (4, 2, 3), (3, 6, 7), (7, 3, 6)):
+            with pytest.raises(ConstructionError):
+                classify_total(*asked)
 
     def test_exhaustive_small(self):
         for d1 in range(1, 9):

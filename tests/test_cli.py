@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,25 @@ class TestParser:
             parse_polynomial(text)
         assert err.value.position == position
         assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [("", "*x1"), ("x2 + 3*", "*x1"), ("x1^", ""), ("x2 - x", ""), ("x1 + 2/", "")],
+    )
+    def test_over_long_numbers_are_positioned_syntax_errors(self, head, tail):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(head + "7" * (limit + 1) + tail)
+        position = len(head) - (head[-1:] == "x")
+        assert err.value.position == position
+        assert str(err.value) == (
+            f"{limit + 1}-digit number exceeds Python's limit of {limit} digits"
+            f" (at position {position})"
+        )
+
+    def test_numbers_at_the_digit_limit_parse(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        assert parse_polynomial(digits + "*x1") == Polynomial.monomial((1, 0, 0), int(digits))
 
     def test_terms_need_no_polynomial_arithmetic(self, monkeypatch):
         expected = Polynomial(3, {(3, 1, 0): -2, (0, 0, 1): 1})
@@ -518,6 +538,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert err == "error: unexpected character '²' (at position 3)\n"
+
+    def test_over_long_literal_is_a_positioned_syntax_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "certify-wild", "--f1", "1" * 5000 + "*x1", "--f2", "x2", "--f3", "x3",
+            "--weight", "1,1,1",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: 5000-digit number exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits (at position 0)\n"
+        )
 
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
