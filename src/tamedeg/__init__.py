@@ -79,7 +79,6 @@ from .poly import (
     Polynomial,
     degree_w,
     jacobian_det,
-    leading_form,
     partial,
     render,
     substitute,

@@ -165,12 +165,27 @@ class TameWord:
 
     @classmethod
     def from_json(cls, steps: Sequence[dict]) -> "TameWord":
-        """Inverse of to_json for a word in three variables.  A scale that
-        is not an integer or "num/den" with den > 0 raises DomainError
+        """Inverse of to_json for a word in three variables.  A step that is
+        not an object with the keys target, scale and shift, a target that
+        is not an int in 1..3, a shift that is not a string, or a scale
+        that is not an integer or "num/den" with den > 0 raises DomainError
         naming its 1-based step."""
         out = []
         for k, s in enumerate(steps, 1):
-            text = s["scale"]
+            if not isinstance(s, dict):
+                raise DomainError(f"step {k}: expected an object, not {type(s).__name__}")
+            try:
+                target, text, shift = s["target"], s["scale"], s["shift"]
+            except KeyError as exc:
+                raise DomainError(f"step {k}: missing key {exc.args[0]!r}") from None
+            if type(target) is not int or not 1 <= target <= 3:
+                if type(target) is not int:
+                    shown = type(target).__name__
+                else:  # str() of an int past 4,300 digits raises ValueError
+                    shown = target if target.bit_length() <= 64 else "a larger int"
+                raise DomainError(f"step {k}: target must be an int in 1..3, not {shown}")
+            if not isinstance(shift, str):
+                raise DomainError(f"step {k}: shift must be a string, not {type(shift).__name__}")
             m = _SCALE.fullmatch(text) if isinstance(text, str) else None
             try:
                 scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
@@ -178,9 +193,7 @@ class TameWord:
                 scale = None
             if scale is None:
                 raise DomainError(f"step {k}: malformed scale {text!r}")
-            out.append(
-                ElementaryAut(s["target"] - 1, scale, parse_polynomial(s["shift"]))
-            )
+            out.append(ElementaryAut(target - 1, scale, parse_polynomial(shift)))
         return cls(tuple(out), 3)
 
 

@@ -14,8 +14,10 @@ total-degree criteria, and 1..2 for the independent-weights criterion.
 
 Deciding comes before explaining.  Whether a condition holds is decided at
 once, in exact integer arithmetic; the text of its clauses is built only
-when the condition is read, as a certificate does.  An Unknown verdict,
-which keeps only the names of the failed conditions, builds no text.
+when its clauses are first read.  That holds inside a certificate too: an
+Excluded verdict or a wildness certificate builds no text until its
+clauses, describe() or to_json() are read.  An Unknown verdict, which keeps
+only the names of the failed conditions, builds none at all.
 
 The quantity Delta(d, e) (minimal wedge degree over tame maps with two
 prescribed component degrees) is never computed exactly; every use is
@@ -79,11 +81,50 @@ class Clause:
         return f"{self.left} {self.relation}{right} [{mark}]"
 
 
-@dataclass(frozen=True)
 class Condition:
-    name: str
-    holds: bool
-    clauses: tuple[Clause, ...]
+    """A named condition, whether it holds, and the clauses that show why.
+
+    Condition(name, holds, clauses) stores its clauses as given.  A
+    condition from a ConditionReport is made by _deferred with a builder
+    instead: the clauses are built on the first read of .clauses and kept,
+    and the builder is dropped.  Equality, hash and repr are those of the
+    value (name, holds, clauses), so they read the clauses."""
+
+    __slots__ = ("name", "holds", "_clauses", "_build")
+
+    def __init__(self, name: str, holds: bool, clauses: tuple[Clause, ...]):
+        self.name, self.holds, self._clauses, self._build = name, holds, clauses, None
+
+    @classmethod
+    def _deferred(
+        cls, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]
+    ) -> "Condition":
+        cond = cls.__new__(cls)
+        cond.name, cond.holds, cond._clauses, cond._build = name, holds, None, build
+        return cond
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        if self._build is not None:
+            self._clauses, self._build = tuple(self._build()), None
+        return self._clauses
+
+    def _key(self) -> tuple:
+        return (self.name, self.holds, self.clauses)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Condition(name={self.name!r}, holds={self.holds!r}, clauses={self.clauses!r})"
+
+    def __reduce__(self):
+        return (Condition, self._key())
 
     def describe(self) -> str:
         mark = "+" if self.holds else "x"
@@ -388,11 +429,12 @@ class ConditionReport:
     explains on demand.
 
     put() stores whether a condition holds at once, together with a
-    zero-argument builder of its clauses.  The builder runs only when the
-    condition is first read through __getitem__ or conditions(), and the
-    Condition it yields is memoized.  holds(), failed_names() and ``in``
-    never build clause text, so a verdict that keeps only the failed names
-    pays for no formatting.
+    zero-argument builder of its clauses.  __getitem__ and conditions()
+    return memoized Conditions that carry the builder; it runs when the
+    condition's clauses are first read, which may be long after the report
+    is gone, inside a certificate.  holds(), failed_names(), ``in`` and
+    reading a Condition's name or holds never build clause text, so a
+    verdict pays for formatting only when it is explained.
     """
 
     def __init__(self):
@@ -407,8 +449,9 @@ class ConditionReport:
     def __getitem__(self, name: str) -> Condition:
         cond = self._built.get(name)
         if cond is None:
-            clauses = tuple(self._builders[name]())
-            cond = self._built[name] = Condition(name, self._holds[name], clauses)
+            cond = self._built[name] = Condition._deferred(
+                name, self._holds[name], self._builders[name]
+            )
         return cond
 
     def __contains__(self, name: str) -> bool:
@@ -853,24 +896,20 @@ def certify_wild(
         wedge = wedge2_degree(f1, f2, w)
         total = d1 + d2 + d3
         ok = wedge is not NEG_INF and total < l + wedge
-        clause = Clause(
-            left=f"d1+d2+d3 = {_fmt(total)}",
-            relation="<",
-            right=f"lcm(d1,d2)+deg_w(df1^df2) = "
-            + (_fmt(l + wedge) if wedge is not NEG_INF else "lcm+(-inf)"),
-            holds=ok,
-        )
-        conditions.append(Condition("prop:main", ok, (clause,)))
         if not ok:
             return Unknown(("prop:main",))
+        conditions.append(Condition._deferred("prop:main", True, lambda: (
+            Clause(
+                left=f"d1+d2+d3 = {_fmt(total)}",
+                relation="<",
+                right=f"lcm(d1,d2)+deg_w(df1^df2) = {_fmt(l + wedge)}",
+                holds=True,
+            ),
+        )))
     else:
-        conditions.append(
-            Condition(
-                "1",
-                True,
-                (Clause("d1, d2", "linearly independent over Z", "", True),),
-            )
-        )
+        conditions.append(Condition._deferred("1", True, lambda: (
+            Clause("d1, d2", "linearly independent over Z", "", True),
+        )))
     return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(tracker.uses))
 
 

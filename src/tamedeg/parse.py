@@ -157,9 +157,9 @@ class _Parser:
         self.i += 1
         _, value, pos = self.expect("num")
         if value > self.exponent_cap:
-            raise PolynomialSyntaxError(
-                f"exponent {value} exceeds cap {self.exponent_cap}", pos
-            )
+            digits = str(value)  # past 20 digits, name the length, not the value
+            what = f"exponent {digits}" if len(digits) <= 20 else f"{len(digits)}-digit exponent"
+            raise PolynomialSyntaxError(f"{what} exceeds cap {self.exponent_cap}", pos)
         return value
 
 

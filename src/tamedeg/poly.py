@@ -13,7 +13,7 @@ exponent tuple has length nvars.
 
 Degrees take values in Z^k under a vector of positive weights (one group
 element per variable), with the zero polynomial at minus infinity.  On top
-of the ring operations this module computes leading forms, formal
+of the ring operations this module computes weighted degrees, formal
 partials, degrees of wedge products of differentials and Jacobian
 determinants.
 
@@ -160,13 +160,6 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise DomainError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values())))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -421,24 +414,6 @@ def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> DegreeValue:
         if best is None or val > best:
             best = val
     return best
-
-
-def leading_form(f: Polynomial, weights=None) -> Polynomial:
-    """Sum of the terms of maximal weighted degree; zero for zero input."""
-    ws = coerce_weight_vector(weights, f.nvars)
-    if f.is_zero:
-        return _trusted(f.nvars, {})
-    scored: list[tuple[GroupElem, Monomial]] = []
-    for mono in f.terms:
-        val = GroupElem.zero(ws[0].rank)
-        for e, w in zip(mono, ws):
-            if e:
-                val = val + e * w
-        scored.append((val, mono))
-    top = max(val for val, _ in scored)
-    return _trusted(
-        f.nvars, {mono: f.terms[mono] for val, mono in scored if val == top}
-    )
 
 
 def partial(f: Polynomial, index: int) -> Polynomial:

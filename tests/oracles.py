@@ -13,6 +13,7 @@ per factor.
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
 ``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian),
+``leading_form`` (the terms of top weighted degree), ``constant_value``,
 ``power_dependence`` (whether h1 == c * h2**l), and
 ``lemma_a_conditions`` with its ``LemmaAReport`` (arithmetic screens that
 imply condition (a) of the total-degree criterion).  ``public_witness_word``
@@ -494,6 +495,21 @@ def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):
     return degree_w(jac, ws) + ws[0] + ws[1] + ws[2]
 
 
+def leading_form(f: Polynomial, weights=None) -> Polynomial:
+    """Sum of the terms of maximal weighted degree; zero for zero input."""
+    ws = coerce_weight_vector(weights, f.nvars)
+    scored = [(degree_w(Polynomial.monomial(mono, 1, f.nvars), ws), mono) for mono in f.terms]
+    top = max((val for val, _ in scored), default=None)
+    return Polynomial(f.nvars, {mono: f.terms[mono] for val, mono in scored if val == top})
+
+
+def constant_value(f: Polynomial) -> Fraction:
+    """The value of a constant polynomial as a Fraction (0 for zero)."""
+    if not f.is_constant:
+        raise DomainError("polynomial is not constant")
+    return Fraction(next(iter(f.terms.values()), 0))
+
+
 def power_dependence(h1: Polynomial, h2: Polynomial) -> Optional[tuple[int, Fraction]]:
     """(l, c) with h1 == c * h2**l for a positive integer l and nonzero
     rational c, or None.  The only candidate l is the total-degree ratio."""
@@ -506,7 +522,7 @@ def power_dependence(h1: Polynomial, h2: Polynomial) -> Optional[tuple[int, Frac
     if deg2 == 0:
         if deg1 != 0:
             return None
-        return (1, h1.constant_value() / h2.constant_value())
+        return (1, constant_value(h1) / constant_value(h2))
     if deg1 == 0 or deg1 % deg2 != 0:
         return None
     l = deg1 // deg2

@@ -26,7 +26,6 @@ from tamedeg import (
     ge,
     intro_family,
     is_prime,
-    leading_form,
     least_combination_exceeding,
     mdeg,
     mdeg_w,
@@ -42,6 +41,7 @@ from oracles import (
     dp_representable,
     enum_least_combination,
     enum_w_star,
+    leading_form,
     power_dependence,
     triple_semigroup_member,
     wedge3_degree,
@@ -251,8 +251,6 @@ def test_criterion_6_search_soundness():
 
 def test_criterion_7_invariant_suites():
     with criterion(7, "product rule, wedge total, degree floor, 2-var powers"):
-        from tamedeg import leading_form as lf
-
         rng = random.Random(97)
 
         def random_poly(max_deg=6):
@@ -273,7 +271,7 @@ def test_criterion_7_invariant_suites():
                 continue
             w = [rng.randint(1, 5) for _ in range(3)]
             assert degree_w(f * g, w) == degree_w(f, w) + degree_w(g, w)
-            assert lf(f * g, w) == lf(f, w) * lf(g, w)
+            assert leading_form(f * g, w) == leading_form(f, w) * leading_form(g, w)
             pairs += 1
 
         config = SearchConfig(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from tamedeg import (
     ge,
     intro_family,
     jacobian_det,
-    leading_form,
     mdeg,
     mdeg_w,
     nagata,
@@ -39,6 +39,7 @@ from oracles import (
     frac_scale,
     frac_substitute,
     frac_terms,
+    leading_form,
     power_dependence,
     public_witness_word,
     triple_semigroup_member,
@@ -344,6 +345,46 @@ class TestWordJson:
         digits = "7" * 5000
         with pytest.raises(DomainError, match="^step 1: malformed scale"):
             TameWord.from_json([{"target": 1, "scale": digits, "shift": "x2"}])
+
+    GOOD = {"target": 1, "scale": "1", "shift": "x2"}
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (["target", 1], "expected an object, not list"),
+            ("x2", "expected an object, not str"),
+            ({"scale": "1", "shift": "x2"}, "missing key 'target'"),
+            ({"target": 1, "shift": "x2"}, "missing key 'scale'"),
+            ({"target": 1, "scale": "1"}, "missing key 'shift'"),
+            ({**GOOD, "target": "1"}, "target must be an int in 1..3, not str"),
+            ({**GOOD, "target": 1.0}, "target must be an int in 1..3, not float"),
+            ({**GOOD, "target": True}, "target must be an int in 1..3, not bool"),
+            ({**GOOD, "target": 0}, "target must be an int in 1..3, not 0"),
+            ({**GOOD, "target": 4}, "target must be an int in 1..3, not 4"),
+            ({**GOOD, "target": 10**400}, "target must be an int in 1..3, not a larger int"),
+            ({**GOOD, "shift": 2}, "shift must be a string, not int"),
+            ({**GOOD, "shift": None}, "shift must be a string, not NoneType"),
+        ],
+    )
+    def test_malformed_step_names_its_step(self, step, message):
+        with pytest.raises(DomainError) as err:
+            TameWord.from_json([self.GOOD, self.GOOD, step])
+        assert str(err.value) == f"step 3: {message}"
+
+    def test_malformed_step_in_a_record_file(self, tmp_path):
+        from tamedeg import SearchConfig, load, persist, run_search
+
+        records, _ = run_search(SearchConfig(seed=9, sample_count=5, weights=((1, 1, 1),)))
+        path = tmp_path / "records.jsonl"
+        persist(records[:2], path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["word"] = [self.GOOD, {**self.GOOD, "target": "2"}]
+        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+        loaded = load(path)
+        assert loaded[0].to_word() == records[0].to_word()
+        with pytest.raises(DomainError, match="^step 2: target must be an int in 1..3, not str$"):
+            loaded[1].to_word()
 
     def test_zero_scale_still_rejected(self):
         with pytest.raises(DomainError, match="nonzero scale"):

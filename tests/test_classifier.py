@@ -1,5 +1,7 @@
 import gc
+import pickle
 import random
+from dataclasses import make_dataclass
 from itertools import combinations
 from math import gcd
 
@@ -21,6 +23,7 @@ from tamedeg import (
     Theorem,
     Unknown,
     Weight,
+    as_group_elem,
     builtin_registry,
     certify_wild,
     check_total_abc,
@@ -38,7 +41,7 @@ from tamedeg import (
     shear,
 )
 from tamedeg.automorphisms import _verify_realization
-from tamedeg.classifier import Clause, _DeltaTracker
+from tamedeg.classifier import Clause, Condition, _DeltaTracker
 from tamedeg.ordgroup import GroupElem, _semigroup_solve
 from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
 
@@ -333,12 +336,143 @@ class TestDecideBeforeExplaining:
             assert isinstance(classify_weighted(degrees, weight), Unknown)
         assert isinstance(classify_total(4, 6, 9), Unknown)
         assert built == []
-        # reading a report builds its clauses, once
+        # conditions() builds no clause; reading .clauses builds each once
         rep = check_weighted_conditions(ge(1), ge(2), ge(3), W111)
         first = rep.conditions()
-        assert len(built) == sum(len(c.clauses) for c in first) == 17
-        assert rep.conditions() == first and len(built) == 17
+        assert built == []
+        assert sum(len(c.clauses) for c in first) == 17 and len(built) == 17
+        assert rep.conditions() == first
+        assert sum(len(c.clauses) for c in first) == 17 and len(built) == 17
         assert isinstance(classify_weighted((4, 5, 7), (1, 1, 1)), Excluded)
+        assert len(built) == 17
+
+    # Excluded verdicts and wildness certificates of every theorem: how to
+    # make one, its theorem, the describe() lines of the conditions that
+    # check_weighted_conditions does not make, and (degrees, weight) for
+    # eager_weighted_conditions, which must equal the conditions it does make.
+    CERTIFICATES = {
+        "total-degree": (
+            lambda: classify_total(4, 5, 11).certificate,
+            Theorem.TOTAL_DEGREE,
+            (
+                "a1 + (3*d2 = 15 != 2*d3 = 22 [yes]; odd s >= 3 with s*d1 = 2*d3 none [yes])",
+                "a2 + (d1+d2 = 9 <= d3+2 = 13 [yes])",
+                "b1 + (gcd(d1,d2) = 1 <= 3 [yes]; gcd(d1,d2) = 1 divides d3 = 11 [yes])",
+                "b2 + (d1+d2+d3 = 20 <= lcm(d1,d2)+2 = 22 [yes])",
+                "c + (d1 = 4 does not divide d2 = 5 [yes]; d3 = 11 not in <d1,d2> [yes])",
+            ),
+            None,
+        ),
+        "main-weighted": (
+            lambda: classify_weighted((3, 5, 7), (1, 2, 3)).certificate,
+            Theorem.MAIN_WEIGHTED,
+            (),
+            ((3, 5, 7), (1, 2, 3)),
+        ),
+        "main-weighted-with-registry": (
+            lambda: classify_total(4, 5, 6).certificate,
+            Theorem.MAIN_WEIGHTED,
+            (),
+            ((4, 5, 6), (1, 1, 1)),
+        ),
+        "independent-weights": (
+            lambda: classify_weighted(
+                ((1, 1, 0), (1, -1, 2), (1, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            ).certificate,
+            Theorem.INDEPENDENT_WEIGHTS,
+            (
+                "1 + (d1, d2 linearly independent [yes]; d1, d3 linearly independent [yes]; "
+                "d2, d3 linearly independent [yes]; d1, d2, d3 linearly dependent [yes])",
+                "2 + (d1 = [1,1,0] not in <other two> [yes]; d2 = [1,-1,2] not in <other two> "
+                "[yes]; d3 = [1,0,1] not in <other two> [yes])",
+            ),
+            None,
+        ),
+        "wild": (
+            lambda: certify_wild(nagata(), (4, 3, 3)),
+            Theorem.F_SPECIFIC,
+            ("prop:main + (d1+d2+d3 = 30 < lcm(d1,d2)+deg_w(df1^df2) = 43 [yes])",),
+            ((3, 10, 17), (4, 3, 3)),
+        ),
+        "wild-independent-pair": (
+            lambda: certify_wild(nagata(), ((1, 0), (1, 0), (1, 1))),
+            Theorem.F_SPECIFIC,
+            ("1 + (d1, d2 linearly independent over Z [yes])",),
+            (((1, 1), (3, 2), (5, 3)), ((1, 0), (1, 0), (1, 1))),
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", ["clauses", "describe", "to_json"])
+    @pytest.mark.parametrize("case", list(CERTIFICATES))
+    def test_certificates_build_no_clause_until_read(self, monkeypatch, case, reader):
+        make, theorem, own_lines, oracle_query = self.CERTIFICATES[case]
+        reference = make()
+        reference_json = reference.to_json()  # built before counting
+        count = sum(len(c["clauses"]) for c in reference_json["conditions"])
+        built = []
+        init = Clause.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Clause, "__init__", counting)
+        cert = make()
+        # the kind, the theorem, the names and the holds flags build no text
+        assert cert.theorem is theorem
+        names = [(c.name, c.holds) for c in cert.conditions]
+        assert names == [(c.name, c.holds) for c in reference.conditions]
+        assert cert.delta_bounds_used == reference.delta_bounds_used
+        assert built == []
+        if reader == "clauses":
+            for c in cert.conditions:
+                c.clauses
+        elif reader == "describe":
+            for c in cert.conditions:
+                c.describe()
+        else:
+            cert.to_json()
+        assert count > 0 and len(built) == count
+        # read once, the text is kept: further reads build nothing
+        assert cert.to_json() == reference_json
+        assert cert == reference and repr(cert) == repr(reference)
+        assert len(built) == count
+        own = len(own_lines)
+        assert tuple(c.describe() for c in cert.conditions[len(names) - own:]) == own_lines
+        if oracle_query is not None:
+            ds, w = oracle_query
+            eager = {
+                c.name: c
+                for c in eager_weighted_conditions(
+                    *map(as_group_elem, ds), Weight.of(*w), builtin_registry(), _DeltaTracker()
+                )
+            }
+            checked = cert.conditions[: len(names) - own]
+            assert checked == tuple(eager[c.name] for c in checked)
+            if theorem is Theorem.MAIN_WEIGHTED:
+                assert checked == tuple(eager.values())
+
+    def test_condition_equals_its_eager_value(self):
+        reference = make_dataclass(
+            "Condition", [("name", str), ("holds", bool), ("clauses", tuple)], frozen=True
+        )
+        for ds in ((1, 2, 3), (4, 5, 6), (3, 5, 7), (6, 8, 9), (4, 6, 9)):
+            for weight in ((1, 1, 1), (1, 2, 3)):
+                args = (*map(ge, ds), Weight.of(*weight), builtin_registry())
+                for lazy, eager in zip(
+                    check_weighted_conditions(*args).conditions(),
+                    eager_weighted_conditions(*args, _DeltaTracker()),
+                ):
+                    value = (eager.name, eager.holds, eager.clauses)
+                    assert hash(lazy) == hash(eager) == hash(reference(*value))
+                    assert lazy == eager and eager == lazy and not lazy != eager
+                    assert repr(lazy) == repr(eager) == repr(reference(*value))
+                    assert {lazy: 1}[eager] == 1
+                    assert lazy != Condition(eager.name, not eager.holds, eager.clauses)
+                    assert lazy != Condition(eager.name + "'", eager.holds, eager.clauses)
+                    assert lazy != Condition(eager.name, eager.holds, eager.clauses[:-1])
+                    assert lazy != value and lazy != reference(*value)
+                    assert pickle.loads(pickle.dumps(lazy)) == eager
 
     def test_reports_leave_no_garbage_cycles(self):
         # a builder that refers to its own report makes every report cyclic
@@ -357,6 +491,11 @@ class TestDecideBeforeExplaining:
             unit3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
             assert isinstance(classify_weighted(((1, 0, 0), (1, 1, 0), (1, 2, 0)), unit3), Excluded)
             certify_wild(nagata(), (4, 3, 3))
+            assert gc.collect() == 0
+            # certificates whose clauses are never read hold builders, not text
+            unread = [case[0]() for case in self.CERTIFICATES.values()]
+            assert all(c.conditions for c in unread)
+            del unread
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -156,6 +156,17 @@ class TestParser:
             f" (at position {position})"
         )
 
+    @pytest.mark.parametrize(
+        "digits, shown",
+        [("10001", "exponent 10001"), ("9" * 20, "exponent " + "9" * 20),
+         ("9" * 21, "21-digit exponent"), ("9" * 4300, "4300-digit exponent")],
+    )
+    def test_over_cap_exponent_message_is_bounded(self, digits, shown):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial("x2 + x1^" + digits)
+        assert err.value.position == 8
+        assert str(err.value) == f"{shown} exceeds cap 10000 (at position 8)"
+
     def test_numbers_at_the_digit_limit_parse(self):
         digits = "7" * sys.get_int_max_str_digits()
         assert parse_polynomial(digits + "*x1") == Polynomial.monomial((1, 0, 0), int(digits))
@@ -550,6 +561,15 @@ class TestExitCodes:
             f"{sys.get_int_max_str_digits()} digits (at position 0)\n"
         )
 
+    def test_over_cap_exponent_is_a_short_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "certify-wild", "--f1", "x1^" + "9" * 4300, "--f2", "x2", "--f3", "x3",
+            "--weight", "1,1,1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 4300-digit exponent exceeds cap 10000 (at position 3)\n"
+        assert len(err.encode()) < 200
+
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
         assert code == 2
@@ -595,8 +615,8 @@ def test_public_names_are_the_used_surface():
         "classify_weighted", "compose", "consistency_check", "corollary_names",
         "corollary_suite", "deg_w_total", "degree_w", "delta_lower_bound",
         "dependent_pair", "frobenius_number", "gcd_lcm", "ge", "generate",
-        "intro_family", "is_prime", "jacobian_det", "leading_form",
-        "least_combination_exceeding", "load", "make_realizable", "mdeg", "mdeg_w",
+        "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
+        "load", "make_realizable", "mdeg", "mdeg_w",
         "multiple_of", "nagata", "parse_polynomial", "parse_vector",
         "parse_vector_list", "partial", "permutation_word", "persist",
         "rank_profile", "realizability_table", "realize", "render", "run_search",
