@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
@@ -81,33 +81,47 @@ class Clause:
         return f"{self.left} {self.relation}{right} [{mark}]"
 
 
+_set = object.__setattr__
+
+
 class Condition:
     """A named condition, whether it holds, and the clauses that show why.
 
-    Condition(name, holds, clauses) stores its clauses as given.  A
-    condition from a ConditionReport is made by _deferred with a builder
-    instead: the clauses are built on the first read of .clauses and kept,
-    and the builder is dropped.  Equality, hash and repr are those of the
+    A condition made by _deferred holds a builder of its clauses instead:
+    the first read of .clauses runs it and keeps the clauses in its place.
+    A Condition is immutable, and equality, hash and repr are those of the
     value (name, holds, clauses), so they read the clauses."""
 
-    __slots__ = ("name", "holds", "_clauses", "_build")
+    __slots__ = ("name", "holds", "_clauses")
 
     def __init__(self, name: str, holds: bool, clauses: tuple[Clause, ...]):
-        self.name, self.holds, self._clauses, self._build = name, holds, clauses, None
+        _set(self, "name", name)
+        _set(self, "holds", holds)
+        _set(self, "_clauses", clauses)
 
     @classmethod
     def _deferred(
         cls, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]
     ) -> "Condition":
-        cond = cls.__new__(cls)
-        cond.name, cond.holds, cond._clauses, cond._build = name, holds, None, build
+        cond = cls.__new__(cls)  # skips __init__: runs for every certified condition
+        _set(cond, "name", name)
+        _set(cond, "holds", holds)
+        _set(cond, "_clauses", build)
         return cond
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
-        if self._build is not None:
-            self._clauses, self._build = tuple(self._build()), None
-        return self._clauses
+        clauses = self._clauses
+        if callable(clauses):  # one slot, swapped once: safe under threads
+            clauses = tuple(clauses())
+            _set(self, "_clauses", clauses)
+        return clauses
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
         return (self.name, self.holds, self.clauses)

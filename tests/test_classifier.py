@@ -1,7 +1,10 @@
 import gc
+import json
 import pickle
 import random
-from dataclasses import make_dataclass
+import sys
+import threading
+from dataclasses import FrozenInstanceError, make_dataclass
 from itertools import combinations
 from math import gcd
 
@@ -452,6 +455,32 @@ class TestDecideBeforeExplaining:
             if theorem is Theorem.MAIN_WEIGHTED:
                 assert checked == tuple(eager.values())
 
+    def test_concurrent_first_reads_agree(self):
+        verdicts = [classify_weighted(t, (1, 2, 3)) for t in combinations(range(1, 16), 3)]
+        certs = [v.certificate for v in verdicts if isinstance(v, Excluded)]
+        assert len(certs) > 100
+        texts, errors = [[] for _ in range(4)], []
+
+        def read(out):
+            try:
+                out.extend(json.dumps(c.to_json()) for c in certs)
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in texts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert texts[0] == texts[1] == texts[2] == texts[3]
+        assert len(texts[0]) == len(certs)
+
     def test_condition_equals_its_eager_value(self):
         reference = make_dataclass(
             "Condition", [("name", str), ("holds", bool), ("clauses", tuple)], frozen=True
@@ -473,6 +502,10 @@ class TestDecideBeforeExplaining:
                     assert lazy != Condition(eager.name, eager.holds, eager.clauses[:-1])
                     assert lazy != value and lazy != reference(*value)
                     assert pickle.loads(pickle.dumps(lazy)) == eager
+                    with pytest.raises(FrozenInstanceError):
+                        lazy.holds = not lazy.holds
+                    with pytest.raises(FrozenInstanceError):
+                        del lazy.name
 
     def test_reports_leave_no_garbage_cycles(self):
         # a builder that refers to its own report makes every report cyclic
