@@ -14,11 +14,8 @@ from .automorphisms import (
     ElementaryAut,
     Endo,
     TameWord,
-    compose,
-    deg_w_total,
     intro_family,
     mdeg,
-    mdeg_w,
     nagata,
     permutation_word,
     realize,

@@ -8,8 +8,8 @@ of the poly kernel (one int per monomial) across all steps and unpacks each
 component once at the end; the field width comes from the steps' degrees
 predicted with cancellation ignored (and the degree cap, when set), before
 anything is expanded.  The exhaustive search walk extends a prefix's
-packed fold by one step per word.  Endo, compose and the witness checks
-work on unpacked polynomials, whose ring arithmetic stays on the tuple loop.
+packed fold by one step per word.  Endo and the witness checks work on
+unpacked polynomials, whose ring arithmetic stays on the tuple loop.
 
 Every constructive witness produced here is verified after the fact rather
 than trusted from its construction, and without expanding it:
@@ -36,10 +36,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, DegreeCapError, DomainError
+from .errors import ConstructionError, DegreeCapError, DomainError, PolynomialSyntaxError
 from .ordgroup import (
-    NEG_INF,
-    DegreeValue,
     GroupElem,
     is_prime,
     multiple_of,
@@ -55,9 +53,8 @@ from .poly import (
     _settle,
     _trusted,
     _unpack,
-    degree_w,
     jacobian_det,
-    substitute,
+    substitute,  # unused here; bench/test_bench.py traces this module's binding
 )
 
 DEFAULT_TERM_BUDGET = 200_000
@@ -164,12 +161,15 @@ class TameWord:
         ]
 
     @classmethod
-    def from_json(cls, steps: Sequence[dict]) -> "TameWord":
+    def from_json(cls, steps: list) -> "TameWord":
         """Inverse of to_json for a word in three variables.  A step that is
         not an object with the keys target, scale and shift, a target that
         is not an int in 1..3, a shift that is not a string, or a scale
         that is not an integer or "num/den" with den > 0 raises DomainError
-        naming its 1-based step."""
+        naming its 1-based step, as does a shift that does not parse or that
+        involves its target; a word that is not a list raises DomainError."""
+        if not isinstance(steps, list):
+            raise DomainError(f"word must be a list of steps, not {type(steps).__name__}")
         out = []
         for k, s in enumerate(steps, 1):
             if not isinstance(s, dict):
@@ -193,7 +193,10 @@ class TameWord:
                 scale = None
             if scale is None:
                 raise DomainError(f"step {k}: malformed scale {text!r}")
-            out.append(ElementaryAut(target - 1, scale, parse_polynomial(shift)))
+            try:
+                out.append(ElementaryAut(target - 1, scale, parse_polynomial(shift)))
+            except (DomainError, PolynomialSyntaxError) as exc:
+                raise DomainError(f"step {k}: {exc}") from None
         return cls(tuple(out), 3)
 
 
@@ -224,15 +227,6 @@ class Endo:
 
 def shear(target: int, shift: Polynomial, scale=1) -> ElementaryAut:
     return ElementaryAut(target, Fraction(scale), shift)
-
-
-def compose(first: Endo, second: Endo, budget: Optional[Budget] = None) -> Endo:
-    """Substitute the first map's components into the second map's."""
-    if first.nvars != second.nvars:
-        raise DomainError("variable counts differ")
-    return Endo(
-        tuple(substitute(g, first.components, budget) for g in second.components)
-    )
 
 
 def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:
@@ -340,21 +334,6 @@ def _predicted(step: ElementaryAut, degs: Sequence[int]) -> int:
     for mono in step.shift.terms:
         degree = max(degree, sum(map(mul, mono, degs)))
     return degree
-
-
-def mdeg_w(endo: Endo, weights=None) -> tuple[DegreeValue, ...]:
-    """Componentwise weighted degrees; None weights mean total degree."""
-    return tuple(degree_w(c, weights) for c in endo.components)
-
-
-def deg_w_total(endo: Endo, weights=None) -> DegreeValue:
-    degs = mdeg_w(endo, weights)
-    total = None
-    for d in degs:
-        if d is NEG_INF:
-            return NEG_INF
-        total = d if total is None else total + d
-    return total
 
 
 def mdeg(endo: Endo) -> tuple[int, ...]:

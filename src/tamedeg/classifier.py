@@ -17,7 +17,10 @@ once, in exact integer arithmetic; the text of its clauses is built only
 when its clauses are first read.  That holds inside a certificate too: an
 Excluded verdict or a wildness certificate builds no text until its
 clauses, describe() or to_json() are read.  An Unknown verdict, which keeps
-only the names of the failed conditions, builds none at all.
+only the names of the failed conditions, builds none at all.  Rank-1
+weights, which every Karas-type corollary and the search harness use, are
+decided on plain ints rather than GroupElems; reports and certificates are
+the same as at any rank.
 
 The quantity Delta(d, e) (minimal wedge degree over tame maps with two
 prescribed component degrees) is never computed exactly; every use is
@@ -31,7 +34,7 @@ import hashlib
 import json
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -48,6 +51,9 @@ from .ordgroup import (
     GroupElem,
     NEG_INF,
     Weight,
+    _member1,
+    _multiple1,
+    _pair1,
     as_group_elem,
     dependent_pair,
     gcd_lcm,
@@ -389,13 +395,10 @@ def delta_lower_bound(
     return best
 
 
-def _odd_scalar_multiplier(d1: GroupElem, d3: GroupElem) -> Optional[int]:
-    """Odd s >= 3 with s*d1 == 2*d3, or None; decided exactly through
-    divisibility of 2*d3 by d1 and parity of the quotient."""
-    s = multiple_of(2 * d3, d1)
-    if s is not None and s % 2 == 1 and s >= 3:
-        return s
-    return None
+def _odd_multiplier(s: Optional[int]) -> Optional[int]:
+    """The odd s >= 3 with s*d1 == 2*d3, given s = multiple_of(2*d3, d1):
+    s itself when it is odd and at least 3, else None."""
+    return s if s is not None and s % 2 == 1 and s >= 3 else None
 
 
 def _fmt(v) -> str:
@@ -487,9 +490,10 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     clauses are built when read, see ConditionReport)."""
     if not (0 < d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
+    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+        raise DomainError("degrees must be integers")
     rep = ConditionReport()
-    g1, g3 = as_group_elem(d1), as_group_elem(d3)
-    s = _odd_scalar_multiplier(g1, g3)
+    s = _odd_multiplier(_multiple1(2 * d3, d1))
     ratio_ok = 3 * d2 != 2 * d3
     rep.put(
         "a1",
@@ -518,7 +522,7 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
         ),
     )
     divides = d2 % d1 == 0
-    member = semigroup_member(g3, g1, as_group_elem(d2))
+    member = _member1(d3, d1, d2)
     rep.put(
         "c",
         not divides and member is None,
@@ -541,6 +545,15 @@ def _abc_combined(rep: ConditionReport) -> tuple[bool, bool, bool]:
     return a, b, rep.holds("c")
 
 
+@lru_cache(maxsize=256)
+def _weight_totals(w: Weight) -> tuple:
+    """|w| and |w|* of a weight, memoized per weight; ints at rank 1."""
+    wtotal, star = w.total, w_star(w.components)
+    if w.rank == 1:
+        return wtotal.coords[0], star.coords[0]
+    return wtotal, star
+
+
 def check_weighted_conditions(
     d1: GroupElem,
     d2: GroupElem,
@@ -554,21 +567,35 @@ def check_weighted_conditions(
     reported 'holds' is sound and a failed report only means 'not
     certified'.  Each condition is decided here; its clauses, and the
     quantities only they show, are built when it is read (see
-    ConditionReport)."""
+    ConditionReport).  At rank 1 the degrees (which may be given as ints),
+    |w| and |w|* are ints, decided by the int kernels of ordgroup."""
     if registry is None:
         registry = builtin_registry()
+    wtotal, star = _weight_totals(w)
+    rank1 = w.rank == 1
+    if rank1:
+        d1, d2, d3 = (
+            d if type(d) is int else as_group_elem(d, 1).coords[0] for d in (d1, d2, d3)
+        )
+        pair_of, multiple, member_of = _pair1, _multiple1, _member1
+    else:
+        pair_of, multiple, member_of = dependent_pair, multiple_of, semigroup_member
     if not (d1 < d2 < d3):
         raise DomainError("degrees must be strictly ascending")
-    for d in (d1, d2, d3):
-        if not d.is_positive:
-            raise DomainError("degrees must be positive")
+    if not (d1 > 0 if rank1 else d1.is_positive):
+        raise DomainError("degrees must be positive")
     if _tracker is None:
         _tracker = _DeltaTracker()
+
+    def delta(d, e):
+        if rank1:  # the registry, the tracker and DeltaBoundUse keep GroupElems
+            d, e = GroupElem._trusted((d,)), GroupElem._trusted((e,))
+            return delta_lower_bound(d, e, w, registry, _tracker).coords[0]
+        return delta_lower_bound(d, e, w, registry, _tracker)
+
     rep = ConditionReport()
     total = d1 + d2 + d3
-    wtotal = w.total
-    star = w_star(w.components)
-    pair = dependent_pair(d1, d2)
+    pair = pair_of(d1, d2)
 
     k1 = total > wtotal
     rep.put(
@@ -583,7 +610,7 @@ def check_weighted_conditions(
 
     # d2 is an integer multiple of d1 exactly when d2 = u2*d1, that is u1 = 1.
     m12 = pair[1] if pair is not None and pair[0] == 1 else None
-    member = semigroup_member(d3, d1, d2)
+    member = member_of(d3, d1, d2)
     rep.put(
         "K2",
         m12 is None and member is None,
@@ -635,9 +662,9 @@ def check_weighted_conditions(
         k3_guard,
         lambda: _ratio_clause(d2, d3, "!=" if ratio32 else "=", False),
         "d2,d3",
-        delta_lower_bound(d2, d3, w, registry, _tracker) if ratio32 else None,
+        delta(d2, d3) if ratio32 else None,
     )
-    s = _odd_scalar_multiplier(d1, d3)
+    s = _odd_multiplier(multiple(2 * d3, d1))
 
     def k4_guard():
         return _odd_clause(s, s is None)
@@ -648,7 +675,7 @@ def check_weighted_conditions(
         k4_guard,
         lambda: _odd_clause(s, s is not None),
         "d1,d3",
-        delta_lower_bound(d1, d3, w, registry, _tracker) if s is not None else None,
+        delta(d1, d3) if s is not None else None,
     )
     # No builder refers to rep: a report is then freed by reference
     # counting alone, without leaving garbage cycles for the collector.
@@ -656,7 +683,7 @@ def check_weighted_conditions(
 
     if 4 * d1 == 3 * d2:
         g = pair[2]
-        bound43 = delta_lower_bound(2 * d1, d2, w, registry, _tracker)
+        bound43 = delta(2 * d1, d2)
         k5 = d3 < 5 * g + bound43
         rep.put(
             "K5",
@@ -680,7 +707,7 @@ def check_weighted_conditions(
     else:
         u1, u2, g = pair
         l = (u1 * u2) * g
-        m3 = multiple_of(d3, g)
+        m3 = multiple(d3, g)
         g_small = g <= star
         rep.put(
             "B1",
@@ -771,13 +798,17 @@ def classify_weighted(
     if len(ds) != 3:
         raise DomainError("expected a degree triple")
     w = weight if isinstance(weight, Weight) else Weight.of(*weight)
-    for d in ds:
-        if d.rank != w.rank:
-            raise DomainError("degrees and weights must share one rank")
-        if not d.is_positive:
+    rank = w.rank
+    if any(d.rank != rank for d in ds):
+        raise DomainError("degrees and weights must share one rank")
+    if rank == 1:
+        ds = [d.coords[0] for d in ds]
+        if min(ds) < 1:
             raise DomainError("degrees must be positive")
+    elif not all(d.is_positive for d in ds):
+        raise DomainError("degrees must be positive")
     reasons: list[str] = []
-    if independent_triple(*(c.coords for c in w.components)):
+    if rank > 2 and independent_triple(*(c.coords for c in w.components)):
         rep = _independent_weights_report(*ds)
         if rep.holds("1") and rep.holds("2"):
             return Excluded(

@@ -223,19 +223,22 @@ def dependent_pair(
             continue
         if a == 0 or b == 0:
             return None
-        if u1 == 0:
-            g = _int_gcd(a, b)
-            u1, u2 = a // g, b // g
+        if u1 == 0:  # the leading coordinates, positive for positive d1, d2
+            u1, u2, _ = _pair1(a, b)
         elif a * u2 != b * u1:
             return None
-    if u1 < 0:
-        u1, u2 = -u1, -u2
-    if u1 == 0 or u2 <= 0:
+    if u1 <= 0 or u2 <= 0:
         raise ConstructionError(f"positive pair {d1!r}, {d2!r} has ratio {u2}/{u1}")
     d = GroupElem._trusted(tuple([c // u1 for c in d1.coords]))
     if u1 * d != d1 or u2 * d != d2:
         raise ConstructionError(f"{d!r} is not a common divisor of {d1!r}, {d2!r}")
     return u1, u2, d
+
+
+def _pair1(a: int, b: int) -> tuple[int, int, int]:
+    """dependent_pair of positive ints a, b: (a/g, b/g, g), g = gcd(a, b)."""
+    g = _int_gcd(a, b)
+    return a // g, b // g, g
 
 
 def gcd_lcm(d1: GroupElem, d2: GroupElem) -> tuple[GroupElem, GroupElem]:
@@ -251,16 +254,19 @@ def gcd_lcm(d1: GroupElem, d2: GroupElem) -> tuple[GroupElem, GroupElem]:
 def multiple_of(d: GroupElem, e: GroupElem) -> Optional[int]:
     """The positive integer m with d == m*e, or None."""
     d._check(e)
-    m = None
     for a, b in zip(d.coords, e.coords):
         if b != 0:
-            if a % b != 0:
-                return None
-            m = a // b
-            break
-    if m is None or m < 1:
+            m = _multiple1(a, b)
+            return m if m is not None and m * e == d else None
+    return None
+
+
+def _multiple1(a: int, b: int) -> Optional[int]:
+    """multiple_of for ints: the positive int m with a == m*b, or None."""
+    if b == 0 or a % b:
         return None
-    return m if m * e == d else None
+    m = a // b
+    return m if m >= 1 else None
 
 
 def semigroup_member(
@@ -286,25 +292,32 @@ def semigroup_member(
 def _semigroup_solve(
     d: GroupElem, e1: GroupElem, e2: GroupElem
 ) -> Optional[tuple[int, int]]:
+    if len(d.coords) == 1:
+        return _member1(d.coords[0], e1.coords[0], e2.coords[0])
     pair = dependent_pair(e1, e2)
     if pair is None:
         return _solve_independent(d, e1, e2)
     u1, u2, e = pair
-    m = _nonneg_multiple(d, e)
+    return _coin(0 if d.is_zero else multiple_of(d, e), u1, u2)
+
+
+@lru_cache(maxsize=1024)
+def _member1(d: int, e1: int, e2: int) -> Optional[tuple[int, int]]:
+    """semigroup_member for ints, e1 and e2 positive; memoized in an LRU cache."""
+    u1, u2, e = _pair1(e1, e2)
+    return _coin(0 if d == 0 else _multiple1(d, e), u1, u2)
+
+
+def _coin(m: Optional[int], u1: int, u2: int) -> Optional[tuple[int, int]]:
+    """(a, b) >= 0 with a*u1 + b*u2 == m for coprime u1, u2 and the smallest
+    a; None when there is none or m is None."""
     if m is None:
         return None
-    # a*u1 + b*u2 == m with gcd(u1, u2) == 1; smallest nonnegative a.
     a = (m % u2) * pow(u1, -1, u2) % u2 if u2 > 1 else 0
     rest = m - a * u1
     if rest < 0 or rest % u2 != 0:
         return None
     return a, rest // u2
-
-
-def _nonneg_multiple(d: GroupElem, e: GroupElem) -> Optional[int]:
-    if d.is_zero:
-        return 0
-    return multiple_of(d, e)
 
 
 def _solve_independent(

@@ -12,6 +12,8 @@ per factor.
 
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
+``compose`` (substitution of one map into another), ``mdeg_w`` and
+``deg_w_total`` (componentwise and summed weighted degrees of a map),
 ``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian),
 ``leading_form`` (the terms of top weighted degree), ``constant_value``,
 ``power_dependence`` (whether h1 == c * h2**l), and
@@ -27,14 +29,8 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from tamedeg.automorphisms import TameWord, shear, transposition_word
-from tamedeg.classifier import (
-    Clause,
-    Condition,
-    _odd_scalar_multiplier,
-    check_total_abc,
-    delta_lower_bound,
-)
+from tamedeg.automorphisms import Endo, TameWord, shear, transposition_word
+from tamedeg.classifier import Clause, Condition, check_total_abc, delta_lower_bound
 from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
     NEG_INF,
@@ -45,7 +41,7 @@ from tamedeg.ordgroup import (
     semigroup_member,
     w_star,
 )
-from tamedeg.poly import Polynomial, degree_w, jacobian_det, power
+from tamedeg.poly import Budget, Polynomial, degree_w, jacobian_det, power, substitute
 
 
 def dp_representable(target: int, e1: int, e2: int):
@@ -286,7 +282,9 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
         put("A2", False, (Clause(f"3*d2 = {_fmt(3 * d2)}", "=",
                                  f"2*d3 = {_fmt(2 * d3)}", False),))
 
-    s = _odd_scalar_multiplier(d1, d3)
+    s = multiple_of(2 * d3, d1)
+    if s is not None and (s % 2 == 0 or s < 3):
+        s = None
     odd = "odd s >= 3 with s*d1 = 2*d3"
     k4_first = Clause(odd, "exists" if s is not None else "none",
                       f"s = {s}" if s is not None else "", s is None)
@@ -481,6 +479,30 @@ def factor_parse_polynomial(
 
 
 # Helpers moved out of the library: only the invariant suites call them.
+
+
+def compose(first: Endo, second: Endo, budget: Optional[Budget] = None) -> Endo:
+    """Substitute the first map's components into the second map's."""
+    if first.nvars != second.nvars:
+        raise DomainError("variable counts differ")
+    return Endo(
+        tuple(substitute(g, first.components, budget) for g in second.components)
+    )
+
+
+def mdeg_w(endo: Endo, weights=None) -> tuple:
+    """Componentwise weighted degrees; None weights mean total degree."""
+    return tuple(degree_w(c, weights) for c in endo.components)
+
+
+def deg_w_total(endo: Endo, weights=None):
+    degs = mdeg_w(endo, weights)
+    total = None
+    for d in degs:
+        if d is NEG_INF:
+            return NEG_INF
+        total = d if total is None else total + d
+    return total
 
 
 def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):

@@ -20,7 +20,6 @@ from tamedeg import (
     classify_total,
     classify_weighted,
     consistency_check,
-    deg_w_total,
     degree_w,
     frobenius_number,
     ge,
@@ -28,7 +27,6 @@ from tamedeg import (
     is_prime,
     least_combination_exceeding,
     mdeg,
-    mdeg_w,
     realize,
     semigroup_member,
     shear,
@@ -37,11 +35,13 @@ from tamedeg import (
 from tamedeg.cli import main as cli_main
 from tamedeg.search import generate
 from oracles import (
+    deg_w_total,
     dp_frobenius,
     dp_representable,
     enum_least_combination,
     enum_w_star,
     leading_form,
+    mdeg_w,
     power_dependence,
     triple_semigroup_member,
     wedge3_degree,

@@ -18,13 +18,10 @@ from tamedeg import (
     Polynomial,
     TameWord,
     classify_total,
-    compose,
-    deg_w_total,
     ge,
     intro_family,
     jacobian_det,
     mdeg,
-    mdeg_w,
     nagata,
     permutation_word,
     realize,
@@ -35,11 +32,14 @@ from tamedeg import (
 from tamedeg.automorphisms import _P, _permutation_word, _witness_word, certified_mdeg
 from tamedeg.classifier import _matching_permutation
 from oracles import (
+    compose,
+    deg_w_total,
     frac_add,
     frac_scale,
     frac_substitute,
     frac_terms,
     leading_form,
+    mdeg_w,
     power_dependence,
     public_witness_word,
     triple_semigroup_member,
@@ -364,12 +364,26 @@ class TestWordJson:
             ({**GOOD, "target": 10**400}, "target must be an int in 1..3, not a larger int"),
             ({**GOOD, "shift": 2}, "shift must be a string, not int"),
             ({**GOOD, "shift": None}, "shift must be a string, not NoneType"),
+            (
+                {"target": 2, "scale": "1", "shift": "x2^2"},
+                "shift must not involve the target variable",
+            ),
+            (
+                {**GOOD, "shift": "x2 +"},
+                "expected a number, variable or '(', found 'end' (at position 4)",
+            ),
         ],
     )
     def test_malformed_step_names_its_step(self, step, message):
         with pytest.raises(DomainError) as err:
             TameWord.from_json([self.GOOD, self.GOOD, step])
         assert str(err.value) == f"step 3: {message}"
+
+    @pytest.mark.parametrize("word, kind", [({"a": 1}, "dict"), (5, "int"), ("x2", "str")])
+    def test_word_that_is_not_a_list(self, word, kind):
+        with pytest.raises(DomainError) as err:
+            TameWord.from_json(word)
+        assert str(err.value) == f"word must be a list of steps, not {kind}"
 
     def test_malformed_step_in_a_record_file(self, tmp_path):
         from tamedeg import SearchConfig, load, persist, run_search
@@ -380,11 +394,17 @@ class TestWordJson:
         lines = path.read_text().splitlines()
         doc = json.loads(lines[1])
         doc["word"] = [self.GOOD, {**self.GOOD, "target": "2"}]
-        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+        shift_doc = {**doc, "word": [self.GOOD, self.GOOD, {**self.GOOD, "shift": "x2 +"}]}
+        path.write_text("\n".join([lines[0], json.dumps(doc), json.dumps(shift_doc)]) + "\n")
         loaded = load(path)
         assert loaded[0].to_word() == records[0].to_word()
         with pytest.raises(DomainError, match="^step 2: target must be an int in 1..3, not str$"):
             loaded[1].to_word()
+        with pytest.raises(DomainError) as err:
+            loaded[2].to_word()
+        assert str(err.value) == (
+            "step 3: expected a number, variable or '(', found 'end' (at position 4)"
+        )
 
     def test_zero_scale_still_rejected(self):
         with pytest.raises(DomainError, match="nonzero scale"):

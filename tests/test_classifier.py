@@ -22,6 +22,7 @@ from tamedeg import (
     HypothesisViolation,
     Polynomial,
     Realizable,
+    SearchConfig,
     TameWord,
     Theorem,
     Unknown,
@@ -33,6 +34,7 @@ from tamedeg import (
     check_weighted_conditions,
     classify_total,
     classify_weighted,
+    consistency_check,
     corollary_suite,
     delta_lower_bound,
     ge,
@@ -93,6 +95,11 @@ class TestTotalConditions:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             check_total_abc(4, 3, 5)
+
+    @pytest.mark.parametrize("triple", [(2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.5)])
+    def test_non_integer_degrees_rejected(self, triple):
+        with pytest.raises(DomainError, match="^degrees must be integers$"):
+            check_total_abc(*triple)
 
     def test_b1_equivalence_exhaustive(self):
         # direct form gcd(d1,d2,d3) == gcd(d1,d2) <= 3 versus the evaluated
@@ -306,6 +313,14 @@ class TestDecideBeforeExplaining:
         assert rep.conditions() == tuple(expected)
         assert rep["A1"] is rep.conditions()[6]
         assert tracker.uses == oracle_tracker.uses
+        assert all(type(u.bound) is GroupElem for u in tracker.uses)
+        if w.rank == 1:  # degrees passed as ints give the same report
+            int_tracker = _DeltaTracker()
+            ints = (d.coords[0] for d in ds)
+            int_rep = check_weighted_conditions(*ints, w, registry, int_tracker)
+            assert int_rep.conditions() == rep.conditions()
+            assert int_tracker.uses == tracker.uses
+        return rep, tracker
 
     def test_matches_eager_oracle_on_rank1_grid(self):
         for registry in self.REGISTRIES:
@@ -313,6 +328,75 @@ class TestDecideBeforeExplaining:
                 w = Weight.of(*weight)
                 for triple in combinations(range(1, 16), 3):
                     self.assert_matches_oracle(tuple(map(ge, triple)), w, registry)
+
+    def test_matches_eager_oracle_on_search_keys(self):
+        keys = set()
+
+        def recording(degrees, weight, registry):
+            keys.add((weight, tuple(degrees)))
+            return classify_weighted(degrees, weight, registry)
+
+        for seed in range(8):
+            config = SearchConfig(
+                seed=seed, sample_count=30, weights=((1, 1, 1), (1, 2, 3), (2, 3, 5))
+            )
+            consistency_check(config, classify_fn=recording)
+        assert len(keys) > 300
+        ascending = 0
+        for w, ds in sorted(keys, key=repr):
+            if ds[0] < ds[1] < ds[2]:
+                ascending += 1
+                for registry in self.REGISTRIES:
+                    self.assert_matches_oracle(ds, w, registry)
+        assert ascending > 200
+
+    # k*triple meets the named guard: 3*d2 = 2*d3 (K3), an odd s >= 3 with
+    # s*d1 = 2*d3 (K4), 4*d1 = 3*d2 (K5); (2, 3, 4) meets none
+    SCALED = {(4, 6, 9): "K3", (4, 5, 6): "K4", (3, 4, 6): "K5", (2, 3, 4): None}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 10**6 + 3, 10**18, 10**30])
+    def test_matches_eager_oracle_on_scaled_triples(self, k):
+        for triple, guard in self.SCALED.items():
+            ds = tuple(ge(k * d) for d in triple)
+            for weight in ((1, 1, 1), (1, 2, 3), (2, 3, 5)):
+                for registry in self.REGISTRIES:
+                    rep, _ = self.assert_matches_oracle(ds, Weight.of(*weight), registry)
+                    met = [n for n in ("K3", "K4", "K5") if len(rep[n].clauses) == 2]
+                    assert guard is None and met == [] or guard in met
+
+    def test_registry_bounds_stay_group_elements(self):
+        # (4, 5, 6) under unit weights uses the builtin Delta(4, 6) >= 4
+        rep, tracker = self.assert_matches_oracle(
+            (ge(4), ge(5), ge(6)), W111, builtin_registry()
+        )
+        assert rep.holds("A3")
+        assert [u.describe() for u in tracker.uses] == ["Delta(4,6)>=4"]
+        assert tracker.uses[0].bound == ge(4)
+        cert = classify_total(4, 5, 6).certificate
+        assert cert.delta_bounds_used == tuple(tracker.uses)
+        assert cert.to_json()["delta_bounds_used"][0]["bound"] == [4]
+
+    @pytest.mark.parametrize("weight", [(1, 1, 1), (1, 2, 3), (2, 3, 5), (4, 3, 3)])
+    def test_rank1_degree_forms_agree(self, weight):
+        w = Weight.of(*weight)
+        triples = list(combinations(range(1, 13), 3))
+        triples += [(5, 3, 4), (6, 4, 9), (2, 2, 3), (7, 7, 7), (9, 1, 4)]
+        for registry in self.REGISTRIES:
+            for triple in triples:
+                verdicts = [
+                    classify_weighted(forms, w, registry)
+                    for forms in (
+                        triple,
+                        tuple((d,) for d in triple),
+                        tuple(ge(d) for d in triple),
+                        (triple[0], (triple[1],), ge(triple[2])),
+                    )
+                ]
+                shown = [repr(v) for v in verdicts]
+                assert shown.count(shown[0]) == len(shown)
+                if isinstance(verdicts[0], Excluded):
+                    texts = [json.dumps(v.certificate.to_json()) for v in verdicts]
+                    assert texts.count(texts[0]) == len(texts)
 
     @given(_weighted_queries(), st.sampled_from(REGISTRIES))
     @settings(max_examples=400, deadline=None)

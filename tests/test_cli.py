@@ -612,11 +612,11 @@ def test_public_names_are_the_used_surface():
         "SchemaVersionError", "SearchConfig", "SearchRecord", "TameWord", "Theorem",
         "Unknown", "Weight", "as_group_elem", "builtin_registry", "certify_wild",
         "check_total_abc", "check_weighted_conditions", "classify_total",
-        "classify_weighted", "compose", "consistency_check", "corollary_names",
-        "corollary_suite", "deg_w_total", "degree_w", "delta_lower_bound",
+        "classify_weighted", "consistency_check", "corollary_names",
+        "corollary_suite", "degree_w", "delta_lower_bound",
         "dependent_pair", "frobenius_number", "gcd_lcm", "ge", "generate",
         "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
-        "load", "make_realizable", "mdeg", "mdeg_w",
+        "load", "make_realizable", "mdeg",
         "multiple_of", "nagata", "parse_polynomial", "parse_vector",
         "parse_vector_list", "partial", "permutation_word", "persist",
         "rank_profile", "realizability_table", "realize", "render", "run_search",

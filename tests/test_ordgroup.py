@@ -23,6 +23,9 @@ from tamedeg import (
     w_star,
 )
 from tamedeg.ordgroup import (
+    _member1,
+    _multiple1,
+    _pair1,
     _semigroup_solve,
     coerce_weight_vector,
     independent_triple,
@@ -204,6 +207,18 @@ class TestSemigroupMember:
                     assert a == min(r[0] for r in reps), "smallest-a tie break"
                 else:
                     assert got is None
+
+
+class TestRankOneKernels:
+    """The int kernels behind dependent_pair, multiple_of and
+    semigroup_member at rank 1, which the classifier calls directly there."""
+
+    def test_no_fixed_width(self):
+        k = 10**30
+        assert _pair1(4 * k, 6 * k) == (2, 3, 2 * k)
+        assert _multiple1(9 * k, 3 * k) == 3 and _multiple1(9 * k, 2 * k) is None
+        assert _member1(17 * k, 3 * k, 4 * k) == (3, 2)
+        assert _member1(7 * k + 1, 3 * k, 4 * k) is None
 
 
 class TestFrobenius:
