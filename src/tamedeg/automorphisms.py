@@ -37,12 +37,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConstructionError, DegreeCapError, DomainError, PolynomialSyntaxError
-from .ordgroup import (
-    GroupElem,
-    is_prime,
-    multiple_of,
-    semigroup_member,
-)
+from .ordgroup import _member1, _multiple1, is_prime
 from .parse import parse_polynomial
 from .poly import (
     Budget,
@@ -56,8 +51,6 @@ from .poly import (
     jacobian_det,
     substitute,  # unused here; bench/test_bench.py traces this module's binding
 )
-
-DEFAULT_TERM_BUDGET = 200_000
 
 _ONE = Fraction(1)  # the scale of every template shear
 _SCALE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a step's scale in to_json
@@ -234,14 +227,14 @@ def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:
 
     Each step rewrites its target component to
     scale * component + shift(current components).  Aborts with
-    BudgetExceededError if an intermediate outgrows the budget
-    (default cap 200000 terms).  When the budget carries a degree_cap,
-    each step's total degree is first predicted from the degrees of the
-    current components, and a step predicted above the cap raises
-    DegreeCapError before it is expanded.
+    BudgetExceededError if an intermediate outgrows the budget (by
+    default Budget(), capped at poly.DEFAULT_TERM_BUDGET terms).  When the
+    budget carries a degree_cap, each step's total degree is first
+    predicted from the degrees of the current components, and a step
+    predicted above the cap raises DegreeCapError before it is expanded.
     """
     if budget is None:
-        budget = Budget(DEFAULT_TERM_BUDGET)
+        budget = Budget()
     return _Fold.identity(word.nvars).extend(word.steps, budget).endo()
 
 
@@ -478,11 +471,13 @@ def _verify_witness(
 def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
     """Unverified tame word for the sorted triple (d1, d2, d3) from the two
     shear templates of semigroup_witness, or None when neither applies."""
+    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+        raise DomainError("degrees must be integers")
     if not (1 <= d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 1 <= d1 <= d2 <= d3")
-    member = semigroup_member(GroupElem((d3,)), GroupElem((d1,)), GroupElem((d2,)))
-    # GroupElem accepted d1, d2, d3 as ints and a, b are nonnegative ints, so
-    # each shift below is a valid monomial that avoids its step's target
+    member = _member1(d3, d1, d2)
+    # d1, d2, d3 are positive ints and a, b are nonnegative ints, so each
+    # shift below is a valid monomial that avoids its step's target
     if member is not None:
         a, b = member
         shears = ((0, (0, 0, d1)), (1, (0, 0, d2)), (2, (a, b, 0)))
@@ -531,6 +526,8 @@ def intro_family(
     primes = tuple(primes)
     if len(primes) < 2:
         raise DomainError("need at least two primes (n >= 3)")
+    if not all(isinstance(p, int) for p in primes):
+        raise DomainError("primes must be integers")
     for p in primes:
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
@@ -557,10 +554,9 @@ def intro_family(
     )
     word = TameWord(tuple(steps), n)
     _verify_witness(word, degrees, budget)
-    g1 = GroupElem((degrees[0],))
-    if multiple_of(GroupElem((degrees[1],)), g1) is not None:
+    if _multiple1(degrees[1], degrees[0]) is not None:
         raise ConstructionError("second degree is a multiple of the first")
-    if semigroup_member(GroupElem((degrees[2],)), g1, GroupElem((degrees[1],))):
+    if _member1(degrees[2], degrees[0], degrees[1]):
         raise ConstructionError("third degree lies in the semigroup of the first two")
     return degrees, word
 

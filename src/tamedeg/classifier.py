@@ -34,7 +34,7 @@ import hashlib
 import json
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -54,15 +54,14 @@ from .ordgroup import (
     _member1,
     _multiple1,
     _pair1,
+    _render_coords,
     as_group_elem,
     dependent_pair,
-    gcd_lcm,
     independent_triple,
     is_prime,
     multiple_of,
     rank_profile,
     semigroup_member,
-    w_star,
 )
 from .poly import jacobian_det, wedge2_degree, degree_w
 
@@ -160,12 +159,6 @@ class DeltaBoundUse:
     def describe(self) -> str:
         d, e = self.pair
         return f"Delta({_render_coords(d)},{_render_coords(e)})>={self.bound.render()}"
-
-
-def _render_coords(coords: tuple) -> str:
-    if len(coords) == 1:
-        return str(coords[0])
-    return "[" + ",".join(str(c) for c in coords) + "]"
 
 
 @dataclass(frozen=True)
@@ -335,8 +328,9 @@ class DeltaBoundRegistry:
         return reg
 
 
+_UNIT = Weight.of(1, 1, 1)  # one instance, so its |w|* is computed once
 _BUILTIN_REGISTRY = DeltaBoundRegistry().with_entry(
-    Weight.of(1, 1, 1), as_group_elem(4), as_group_elem(6), as_group_elem(4)
+    _UNIT, as_group_elem(4), as_group_elem(6), as_group_elem(4)
 )
 
 
@@ -383,10 +377,8 @@ def delta_lower_bound(
     ws = w.components
     best = min(ws[0] + ws[1], ws[0] + ws[2], ws[1] + ws[2])
     if multiple_of(d, e) is None and multiple_of(e, d) is None:
-        if d not in ws or e not in ws:
-            star = w_star(ws)
-            if star > best:
-                best = star
+        if (d not in ws or e not in ws) and w.star > best:
+            best = w.star
     reg = registry.lookup(w, d, e)
     if reg is not None and reg > best:
         best = reg
@@ -545,15 +537,6 @@ def _abc_combined(rep: ConditionReport) -> tuple[bool, bool, bool]:
     return a, b, rep.holds("c")
 
 
-@lru_cache(maxsize=256)
-def _weight_totals(w: Weight) -> tuple:
-    """|w| and |w|* of a weight, memoized per weight; ints at rank 1."""
-    wtotal, star = w.total, w_star(w.components)
-    if w.rank == 1:
-        return wtotal.coords[0], star.coords[0]
-    return wtotal, star
-
-
 def check_weighted_conditions(
     d1: GroupElem,
     d2: GroupElem,
@@ -571,9 +554,10 @@ def check_weighted_conditions(
     |w| and |w|* are ints, decided by the int kernels of ordgroup."""
     if registry is None:
         registry = builtin_registry()
-    wtotal, star = _weight_totals(w)
+    wtotal, star = w.total, w.star
     rank1 = w.rank == 1
     if rank1:
+        wtotal, star = wtotal.coords[0], star.coords[0]
         d1, d2, d3 = (
             d if type(d) is int else as_group_elem(d, 1).coords[0] for d in (d1, d2, d3)
         )
@@ -877,7 +861,7 @@ def classify_total(
     a, b, c = _abc_combined(rep)
     if a and b and c:
         return Excluded(Certificate(Theorem.TOTAL_DEGREE, rep.conditions()))
-    weighted = classify_weighted((t1, t2, t3), Weight.of(1, 1, 1), registry)
+    weighted = classify_weighted((t1, t2, t3), _UNIT, registry)
     if isinstance(weighted, Excluded):
         return weighted
     reasons = list(rep.failed_names())
@@ -933,11 +917,12 @@ def certify_wild(
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
     conditions = [rep[n] for n in k_names]
-    if dependent_pair(d1, d2) is not None:
+    pair = dependent_pair(d1, d2)
+    if pair is not None:
         if not rep.holds("K5"):
             return Unknown(("K5",))
         conditions.append(rep["K5"])
-        _, l = gcd_lcm(d1, d2)
+        l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
         wedge = wedge2_degree(f1, f2, w)
         total = d1 + d2 + d3
         ok = wedge is not NEG_INF and total < l + wedge

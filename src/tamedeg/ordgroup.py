@@ -8,13 +8,14 @@ pairs, gcd/lcm of proportional pairs, membership in two-generator numerical
 semigroups, Sylvester's Frobenius number, staircase minimization above a
 threshold, and the derived invariant ``w_star``.
 
-Everything here is an immutable value and every function is pure.
+Everything here is an immutable value and every function is pure; a Weight
+keeps its |w| and |w|* (Weight.total, Weight.star) once they are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
 from operator import add as _add, neg as _neg, sub as _sub
@@ -167,12 +168,17 @@ class GroupElem:
         return False
 
     def render(self) -> str:
-        if len(self.coords) == 1:
-            return str(self.coords[0])
-        return "[" + ",".join(str(c) for c in self.coords) + "]"
+        return _render_coords(self.coords)
 
     def __repr__(self):
         return f"GroupElem{self.coords}"
+
+
+def _render_coords(coords: tuple) -> str:
+    """'5' at rank 1, '[1,0,2]' above: the text form of a group element."""
+    if len(coords) == 1:
+        return str(coords[0])
+    return "[" + ",".join(str(c) for c in coords) + "]"
 
 
 DegreeValue = Union[GroupElem, NegInfinity]
@@ -278,13 +284,15 @@ def semigroup_member(
     rational solution); dependent generators reduce to a coin problem on the
     coprime multipliers, solved with the smallest a as tie-break.
 
-    The input is validated on every call; the answer is then memoized on
-    (d, e1, e2) in a bounded LRU cache, so a bad input raises each time and
-    is never cached.
+    The input is validated on every call; the answer is then memoized in a
+    bounded LRU cache, on the ints at rank 1 (_member1) and on (d, e1, e2)
+    above it, so a bad input raises each time and is never cached.
     """
     _require_positive(e1, e2)
     d._check(e1)
     d._check(e2)
+    if len(d.coords) == 1:
+        return _member1(d.coords[0], e1.coords[0], e2.coords[0])
     return _semigroup_solve(d, e1, e2)
 
 
@@ -292,8 +300,7 @@ def semigroup_member(
 def _semigroup_solve(
     d: GroupElem, e1: GroupElem, e2: GroupElem
 ) -> Optional[tuple[int, int]]:
-    if len(d.coords) == 1:
-        return _member1(d.coords[0], e1.coords[0], e2.coords[0])
+    """semigroup_member at rank >= 2, on validated input."""
     pair = dependent_pair(e1, e2)
     if pair is None:
         return _solve_independent(d, e1, e2)
@@ -362,10 +369,10 @@ def frobenius_number(u1: int, u2: int) -> int:
 def least_multiple_exceeding(e: GroupElem, t: GroupElem) -> Optional[int]:
     """Smallest b >= 1 with b*e > t, or None when no multiple passes t.
 
-    The multiples b*e increase strictly in b, so the answer is found by a
-    monotone binary search once an upper bound is known.  At rank >= 2 the
-    answer may not exist: t can carry a positive coordinate strictly before
-    e's first nonzero coordinate.
+    At rank >= 2 the answer may not exist: t can carry a positive
+    coordinate strictly before e's first nonzero coordinate.  Otherwise,
+    with q = t_lead // e_lead, every b > q passes, every b < q fails, and
+    b = q passes when q*e > t (a tie at the lead, broken further on).
     """
     _require_positive(e)
     e._check(t)
@@ -375,15 +382,10 @@ def least_multiple_exceeding(e: GroupElem, t: GroupElem) -> Optional[int]:
             return None
         if t.coords[j] < 0:
             return 1
-    hi = max(1, t.coords[lead] // e.coords[lead] + 1)
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * e > t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    q = t.coords[lead] // e.coords[lead]
+    if q >= 1 and q * e > t:
+        return q
+    return max(1, q + 1)
 
 
 def least_combination_exceeding(
@@ -422,18 +424,12 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     w_s1 + w_s3, capped by 2*w_s1 + w_s3, where s sorts the three weights
     ascending.  Equals 3 for unit weights on Z.
 
-    The value depends on the sorted weight triple alone and is memoized on
-    it in a bounded LRU cache; the input is validated on every call, so a
-    bad triple raises each time and is never cached."""
+    The input is validated, then the value computed, on every call; a
+    Weight keeps it as Weight.star once read."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
     s1, s2, s3 = sorted(weights)
     _require_positive(s1, s2, s3)
-    return _w_star_sorted(s1, s2, s3)
-
-
-@lru_cache(maxsize=1024)
-def _w_star_sorted(s1: GroupElem, s2: GroupElem, s3: GroupElem) -> GroupElem:
     fallback = 2 * s1 + s3
     stair = least_combination_exceeding(s1, s2, s1 + s3)
     if stair is None or fallback < stair:
@@ -486,7 +482,10 @@ def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
 
 @dataclass(frozen=True)
 class Weight:
-    """Three strictly positive group elements of a common rank."""
+    """Three strictly positive group elements of a common rank.  total
+    (|w|) and star (|w|*) are kept once read, past the frozen __setattr__;
+    equality and hash go by the fields alone.  Two threads reading one at
+    once may both compute it, to the same value."""
 
     w1: GroupElem
     w2: GroupElem
@@ -510,9 +509,13 @@ class Weight:
     def rank(self) -> int:
         return self.w1.rank
 
-    @property
+    @cached_property
     def total(self) -> GroupElem:
         return self.w1 + self.w2 + self.w3
+
+    @cached_property
+    def star(self) -> GroupElem:
+        return w_star(self.components)
 
     def render(self) -> str:
         return ",".join(w.render() for w in self.components)

@@ -16,6 +16,8 @@ the grammar is exactly the one the renderer targets, so parse(render(f)) is
 the identity.  Any other character, a non-ASCII digit included, is a
 syntax error at its position.
 
+Degree and weight vectors ('5', '[1,0,2]') hold integers: a sign, then nat.
+
 Text becomes terms directly: a term's numbers and variable powers multiply
 into one coefficient and one exponent list, and an expression adds its
 terms into one term map, settled once.  Only a parenthesized factor such
@@ -38,6 +40,7 @@ DEFAULT_EXPONENT_CAP = 10_000
 
 # [0-9], not \d: in a str pattern \d also matches non-ASCII digits.
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|(x[0-9]*)|([-+*^/()])|(\S))")
+_INTEGER = re.compile(r"([-+]?)([0-9]+)")  # a degree or weight entry
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -60,18 +63,23 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-def _nat(digits: str, pos: int) -> int:
-    """The value of ASCII digits, or a syntax error at pos when there are
-    more of them than Python's int-string digit limit lets int() read
-    (the only way int() fails on [0-9]+)."""
+def _nat(digits: str, pos: Optional[int] = None) -> int:
+    """The value of ASCII digits.  More of them than Python's int-string
+    digit limit lets int() read (the only way int() fails on [0-9]+) are
+    named by their count: a syntax error at pos, or a DomainError when pos
+    is None (a vector entry)."""
     try:
         return int(digits)
     except ValueError:
-        raise PolynomialSyntaxError(
-            f"{len(digits)}-digit number exceeds Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits",
-            pos,
-        ) from None
+        limit = sys.get_int_max_str_digits()
+        message = f"{len(digits)}-digit number exceeds Python's limit of {limit} digits"
+        error = DomainError(message) if pos is None else PolynomialSyntaxError(message, pos)
+        raise error from None
+
+
+def _show(text: str, limit: int = 40) -> str:
+    """text quoted for an error message, cut short whatever its length."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 class _Parser:
@@ -181,24 +189,28 @@ def parse_polynomial(
     return value
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, as numbers are in polynomial text."""
+    m = _INTEGER.fullmatch(text.strip())
+    if m is None:
+        raise DomainError(f"bad integer {_show(text.strip())}")
+    return -_nat(m[2]) if m[1] == "-" else _nat(m[2])
+
+
 def parse_vector(text: str) -> GroupElem:
     """Parse '5' or '[1,0,2]' into a group element."""
     text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise DomainError(f"unclosed bracket in {text!r}")
-        inner = text[1:-1].strip()
-        if not inner:
-            raise DomainError("empty vector")
-        try:
-            coords = tuple(int(p.strip()) for p in inner.split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad vector {text!r}: {exc}") from exc
-        return GroupElem(coords)
+    if not text.startswith("["):
+        return GroupElem((_integer(text),))
+    if not text.endswith("]"):
+        raise DomainError(f"unclosed bracket in {_show(text)}")
+    inner = text[1:-1].strip()
+    if not inner:
+        raise DomainError("empty vector")
     try:
-        return GroupElem((int(text),))
-    except ValueError as exc:
-        raise DomainError(f"bad integer {text!r}") from exc
+        return GroupElem(tuple(_integer(p) for p in inner.split(",")))
+    except DomainError as exc:
+        raise DomainError(f"bad vector {_show(text)}: {exc}") from None
 
 
 def split_vector_entries(text: str) -> list[str]:
@@ -212,14 +224,14 @@ def split_vector_entries(text: str) -> list[str]:
         elif ch == "]":
             depth -= 1
             if depth < 0:
-                raise DomainError(f"unbalanced ']' in {text!r}")
+                raise DomainError(f"unbalanced ']' in {_show(text)}")
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise DomainError(f"unbalanced '[' in {text!r}")
+        raise DomainError(f"unbalanced '[' in {_show(text)}")
     parts.append("".join(current))
     return [p for p in (q.strip() for q in parts) if p]
 
@@ -235,6 +247,6 @@ def parse_vector_list(text: str, rank: Optional[int] = None) -> list[GroupElem]:
     for e in entries:
         if e.rank != want:
             raise DomainError(
-                f"mixed ranks in {text!r}: expected rank {want}, got {e.rank}"
+                f"mixed ranks in {_show(text)}: expected rank {want}, got {e.rank}"
             )
     return entries

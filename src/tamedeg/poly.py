@@ -46,6 +46,7 @@ from .ordgroup import (
 
 Monomial = tuple[int, ...]
 Coeff = Union[int, Fraction]
+DEFAULT_TERM_BUDGET = 200_000  # the term cap of Budget() and of SearchConfig
 
 
 def _canonical(value) -> Coeff:
@@ -83,7 +84,7 @@ class Budget:
 
     def __init__(
         self,
-        term_cap: int = 200_000,
+        term_cap: int = DEFAULT_TERM_BUDGET,
         op_cap: Optional[int] = None,
         degree_cap: Optional[int] = None,
     ):

@@ -54,7 +54,7 @@ from .errors import (
     SchemaVersionError,
 )
 from .ordgroup import GroupElem, Weight
-from .poly import Budget, _canonical, _settle, _trusted
+from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
 
@@ -78,7 +78,7 @@ class SearchConfig:
     scale_pool: tuple = (-1, 2)
     weights: tuple = ((1, 1, 1),)
     degree_cap: int = 60
-    term_budget: int = 200_000
+    term_budget: int = DEFAULT_TERM_BUDGET
     seed: int = 0
     mode: str = "randomized"
     sample_count: int = 1000

@@ -454,7 +454,7 @@ class TestSemigroupWitness:
             semigroup_witness(3, 2, 4)
 
     def test_non_integer_degrees_rejected(self):
-        for triple in ((2.0, 3, 4), (2, 3, 4.0), (1, 1.5, 2)):
+        for triple in ((2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.0), (1, 1.5, 2)):
             with pytest.raises(DomainError):
                 semigroup_witness(*triple)
 
@@ -513,6 +513,11 @@ class TestIntroFamily:
     def test_primes_2_5(self):
         degrees, _ = intro_family((2, 5))
         assert degrees == (10, 25, 241)
+
+    def test_non_integer_primes_rejected(self):
+        for primes in ((2.0, 3), (2, 3.0), (2, "3")):
+            with pytest.raises(DomainError, match="primes must be integers"):
+                intro_family(primes)
 
     def test_membership_gaps(self):
         degrees, _ = intro_family((2, 3))

@@ -47,7 +47,8 @@ from tamedeg import (
 )
 from tamedeg.automorphisms import _verify_realization
 from tamedeg.classifier import Clause, Condition, _DeltaTracker
-from tamedeg.ordgroup import GroupElem, _semigroup_solve
+from tamedeg import ordgroup
+from tamedeg.ordgroup import GroupElem, _member1, _semigroup_solve
 from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
 
 W111 = Weight.of(1, 1, 1)
@@ -619,9 +620,21 @@ class TestDecideBeforeExplaining:
 
     @pytest.mark.parametrize("triple", [(4, 5, 6), (3, 4, 5), (4, 6, 9), (6, 7, 8), (2, 3, 4)])
     def test_membership_solved_once_per_triple(self, triple):
+        _member1.cache_clear()
         _semigroup_solve.cache_clear()
         classify_total(*triple)
-        assert _semigroup_solve.cache_info().misses == 1
+        assert _member1.cache_info().misses == 1
+        assert _semigroup_solve.cache_info().misses == 0  # rank 1 never reaches it
+
+    def test_unit_weight_star_computed_at_most_once(self, monkeypatch):
+        calls = []
+        real = ordgroup.w_star
+        monkeypatch.setattr(ordgroup, "w_star", lambda ws: calls.append(ws) or real(ws))
+        # no witness and a, b or c fails: each reaches the unit-weight chain
+        for triple in ((4, 5, 6), (4, 6, 7), (4, 6, 11), (4, 9, 10), (6, 8, 9)):
+            result = classify_total(*triple)
+            assert isinstance(result, Unknown) or result.certificate.theorem is Theorem.MAIN_WEIGHTED
+        assert len(calls) <= 1
 
 
 class TestClassifyWeighted:

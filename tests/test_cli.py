@@ -213,6 +213,18 @@ class TestParser:
         with pytest.raises(DomainError):
             parse_vector("[1,0")
 
+    def test_vector_entries_are_signed_ascii_integers(self):
+        assert parse_vector("+5").coords == (5,)
+        assert parse_vector("007").coords == (7,)
+        assert parse_vector(" [-1, 0 ,+2] ").coords == (-1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["\u0663", "[1,\u0662]", "1_000", "[1_0,2]", "5.0", "--5", "+", "", "[1,,2]"]
+    )
+    def test_vector_entry_outside_the_grammar(self, text):
+        with pytest.raises(DomainError):
+            parse_vector(text)
+
 
 class TestClassifyCommand:
     def test_excluded(self, capsys):
@@ -464,6 +476,44 @@ class TestOtherCommands:
         assert code == 0 and "wrote" in out
         code, out, _ = run_cli(capsys, "check", "--config", str(cfg_path))
         assert code == 0 and "violations: 0" in out
+
+
+class TestVectorEntries:
+    """Degree and weight entries follow the number grammar of polynomial
+    text, and an error about them is one short line whatever the input."""
+
+    HUGE = "9" * 5000  # past Python's default limit of 4,300 digits
+
+    def assert_one_short_error(self, code, out, err, needle):
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300 and needle in err
+
+    def test_non_ascii_digits(self, capsys):
+        code, out, err = run_cli(capsys, "wstar", "\u0661", "\u0662", "\u0663")
+        self.assert_one_short_error(code, out, err, "bad integer '\u0661'")
+
+    def test_underscores(self, capsys):
+        code, out, err = run_cli(capsys, "wstar", "1_000", "2", "3")
+        self.assert_one_short_error(code, out, err, "bad integer '1_000'")
+
+    def test_huge_degree(self, capsys):
+        argv = ("classify-weighted", "--deg", f"{self.HUGE},5,7", "--weight", "1,2,3")
+        self.assert_one_short_error(*run_cli(capsys, *argv), "5000-digit number")
+
+    def test_huge_weight(self, capsys):
+        argv = ("classify-weighted", "--deg", "3,5,7", "--weight", f"[1,0],[1,1],[0,{self.HUGE}]")
+        self.assert_one_short_error(*run_cli(capsys, *argv), "5000-digit number")
+
+    def test_huge_registry_entry(self, capsys, tmp_path):
+        regfile = tmp_path / "reg.txt"
+        regfile.write_text(f"1,1,1 ; 4,6 ; {self.HUGE}\n")
+        argv = ("classify", "4", "5", "6", "--registry", str(regfile))
+        self.assert_one_short_error(*run_cli(capsys, *argv), "5000-digit number")
+
+    def test_long_malformed_entry(self, capsys):
+        argv = ("classify-weighted", "--deg", "x" * 5000 + ",5,7", "--weight", "1,2,3")
+        self.assert_one_short_error(*run_cli(capsys, *argv), "(5000 characters)")
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
 import operator
+import pickle
 import random
 from itertools import permutations, product
+
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from tamedeg import (
     GroupElem,
     RankMismatchError,
     Weight,
+    classify_weighted,
     dependent_pair,
     frobenius_number,
     gcd_lcm,
@@ -22,6 +26,7 @@ from tamedeg import (
     semigroup_member,
     w_star,
 )
+from tamedeg import ordgroup
 from tamedeg.ordgroup import (
     _member1,
     _multiple1,
@@ -180,20 +185,40 @@ class TestSemigroupMember:
         assert semigroup_member(ge(5, -1, 6), ge(1, 1, 0), ge(1, -1, 2)) == (2, 3)
 
     def test_memoized_value_and_bad_input_always_raises(self):
+        # rank 1 is memoized in _member1, rank >= 2 in _semigroup_solve
+        _member1.cache_clear()
         _semigroup_solve.cache_clear()
-        assert semigroup_member(ge(17), ge(3), ge(4)) == (3, 2)
-        assert semigroup_member(ge(17), ge(3), ge(4)) == (3, 2)
-        assert semigroup_member(ge(5, -1, 6), ge(1, 1, 0), ge(1, -1, 2)) == (2, 3)
-        info = _semigroup_solve.cache_info()
-        assert (info.hits, info.misses) == (1, 2) and info.maxsize is not None
+        for _ in range(2):
+            assert semigroup_member(ge(17), ge(3), ge(4)) == (3, 2)
+            assert semigroup_member(ge(5, -1, 6), ge(1, 1, 0), ge(1, -1, 2)) == (2, 3)
+        for cache in (_member1, _semigroup_solve):
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (1, 1) and info.maxsize is not None
         for _ in range(2):
             with pytest.raises(DomainError):
                 semigroup_member(ge(5), ge(0), ge(3))
             with pytest.raises(DomainError):
                 semigroup_member(ge(5), ge(3), ge(-1))
+            with pytest.raises(DomainError):
+                semigroup_member(ge(5, 1), ge(1, 0), ge(0, -1))
             with pytest.raises(RankMismatchError):
                 semigroup_member(ge(5, 1), ge(1), ge(3))
-        assert _semigroup_solve.cache_info().currsize == 2
+            with pytest.raises(RankMismatchError):
+                semigroup_member(ge(5), ge(1, 0), ge(1, 1))
+        assert _member1.cache_info().currsize == 1
+        assert _semigroup_solve.cache_info().currsize == 1
+
+    def test_rank1_solved_by_the_int_kernel_alone(self):
+        _semigroup_solve.cache_clear()
+        for d in range(-3, 40):
+            assert semigroup_member(ge(d), ge(6), ge(10)) == _member1(d, 6, 10)
+        assert _semigroup_solve.cache_info().currsize == 0
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                semigroup_member(ge(5), ge(0), ge(3))
+            with pytest.raises(RankMismatchError):
+                semigroup_member(ge(5), ge(2), ge(3, 1))
+        assert _semigroup_solve.cache_info().currsize == 0
 
     def test_against_dp_oracle(self):
         for e1, e2 in product(range(1, 11), repeat=2):
@@ -267,6 +292,33 @@ class TestLeastMultipleExceeding:
             else:
                 assert b * e > t
                 assert b == 1 or not ((b - 1) * e > t)
+
+
+@st.composite
+def _multiple_cases(draw):
+    """(e, t) at rank 1..4 with e positive.  t often matches e in every
+    coordinate before e's lead, so that the lead decides, and often has
+    t_lead = q*e_lead, so that the later coordinates break a tie."""
+    k = draw(st.integers(1, 4))
+    lead = draw(st.integers(0, k - 1))
+    e_lead = draw(st.integers(1, 6))
+    e = [0] * lead + [e_lead] + [draw(st.integers(-6, 6)) for _ in range(k - lead - 1)]
+    t = [draw(st.integers(-30, 30)) for _ in range(k)]
+    if draw(st.integers(0, 3)):
+        t[:lead] = [0] * lead
+    if draw(st.booleans()):
+        t[lead] = draw(st.integers(-5, 5)) * e_lead
+    return GroupElem(e), GroupElem(t)
+
+
+class TestLeastMultipleExceedingProperty:
+    @given(_multiple_cases())
+    @settings(max_examples=400)
+    def test_closed_form_matches_scan(self, case):
+        e, t = case
+        # |t| <= 30 and e_lead >= 1, so any answer lies below 40
+        scan = next((b for b in range(1, 40) if b * e > t), None)
+        assert least_multiple_exceeding(e, t) == scan
 
 
 class TestLeastCombinationExceeding:
@@ -389,6 +441,33 @@ class TestWeight:
     def test_total_and_sorted(self):
         w = Weight.of(3, 1, 2)
         assert w.total == ge(6)
+
+    def test_total_and_star_kept_once_read(self, monkeypatch):
+        calls = []
+        real = ordgroup.w_star
+        monkeypatch.setattr(ordgroup, "w_star", lambda ws: calls.append(ws) or real(ws))
+        w = Weight.of(5, 2, 3)
+        for _ in range(2):
+            assert w.star == ge(8) and w.total == ge(10)
+        assert len(calls) == 1
+        w_rank2 = Weight.of((1, 2), (0, 3), (1, -1))
+        for _ in range(2):
+            assert w_rank2.star.coords == enum_w_star((1, 2), (0, 3), (1, -1))
+        assert len(calls) == 2
+
+    def test_equal_weights_agree_whatever_was_read(self):
+        read, fresh = Weight.of(1, 2, 3), Weight.of(1, 2, 3)
+        assert read.star == ge(5) and read.total == ge(6)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+        for w in (read, fresh):
+            back = pickle.loads(pickle.dumps(w))
+            assert back == w and hash(back) == hash(w)
+            assert back.star == ge(5) and back.total == ge(6)
+        certs = [classify_weighted((3, 5, 7), w).certificate for w in (read, fresh)]
+        assert certs[0] == certs[1] and certs[0].to_json() == certs[1].to_json()
+        with pytest.raises(FrozenInstanceError):
+            read.star = ge(1)
 
     def test_coerce_trusts_a_weight_and_checks_raw_input(self):
         w = Weight.of(3, 1, (2,))
