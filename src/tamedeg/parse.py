@@ -16,7 +16,7 @@ the grammar is exactly the one the renderer targets, so parse(render(f)) is
 the identity.  Any other character, a non-ASCII digit included, is a
 syntax error at its position.
 
-Degree and weight vectors ('5', '[1,0,2]') hold integers: a sign, then nat.
+Degree and weight vectors ('5', '[1,0,2]') hold integers: an optional sign, then nat.
 
 Text becomes terms directly: a term's numbers and variable powers multiply
 into one coefficient and one exponent list, and an expression adds its
