@@ -54,14 +54,11 @@ from .errors import (
     SchemaVersionError,
 )
 from .ordgroup import (
-    NEG_INF,
-    DegreeValue,
     GroupElem,
     Weight,
     as_group_elem,
     dependent_pair,
     frobenius_number,
-    gcd_lcm,
     ge,
     is_prime,
     least_combination_exceeding,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
@@ -46,16 +46,16 @@ from .automorphisms import (
     _witness_word,
     permutation_word,
 )
-from .errors import DomainError, HypothesisViolation
+from .errors import DomainError, HypothesisViolation, _show
 from .ordgroup import (
     GroupElem,
-    NEG_INF,
     Weight,
     _member1,
     _multiple1,
     _pair1,
     _render_coords,
     as_group_elem,
+    as_weight,
     dependent_pair,
     independent_triple,
     is_prime,
@@ -313,18 +313,15 @@ class DeltaBoundRegistry:
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(";")]
-            if len(parts) != 3:
-                raise DomainError(
-                    f"registry line {lineno}: expected 'W1,W2,W3 ; D,E ; BOUND'"
-                )
-            ws = parse_vector_list(parts[0])
-            ds = parse_vector_list(parts[1])
-            bs = parse_vector_list(parts[2])
-            if len(ws) != 3 or len(ds) != 2 or len(bs) != 1:
-                raise DomainError(
-                    f"registry line {lineno}: need 3 weights, 2 degrees, 1 bound"
-                )
-            reg = reg.with_entry(Weight.of(*ws), ds[0], ds[1], bs[0])
+            try:
+                if len(parts) != 3:
+                    raise DomainError("expected 'W1,W2,W3 ; D,E ; BOUND'")
+                ws, ds, bs = map(parse_vector_list, parts)
+                if len(ws) != 3 or len(ds) != 2 or len(bs) != 1:
+                    raise DomainError("need 3 weights, 2 degrees, 1 bound")
+                reg = reg.with_entry(Weight(*ws), ds[0], ds[1], bs[0])
+            except DomainError as exc:
+                raise DomainError(f"registry line {lineno}: {exc}") from None
         return reg
 
 
@@ -340,35 +337,20 @@ def builtin_registry() -> DeltaBoundRegistry:
     return _BUILTIN_REGISTRY
 
 
-@dataclass
-class _DeltaTracker:
-    """Collects which registry entries actually produced a selected bound."""
-
-    uses: list = field(default_factory=list)
-
-    def record(self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem) -> None:
-        entry = DeltaBoundUse(
-            weight=tuple(c.coords for c in w.components),
-            pair=tuple(sorted((d.coords, e.coords))),
-            bound=bound,
-        )
-        if entry not in self.uses:
-            self.uses.append(entry)
-
-
 def delta_lower_bound(
     d: GroupElem,
     e: GroupElem,
     w: Weight,
     registry: Optional[DeltaBoundRegistry] = None,
-    _tracker: Optional[_DeltaTracker] = None,
+    _uses: Optional[list] = None,
 ) -> GroupElem:
     """Largest certified lower bound for Delta(d, e) under the weight w.
 
     Candidates: the star invariant of w when neither degree is a multiple
     of the other and at least one lies outside the weight set; any registry
     entry for (w, {d, e}); and the unconditional floor min_{i<j}(w_i + w_j)
-    coming from the x_i*x_j factor every wedge term carries.
+    coming from the x_i*x_j factor every wedge term carries.  A registry
+    entry that gives the bound is appended to _uses once, as a DeltaBoundUse.
     """
     if registry is None:
         registry = builtin_registry()
@@ -382,8 +364,10 @@ def delta_lower_bound(
     reg = registry.lookup(w, d, e)
     if reg is not None and reg > best:
         best = reg
-        if _tracker is not None:
-            _tracker.record(w, d, e, reg)
+        if _uses is not None:
+            use = DeltaBoundUse(tuple(c.coords for c in ws), registry._pair_key(d, e), reg)
+            if use not in _uses:
+                _uses.append(use)
     return best
 
 
@@ -531,19 +515,13 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     return rep
 
 
-def _abc_combined(rep: ConditionReport) -> tuple[bool, bool, bool]:
-    a = rep.holds("a1") or rep.holds("a2")
-    b = rep.holds("b1") or rep.holds("b2")
-    return a, b, rep.holds("c")
-
-
 def check_weighted_conditions(
     d1: GroupElem,
     d2: GroupElem,
     d3: GroupElem,
     w: Weight,
     registry: Optional[DeltaBoundRegistry] = None,
-    _tracker: Optional[_DeltaTracker] = None,
+    _uses: Optional[list] = None,
 ) -> ConditionReport:
     """Evaluate K1..K5, A1..A3, B1..B2 for strictly ascending positive
     degrees.  Every Delta occurrence is replaced by delta_lower_bound, so a
@@ -551,7 +529,8 @@ def check_weighted_conditions(
     certified'.  Each condition is decided here; its clauses, and the
     quantities only they show, are built when it is read (see
     ConditionReport).  At rank 1 the degrees (which may be given as ints),
-    |w| and |w|* are ints, decided by the int kernels of ordgroup."""
+    |w| and |w|* are ints, decided by the int kernels of ordgroup.  Registry
+    entries that give a Delta bound go to _uses (see delta_lower_bound)."""
     if registry is None:
         registry = builtin_registry()
     wtotal, star = w.total, w.star
@@ -568,14 +547,12 @@ def check_weighted_conditions(
         raise DomainError("degrees must be strictly ascending")
     if not (d1 > 0 if rank1 else d1.is_positive):
         raise DomainError("degrees must be positive")
-    if _tracker is None:
-        _tracker = _DeltaTracker()
 
     def delta(d, e):
-        if rank1:  # the registry, the tracker and DeltaBoundUse keep GroupElems
+        if rank1:  # the registry and DeltaBoundUse keep GroupElems
             d, e = GroupElem._trusted((d,)), GroupElem._trusted((e,))
-            return delta_lower_bound(d, e, w, registry, _tracker).coords[0]
-        return delta_lower_bound(d, e, w, registry, _tracker)
+            return delta_lower_bound(d, e, w, registry, _uses).coords[0]
+        return delta_lower_bound(d, e, w, registry, _uses)
 
     rep = ConditionReport()
     total = d1 + d2 + d3
@@ -781,7 +758,7 @@ def classify_weighted(
     ds = [as_group_elem(d) for d in degrees]
     if len(ds) != 3:
         raise DomainError("expected a degree triple")
-    w = weight if isinstance(weight, Weight) else Weight.of(*weight)
+    w = as_weight(weight)
     rank = w.rank
     if any(d.rank != rank for d in ds):
         raise DomainError("degrees and weights must share one rank")
@@ -801,13 +778,11 @@ def classify_weighted(
         reasons.extend(rep.failed_names())
     d1, d2, d3 = sorted(ds)
     if d1 < d2 < d3:
-        tracker = _DeltaTracker()
-        rep = check_weighted_conditions(d1, d2, d3, w, registry, tracker)
+        uses: list = []
+        rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
         if _weighted_fires(rep):
             return Excluded(
-                Certificate(
-                    Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(tracker.uses)
-                )
+                Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(uses))
             )
         reasons.extend(
             n for n in rep.failed_names() if n not in reasons
@@ -858,8 +833,8 @@ def classify_total(
             word = word + permutation_word(_matching_permutation(asked), 3)
         return make_realizable(word, asked)
     rep = check_total_abc(t1, t2, t3)
-    a, b, c = _abc_combined(rep)
-    if a and b and c:
+    holds = rep.holds
+    if (holds("a1") or holds("a2")) and (holds("b1") or holds("b2")) and holds("c"):
         return Excluded(Certificate(Theorem.TOTAL_DEGREE, rep.conditions()))
     weighted = classify_weighted((t1, t2, t3), _UNIT, registry)
     if isinstance(weighted, Excluded):
@@ -896,7 +871,7 @@ def certify_wild(
         registry = builtin_registry()
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
-    w = weight if isinstance(weight, Weight) else Weight.of(*weight)
+    w = as_weight(weight)
     if not assume_automorphism:
         jac = jacobian_det(endo.components)
         if jac.is_zero or not jac.is_constant:
@@ -904,15 +879,15 @@ def certify_wild(
     scored = []
     for comp in endo.components:
         deg = degree_w(comp, w)
-        if deg is NEG_INF:
+        if deg is None:
             return Unknown(("K1",))
         scored.append((deg, comp))
     scored.sort(key=lambda t: t[0].coords)
     (d1, f1), (d2, f2), (d3, _) = scored
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
-    tracker = _DeltaTracker()
-    rep = check_weighted_conditions(d1, d2, d3, w, registry, tracker)
+    uses: list = []
+    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
     k_names = ("K1", "K2", "K3", "K4")
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
@@ -925,8 +900,7 @@ def certify_wild(
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
         wedge = wedge2_degree(f1, f2, w)
         total = d1 + d2 + d3
-        ok = wedge is not NEG_INF and total < l + wedge
-        if not ok:
+        if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))
         conditions.append(Condition._deferred("prop:main", True, lambda: (
             Clause(
@@ -940,7 +914,7 @@ def certify_wild(
         conditions.append(Condition._deferred("1", True, lambda: (
             Clause("d1, d2", "linearly independent over Z", "", True),
         )))
-    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(tracker.uses))
+    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
 
 
 def _hyp(cond: bool, name: str):
@@ -1059,11 +1033,11 @@ def corollary_inputs(name: str, args: Sequence[int]) -> tuple[tuple[int, ...], O
     (and weight, for the weighted corollary) it classifies."""
     if name not in _COROLLARIES:
         raise DomainError(
-            f"unknown corollary {name!r}; known: {', '.join(sorted(_COROLLARIES))}"
+            f"unknown corollary {_show(name)}; known: {', '.join(sorted(_COROLLARIES))}"
         )
     arity, builder = _COROLLARIES[name]
-    args = [int(a) for a in args]
-    if len(args) != arity:
+    args = list(args)
+    if len(args) != arity or not all(type(a) is int for a in args):
         raise DomainError(f"corollary {name} takes {arity} integers")
     return builder(args)
 

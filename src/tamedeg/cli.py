@@ -52,9 +52,10 @@ from .errors import (
     PolynomialSyntaxError,
     RankMismatchError,
     SchemaVersionError,
+    _show,
 )
-from .ordgroup import Weight, frobenius_number, w_star
-from .parse import parse_polynomial, parse_vector_list
+from .ordgroup import frobenius_number, w_star
+from .parse import _integer, parse_polynomial, parse_vector_list
 from .search import (
     SearchConfig,
     consistency_check,
@@ -76,6 +77,11 @@ _INPUT_ERRORS = (
     json.JSONDecodeError,
     ValueError,
 )
+
+# Integer arguments, read by the entry grammar (parse._integer) in main once
+# argparse is done: a DomainError from a type= function would become a
+# usage error (exit 2) that repeats the whole argument.
+_INTEGER_ARGS = ("d1", "d2", "d3", "u1", "u2", "max", "rank", "args")
 
 
 def _load_registry(spec: Optional[str]) -> DeltaBoundRegistry:
@@ -173,11 +179,7 @@ def _cmd_classify_weighted(args) -> int:
     registry = _load_registry(args.registry)
     degrees = parse_vector_list(args.deg, rank=args.rank)
     weights = parse_vector_list(args.weight, rank=args.rank)
-    if len(degrees) != 3 or len(weights) != 3:
-        raise DomainError("need exactly three degrees and three weights")
-    if degrees[0].rank != weights[0].rank:
-        raise DomainError("degrees and weights must share one rank")
-    result = classify_weighted(degrees, Weight(*weights), registry)
+    result = classify_weighted(degrees, weights, registry)
     query = {
         "command": "classify-weighted",
         "degrees": [list(d.coords) for d in degrees],
@@ -194,9 +196,7 @@ def _cmd_certify_wild(args) -> int:
     )
     endo = Endo(comps)
     weights = parse_vector_list(args.weight)
-    if len(weights) != 3:
-        raise DomainError("need exactly three weights")
-    outcome = certify_wild(endo, Weight(*weights), registry)
+    outcome = certify_wild(endo, weights, registry)
     query = {
         "command": "certify-wild",
         "components": [c.render() for c in comps],
@@ -226,10 +226,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_wstar(args) -> int:
     weights = parse_vector_list(",".join(args.w), rank=args.rank)
-    if len(weights) != 3:
-        raise DomainError("need exactly three weights")
-    value = w_star(weights)
-    print(value.render())
+    print(w_star(weights).render())
     return 0
 
 
@@ -267,14 +264,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.max < 1:
-        raise DomainError(f"--max must be at least 1, got {args.max}")
+        raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
     registry = _load_registry(args.registry)
-    weight = None
-    if args.weight:
-        weight = parse_vector_list(args.weight)
-        if len(weight) != 3:
-            raise DomainError("need exactly three weights")
-        weight = Weight(*weight)
+    weight = parse_vector_list(args.weight) if args.weight else None
     table = realizability_table(args.max, weight=weight, registry=registry)
     lines = [
         f"{d1} {d2} {d3} {entry.kind}"
@@ -302,7 +294,7 @@ def _cmd_corollary(args) -> int:
     query = {
         "command": "corollary",
         "name": args.name,
-        "args": [int(a) for a in args.args],
+        "args": args.args,
         "triple": list(triple),
     }
     if weight is not None:
@@ -323,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="total-degree triple verdict")
-    p.add_argument("d1", type=int)
-    p.add_argument("d2", type=int)
-    p.add_argument("d3", type=int)
+    p.add_argument("d1")
+    p.add_argument("d2")
+    p.add_argument("d3")
     p.add_argument("--registry", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
@@ -333,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify-weighted", help="weighted triple verdict")
     p.add_argument("--deg", required=True, help="D1,D2,D3 (ints or [a,b,...])")
     p.add_argument("--weight", required=True, help="W1,W2,W3 (ints or [a,b,...])")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", default=None)
     p.add_argument("--registry", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify_weighted)
@@ -348,20 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify_wild)
 
     p = sub.add_parser("witness", help="constructive tame word for a triple")
-    p.add_argument("d1", type=int)
-    p.add_argument("d2", type=int)
-    p.add_argument("d3", type=int)
+    p.add_argument("d1")
+    p.add_argument("d2")
+    p.add_argument("d3")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("wstar", help="staircase invariant of a weight triple")
     p.add_argument("w", nargs=3, help="three entries, ints or [a,b,...]")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", default=None)
     p.set_defaults(func=_cmd_wstar)
 
     p = sub.add_parser("frobenius", help="Sylvester Frobenius number")
-    p.add_argument("u1", type=int)
-    p.add_argument("u2", type=int)
+    p.add_argument("u1")
+    p.add_argument("u2")
     p.set_defaults(func=_cmd_frobenius)
 
     p = sub.add_parser("search", help="run a search and persist records")
@@ -377,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("table", help="realizability table up to a bound")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", required=True)
     p.add_argument("--weight", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--registry", default=None)
@@ -388,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"named corollary instance ({', '.join(corollary_names())})",
     )
     p.add_argument("name")
-    p.add_argument("args", nargs="*", type=int)
+    p.add_argument("args", nargs="*")
     p.add_argument("--registry", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_corollary)
@@ -403,6 +395,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        for name in _INTEGER_ARGS:
+            value = getattr(args, name, None)
+            if isinstance(value, list):
+                setattr(args, name, [_integer(v) for v in value])
+            elif value is not None:
+                setattr(args, name, _integer(value))
         return args.func(args)
     except ConstructionError as exc:
         print(f"error: internal soundness failure: {exc}", file=sys.stderr)

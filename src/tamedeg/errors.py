@@ -1,4 +1,28 @@
-"""Shared exception types."""
+"""Shared exception types, and the one way their messages show a value."""
+
+from math import log10
+
+
+def _show(value, limit: int = 40) -> str:
+    """value for an error message, short whatever its size.  A str is cut
+    to limit characters, and an int past 20 digits is named by its digit
+    count, found without str() (which Python refuses past its digit limit).
+    A tuple shows its items so; any other repr is cut to 5*limit characters."""
+    if isinstance(value, str) and len(value) > limit:
+        return f"{value[:limit]!r}... ({len(value)} characters)"
+    if isinstance(value, int) and abs(value) >= 10**20:
+        n = abs(value)
+        digits = int((n.bit_length() - 1) * log10(2))  # at most the digit count
+        while 10**digits <= n:
+            digits += 1
+        return f"<{'negative ' if value < 0 else ''}{digits}-digit integer>"
+    if isinstance(value, tuple):
+        items = ", ".join(_show(v, limit) for v in value)
+        text = f"({items},)" if len(value) == 1 else f"({items})"
+    else:
+        text = repr(value)
+    cut = 5 * limit
+    return text if len(text) <= cut else f"{text[:cut]}... ({len(text)} characters)"
 
 
 class RankMismatchError(ValueError):

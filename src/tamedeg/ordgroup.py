@@ -4,7 +4,8 @@ All degrees and weights used by the grading machinery live in Z^k ordered
 lexicographically (rank k = 1 recovers the integers with their usual order).
 Besides the group operations this module provides the order-theoretic
 primitives the exclusion conditions are built from: proportionality of
-pairs, gcd/lcm of proportional pairs, membership in two-generator numerical
+pairs with their common divisor (from which the gcd and lcm of a
+proportional pair are read), membership in two-generator numerical
 semigroups, Sylvester's Frobenius number, staircase minimization above a
 threshold, and the derived invariant ``w_star``.
 
@@ -19,43 +20,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
 from operator import add as _add, neg as _neg, sub as _sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .errors import ConstructionError, DomainError, RankMismatchError
-
-
-class NegInfinity:
-    """Degree of the zero polynomial: below every group element."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = NegInfinity()
+from .errors import ConstructionError, DomainError, RankMismatchError, _show
 
 
 class GroupElem:
@@ -69,7 +36,7 @@ class GroupElem:
             raise DomainError("group element needs rank >= 1")
         for c in coords:
             if not isinstance(c, int):
-                raise DomainError(f"coordinates must be integers, got {c!r}")
+                raise DomainError(f"coordinates must be integers, got {_show(c)}")
         self.coords = coords
 
     @staticmethod
@@ -100,8 +67,6 @@ class GroupElem:
             )
 
     def __add__(self, other):
-        if other is NEG_INF:
-            return NEG_INF
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return GroupElem._trusted(tuple(map(_add, self.coords, other.coords)))
@@ -128,29 +93,21 @@ class GroupElem:
         return hash(self.coords)
 
     def __lt__(self, other):
-        if other is NEG_INF:
-            return False
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return self.coords < other.coords
 
     def __le__(self, other):
-        if other is NEG_INF:
-            return False
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return self.coords <= other.coords
 
     def __gt__(self, other):
-        if other is NEG_INF:
-            return True
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return self.coords > other.coords
 
     def __ge__(self, other):
-        if other is NEG_INF:
-            return True
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return self.coords >= other.coords
@@ -181,9 +138,6 @@ def _render_coords(coords: tuple) -> str:
     return "[" + ",".join(str(c) for c in coords) + "]"
 
 
-DegreeValue = Union[GroupElem, NegInfinity]
-
-
 def ge(*coords: int) -> GroupElem:
     """Shorthand constructor: ge(3) or ge(1, 0, 2)."""
     return GroupElem(coords)
@@ -198,16 +152,26 @@ def as_group_elem(value, rank: Optional[int] = None) -> GroupElem:
     elif isinstance(value, (tuple, list)):
         out = GroupElem(value)
     else:
-        raise DomainError(f"cannot interpret {value!r} as a group element")
+        raise DomainError(f"cannot interpret {_show(value)} as a group element")
     if rank is not None and out.rank != rank:
         raise RankMismatchError(f"expected rank {rank}, got rank {out.rank}")
     return out
 
 
+def as_weight(value) -> "Weight":
+    """A Weight as it is; anything else is read by coerce_weight_vector as
+    three entries (None as unit weights), DomainError for any other count."""
+    if isinstance(value, Weight):
+        return value
+    return Weight(*coerce_weight_vector(value, 3))
+
+
 def _require_positive(*elems: GroupElem) -> None:
     for e in elems:
         if not e.is_positive:
-            raise DomainError(f"expected a positive group element, got {e!r}")
+            raise DomainError(
+                f"expected a positive group element, got GroupElem{_show(e.coords)}"
+            )
 
 
 def dependent_pair(
@@ -245,16 +209,6 @@ def _pair1(a: int, b: int) -> tuple[int, int, int]:
     """dependent_pair of positive ints a, b: (a/g, b/g, g), g = gcd(a, b)."""
     g = _int_gcd(a, b)
     return a // g, b // g, g
-
-
-def gcd_lcm(d1: GroupElem, d2: GroupElem) -> tuple[GroupElem, GroupElem]:
-    """gcd and lcm of a Z-dependent positive pair; matches the integer
-    notions at rank 1."""
-    pair = dependent_pair(d1, d2)
-    if pair is None:
-        raise DomainError("gcd undefined for independent pair")
-    u1, u2, d = pair
-    return d, (u1 * u2) * d
 
 
 def multiple_of(d: GroupElem, e: GroupElem) -> Optional[int]:
@@ -540,7 +494,7 @@ def coerce_weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
         if w.rank != rank:
             raise RankMismatchError("weights must share one rank")
         if not w.is_positive:
-            raise DomainError(f"weights must be positive, got {w!r}")
+            raise DomainError(f"weights must be positive, got GroupElem{_show(w.coords)}")
     return items
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import add as _add
 from typing import Optional
 
-from .errors import DomainError, PolynomialSyntaxError
+from .errors import DomainError, PolynomialSyntaxError, _show
 from .ordgroup import GroupElem
 from .poly import Polynomial, _settle, _trusted
 
@@ -75,11 +75,6 @@ def _nat(digits: str, pos: Optional[int] = None) -> int:
         message = f"{len(digits)}-digit number exceeds Python's limit of {limit} digits"
         error = DomainError(message) if pos is None else PolynomialSyntaxError(message, pos)
         raise error from None
-
-
-def _show(text: str, limit: int = 40) -> str:
-    """text quoted for an error message, cut short whatever its length."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 class _Parser:
@@ -239,7 +234,7 @@ def split_vector_entries(text: str) -> list[str]:
 def parse_vector_list(text: str, rank: Optional[int] = None) -> list[GroupElem]:
     """Parse a comma-separated list of vector entries, enforcing one rank."""
     if rank is not None and rank < 1:
-        raise DomainError(f"rank must be at least 1, got {rank}")
+        raise DomainError(f"rank must be at least 1, got {_show(rank)}")
     entries = [parse_vector(p) for p in split_vector_entries(text)]
     if not entries:
         raise DomainError("empty entry list")

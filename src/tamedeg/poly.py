@@ -12,7 +12,7 @@ precondition is that every coefficient is nonzero and canonical and every
 exponent tuple has length nvars.
 
 Degrees take values in Z^k under a vector of positive weights (one group
-element per variable), with the zero polynomial at minus infinity.  On top
+element per variable); the zero polynomial has no degree (None).  On top
 of the ring operations this module computes weighted degrees, formal
 partials, degrees of wedge products of differentials and Jacobian
 determinants.
@@ -37,12 +37,7 @@ from operator import add as _add, mul as _mul
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError
-from .ordgroup import (
-    NEG_INF,
-    DegreeValue,
-    GroupElem,
-    coerce_weight_vector,
-)
+from .ordgroup import GroupElem, coerce_weight_vector
 
 Monomial = tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -392,16 +387,16 @@ def substitute(
     return _unpack(_psubstitute(f, packed, budget), m, width)
 
 
-def degree_w(f: Polynomial, weights=None) -> DegreeValue:
-    """Maximal weighted degree over the terms of f; NEG_INF for zero."""
+def degree_w(f: Polynomial, weights=None) -> Optional[GroupElem]:
+    """Maximal weighted degree over the terms of f; None for zero."""
     return _degree_w(f, coerce_weight_vector(weights, f.nvars))
 
 
-def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> DegreeValue:
+def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> Optional[GroupElem]:
     """degree_w under weights already checked: f.nvars positive group
     elements of one rank."""
     if f.is_zero:
-        return NEG_INF
+        return None
     if all(w.rank == 1 for w in ws):
         ints = [w.coords[0] for w in ws]
         top = max(sum(map(_mul, mono, ints)) for mono in f.terms)
@@ -429,9 +424,9 @@ def partial(f: Polynomial, index: int) -> Polynomial:
     return _trusted(f.nvars, _settle(out))
 
 
-def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
+def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupElem]:
     """Weighted degree of df ^ dg: the maximum over variable pairs i < j of
-    deg_w of the antisymmetrized minor times x_i*x_j.  NEG_INF exactly when
+    deg_w of the antisymmetrized minor times x_i*x_j.  None exactly when
     every minor vanishes (f and g algebraically dependent)."""
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
@@ -439,14 +434,14 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> DegreeValue:
     ws = coerce_weight_vector(weights, n)
     df = [partial(f, i) for i in range(n)]
     dg = [partial(g, i) for i in range(n)]
-    best: DegreeValue = NEG_INF
+    best: Optional[GroupElem] = None
     for i in range(n):
         for j in range(i + 1, n):
             minor = df[i] * dg[j] - df[j] * dg[i]
             if minor.is_zero:
                 continue
             cand = _degree_w(minor, ws) + ws[i] + ws[j]
-            if best is NEG_INF or cand > best:
+            if best is None or cand > best:
                 best = cand
     return best
 

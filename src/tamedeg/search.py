@@ -52,8 +52,9 @@ from .errors import (
     DegreeCapError,
     DomainError,
     SchemaVersionError,
+    _show,
 )
-from .ordgroup import GroupElem, Weight
+from .ordgroup import GroupElem, Weight, as_weight
 from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
@@ -86,13 +87,13 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.mode not in ("randomized", "exhaustive"):
-            raise DomainError(f"unknown mode {self.mode!r}")
+            raise DomainError(f"unknown mode {_show(self.mode)}")
         for name, least in _INT_MINIMA.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+                raise DomainError(f"{name} must be an integer, got {_show(value)}")
             if value < least:
-                raise DomainError(f"{name} must be at least {least}, got {value}")
+                raise DomainError(f"{name} must be at least {least}, got {_show(value)}")
         for name in ("coefficient_pool", "scale_pool"):
             object.__setattr__(self, name, _pool(name, getattr(self, name)))
         if not self.coefficient_pool:
@@ -126,7 +127,7 @@ def _pool(name: str, entries) -> tuple:
     (an int when integral, else a Fraction).  An entry is an int (not a
     bool), a Fraction, or a string "p" or "p/q"; it must not be 0."""
     if not isinstance(entries, (tuple, list)):
-        raise DomainError(f"{name} must be a list, got {entries!r}")
+        raise DomainError(f"{name} must be a list, got {_show(entries)}")
     out = []
     for entry in entries:
         value = entry
@@ -138,7 +139,7 @@ def _pool(name: str, entries) -> tuple:
                 value = None
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise DomainError(
-                f'{name} entries must be integers or "p/q" strings, got {entry!r}'
+                f'{name} entries must be integers or "p/q" strings, got {_show(entry)}'
             )
         if value == 0:
             raise DomainError(f"{name} must not contain 0")
@@ -478,12 +479,10 @@ def realizability_table(
     classify_weighted's under an integer weight triple.
     """
     if type(max_degree) is not int or max_degree < 1:
-        raise DomainError(f"max_degree must be an int >= 1, got {max_degree!r}")
+        raise DomainError(f"max_degree must be an int >= 1, got {_show(max_degree)}")
     if registry is None:
         registry = builtin_registry()
-    w = None if weight is None else (
-        weight if isinstance(weight, Weight) else Weight.of(*weight)
-    )
+    w = None if weight is None else as_weight(weight)
     if w is not None and w.rank != 1:
         raise DomainError("tables index integer degree triples: rank-1 weights only")
     table: dict[tuple[int, int, int], ClassificationResult] = {}
@@ -526,7 +525,7 @@ class SearchRecord:
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionError(
-                f"unsupported record schema version {version!r}"
+                f"unsupported record schema version {_show(version)}"
             )
         return cls(
             seed=data["seed"],

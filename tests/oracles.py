@@ -33,7 +33,6 @@ from tamedeg.automorphisms import Endo, TameWord, shear, transposition_word
 from tamedeg.classifier import Clause, Condition, check_total_abc, delta_lower_bound
 from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
-    NEG_INF,
     GroupElem,
     coerce_weight_vector,
     is_prime,
@@ -234,7 +233,7 @@ def _cmp(label_l, val_l, rel, label_r, val_r, holds) -> Clause:
     )
 
 
-def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
+def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
     """The Conditions K1, K2, K3, A2, K4, A3, A1, K5, B1, B2 of strictly
     ascending positive degrees, each clause formatted as it is decided."""
     out = []
@@ -243,7 +242,7 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, tracker) -> list:
         out.append(Condition(name, holds, tuple(clauses)))
 
     def delta(a, b):
-        return delta_lower_bound(a, b, w, registry, tracker)
+        return delta_lower_bound(a, b, w, registry, uses)
 
     def gcd_lcm(a, b):
         u1, u2, d = frac_dependent_pair(a, b)
@@ -499,21 +498,21 @@ def deg_w_total(endo: Endo, weights=None):
     degs = mdeg_w(endo, weights)
     total = None
     for d in degs:
-        if d is NEG_INF:
-            return NEG_INF
+        if d is None:
+            return None
         total = d if total is None else total + d
     return total
 
 
 def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):
     """Weighted degree of df1 ^ df2 ^ df3 in three variables: degree of the
-    Jacobian determinant times x1*x2*x3, NEG_INF for vanishing Jacobian."""
+    Jacobian determinant times x1*x2*x3, None for vanishing Jacobian."""
     if not (f1.nvars == f2.nvars == f3.nvars == 3):
         raise DomainError("wedge3_degree needs three trivariate polynomials")
     ws = coerce_weight_vector(weights, 3)
     jac = jacobian_det([f1, f2, f3])
     if jac.is_zero:
-        return NEG_INF
+        return None
     return degree_w(jac, ws) + ws[0] + ws[1] + ws[2]
 
 

@@ -36,19 +36,21 @@ from tamedeg import (
     classify_weighted,
     consistency_check,
     corollary_suite,
+    degree_w,
     delta_lower_bound,
     ge,
     make_realizable,
     mdeg,
     nagata,
+    realizability_table,
     realize,
     semigroup_witness,
     shear,
 )
 from tamedeg.automorphisms import _verify_realization
 from tamedeg import ordgroup
-from tamedeg.classifier import _UNIT, Clause, Condition, _DeltaTracker
-from tamedeg.ordgroup import GroupElem, _member1, _semigroup_solve
+from tamedeg.classifier import _UNIT, Clause, Condition
+from tamedeg.ordgroup import GroupElem, _member1, _semigroup_solve, as_weight
 from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
 
 W111 = Weight.of(1, 1, 1)
@@ -75,6 +77,22 @@ class TestDeltaLowerBound:
     def test_registry_lookup_unordered(self):
         reg = builtin_registry()
         assert reg.lookup(W111, ge(6), ge(4)) == ge(4)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1,1,1 ; 4,x ; 5", "bad integer 'x'"),
+            ("1,1,1 ; 4,6", "expected 'W1,W2,W3 ; D,E ; BOUND'"),
+            ("1,1 ; 4,6 ; 5", "need 3 weights, 2 degrees, 1 bound"),
+            ("1,1,-1 ; 4,6 ; 5", "expected a positive group element, got GroupElem(-1,)"),
+            ("1,1,1 ; 4,6 ; -5", "registry bounds must be positive"),
+        ],
+        ids=["entry", "shape", "counts", "weight", "bound"],
+    )
+    def test_registry_errors_name_their_line(self, line, message):
+        with pytest.raises(DomainError) as err:
+            DeltaBoundRegistry.from_lines(["# bounds", "1,1,1 ; 4,6 ; 4", line])
+        assert str(err.value) == f"registry line 3: {message}"
 
 
 class TestTotalConditions:
@@ -303,9 +321,9 @@ class TestDecideBeforeExplaining:
 
     @staticmethod
     def assert_matches_oracle(ds, w, registry):
-        tracker, oracle_tracker = _DeltaTracker(), _DeltaTracker()
-        rep = check_weighted_conditions(*ds, w, registry, tracker)
-        expected = eager_weighted_conditions(*ds, w, registry, oracle_tracker)
+        uses, oracle_uses = [], []
+        rep = check_weighted_conditions(*ds, w, registry, uses)
+        expected = eager_weighted_conditions(*ds, w, registry, oracle_uses)
         # the decisions are read before any clause is built
         assert rep.failed_names() == tuple(c.name for c in expected if not c.holds)
         assert [(c.name, rep.holds(c.name), c.name in rep) for c in expected] == [
@@ -313,15 +331,15 @@ class TestDecideBeforeExplaining:
         ]
         assert rep.conditions() == tuple(expected)
         assert rep["A1"] is rep.conditions()[6]
-        assert tracker.uses == oracle_tracker.uses
-        assert all(type(u.bound) is GroupElem for u in tracker.uses)
+        assert uses == oracle_uses
+        assert all(type(u.bound) is GroupElem for u in uses)
         if w.rank == 1:  # degrees passed as ints give the same report
-            int_tracker = _DeltaTracker()
+            int_uses = []
             ints = (d.coords[0] for d in ds)
-            int_rep = check_weighted_conditions(*ints, w, registry, int_tracker)
+            int_rep = check_weighted_conditions(*ints, w, registry, int_uses)
             assert int_rep.conditions() == rep.conditions()
-            assert int_tracker.uses == tracker.uses
-        return rep, tracker
+            assert int_uses == uses
+        return rep, uses
 
     def test_matches_eager_oracle_on_rank1_grid(self):
         for registry in self.REGISTRIES:
@@ -367,14 +385,14 @@ class TestDecideBeforeExplaining:
 
     def test_registry_bounds_stay_group_elements(self):
         # (4, 5, 6) under unit weights uses the builtin Delta(4, 6) >= 4
-        rep, tracker = self.assert_matches_oracle(
+        rep, uses = self.assert_matches_oracle(
             (ge(4), ge(5), ge(6)), W111, builtin_registry()
         )
         assert rep.holds("A3")
-        assert [u.describe() for u in tracker.uses] == ["Delta(4,6)>=4"]
-        assert tracker.uses[0].bound == ge(4)
+        assert [u.describe() for u in uses] == ["Delta(4,6)>=4"]
+        assert uses[0].bound == ge(4)
         cert = classify_total(4, 5, 6).certificate
-        assert cert.delta_bounds_used == tuple(tracker.uses)
+        assert cert.delta_bounds_used == tuple(uses)
         assert cert.to_json()["delta_bounds_used"][0]["bound"] == [4]
 
     @pytest.mark.parametrize("weight", [(1, 1, 1), (1, 2, 3), (2, 3, 5), (4, 3, 3)])
@@ -532,7 +550,7 @@ class TestDecideBeforeExplaining:
             eager = {
                 c.name: c
                 for c in eager_weighted_conditions(
-                    *map(as_group_elem, ds), Weight.of(*w), builtin_registry(), _DeltaTracker()
+                    *map(as_group_elem, ds), Weight.of(*w), builtin_registry(), []
                 )
             }
             checked = cert.conditions[: len(names) - own]
@@ -575,7 +593,7 @@ class TestDecideBeforeExplaining:
                 args = (*map(ge, ds), Weight.of(*weight), builtin_registry())
                 for lazy, eager in zip(
                     check_weighted_conditions(*args).conditions(),
-                    eager_weighted_conditions(*args, _DeltaTracker()),
+                    eager_weighted_conditions(*args, []),
                 ):
                     value = (eager.name, eager.holds, eager.clauses)
                     assert hash(lazy) == hash(eager) == hash(reference(*value))
@@ -671,6 +689,13 @@ class TestCertifyWild:
         out = certify_wild(Endo.identity(3), W111)
         assert isinstance(out, Unknown) and out.reasons == ("K1",)
 
+    def test_zero_component_has_no_degree(self):
+        x1, x2 = Polynomial.variable(0, 3), Polynomial.variable(1, 3)
+        endo = Endo((x1, x2, Polynomial.zero(3)))
+        assert degree_w(endo.components[2], W111) is None
+        out = certify_wild(endo, W111, assume_automorphism=True)
+        assert isinstance(out, Unknown) and out.reasons == ("K1",)
+
     def test_nagata_unit_weights_unknown(self):
         out = certify_wild(nagata(), W111)
         assert isinstance(out, Unknown) and "K2" in out.reasons
@@ -753,6 +778,13 @@ class TestCorollaries:
         with pytest.raises(DomainError):
             corollary_suite("no-such-name", (1, 2, 3))
 
+    @pytest.mark.parametrize("args", [(7.9,), ("7",), (True,), (5, 3.0)])
+    def test_arguments_must_be_ints(self, args):
+        # 7.9 was read as 7, and "7" as 7
+        name = "two-three" if len(args) == 1 else "progression"
+        with pytest.raises(DomainError, match="integers"):
+            corollary_suite(name, args)
+
     def test_progression_hypothesis(self):
         # 4d = ta for odd t: a=5, d=5 gives t=4 (even, fine); a=4, d=3: 12=3*4 odd t=3 -> violation
         with pytest.raises(HypothesisViolation):
@@ -767,3 +799,32 @@ class TestSoundnessAgainstWitnesses:
                     if d2 % d1 == 0 or triple_semigroup_member(d3, (d1, d2)):
                         result = classify_total(d1, d2, d3)
                         assert isinstance(result, Realizable), (d1, d2, d3)
+
+
+class TestWeightCoercion:
+    """Every function that takes a weight reads it through as_weight: a
+    Weight as it is, or three entries, anything else a DomainError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: classify_weighted((3, 5, 7), w),
+            lambda w: certify_wild(nagata(), w),
+            lambda w: realizability_table(5, weight=w),
+            lambda w: degree_w(nagata().components[0], w),
+        ],
+        ids=["classify_weighted", "certify_wild", "realizability_table", "degree_w"],
+    )
+    @pytest.mark.parametrize("weight", [(1, 2), (1, 2, 3, 4)])
+    def test_wrong_entry_count_is_a_domain_error(self, call, weight):
+        with pytest.raises(DomainError, match=f"expected 3 weights, got {len(weight)}"):
+            call(weight)
+
+    def test_weight_kept_and_entries_read(self):
+        w = Weight.of(1, 2, 3)
+        assert as_weight(w) is w
+        assert as_weight((1, 2, 3)) == w == as_weight([ge(1), 2, (3,)])
+        assert as_weight(((1, 0), (0, 1), (1, 1))) == Weight.of((1, 0), (0, 1), (1, 1))
+        for bad in ((1, 0, 3), ((1, 0), 2, 3)):
+            with pytest.raises(ValueError):  # DomainError, or RankMismatchError
+                as_weight(bad)

@@ -515,6 +515,73 @@ class TestVectorEntries:
         argv = ("classify-weighted", "--deg", "x" * 5000 + ",5,7", "--weight", "1,2,3")
         self.assert_one_short_error(*run_cli(capsys, *argv), "(5000 characters)")
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (("classify", "1_000", "2", "3"), "bad integer '1_000'"),
+            (("classify", "\u0662", "\u0663", "\u0664"), "bad integer '\u0662'"),
+            (("classify", HUGE, "2", "3"), "5000-digit number"),
+            (("witness", "2", "3", "x" * 5000), "(5000 characters)"),
+            (("frobenius", "3", "5.0"), "bad integer '5.0'"),
+            (("corollary", "two-three", "7.9"), "bad integer '7.9'"),
+            (("table", "--max", "1_0"), "bad integer '1_0'"),
+            (("wstar", "1", "1", "1", "--rank", "\u0661"), "bad integer '\u0661'"),
+        ],
+        ids=["underscore", "non-ascii", "huge", "long-malformed", "decimal", "corollary",
+             "max", "rank"],
+    )
+    def test_integer_arguments(self, capsys, argv, needle):
+        self.assert_one_short_error(*run_cli(capsys, *argv), needle)
+
+    def test_missing_integer_argument_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "2", "3")
+        assert code == 2 and out == "" and "required: d3" in err
+
+    NINES = "9" * 4000  # inside the digit limit, so it parses
+
+    @pytest.mark.parametrize(
+        "argv, config, needle",
+        [
+            (("wstar", "1", "2", f"-{NINES}"), None, "<negative 4000-digit integer>"),
+            (("classify-weighted", "--deg", "3,5,7", f"--weight=-{NINES},2,3"), None,
+             "<negative 4000-digit integer>"),
+            (("check",), f'{{"degree_cap": -{NINES}}}', "<negative 4000-digit integer>"),
+            (("check",), f'{{"degree_cap": "{"x" * 5000}"}}', "(5000 characters)"),
+            (("check",), f'{{"coefficient_pool": ["{"x" * 5000}"]}}', "(5000 characters)"),
+            (("check",), f'{{"weights": [[1, 2, -{NINES}]]}}', "<negative 4000-digit integer>"),
+            (("check",), f'{{"weights": [[1, 2, "{"x" * 5000}"]]}}', "(5000 characters)"),
+            (("check",), f'{{"scale_pool": "{"x" * 5000}"}}', "(5000 characters)"),
+            (("check",), f'{{"mode": "{"x" * 5000}"}}', "(5000 characters)"),
+            (("corollary", "x" * 5000), None, "(5000 characters)"),
+        ],
+        ids=["wstar", "weight", "degree-cap", "text-degree-cap", "pool-entry",
+             "config-weight", "text-config-weight", "text-pool", "mode", "corollary-name"],
+    )
+    def test_long_values_are_shown_short(self, capsys, tmp_path, argv, config, needle):
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv = (*argv, "--config", str(tmp_path / "config.json"))
+        self.assert_one_short_error(*run_cli(capsys, *argv), needle)
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (("wstar", "1", "2", "-3"), None,
+             "expected a positive group element, got GroupElem(-3,)"),
+            (("check",), '{"degree_cap": -4}', "degree_cap must be at least 1, got -4"),
+            (("check",), '{"degree_cap": "x"}', "degree_cap must be an integer, got 'x'"),
+            (("check",), '{"scale_pool": ["a"]}',
+             'scale_pool entries must be integers or "p/q" strings, got \'a\''),
+        ],
+        ids=["wstar", "degree-cap", "text-degree-cap", "pool-entry"],
+    )
+    def test_short_values_are_shown_whole(self, capsys, tmp_path, argv, config, message):
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv = (*argv, "--config", str(tmp_path / "config.json"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["check", "search"])
@@ -656,15 +723,15 @@ def test_public_names_are_the_used_surface():
     assert public == {
         "Budget", "BudgetExceededError", "Certificate", "ClassificationResult",
         "Condition", "ConsistencyReport", "ConstructionError", "DegreeCapError",
-        "DegreeValue", "DeltaBoundRegistry", "DomainError", "ElementaryAut", "Endo",
-        "Excluded", "GroupElem", "HypothesisViolation", "NEG_INF", "Polynomial",
+        "DeltaBoundRegistry", "DomainError", "ElementaryAut", "Endo",
+        "Excluded", "GroupElem", "HypothesisViolation", "Polynomial",
         "PolynomialSyntaxError", "RankMismatchError", "Realizable",
         "SchemaVersionError", "SearchConfig", "SearchRecord", "TameWord", "Theorem",
         "Unknown", "Weight", "as_group_elem", "builtin_registry", "certify_wild",
         "check_total_abc", "check_weighted_conditions", "classify_total",
         "classify_weighted", "consistency_check", "corollary_names",
         "corollary_suite", "degree_w", "delta_lower_bound",
-        "dependent_pair", "frobenius_number", "gcd_lcm", "ge", "generate",
+        "dependent_pair", "frobenius_number", "ge", "generate",
         "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
         "load", "make_realizable", "mdeg",
         "multiple_of", "nagata", "parse_polynomial", "parse_vector",

@@ -19,7 +19,6 @@ from oracles import (
     wedge3_degree,
 )
 from tamedeg import (
-    NEG_INF,
     DomainError,
     Polynomial,
     degree_w,
@@ -85,7 +84,7 @@ class TestDegrees:
     def test_degree_examples(self):
         f = X1 * X3 + X2 ** 2
         assert degree_w(f, (1, 2, 3)) == ge(4)
-        assert degree_w(Polynomial.zero(3), (1, 2, 3)) is NEG_INF
+        assert degree_w(Polynomial.zero(3), (1, 2, 3)) is None
         assert degree_w(Polynomial.constant(7, 3), (1, 2, 3)) == ge(0)
 
     def test_leading_form_examples(self):
@@ -136,7 +135,7 @@ class TestWedge:
     def test_wedge2_examples(self):
         assert wedge2_degree(X1, X2, (1, 1, 1)) == ge(2)
         assert wedge2_degree(X1 + X2 ** 2, X2, (1, 1, 1)) == ge(2)
-        assert wedge2_degree(X1 ** 2, X1, (1, 1, 1)) is NEG_INF
+        assert wedge2_degree(X1 ** 2, X1, (1, 1, 1)) is None
 
     def test_wedge2_antisymmetry_in_degree(self):
         rng = random.Random(31)
@@ -155,7 +154,7 @@ class TestWedge:
             for k, c in enumerate(coeffs):
                 if c:
                     g = g + c * f ** k
-            assert wedge2_degree(f, g, (1, 1, 1)) is NEG_INF
+            assert wedge2_degree(f, g, (1, 1, 1)) is None
 
     def test_wedge3_examples(self):
         assert wedge3_degree(X1, X2, X3, (1, 2, 3)) == ge(6)
@@ -164,7 +163,7 @@ class TestWedge:
         assert jacobian_det([f1, X2, X3]) == Polynomial.constant(1, 3)
         assert wedge3_degree(f1, X2, X3, (1, 1, 1)) == ge(3)
         assert jacobian_det([X1, X1, X2]).is_zero
-        assert wedge3_degree(X1, X1, X2, (1, 1, 1)) is NEG_INF
+        assert wedge3_degree(X1, X1, X2, (1, 1, 1)) is None
 
 
 class TestPowerDependence:
