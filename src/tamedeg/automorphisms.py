@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConstructionError, DegreeCapError, DomainError, PolynomialSyntaxError
-from .ordgroup import _member1, _multiple1, is_prime
+from .ordgroup import _member1, _multiple1, _set, _Value, is_prime
 from .parse import parse_polynomial
 from .poly import (
     Budget,
@@ -56,29 +55,29 @@ _ONE = Fraction(1)  # the scale of every template shear
 _SCALE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a step's scale in to_json
 
 
-@dataclass(frozen=True)
-class ElementaryAut:
+class ElementaryAut(_Value):
     """x_target -> scale * x_target + shift, other variables fixed.
 
     The shift must not involve the target variable and the scale must be
     nonzero; indices are 0-based.
     """
 
-    target: int
-    scale: Fraction
-    shift: Polynomial
+    _fields = ("target", "scale", "shift")
 
-    def __post_init__(self):
-        if type(self.scale) is not Fraction:
-            object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale == 0:
+    def __init__(self, target: int, scale: Fraction, shift: Polynomial):
+        if type(scale) is not Fraction:
+            scale = Fraction(scale)
+        if scale == 0:
             raise DomainError("elementary step needs a nonzero scale")
-        n = self.shift.nvars
-        if not 0 <= self.target < n:
-            raise DomainError(f"target {self.target} out of range for n={n}")
-        for mono in self.shift.terms:
-            if mono[self.target] != 0:
+        n = shift.nvars
+        if not 0 <= target < n:
+            raise DomainError(f"target {target} out of range for n={n}")
+        for mono in shift.terms:
+            if mono[target] != 0:
                 raise DomainError("shift must not involve the target variable")
+        _set(self, "target", target)
+        _set(self, "scale", scale)
+        _set(self, "shift", shift)
 
     @classmethod
     def _trusted(cls, target: int, scale: Fraction, shift: Polynomial) -> "ElementaryAut":
@@ -86,9 +85,9 @@ class ElementaryAut:
         nonzero Fraction, 0 <= target < shift.nvars, and no term of shift
         involves the target variable."""
         step = object.__new__(cls)
-        object.__setattr__(step, "target", target)
-        object.__setattr__(step, "scale", scale)
-        object.__setattr__(step, "shift", shift)
+        _set(step, "target", target)
+        _set(step, "scale", scale)
+        _set(step, "shift", shift)
         return step
 
     @property
@@ -111,18 +110,18 @@ class ElementaryAut:
         return head
 
 
-@dataclass(frozen=True)
-class TameWord:
+class TameWord(_Value):
     """Sequence of elementary steps, composed left to right."""
 
-    steps: tuple[ElementaryAut, ...]
-    nvars: int = 3
+    _fields = ("steps", "nvars")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for s in self.steps:
-            if s.nvars != self.nvars:
+    def __init__(self, steps: tuple[ElementaryAut, ...], nvars: int = 3):
+        steps = tuple(steps)
+        for s in steps:
+            if s.nvars != nvars:
                 raise DomainError("all steps must use the same variable count")
+        _set(self, "steps", steps)
+        _set(self, "nvars", nvars)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -193,18 +192,18 @@ class TameWord:
         return cls(tuple(out), 3)
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(_Value):
     """Polynomial endomorphism given by its components."""
 
-    components: tuple[Polynomial, ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        n = len(self.components)
-        for c in self.components:
+    def __init__(self, components: tuple[Polynomial, ...]):
+        components = tuple(components)
+        n = len(components)
+        for c in components:
             if c.nvars != n:
                 raise DomainError("each component must use n variables")
+        _set(self, "components", components)
 
     @property
     def nvars(self) -> int:

@@ -30,9 +30,6 @@ because Delta only ever appears on the large side of a strict inequality.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
@@ -54,6 +51,8 @@ from .ordgroup import (
     _multiple1,
     _pair1,
     _render_coords,
+    _set,
+    _Value,
     as_group_elem,
     as_weight,
     dependent_pair,
@@ -73,12 +72,14 @@ class Theorem(str, Enum):
     F_SPECIFIC = "FSpecific"
 
 
-@dataclass(frozen=True)
-class Clause:
-    left: str
-    relation: str
-    right: str
-    holds: bool
+class Clause(_Value):
+    _fields = ("left", "relation", "right", "holds")
+
+    def __init__(self, left: str, relation: str, right: str, holds: bool):
+        _set(self, "left", left)
+        _set(self, "relation", relation)
+        _set(self, "right", right)
+        _set(self, "holds", holds)
 
     def describe(self) -> str:
         mark = "yes" if self.holds else "NO"
@@ -86,10 +87,7 @@ class Clause:
         return f"{self.left} {self.relation}{right} [{mark}]"
 
 
-_set = object.__setattr__
-
-
-class Condition:
+class Condition(_Value):
     """A named condition, whether it holds, and the clauses that show why.
 
     A condition made by _deferred holds a builder of its clauses instead:
@@ -98,6 +96,7 @@ class Condition:
     value (name, holds, clauses), so they read the clauses."""
 
     __slots__ = ("name", "holds", "_clauses")
+    _fields = ("name", "holds", "clauses")
 
     def __init__(self, name: str, holds: bool, clauses: tuple[Clause, ...]):
         _set(self, "name", name)
@@ -122,50 +121,32 @@ class Condition:
             _set(self, "_clauses", clauses)
         return clauses
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.holds, self.clauses)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Condition(name={self.name!r}, holds={self.holds!r}, clauses={self.clauses!r})"
-
-    def __reduce__(self):
-        return (Condition, self._key())
-
     def describe(self) -> str:
         mark = "+" if self.holds else "x"
         return f"{self.name} {mark} ({'; '.join(c.describe() for c in self.clauses)})"
 
 
-@dataclass(frozen=True)
-class DeltaBoundUse:
-    weight: tuple
-    pair: tuple
-    bound: GroupElem
+class DeltaBoundUse(_Value):
+    _fields = ("weight", "pair", "bound")
+
+    def __init__(self, weight: tuple, pair: tuple, bound: GroupElem):
+        _set(self, "weight", weight)
+        _set(self, "pair", pair)
+        _set(self, "bound", bound)
 
     def describe(self) -> str:
         d, e = self.pair
         return f"Delta({_render_coords(d)},{_render_coords(e)})>={self.bound.render()}"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    theorem: Theorem
-    conditions: tuple[Condition, ...]
-    delta_bounds_used: tuple[DeltaBoundUse, ...] = ()
+class Certificate(_Value):
+    _fields = ("theorem", "conditions", "delta_bounds_used")
+
+    def __init__(self, theorem: Theorem, conditions: tuple[Condition, ...],
+                 delta_bounds_used: tuple[DeltaBoundUse, ...] = ()):
+        _set(self, "theorem", theorem)
+        _set(self, "conditions", conditions)
+        _set(self, "delta_bounds_used", delta_bounds_used)
 
     def to_json(self) -> dict:
         return {
@@ -197,19 +178,21 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class Excluded:
-    certificate: Certificate
-
+class Excluded(_Value):
+    _fields = ("certificate",)
     kind = "excluded"
 
+    def __init__(self, certificate: Certificate):
+        _set(self, "certificate", certificate)
 
-@dataclass(frozen=True)
-class Realizable:
-    witness: TameWord
-    multidegree: tuple[int, ...]
 
+class Realizable(_Value):
+    _fields = ("witness", "multidegree")
     kind = "realizable"
+
+    def __init__(self, witness: TameWord, multidegree: tuple[int, ...]):
+        _set(self, "witness", witness)
+        _set(self, "multidegree", multidegree)
 
     @cached_property
     def endo(self) -> Endo:
@@ -219,11 +202,12 @@ class Realizable:
         return endo
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reasons: tuple[str, ...]
-
+class Unknown(_Value):
+    _fields = ("reasons",)
     kind = "unknown"
+
+    def __init__(self, reasons: tuple[str, ...]):
+        _set(self, "reasons", reasons)
 
 
 ClassificationResult = Union[Excluded, Realizable, Unknown]
@@ -288,6 +272,9 @@ class DeltaBoundRegistry:
         )
 
     def fingerprint(self) -> str:
+        import hashlib
+        import json
+
         payload = json.dumps(
             [[list(map(list, wk)), list(map(list, pk)), list(b.coords)]
              for wk, pk, b in self.entries()],

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 = ran and printed a verdict, 2 = usage error, 3 = bad input
-(parse failure, domain error, unreadable file), 4 = internal soundness
-failure (a witness failed its own verification, or an internal invariant
-did not hold).
+Exit codes: 0 = ran and printed a verdict, 1 = stdout was closed before the
+output was written (as by `| head`), 2 = usage error, 3 = bad input (parse
+failure, domain error, unreadable file), 4 = internal soundness failure (a
+witness failed its own verification, or an internal invariant did not
+hold).
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -24,7 +25,7 @@ built-in bound Delta(4,6) >= 4 at unit weights.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -74,8 +75,7 @@ _INPUT_ERRORS = (
     SchemaVersionError,
     BudgetExceededError,
     OSError,
-    json.JSONDecodeError,
-    ValueError,
+    ValueError,  # json.JSONDecodeError among them
 )
 
 # Integer arguments, read by the entry grammar (parse._integer) in main once
@@ -160,6 +160,8 @@ def _report(args, query: dict, result, started: float) -> int:
             **_verdict_json(result),
             "timings": {"total_ms": round((time.perf_counter() - started) * 1e3, 3)},
         }
+        import json  # after the timing, which measures the command alone
+
         print(json.dumps(doc, indent=2), file=out)
     else:
         _print_result(result, out)
@@ -236,6 +238,8 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    import json
+
     with open(args.config, "r", encoding="utf-8") as fh:
         config = SearchConfig.from_json(json.load(fh))
     registry = _load_registry(args.registry)
@@ -251,6 +255,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    import json
+
     with open(args.config, "r", encoding="utf-8") as fh:
         config = SearchConfig.from_json(json.load(fh))
     registry = _load_registry(args.registry)
@@ -401,7 +407,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 setattr(args, name, [_integer(v) for v in value])
             elif value is not None:
                 setattr(args, name, _integer(value))
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when Python started with no stdout
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe for SIGPIPE: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConstructionError as exc:
         print(f"error: internal soundness failure: {exc}", file=sys.stderr)
         return 4

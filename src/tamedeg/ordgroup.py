@@ -15,7 +15,6 @@ keeps its |w| and |w|* (Weight.total, Weight.star) once they are first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
@@ -23,6 +22,54 @@ from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionError, DomainError, RankMismatchError, _show
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the value classes, from the field names in _fields: equality
+    (NotImplemented across classes), the hash of the field tuple, a
+    Name(field=value, ...) repr, pickling through __init__, and
+    FrozenInstanceError on assignment or deletion, unless the subclass is
+    declared frozen=False (mutable and unhashable).  Frozen subclasses set
+    their fields with _set.  No class is generated at import time."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return (self.__class__, self._key())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # an error path only
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class GroupElem:
@@ -391,14 +438,18 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     return stair
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(_Value):
     """Z-linear dependence pattern of a degree triple."""
 
-    pair_12_dependent: bool
-    pair_13_dependent: bool
-    pair_23_dependent: bool
-    triple_dependent: bool
+    _fields = ("pair_12_dependent", "pair_13_dependent", "pair_23_dependent",
+               "triple_dependent")
+
+    def __init__(self, pair_12_dependent: bool, pair_13_dependent: bool,
+                 pair_23_dependent: bool, triple_dependent: bool):
+        _set(self, "pair_12_dependent", pair_12_dependent)
+        _set(self, "pair_13_dependent", pair_13_dependent)
+        _set(self, "pair_23_dependent", pair_23_dependent)
+        _set(self, "triple_dependent", triple_dependent)
 
     @property
     def pairwise_independent(self) -> bool:
@@ -434,21 +485,21 @@ def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
     )
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """Three strictly positive group elements of a common rank.  total
     (|w|) and star (|w|*) are kept once read, past the frozen __setattr__;
     equality and hash go by the fields alone.  Two threads reading one at
     once may both compute it, to the same value."""
 
-    w1: GroupElem
-    w2: GroupElem
-    w3: GroupElem
+    _fields = ("w1", "w2", "w3")
 
-    def __post_init__(self):
-        self.w1._check(self.w2)
-        self.w1._check(self.w3)
-        _require_positive(self.w1, self.w2, self.w3)
+    def __init__(self, w1: GroupElem, w2: GroupElem, w3: GroupElem):
+        w1._check(w2)
+        w1._check(w3)
+        _require_positive(w1, w2, w3)
+        _set(self, "w1", w1)
+        _set(self, "w2", w2)
+        _set(self, "w3", w3)
 
     @classmethod
     def of(cls, a, b, c) -> "Weight":

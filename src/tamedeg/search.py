@@ -19,12 +19,9 @@ returned for it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import re
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence
@@ -54,7 +51,7 @@ from .errors import (
     SchemaVersionError,
     _show,
 )
-from .ordgroup import GroupElem, Weight, as_weight
+from .ordgroup import GroupElem, Weight, _set, _Value, as_weight
 from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
@@ -70,22 +67,29 @@ _INT_MINIMA = {
 }
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_word_length: int = 6
-    shift_monomial_exponent_cap: int = 4
-    shift_term_count_cap: int = 1
-    coefficient_pool: tuple = (1, -1)
-    scale_pool: tuple = (-1, 2)
-    weights: tuple = ((1, 1, 1),)
-    degree_cap: int = 60
-    term_budget: int = DEFAULT_TERM_BUDGET
-    seed: int = 0
-    mode: str = "randomized"
-    sample_count: int = 1000
-    shear_probability: float = 0.85
+class SearchConfig(_Value):
+    _fields = ("max_word_length", "shift_monomial_exponent_cap", "shift_term_count_cap",
+               "coefficient_pool", "scale_pool", "weights", "degree_cap", "term_budget",
+               "seed", "mode", "sample_count", "shear_probability")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_word_length: int = 6,
+        shift_monomial_exponent_cap: int = 4,
+        shift_term_count_cap: int = 1,
+        coefficient_pool: tuple = (1, -1),
+        scale_pool: tuple = (-1, 2),
+        weights: tuple = ((1, 1, 1),),
+        degree_cap: int = 60,
+        term_budget: int = DEFAULT_TERM_BUDGET,
+        seed: int = 0,
+        mode: str = "randomized",
+        sample_count: int = 1000,
+        shear_probability: float = 0.85,
+    ):
+        given = locals()
+        for name in self._fields:
+            _set(self, name, given[name])
         if self.mode not in ("randomized", "exhaustive"):
             raise DomainError(f"unknown mode {_show(self.mode)}")
         for name, least in _INT_MINIMA.items():
@@ -95,7 +99,7 @@ class SearchConfig:
             if value < least:
                 raise DomainError(f"{name} must be at least {least}, got {_show(value)}")
         for name in ("coefficient_pool", "scale_pool"):
-            object.__setattr__(self, name, _pool(name, getattr(self, name)))
+            _set(self, name, _pool(name, getattr(self, name)))
         if not self.coefficient_pool:
             raise DomainError("coefficient_pool must not be empty")
         if not 0 <= self.shear_probability <= 1:
@@ -152,24 +156,31 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
-@dataclass
-class GenerationStats:
-    samples_drawn: int = 0
-    emitted: int = 0
-    duplicates: int = 0
-    budget_skipped: int = 0
-    degree_pruned: int = 0
+class GenerationStats(_Value, frozen=False):
+    _fields = ("samples_drawn", "emitted", "duplicates", "budget_skipped", "degree_pruned")
+
+    def __init__(self, samples_drawn: int = 0, emitted: int = 0, duplicates: int = 0,
+                 budget_skipped: int = 0, degree_pruned: int = 0):
+        self.samples_drawn = samples_drawn
+        self.emitted = emitted
+        self.duplicates = duplicates
+        self.budget_skipped = budget_skipped
+        self.degree_pruned = degree_pruned
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._key()))
 
 
 def _child_rng(seed: int, index: int) -> random.Random:
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def word_fingerprint(word: TameWord) -> str:
+    import hashlib
+
     payload = "|".join(
         f"{s.target}:{s.scale}:{s.shift.render()}" for s in word.steps
     )
@@ -288,15 +299,19 @@ def generate(
     yield from walk(TameWord((), 3), _Fold.identity(3))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "excluded" or "certified-wild"
-    weight: tuple
-    fingerprint: str
-    word: str
-    realization: str
-    multidegree: tuple
-    certificate: dict
+class Violation(_Value):
+    _fields = ("kind", "weight", "fingerprint", "word", "realization", "multidegree",
+               "certificate")
+
+    def __init__(self, kind: str, weight: tuple, fingerprint: str, word: str,
+                 realization: str, multidegree: tuple, certificate: dict):
+        _set(self, "kind", kind)  # "excluded" or "certified-wild"
+        _set(self, "weight", weight)
+        _set(self, "fingerprint", fingerprint)
+        _set(self, "word", word)
+        _set(self, "realization", realization)
+        _set(self, "multidegree", multidegree)
+        _set(self, "certificate", certificate)
 
     @classmethod
     def of(cls, kind, weight: Weight, word, endo, mdeg, cert):
@@ -322,13 +337,18 @@ class Violation:
         }
 
 
-@dataclass
-class ConsistencyReport:
-    registry_fingerprint: str
-    stats: GenerationStats
-    words_checked: int
-    distinct_multidegrees: dict
-    violations: tuple[Violation, ...]
+class ConsistencyReport(_Value, frozen=False):
+    _fields = ("registry_fingerprint", "stats", "words_checked", "distinct_multidegrees",
+               "violations")
+
+    def __init__(self, registry_fingerprint: str, stats: GenerationStats,
+                 words_checked: int, distinct_multidegrees: dict,
+                 violations: tuple[Violation, ...]):
+        self.registry_fingerprint = registry_fingerprint
+        self.stats = stats
+        self.words_checked = words_checked
+        self.distinct_multidegrees = distinct_multidegrees
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -494,18 +514,23 @@ def realizability_table(
     return table
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(_Value):
     """One (word, weight) observation, as persisted."""
 
-    seed: int
-    fingerprint: str
-    word: list  # TameWord.to_json() of the word, shared by its records
-    weight: tuple
-    multidegree: tuple
-    verdict: str
-    registry_fingerprint: str
-    timestamp: float
+    _fields = ("seed", "fingerprint", "word", "weight", "multidegree", "verdict",
+               "registry_fingerprint", "timestamp")
+
+    def __init__(self, seed: int, fingerprint: str, word: list, weight: tuple,
+                 multidegree: tuple, verdict: str, registry_fingerprint: str,
+                 timestamp: float):
+        _set(self, "seed", seed)
+        _set(self, "fingerprint", fingerprint)
+        _set(self, "word", word)  # TameWord.to_json(), shared by the word's records
+        _set(self, "weight", weight)
+        _set(self, "multidegree", multidegree)
+        _set(self, "verdict", verdict)
+        _set(self, "registry_fingerprint", registry_fingerprint)
+        _set(self, "timestamp", timestamp)
 
     def to_json(self) -> dict:
         return {
@@ -573,12 +598,16 @@ def run_search(
 def persist(records: Sequence[SearchRecord], path) -> None:
     """Append records as line-delimited JSON; one write per line keeps
     concurrent appends line-atomic."""
+    import json
+
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
 
 
 def load(path) -> list[SearchRecord]:
+    import json
+
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

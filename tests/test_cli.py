@@ -1,6 +1,9 @@
+import ast
 import json
+import os
 import random
 import string
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +25,13 @@ from tamedeg.errors import DomainError
 from oracles import factor_parse_polynomial
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _process_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -711,6 +721,49 @@ class TestExitCodes:
             capsys, "classify-weighted", "--deg", "1,[1,0],3", "--weight", "1,1,1"
         )
         assert code == 3
+
+
+class TestProcess:
+    # dataclasses (which imports inspect), hashlib and json add about 40 ms
+    # to a process; the commands below need none of them
+    HEAVY = {"dataclasses", "inspect", "hashlib", "json"}
+
+    def test_start_up_leaves_out_heavy_modules(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import tamedeg.cli\n"
+            "imported = sorted(set(sys.modules) - before)\n"
+            "codes = [tamedeg.cli.main(['wstar', '1', '1', '1']),\n"
+            "         tamedeg.cli.main(['classify', '2', '3', '4'])]\n"
+            "print(repr((codes, imported, sorted(set(sys.modules) - before))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_process_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        codes, imported, after_main = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert "tamedeg.search" in imported  # the package still loads every module
+        assert self.HEAVY.isdisjoint(imported)
+        assert self.HEAVY.isdisjoint(after_main)
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # the table is far larger than a pipe buffer, so printing it meets
+        # the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tamedeg", "table", "--max", "40"], env=_process_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first == b"1 1 1 realizable\n"
+        assert code == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def test_public_names_are_the_used_surface():
