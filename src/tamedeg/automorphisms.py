@@ -241,17 +241,21 @@ class _Fold:
     """The realization of a word with its components kept packed: comps
     in fields of width bits (see poly._pack), degs their total degrees,
     and polys their unpacked forms, filled on first read and shared with
-    the folds that extend this one where a component is unchanged.  Apart
-    from that cache a fold is never modified, so folds can be extended
-    again and again, as the exhaustive walk of search.generate does."""
+    the folds that extend this one where a component is unchanged;
+    repacks holds comps repacked to wider fields, by width, for the
+    extensions that need them.  Apart from those caches a fold is never
+    modified, so folds can be extended again and again, as the exhaustive
+    walk of search.generate does and as every randomized word extends the
+    shared identity fold."""
 
-    __slots__ = ("width", "comps", "degs", "polys")
+    __slots__ = ("width", "comps", "degs", "polys", "repacks")
 
     def __init__(self, width: int, comps: tuple, degs: tuple, polys: list):
         self.width = width
         self.comps = comps
         self.degs = degs
         self.polys = polys
+        self.repacks = {}
 
     @staticmethod
     @lru_cache(maxsize=8)
@@ -280,9 +284,12 @@ class _Fold:
             top = max(top, bounds[step.target])
         width = max(self.width, _pack_width(top if cap is None else min(top, cap)))
         n = len(self.comps)
-        comps = list(self.comps)
+        comps = self.comps
         if width != self.width:
-            comps = [_pack(p.terms, width) for p in self.endo().components]
+            comps = self.repacks.get(width)
+            if comps is None:
+                comps = self.repacks[width] = [_pack(p.terms, width) for p in self._unpacked()]
+        comps = list(comps)
         degs = list(self.degs)
         polys = list(self.polys)
         for step in steps:
@@ -310,13 +317,17 @@ class _Fold:
             polys[t] = None
         return _Fold(width, tuple(comps), tuple(degs), polys)
 
-    def endo(self) -> Endo:
-        """The realization, each component unpacked once."""
+    def _unpacked(self) -> list:
+        """The components as polynomials, each unpacked once."""
         polys = self.polys
         for i, p in enumerate(polys):
             if p is None:
                 polys[i] = _unpack(self.comps[i], len(polys), self.width)
-        return Endo(tuple(polys))
+        return polys
+
+    def endo(self) -> Endo:
+        """The realization, each component unpacked once."""
+        return Endo(tuple(self._unpacked()))
 
 
 def _predicted(step: ElementaryAut, degs: Sequence[int]) -> int:

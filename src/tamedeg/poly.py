@@ -22,7 +22,12 @@ one int, with a field per variable and the total degree above them, so a
 monomial product is one int addition and the keys are small ints that the
 garbage collector does not track.  ``substitute``, ``power`` and the
 realization fold of ``automorphisms`` use it, sizing the fields from an
-exponent bound they prove before multiplying anything.  General ring
+exponent bound they prove before multiplying anything.  A product with a
+one-term operand (a component still a variable, or a monomial power) is
+one shift of the other operand's keys; a one-term power is closed form;
+any other power squares through a loop that forms each cross product once.
+Each path gives the pair loop's terms in the pair loop's order and
+raises on the same term count.  General ring
 arithmetic (``multiply``, ``Polynomial.__mul__``, ``jacobian_det``,
 ``wedge2_degree``) keeps the tuple-keyed loop: its operands arrive
 unpacked and leave unpacked, mostly as one product each, so packing them
@@ -69,8 +74,10 @@ class Budget:
     """Caps on intermediate size during polynomial composition.
 
     term_cap bounds the number of stored terms of any single result;
-    op_cap bounds the total number of coefficient multiplications across
-    the lifetime of the budget; degree_cap, when set, bounds the total
+    op_cap bounds ops_used, the total number of coefficient multiplications
+    performed across the lifetime of the budget (a square forms each cross
+    product once, so it performs about half of a general product's, and a
+    one-term power counts as one); degree_cap, when set, bounds the total
     degree of every component that ``automorphisms.realize`` builds, and
     realize checks it on the predicted degree before expanding a step.
     """
@@ -304,9 +311,19 @@ def _unpack(packed: dict, nvars: int, width: int) -> Polynomial:
 
 def _pmul(a: dict, b: dict, budget: Optional[Budget]) -> dict:
     """Product of two packed polynomials; charges the budget as multiply
-    does, once per term of a."""
+    does, once per term of a.  A one-term operand takes one comprehension
+    and one charge, which names the size at which that loop would stop."""
     if not a or not b:
         return {}
+    if len(a) == 1 or len(b) == 1:
+        one, other = (a, b) if len(a) == 1 else (b, a)
+        ((k, c),) = one.items()
+        out = {k + ko: c * co for ko, co in other.items()}
+        if budget is not None:
+            # the pair loop stops at the first term of a past the term cap
+            n = len(out)
+            budget.charge(n if one is a else min(n, budget.term_cap + 1), n)
+        return _settle(out)
     acc: dict[int, Coeff] = {}
     get = acc.get
     b_items = list(b.items())
@@ -319,17 +336,41 @@ def _pmul(a: dict, b: dict, budget: Optional[Budget]) -> dict:
     return _settle(acc)
 
 
+def _psquare(a: dict, budget: Optional[Budget]) -> dict:
+    """_pmul(a, a, budget), forming each cross product once: after each
+    term of a the result holds the same keys, in the same order, as the
+    pair loop's, so the term cap is charged alike."""
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    items = list(a.items())
+    for i, (ka, ca) in enumerate(items):
+        acc[ka + ka] = get(ka + ka, 0) + ca * ca
+        twice = ca + ca
+        for kb, cb in items[i + 1:]:
+            key = ka + kb
+            acc[key] = get(key, 0) + twice * cb
+        if budget is not None:
+            budget.charge(len(acc), len(items) - i)
+    return _settle(acc)
+
+
 def _ppow(base: dict, exponent: int, memo: dict, budget: Optional[Budget]) -> dict:
-    """base**exponent (exponent >= 1) by binary powering, most significant
-    bit first; memo maps exponents to powers of base already built and
-    gains every power built here, so powers of one base share their
-    squarings."""
+    """base**exponent (exponent >= 1): a one-term base in closed form,
+    any other by binary powering, most significant bit first; memo maps
+    exponents to powers of base already built and gains every power built
+    here, so powers of one base share their squarings."""
     p = memo.get(exponent)
     if p is None:
-        half = _ppow(base, exponent >> 1, memo, budget)
-        p = _pmul(half, half, budget)
-        if exponent & 1:
-            p = _pmul(p, base, budget)
+        if len(base) == 1:
+            # an int stays an int and a canonical Fraction stays nonintegral
+            ((k, c),) = base.items()
+            p = {k * exponent: c**exponent}
+            if budget is not None:
+                budget.charge(1, 1)
+        else:
+            p = _psquare(_ppow(base, exponent >> 1, memo, budget), budget)
+            if exponent & 1:
+                p = _pmul(p, base, budget)
         memo[exponent] = p
     return p
 

@@ -7,7 +7,9 @@ certified wild.  Any violation is dumped in full (word, realization,
 multidegree, certificate) as a falsification record.
 
 Generation is deterministic: randomized mode drives a counter-based RNG
-keyed by (seed, word index), so equal configs give equal streams.  Each word
+keyed by (seed, word index), so equal configs give equal streams.  A
+config's stream depends only on the SHA-256 seeding of each child RNG and
+on its ``getrandbits`` and ``random()``, which every step draw reads.  Each word
 is realized by ``automorphisms.realize`` under a budget that carries the
 config's term budget and degree cap; words that hit either cap are counted,
 not dropped silently.  ``consistency_check`` and ``run_search`` share one
@@ -56,7 +58,7 @@ from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
 
-# Integer fields of SearchConfig and the least value each may take.
+# Integer fields of SearchConfig and the least value each may take (None: any).
 _INT_MINIMA = {
     "max_word_length": 0,
     "shift_monomial_exponent_cap": 0,
@@ -64,6 +66,7 @@ _INT_MINIMA = {
     "degree_cap": 1,
     "term_budget": 1,
     "sample_count": 0,
+    "seed": None,
 }
 
 
@@ -96,13 +99,20 @@ class SearchConfig(_Value):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer, got {_show(value)}")
-            if value < least:
+            if least is not None and value < least:
                 raise DomainError(f"{name} must be at least {least}, got {_show(value)}")
+        try:
+            str(self.seed)  # the child streams are seeded from its decimal form
+        except ValueError:
+            raise DomainError(f"seed is too long to print, got {_show(self.seed)}") from None
         for name in ("coefficient_pool", "scale_pool"):
             _set(self, name, _pool(name, getattr(self, name)))
         if not self.coefficient_pool:
             raise DomainError("coefficient_pool must not be empty")
-        if not 0 <= self.shear_probability <= 1:
+        p = self.shear_probability
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise DomainError(f"shear_probability must be a number, got {_show(p)}")
+        if not 0 <= p <= 1:
             raise DomainError("shear_probability must lie in [0, 1]")
         if not isinstance(self.weights, (tuple, list)) or not all(
             isinstance(w, (tuple, list)) and len(w) == 3 for w in self.weights
@@ -187,25 +197,40 @@ def word_fingerprint(word: TameWord) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1, made as Random.randrange(n) makes it
+    (CPython's _randbelow_with_getrandbits), so randrange, randint and
+    choice can be replaced by it without changing a stream."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_step(rng: random.Random, config: SearchConfig) -> ElementaryAut:
-    target = rng.randrange(3)
-    if config.scale_pool and rng.random() >= config.shear_probability:
-        scale = Fraction(rng.choice(config.scale_pool))
+    bits = rng.getrandbits
+    target = _below(bits, 3)
+    scales = config.scale_pool
+    if scales and rng.random() >= config.shear_probability:
+        scale = Fraction(scales[_below(bits, len(scales))])
         return ElementaryAut._trusted(target, scale, _trusted(3, {}))
-    others = [i for i in range(3) if i != target]
+    cap = config.shift_monomial_exponent_cap + 1
+    pool = config.coefficient_pool
     terms: dict = {}
-    for _ in range(rng.randint(1, config.shift_term_count_cap)):
+    for _ in range(1 + _below(bits, config.shift_term_count_cap)):
         expo = [0] * 3
-        for i in others:
-            expo[i] = rng.randint(0, config.shift_monomial_exponent_cap)
+        for i in range(3):
+            if i != target:
+                expo[i] = _below(bits, cap)
         mono = tuple(expo)
-        total = terms.get(mono, 0) + rng.choice(config.coefficient_pool)
+        total = terms.get(mono, 0) + pool[_below(bits, len(pool))]
         if total:
             terms[mono] = total
         else:
             del terms[mono]
     if not terms:
-        terms[(0, 0, 0)] = config.coefficient_pool[0]
+        terms[(0, 0, 0)] = pool[0]
     return ElementaryAut._trusted(target, _UNIT, _trusted(3, _settle(terms)))
 
 
@@ -213,7 +238,8 @@ _UNIT = Fraction(1)
 
 
 def _random_word(rng: random.Random, config: SearchConfig) -> TameWord:
-    length = rng.randint(1, config.max_word_length) if config.max_word_length else 0
+    cap = config.max_word_length
+    length = 1 + _below(rng.getrandbits, cap) if cap else 0
     return TameWord(tuple(_random_step(rng, config) for _ in range(length)), 3)
 
 
@@ -424,11 +450,10 @@ def _classified(
 
 def _degrees(terms: dict, rows: list, spans: list) -> list[tuple[int, ...]]:
     """The weighted degree of a nonzero polynomial in x1, x2, x3 under each
-    weight, as coordinates: one pass over the terms evaluates every row of
-    every weight, then each weight takes the lexicographic maximum over its
-    span of rows (plain maximum for rank 1)."""
-    columns = list(zip(*[[a * x + b * y + c * z for a, b, c in rows]
-                         for x, y, z in terms]))
+    weight, as coordinates: one pass over the terms per row of every weight
+    evaluates that row, then each weight takes the lexicographic maximum
+    over its span of rows (plain maximum for rank 1)."""
+    columns = [[a * x + b * y + c * z for x, y, z in terms] for a, b, c in rows]
     return [
         (max(columns[i]),) if j == i + 1 else max(zip(*columns[i:j]))
         for i, j in spans

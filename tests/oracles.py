@@ -8,7 +8,9 @@ references for their faster replacements: ``frac_dependent_pair`` finds the
 ratio of a pair with Fraction, ``eager_weighted_conditions`` evaluates
 K1..K5, A1..A3, B1..B2 and formats every clause at once, and
 ``factor_parse_polynomial`` parses an expression through one Polynomial
-per factor.
+per factor, ``pair_loop_product`` multiplies packed polynomials pair by
+pair, and ``random_word`` draws a search word through ``randrange``,
+``randint`` and ``choice``.
 
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
@@ -29,7 +31,7 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from tamedeg.automorphisms import Endo, TameWord, shear, transposition_word
+from tamedeg.automorphisms import ElementaryAut, Endo, TameWord, shear, transposition_word
 from tamedeg.classifier import Clause, Condition, check_total_abc, delta_lower_bound
 from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
@@ -475,6 +477,52 @@ def factor_parse_polynomial(
             tail.pos,
         )
     return value
+
+
+def pair_loop_product(a: dict, b: dict, budget: Optional[Budget]) -> dict:
+    """The product of two packed polynomials over every pair of terms,
+    charging the budget once per term of a, as the library formed every
+    packed product before its one-term and squaring paths."""
+    if not a or not b:
+        return {}
+    acc: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+        if budget is not None:
+            budget.charge(len(acc), len(b))
+    return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in acc.items() if c}
+
+
+def random_word(rng, config) -> TameWord:
+    """The randomized search word of one child RNG, drawn as the library
+    drew it before it read getrandbits itself: the same stream must give
+    the same word."""
+    steps = []
+    length = rng.randint(1, config.max_word_length) if config.max_word_length else 0
+    for _ in range(length):
+        target = rng.randrange(3)
+        if config.scale_pool and rng.random() >= config.shear_probability:
+            scale = Fraction(rng.choice(config.scale_pool))
+            steps.append(ElementaryAut(target, scale, Polynomial.zero(3)))
+            continue
+        others = [i for i in range(3) if i != target]
+        terms: dict = {}
+        for _ in range(rng.randint(1, config.shift_term_count_cap)):
+            expo = [0] * 3
+            for i in others:
+                expo[i] = rng.randint(0, config.shift_monomial_exponent_cap)
+            mono = tuple(expo)
+            total = terms.get(mono, 0) + rng.choice(config.coefficient_pool)
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        if not terms:
+            terms[(0, 0, 0)] = config.coefficient_pool[0]
+        steps.append(ElementaryAut(target, Fraction(1), Polynomial(3, terms)))
+    return TameWord(tuple(steps), 3)
 
 
 # Helpers moved out of the library: only the invariant suites call them.

@@ -621,6 +621,12 @@ class TestExitCodes:
             ({"degree_cap": 2.5}, "degree_cap"),
             ({"term_budget": 1.5}, "term_budget"),
             ({"term_budget": True}, "term_budget"),
+            ({"seed": "abc"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"shear_probability": True}, "shear_probability"),
+            ({"shear_probability": "0.5"}, "shear_probability"),
         ],
         ids=["not-object", "weight-shape", "weights-scalar", "zero-coefficient",
              "zero-scale", "float-coefficient", "text-coefficient", "text-scale",
@@ -628,7 +634,9 @@ class TestExitCodes:
              "list-coefficient", "scalar-scale-pool", "empty-coefficient-pool",
              "shear-probability", "float-sample-count",
              "float-word-length", "zero-term-count", "negative-exponent-cap",
-             "float-degree-cap", "float-term-budget", "bool-term-budget"],
+             "float-degree-cap", "float-term-budget", "bool-term-budget",
+             "text-seed", "float-seed", "bool-seed", "null-seed", "bool-shear-probability",
+             "text-shear-probability"],
     )
     def test_bad_search_config(self, capsys, tmp_path, command, config, field):
         cfg_path = tmp_path / "config.json"
@@ -639,6 +647,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
         assert field is None or field in err
 
     def test_failed_witness_verification_is_internal(self, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     constant_value,
+    pair_loop_product,
     frac_add,
     frac_multiply,
     frac_partial,
@@ -30,7 +31,8 @@ from tamedeg import (
     substitute,
     wedge2_degree,
 )
-from tamedeg.poly import power
+from tamedeg.errors import BudgetExceededError
+from tamedeg.poly import Budget, _pack, _pmul, _psquare, power
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
 
@@ -208,6 +210,13 @@ term_maps = st.dictionaries(
     coefficients,
     max_size=5,
 )
+# one- and two-term maps: the closed-form, one-term and squaring paths
+short_maps = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    coefficients,
+    min_size=1,
+    max_size=2,
+)
 
 
 def assert_matches(poly, oracle_terms):
@@ -237,9 +246,47 @@ class TestAgainstFractionOracle:
         assert_matches(f + c, frac_add(fa, frac_terms({(0, 0, 0): c})))
 
     @settings(max_examples=100, deadline=None)
-    @given(term_maps, st.integers(min_value=0, max_value=4))
+    @given(term_maps, st.integers(min_value=0, max_value=9))
     def test_power(self, a, e):
         assert_matches(power(Polynomial(3, a), e), frac_power(frac_terms(a), e, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_maps, st.integers(min_value=0, max_value=9))
+    def test_power_of_short_bases(self, a, e):
+        assert_matches(power(Polynomial(3, a), e), frac_power(frac_terms(a), e, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps, short_maps, short_maps, short_maps)
+    def test_substitute_short_replacements(self, a, r1, r2, r3):
+        reps = [Polynomial(3, r) for r in (r1, r2, r3)]
+        want = frac_substitute(frac_terms(a), [frac_terms(r) for r in (r1, r2, r3)], 3)
+        assert_matches(substitute(Polynomial(3, a), reps), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_maps, short_maps, st.integers(min_value=1, max_value=6))
+    def test_packed_products_charge_as_the_pair_loop(self, a, b, cap):
+        # the same canonical terms in the same order, the same term-cap
+        # errors, and for a product the same multiplication count; a square
+        # forms each cross product once
+        def outcome(product, x, y):
+            budget = Budget(cap)
+            try:
+                terms = [(k, c, type(c)) for k, c in product(x, y, budget).items()]
+                return terms, budget.ops_used
+            except BudgetExceededError as exc:
+                return str(exc)
+
+        pa, pb = (_pack(Polynomial(3, t).terms, 3) for t in (a, b))
+        for x, y in ((pa, pb), (pb, pa), (pb, pb)):
+            assert outcome(_pmul, x, y) == outcome(pair_loop_product, x, y)
+        for x in (pa, pb):
+            got = outcome(lambda x, _, budget: _psquare(x, budget), x, x)
+            want = outcome(pair_loop_product, x, x)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                n = len(x)
+                assert got == (want[0], n * (n + 1) // 2)
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps, term_maps, term_maps, term_maps)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     Budget,
@@ -39,7 +41,7 @@ from tamedeg.automorphisms import _Fold
 from tamedeg.classifier import Certificate, Clause, Condition, Theorem
 from tamedeg.poly import Polynomial
 from tamedeg.search import GenerationStats
-from oracles import mdeg_w
+from oracles import mdeg_w, random_word
 
 
 SMALL = SearchConfig(seed=101, sample_count=250, weights=((1, 1, 1), (1, 2, 3)))
@@ -159,6 +161,56 @@ class TestGenerate:
         for word, _ in generate(loaded):
             assert {c for s in word.steps for c in s.shift.terms.values()} <= {Fraction(1, 10)}
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=-10**6, max_value=10**6),
+        index=st.integers(min_value=0, max_value=500),
+        coefficients=st.lists(st.sampled_from([1, -1, 2, -3, "1/2", "-2/3"]),
+                              min_size=1, max_size=4),
+        scales=st.lists(st.sampled_from([-1, 2, 5, "3/2", "-1/3"]), max_size=3),
+        term_count_cap=st.integers(min_value=1, max_value=3),
+        exponent_cap=st.integers(min_value=0, max_value=5),
+        length_cap=st.integers(min_value=0, max_value=6),
+        shear=st.sampled_from([0, 1, 0.85]),
+    )
+    def test_stream_matches_reference_drawer(self, seed, index, coefficients, scales,
+                                             term_count_cap, exponent_cap, length_cap, shear):
+        # the step drawer reads getrandbits itself; each word must still be
+        # the one randrange, randint and choice draw from the same stream
+        config = SearchConfig(
+            seed=seed, coefficient_pool=coefficients, scale_pool=scales,
+            shift_term_count_cap=term_count_cap, shift_monomial_exponent_cap=exponent_cap,
+            max_word_length=length_cap, shear_probability=shear,
+        )
+        got = search._random_word(search._child_rng(seed, index), config)
+        assert got == random_word(search._child_rng(seed, index), config)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"seed": 10**5000}, "seed is too long to print, got <5001-digit integer>"),
+            ({"shear_probability": True}, "shear_probability must be a number, got True"),
+            ({"shear_probability": "0.5"}, "shear_probability must be a number, got '0.5'"),
+            ({"shear_probability": 1.5}, "shear_probability must lie in [0, 1]"),
+        ],
+        ids=["text-seed", "float-seed", "bool-seed", "null-seed", "long-seed",
+             "bool-shear", "text-shear", "shear-above-one"],
+    )
+    def test_seed_and_shear_probability_are_checked(self, fields, message):
+        with pytest.raises(DomainError) as info:
+            SearchConfig(**fields)
+        assert str(info.value) == message
+
+    def test_seed_of_either_sign_and_integral_shear_probability(self):
+        for fields in ({"seed": -7}, {"seed": 10**30}, {"shear_probability": 0},
+                       {"shear_probability": 1}):
+            stats = GenerationStats()
+            list(generate(SearchConfig(sample_count=5, **fields), stats))
+            assert stats.samples_drawn == 5
 
     def test_rows_carry_each_weights_multidegree(self):
         # one rank-2 weight among rank-1 ones: every row's degrees are the
