@@ -159,7 +159,14 @@ class TameWord(_Value):
         is not an int in 1..3, a shift that is not a string, or a scale
         that is not an integer or "num/den" with den > 0 raises DomainError
         naming its 1-based step, as does a shift that does not parse or that
-        involves its target; a word that is not a list raises DomainError."""
+        involves its target; a word that is not a list raises DomainError.
+
+        Steps are memoized by their exact (target, scale, shift) values, up
+        to 1,024 of them and shared between words, when the scale and shift
+        texts are together at most 200 characters long and the shift has no
+        parenthesis and no power of a number, so that no memoized step is
+        large; every shift that to_json writes qualifies.  Errors are never
+        memoized."""
         if not isinstance(steps, list):
             raise DomainError(f"word must be a list of steps, not {type(steps).__name__}")
         out = []
@@ -178,18 +185,36 @@ class TameWord(_Value):
                 raise DomainError(f"step {k}: target must be an int in 1..3, not {shown}")
             if not isinstance(shift, str):
                 raise DomainError(f"step {k}: shift must be a string, not {type(shift).__name__}")
-            m = _SCALE.fullmatch(text) if isinstance(text, str) else None
+            build = _step
+            if type(text) is str and len(text) + len(shift) <= _MEMO_TEXT \
+                    and not _EXPANDS.search(shift):
+                build = _memo_step
             try:
-                scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
-            except (ValueError, ZeroDivisionError):  # past int()'s digit limit; n/0
-                scale = None
-            if scale is None:
-                raise DomainError(f"step {k}: malformed scale {text!r}")
-            try:
-                out.append(ElementaryAut(target - 1, scale, parse_polynomial(shift)))
+                out.append(build(target, text, shift))
             except (DomainError, PolynomialSyntaxError) as exc:
                 raise DomainError(f"step {k}: {exc}") from None
         return cls(tuple(out), 3)
+
+
+_MEMO_TEXT = 200  # longest scale and shift text of a memoized step
+_EXPANDS = re.compile(r"\(|(?<![x0-9])[0-9]+\s*\^")  # a parenthesis or a power of a number
+
+
+def _step(target: int, text, shift: str) -> ElementaryAut:
+    """The step of from_json's checked target (1-based) and shift and its
+    raw scale; a bad scale or shift raises DomainError or
+    PolynomialSyntaxError without the step's number."""
+    m = _SCALE.fullmatch(text) if isinstance(text, str) else None
+    try:
+        scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit; n/0
+        scale = None
+    if scale is None:
+        raise DomainError(f"malformed scale {text!r}")
+    return ElementaryAut(target - 1, scale, parse_polynomial(shift))
+
+
+_memo_step = lru_cache(maxsize=1024)(_step)
 
 
 class Endo(_Value):

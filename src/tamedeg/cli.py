@@ -237,11 +237,21 @@ def _cmd_frobenius(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
+def _load_config(path: str) -> SearchConfig:
+    """The search config in a JSON file; its integers are read as parse
+    reads them, so one past Python's digit limit is named by its length."""
     import json
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = SearchConfig.from_json(json.load(fh))
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh, parse_int=_integer)
+        except DomainError as exc:
+            raise DomainError(f"config: {exc}") from None
+    return SearchConfig.from_json(data)
+
+
+def _cmd_search(args) -> int:
+    config = _load_config(args.config)
     registry = _load_registry(args.registry)
     records, stats = run_search(config, registry)
     persist(records, args.out)
@@ -255,13 +265,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    import json
-
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = SearchConfig.from_json(json.load(fh))
+    config = _load_config(args.config)
     registry = _load_registry(args.registry)
     report = consistency_check(config, registry)
     if getattr(args, "json", False):
+        import json
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.summary())

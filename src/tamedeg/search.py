@@ -189,11 +189,14 @@ def _child_rng(seed: int, index: int) -> random.Random:
 
 
 def word_fingerprint(word: TameWord) -> str:
+    return _fingerprint(word.steps, [s.shift.render() for s in word.steps])
+
+
+def _fingerprint(steps: Sequence[ElementaryAut], shifts: Sequence[str]) -> str:
+    """word_fingerprint of the steps, given their rendered shifts."""
     import hashlib
 
-    payload = "|".join(
-        f"{s.target}:{s.scale}:{s.shift.render()}" for s in word.steps
-    )
+    payload = "|".join(f"{s.target}:{s.scale}:{t}" for s, t in zip(steps, shifts))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -602,8 +605,8 @@ def run_search(
     stats = GenerationStats()
     records: list[SearchRecord] = []
     for word, _, rows in _classified(config, registry, classify_weighted, stats):
-        fp = word_fingerprint(word)
         steps = word.to_json()
+        fp = _fingerprint(word.steps, [s["shift"] for s in steps])
         for w, _, degs, verdict in rows:
             records.append(
                 SearchRecord(
@@ -621,13 +624,14 @@ def run_search(
 
 
 def persist(records: Sequence[SearchRecord], path) -> None:
-    """Append records as line-delimited JSON; one write per line keeps
-    concurrent appends line-atomic."""
+    """Append records as line-delimited JSON, through one compact encoder
+    for the call; one write per line keeps concurrent appends line-atomic."""
     import json
 
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
+            fh.write(encode(record.to_json()) + "\n")
 
 
 def load(path) -> list[SearchRecord]:

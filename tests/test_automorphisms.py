@@ -410,6 +410,61 @@ class TestWordJson:
         with pytest.raises(DomainError, match="nonzero scale"):
             TameWord.from_json([{"target": 1, "scale": "0/1", "shift": "x2"}])
 
+    def test_memoized_shift_is_checked_against_each_target(self):
+        TameWord.from_json([{"target": 1, "scale": "1/1", "shift": "x2"}])
+        with pytest.raises(DomainError) as err:
+            TameWord.from_json([{"target": 2, "scale": "1/1", "shift": "x2"}])
+        assert str(err.value) == "step 1: shift must not involve the target variable"
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"target": 1, "scale": "1/0", "shift": "x2"}, "malformed scale '1/0'"),
+            ({"target": 1, "scale": "0/1", "shift": "x2"},
+             "elementary step needs a nonzero scale"),
+            ({"target": 1, "scale": "1/1", "shift": "x2 +"},
+             "expected a number, variable or '(', found 'end' (at position 4)"),
+            ({"target": 1, "scale": "1/1", "shift": "x1*x2"},
+             "shift must not involve the target variable"),
+        ],
+    )
+    def test_bad_step_after_memoized_good_ones(self, step, message):
+        good = {"target": 1, "scale": "1/1", "shift": "x2"}
+        for _ in range(2):
+            TameWord.from_json([good, good])
+            with pytest.raises(DomainError) as err:
+                TameWord.from_json([good, good, step])
+            assert str(err.value) == f"step 3: {message}"
+
+    def test_words_sharing_steps_round_trip(self):
+        a = ElementaryAut(2, Fraction(-2, 3), X1 + X2)
+        b = shear(0, mono3(0, 2, 1, Fraction(-3, 2)))
+        words = [TameWord((a, b), 3), TameWord((b, a, b), 3), TameWord((a,), 3)]
+        for _ in range(2):
+            for word in words:
+                loaded = TameWord.from_json(word.to_json())
+                assert loaded == word
+                assert loaded.render() == word.render()
+        shared = TameWord.from_json(words[1].to_json()).steps
+        assert shared[0] is shared[2] is TameWord.from_json(words[0].to_json()).steps[1]
+
+    @pytest.mark.parametrize(
+        "shift, expected",
+        [
+            ("(x2+x3)^2", X2 * X2 + X2 * X3 * 2 + X3 * X3),
+            ("2^3*x2", X2 * 8),
+            ("+".join(["x2"] * 101), X2 * 101),
+        ],
+        ids=["parenthesized", "number-power", "over-long"],
+    )
+    def test_large_shift_texts_are_not_memoized(self, shift, expected):
+        from tamedeg.automorphisms import _memo_step
+
+        before = _memo_step.cache_info()
+        word = TameWord.from_json([{"target": 1, "scale": "1", "shift": shift}])
+        assert word.steps[0].shift == expected
+        assert _memo_step.cache_info() == before
+
 
 class TestMultidegrees:
     def test_identity(self):

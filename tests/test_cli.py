@@ -573,6 +573,21 @@ class TestVectorEntries:
             argv = (*argv, "--config", str(tmp_path / "config.json"))
         self.assert_one_short_error(*run_cli(capsys, *argv), needle)
 
+    @pytest.mark.parametrize("command", ["check", "search"])
+    @pytest.mark.parametrize(
+        "config", [f'{{"seed": {HUGE}}}', f'{{"weights": [[1, 2, -{HUGE}]]}}'],
+        ids=["seed", "negative-weight"],
+    )
+    def test_config_integer_past_the_digit_limit(self, capsys, tmp_path, command, config):
+        (tmp_path / "config.json").write_text(config)
+        argv = [command, "--config", str(tmp_path / "config.json")]
+        if command == "search":
+            argv += ["--out", str(tmp_path / "records.jsonl")]
+        limit = sys.get_int_max_str_digits()
+        message = f"config: 5000-digit number exceeds Python's limit of {limit} digits"
+        assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+        assert not (tmp_path / "records.jsonl").exists()
+
     @pytest.mark.parametrize(
         "argv, config, message",
         [

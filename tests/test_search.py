@@ -514,3 +514,23 @@ class TestPersistence:
         assert len(loaded) == 2 * len(records)
         # no interleaved corruption: every line parsed as a full record
         assert {r.fingerprint for r in loaded} == {r.fingerprint for r in records}
+
+    def test_persisted_lines_are_compact_dumps(self, tmp_path):
+        config = SearchConfig(seed=11, sample_count=30, coefficient_pool=(1, -1, "1/2"),
+                              scale_pool=(-1, "3/2"), weights=((1, 1, 1), (1, 2, 3)))
+        records, _ = run_search(config)
+        path = tmp_path / "records.jsonl"
+        persist(records, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [json.dumps(r.to_json(), separators=(",", ":")) for r in records]
+
+    def test_records_carry_the_fingerprint_and_json_of_their_word(self):
+        config = SearchConfig(seed=3, sample_count=60, shift_term_count_cap=2,
+                              scale_pool=(-1, "2/3"), weights=((1, 1, 1), (1, 2, 3), (2, 3, 5)))
+        records, _ = run_search(config)
+        assert len({r.fingerprint for r in records}) * 3 == len(records)
+        for r in records:
+            word = r.to_word()
+            assert r.fingerprint == word_fingerprint(word)
+            assert r.word == word.to_json()
