@@ -185,12 +185,10 @@ class TameWord(_Value):
                 raise DomainError(f"step {k}: target must be an int in 1..3, not {shown}")
             if not isinstance(shift, str):
                 raise DomainError(f"step {k}: shift must be a string, not {type(shift).__name__}")
-            build = _step
-            if type(text) is str and len(text) + len(shift) <= _MEMO_TEXT \
-                    and not _EXPANDS.search(shift):
-                build = _memo_step
+            memo = (type(text) is str and len(text) + len(shift) <= _MEMO_TEXT
+                    and not _EXPANDS.search(shift))
             try:
-                out.append(build(target, text, shift))
+                out.append((_memo_step if memo else _step)(target, text, shift))
             except (DomainError, PolynomialSyntaxError) as exc:
                 raise DomainError(f"step {k}: {exc}") from None
         return cls(tuple(out), 3)
@@ -201,9 +199,9 @@ _EXPANDS = re.compile(r"\(|(?<![x0-9])[0-9]+\s*\^")  # a parenthesis or a power 
 
 
 def _step(target: int, text, shift: str) -> ElementaryAut:
-    """The step of from_json's checked target (1-based) and shift and its
-    raw scale; a bad scale or shift raises DomainError or
-    PolynomialSyntaxError without the step's number."""
+    """The step that from_json reads from a checked 1-based target, an
+    unchecked scale and a shift string; a bad scale or shift raises
+    DomainError or PolynomialSyntaxError without the step's number."""
     m = _SCALE.fullmatch(text) if isinstance(text, str) else None
     try:
         scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
