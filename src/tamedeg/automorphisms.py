@@ -8,8 +8,7 @@ of the poly kernel (one int per monomial) across all steps and unpacks each
 component once at the end; the field width comes from the steps' degrees
 predicted with cancellation ignored (and the degree cap, when set), before
 anything is expanded.  The exhaustive search walk extends a prefix's
-packed fold by one step per word.  Endo and the witness checks work on
-unpacked polynomials, whose ring arithmetic stays on the tuple loop.
+packed fold by one step per word.
 
 Every constructive witness produced here is verified after the fact rather
 than trusted from its construction, and without expanding it:
@@ -43,8 +42,8 @@ from .poly import (
     Polynomial,
     _pack,
     _pack_width,
+    _padd,
     _psubstitute,
-    _settle,
     _trusted,
     _unpack,
     jacobian_det,
@@ -324,16 +323,11 @@ class _Fold:
                         f"step would reach total degree {degree} > cap {cap}"
                     )
             shifted = _psubstitute(step.shift, comps, budget)
-            scale = step.scale
-            if scale == 1:
-                new = dict(comps[t])
-            else:
+            scale, old = step.scale, comps[t]
+            if scale != 1:
                 scale = scale.numerator if scale.denominator == 1 else scale
-                new = {k: c * scale for k, c in comps[t].items()}
-            get = new.get
-            for k, c in shifted.items():
-                new[k] = get(k, 0) + c
-            _settle(new)
+                old = {k: c * scale for k, c in old.items()}
+            new = _padd(old, shifted)
             budget.charge(len(new), 0)
             comps[t] = new
             degs[t] = max(new) >> n * width if new else 0

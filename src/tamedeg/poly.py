@@ -17,28 +17,24 @@ of the ring operations this module computes weighted degrees, formal
 partials, degrees of wedge products of differentials and Jacobian
 determinants.
 
-Composition runs on a private packed kernel: each exponent tuple becomes
-one int, with a field per variable and the total degree above them, so a
-monomial product is one int addition and the keys are small ints that the
-garbage collector does not track.  ``substitute``, ``power`` and the
-realization fold of ``automorphisms`` use it, sizing the fields from an
-exponent bound they prove before multiplying anything.  A product with a
-one-term operand (a component still a variable, or a monomial power) is
-one shift of the other operand's keys; a one-term power is closed form;
-any other power squares through a loop that forms each cross product once.
-Each path gives the pair loop's terms in the pair loop's order and
-raises on the same term count.  General ring
-arithmetic (``multiply``, ``Polynomial.__mul__``, ``jacobian_det``,
-``wedge2_degree``) keeps the tuple-keyed loop: its operands arrive
-unpacked and leave unpacked, mostly as one product each, so packing them
-on every call would cost more than the packed loop saves (``certify_wild``
-runs on these).
+Every product runs on one private packed kernel: each exponent tuple
+becomes one int, with a field per variable and the total degree above
+them, so a monomial product is one int addition and the keys are small
+ints that the garbage collector does not track.  Each operation here packs
+its operands once, at a field width from an exponent bound it proves
+before multiplying anything, and unpacks its result once; the realization
+fold of ``automorphisms`` keeps its components packed across steps.  A
+product with a one-term operand (a component still a variable, or a
+monomial power) is one shift of the other operand's keys; a one-term power
+is closed form; any other power squares through a loop that forms each
+cross product once.  Each path gives the general loop's terms in its order
+and raises on the same term count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add, mul as _mul
+from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError
@@ -70,28 +66,37 @@ def _settle(terms: dict) -> dict:
     return terms
 
 
+def _padd(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b (sign 1 or -1) for term maps with keys of any kind,
+    exponent tuples or packed ints; a and b are left as they are."""
+    if sign < 0:
+        b = {k: -c for k, c in b.items()}
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        out[k] = get(k, 0) + c
+    return _settle(out)
+
+
 class Budget:
     """Caps on intermediate size during polynomial composition.
 
     term_cap bounds the number of stored terms of any single result;
-    op_cap bounds ops_used, the total number of coefficient multiplications
-    performed across the lifetime of the budget (a square forms each cross
-    product once, so it performs about half of a general product's, and a
-    one-term power counts as one); degree_cap, when set, bounds the total
-    degree of every component that ``automorphisms.realize`` builds, and
-    realize checks it on the predicted degree before expanding a step.
+    degree_cap, when set, bounds the total degree of every component that
+    ``automorphisms.realize`` builds, checked on the predicted degree
+    before a step is expanded.  ops_used only counts the coefficient
+    multiplications performed across the lifetime of the budget (a square
+    forms each cross product once, and a one-term power counts as one).
     """
 
-    __slots__ = ("term_cap", "op_cap", "ops_used", "degree_cap")
+    __slots__ = ("term_cap", "ops_used", "degree_cap")
 
     def __init__(
         self,
         term_cap: int = DEFAULT_TERM_BUDGET,
-        op_cap: Optional[int] = None,
         degree_cap: Optional[int] = None,
     ):
         self.term_cap = term_cap
-        self.op_cap = op_cap
         self.ops_used = 0
         self.degree_cap = degree_cap
 
@@ -100,10 +105,6 @@ class Budget:
         if terms > self.term_cap:
             raise BudgetExceededError(
                 f"term budget exceeded: {terms} > {self.term_cap}"
-            )
-        if self.op_cap is not None and self.ops_used > self.op_cap:
-            raise BudgetExceededError(
-                f"operation budget exceeded: {self.ops_used} > {self.op_cap}"
             )
 
 
@@ -178,11 +179,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        out = dict(self.terms)
-        get = out.get
-        for mono, coeff in other.terms.items():
-            out[mono] = get(mono, 0) + coeff
-        return _trusted(self.nvars, _settle(out))
+        return _trusted(self.nvars, _padd(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -193,21 +190,14 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        return _trusted(self.nvars, _padd(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _canonical(other)
-            if other == 1:
-                return self
-            if other == 0:
-                return _trusted(self.nvars, {})
-            return _trusted(
-                self.nvars, _settle({m: c * other for m, c in self.terms.items()})
-            )
+        if isinstance(other, (int, Fraction)) and other == 1:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -254,18 +244,9 @@ def _trusted(nvars: int, terms: dict) -> Polynomial:
 def multiply(f: Polynomial, g: Polynomial, budget: Optional[Budget] = None) -> Polynomial:
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
-    if f.is_zero or g.is_zero:
-        return _trusted(f.nvars, {})
-    acc: dict[Monomial, Coeff] = {}
-    get = acc.get
-    g_items = list(g.terms.items())
-    for ma, ca in f.terms.items():
-        for mb, cb in g_items:
-            key = tuple(map(_add, ma, mb))
-            acc[key] = get(key, 0) + ca * cb
-        if budget is not None:
-            budget.charge(len(acc), len(g_items))
-    return _trusted(f.nvars, _settle(acc))
+    width = _pack_width(max(f.total_degree_int(), 0) + max(g.total_degree_int(), 0))
+    product = _pmul(_pack(f.terms, width), _pack(g.terms, width), budget)
+    return _unpack(product, f.nvars, width)
 
 
 def power(f: Polynomial, exponent: int, budget: Optional[Budget] = None) -> Polynomial:
@@ -457,12 +438,17 @@ def partial(f: Polynomial, index: int) -> Polynomial:
     """Formal partial derivative with respect to variable index (0-based)."""
     if not 0 <= index < f.nvars:
         raise DomainError(f"variable index {index} out of range for n={f.nvars}")
-    out: dict[Monomial, Coeff] = {}
-    for mono, coeff in f.terms.items():
-        e = mono[index]
-        if e:
-            out[mono[:index] + (e - 1,) + mono[index + 1 :]] = coeff * e
-    return _trusted(f.nvars, _settle(out))
+    width = _pack_width(f.total_degree_int())
+    return _unpack(_ppartial(_pack(f.terms, width), index, f.nvars, width), f.nvars, width)
+
+
+def _ppartial(a: dict, index: int, nvars: int, width: int) -> dict:
+    """Partial derivative of a packed polynomial: each key loses one
+    x_index and one total degree."""
+    shift = index * width
+    mask = (1 << width) - 1
+    step = (1 << shift) + (1 << nvars * width)
+    return _settle({k - step: c * e for k, c in a.items() if (e := k >> shift & mask)})
 
 
 def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupElem]:
@@ -473,34 +459,36 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupE
         raise DomainError("variable counts differ")
     n = f.nvars
     ws = coerce_weight_vector(weights, n)
-    df = [partial(f, i) for i in range(n)]
-    dg = [partial(g, i) for i in range(n)]
+    # every exponent of a minor is at most deg f + deg g
+    width = _pack_width(max(f.total_degree_int(), 0) + max(g.total_degree_int(), 0))
+    pf, pg = _pack(f.terms, width), _pack(g.terms, width)
+    df = [_ppartial(pf, i, n, width) for i in range(n)]
+    dg = [_ppartial(pg, i, n, width) for i in range(n)]
     best: Optional[GroupElem] = None
     for i in range(n):
         for j in range(i + 1, n):
-            minor = df[i] * dg[j] - df[j] * dg[i]
-            if minor.is_zero:
+            minor = _padd(_pmul(df[i], dg[j], None), _pmul(df[j], dg[i], None), -1)
+            if not minor:
                 continue
-            cand = _degree_w(minor, ws) + ws[i] + ws[j]
+            cand = _degree_w(_unpack(minor, n, width), ws) + ws[i] + ws[j]
             if best is None or cand > best:
                 best = cand
     return best
 
 
-def _det(matrix: list[list[Polynomial]]) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
+def _det(matrix: list[list[dict]]) -> dict:
+    """Determinant of a square matrix of packed polynomials, by cofactors
+    along the first row."""
+    if len(matrix) == 1:
         return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    nvars = matrix[0][0].nvars
-    out = _trusted(nvars, {})
+    if len(matrix) == 2:
+        (a, b), (c, d) = matrix
+        return _padd(_pmul(a, d, None), _pmul(b, c, None), -1)
+    out: dict = {}
     for j, entry in enumerate(matrix[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cofactor = entry * _det(minor)
-        out = out + (cofactor if j % 2 == 0 else -cofactor)
+        if entry:
+            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+            out = _padd(out, _pmul(entry, _det(minor), None), -1 if j % 2 else 1)
     return out
 
 
@@ -510,7 +498,11 @@ def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     for c in components:
         if c.nvars != n:
             raise DomainError("need as many variables as components")
-    return _det([[partial(c, j) for j in range(n)] for c in components])
+    # every exponent of a cofactor product is at most the sum of the degrees
+    width = _pack_width(sum(max(c.total_degree_int(), 0) for c in components))
+    packed = [_pack(c.terms, width) for c in components]
+    matrix = [[_ppartial(p, j, n, width) for j in range(n)] for p in packed]
+    return _unpack(_det(matrix), n, width)
 
 
 def _render_coeff(c: Fraction) -> str:

@@ -54,6 +54,7 @@ from .errors import (
     _show,
 )
 from .ordgroup import GroupElem, Weight, _set, _Value, as_weight
+from .parse import _integer
 from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
 SCHEMA_VERSION = 1
@@ -575,21 +576,27 @@ class SearchRecord(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchRecord":
+        """The record in a JSON value; any other value raises SchemaVersionError."""
+        if not isinstance(data, dict):
+            raise SchemaVersionError(f"record must be a JSON object, not {_show(data)}")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"unsupported record schema version {_show(version)}"
             )
-        return cls(
-            seed=data["seed"],
-            fingerprint=data["fingerprint"],
-            word=data["word"],
-            weight=tuple(tuple(c) for c in data["weight"]),
-            multidegree=tuple(tuple(c) for c in data["mdeg"]),
-            verdict=data["verdict"],
-            registry_fingerprint=data["registry_fingerprint"],
-            timestamp=data["ts"],
-        )
+        try:
+            return cls(
+                seed=data["seed"],
+                fingerprint=data["fingerprint"],
+                word=data["word"],
+                weight=tuple(tuple(c) for c in data["weight"]),
+                multidegree=tuple(tuple(c) for c in data["mdeg"]),
+                verdict=data["verdict"],
+                registry_fingerprint=data["registry_fingerprint"],
+                timestamp=data["ts"],
+            )
+        except KeyError as exc:
+            raise SchemaVersionError(f"record has no field {_show(exc.args[0])}") from None
 
     def to_word(self) -> TameWord:
         return TameWord.from_json(self.word)
@@ -635,6 +642,8 @@ def persist(records: Sequence[SearchRecord], path) -> None:
 
 
 def load(path) -> list[SearchRecord]:
+    """The records that persist wrote to path; a line that is not one
+    raises SchemaVersionError naming the line."""
     import json
 
     records = []
@@ -644,10 +653,13 @@ def load(path) -> list[SearchRecord]:
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaVersionError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            records.append(SearchRecord.from_json(data))
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaVersionError(f"not valid JSON: {exc}") from None
+                except ValueError:  # an int past Python's digit limit: read
+                    data = json.loads(line, parse_int=_integer)  # again to name it
+                records.append(SearchRecord.from_json(data))
+            except (DomainError, SchemaVersionError) as exc:
+                raise SchemaVersionError(f"line {lineno}: {exc}") from None
     return records

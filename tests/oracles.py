@@ -16,7 +16,8 @@ Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
 ``compose`` (substitution of one map into another), ``mdeg_w`` and
 ``deg_w_total`` (componentwise and summed weighted degrees of a map),
-``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian),
+``wedge3_degree`` (degree of df1 ^ df2 ^ df3 through the Jacobian, which
+``frac_jacobian_det`` expands over permutations),
 ``leading_form`` (the terms of top weighted degree), ``constant_value``,
 ``power_dependence`` (whether h1 == c * h2**l), and
 ``lemma_a_conditions`` with its ``LemmaAReport`` (arithmetic screens that
@@ -27,7 +28,7 @@ validating constructors only.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import gcd
 from typing import Optional
 
@@ -42,7 +43,7 @@ from tamedeg.ordgroup import (
     semigroup_member,
     w_star,
 )
-from tamedeg.poly import Budget, Polynomial, degree_w, jacobian_det, power, substitute
+from tamedeg.poly import Budget, Polynomial, degree_w, power, substitute
 
 
 def dp_representable(target: int, e1: int, e2: int):
@@ -201,6 +202,44 @@ def frac_partial(f: dict, index: int) -> dict:
             key = mono[:index] + (e - 1,) + mono[index + 1:]
             out[key] = out.get(key, Fraction(0)) + c * e
     return frac_terms(out)
+
+
+def frac_jacobian_det(components: list, nvars: int) -> dict:
+    """Determinant of the matrix of partials of nvars term maps in nvars
+    variables by the permutation expansion: the sum over permutations p of
+    sign(p) times the product of the partials d c_i / d x_p(i)."""
+    out = {}
+    for perm in permutations(range(nvars)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(nvars), 2))
+        term = {(0,) * nvars: Fraction((-1) ** inversions)}
+        for c, j in zip(components, perm):
+            term = frac_multiply(term, frac_partial(c, j))
+        out = frac_add(out, term)
+    return out
+
+
+def frac_wedge2_degree(f: dict, g: dict, weights) -> Optional[tuple]:
+    """Coordinates of the weighted degree of df ^ dg for term maps, under
+    weights given as one coordinate tuple per variable: the lexicographic
+    maximum, over i < j and the terms of the minor
+    df/dx_i * dg/dx_j - df/dx_j * dg/dx_i, of the weight of that term
+    times x_i*x_j; None when every minor vanishes."""
+    n = len(weights)
+    best = None
+    for i, j in combinations(range(n), 2):
+        minor = frac_add(
+            frac_multiply(frac_partial(f, i), frac_partial(g, j)),
+            frac_scale(frac_multiply(frac_partial(f, j), frac_partial(g, i)), -1),
+        )
+        for mono in minor:
+            e = list(mono)
+            e[i] += 1
+            e[j] += 1
+            value = tuple(sum(k * w[r] for k, w in zip(e, weights))
+                          for r in range(len(weights[0])))
+            if best is None or value > best:
+                best = value
+    return best
 
 
 def frac_dependent_pair(d1: GroupElem, d2: GroupElem):
@@ -558,10 +597,10 @@ def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):
     if not (f1.nvars == f2.nvars == f3.nvars == 3):
         raise DomainError("wedge3_degree needs three trivariate polynomials")
     ws = coerce_weight_vector(weights, 3)
-    jac = jacobian_det([f1, f2, f3])
-    if jac.is_zero:
+    jac = frac_jacobian_det([frac_terms(f.terms) for f in (f1, f2, f3)], 3)
+    if not jac:
         return None
-    return degree_w(jac, ws) + ws[0] + ws[1] + ws[2]
+    return degree_w(Polynomial(3, jac), ws) + ws[0] + ws[1] + ws[2]
 
 
 def leading_form(f: Polynomial, weights=None) -> Polynomial:

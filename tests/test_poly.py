@@ -9,12 +9,14 @@ from oracles import (
     constant_value,
     pair_loop_product,
     frac_add,
+    frac_jacobian_det,
     frac_multiply,
     frac_partial,
     frac_power,
     frac_scale,
     frac_substitute,
     frac_terms,
+    frac_wedge2_degree,
     leading_form,
     power_dependence,
     wedge3_degree,
@@ -32,7 +34,7 @@ from tamedeg import (
     wedge2_degree,
 )
 from tamedeg.errors import BudgetExceededError
-from tamedeg.poly import Budget, _pack, _pmul, _psquare, power
+from tamedeg.poly import Budget, _pack, _pmul, _psquare, _unpack, multiply, power
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
 
@@ -219,6 +221,23 @@ short_maps = st.dictionaries(
 )
 
 
+def maps_in(nvars):
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars),
+        coefficients,
+        max_size=4,
+    )
+
+
+# rank-1 and rank-2 weights, as coordinate tuples; a rank-2 weight is
+# positive when it is lexicographically above (0, 0)
+WEIGHTS = (
+    st.tuples(st.integers(min_value=1, max_value=5)),
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-3, max_value=3))
+    .filter(lambda w: w > (0, 0)),
+)
+
+
 def assert_matches(poly, oracle_terms):
     """poly equals the oracle's term map, and stores an int exactly where
     the coefficient is integral."""
@@ -276,9 +295,15 @@ class TestAgainstFractionOracle:
             except BudgetExceededError as exc:
                 return str(exc)
 
+        def public(x, y, budget):  # multiply packs at a width of its own
+            f, g = (_unpack(p, 3, 3) for p in (x, y))
+            return _pack(multiply(f, g, budget).terms, 3)
+
         pa, pb = (_pack(Polynomial(3, t).terms, 3) for t in (a, b))
         for x, y in ((pa, pb), (pb, pa), (pb, pb)):
-            assert outcome(_pmul, x, y) == outcome(pair_loop_product, x, y)
+            want = outcome(pair_loop_product, x, y)
+            assert outcome(_pmul, x, y) == want
+            assert outcome(public, x, y) == want
         for x in (pa, pb):
             got = outcome(lambda x, _, budget: _psquare(x, budget), x, x)
             want = outcome(pair_loop_product, x, x)
@@ -299,6 +324,25 @@ class TestAgainstFractionOracle:
     @given(term_maps, st.integers(min_value=0, max_value=2))
     def test_partial(self, a, i):
         assert_matches(partial(Polynomial(3, a), i), frac_partial(frac_terms(a), i))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.lists(
+        maps_in(n), min_size=n, max_size=n)))
+    def test_jacobian_det(self, maps):
+        n = len(maps)
+        got = jacobian_det([Polynomial(n, m) for m in maps])
+        assert_matches(got, frac_jacobian_det([frac_terms(m) for m in maps], n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((2, 4)).flatmap(lambda n: st.tuples(
+        maps_in(n), maps_in(n), st.sampled_from(WEIGHTS).flatmap(
+            lambda w: st.lists(w, min_size=n, max_size=n)))))
+    def test_wedge2_degree(self, case):
+        a, b, ws = case
+        n = len(ws)
+        got = wedge2_degree(Polynomial(n, a), Polynomial(n, b), ws)
+        assert (None if got is None else got.coords) == frac_wedge2_degree(
+            frac_terms(a), frac_terms(b), ws)
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps)

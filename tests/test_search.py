@@ -487,6 +487,24 @@ class TestPersistence:
         with pytest.raises(SchemaVersionError):
             load(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"schema_version":1,"seed":' + "9" * 5000 + "}",
+         "5000-digit number exceeds Python's limit of 4300 digits"),
+        ('{"schema_version":1}', "record has no field 'seed'"),
+        ("[1]", "record must be a JSON object, not [1]"),
+    ], ids=["digit-limit", "missing-field", "not-an-object"])
+    def test_malformed_line_is_named(self, tmp_path, line, message):
+        config = SearchConfig(seed=5, sample_count=3, weights=((1, 1, 1),))
+        records, _ = run_search(config)
+        good = tmp_path / "good.jsonl"
+        persist(records[:1], good)
+        for before, lineno in (("", 1), (good.read_text(encoding="utf-8"), 2)):
+            path = tmp_path / "bad.jsonl"
+            path.write_text(before + line + "\n", encoding="utf-8")
+            with pytest.raises(SchemaVersionError) as info:
+                load(path)
+            assert str(info.value) == f"line {lineno}: {message}"
+
     def test_word_reconstruction(self, tmp_path):
         config = SearchConfig(seed=9, sample_count=30, weights=((1, 1, 1),))
         records, _ = run_search(config)
