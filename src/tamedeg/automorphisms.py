@@ -22,7 +22,9 @@ multidegree and Jacobian are recomputed from the expansion.
 Because of that final check, the parts of a witness are built cheaply:
 the template shears of _witness_word are made with the trusted
 constructors once the degrees have been validated, and permutation words
-are memoized and shared.
+are memoized and shared.  A permuted witness is proved in two parts: the
+calculus over its template, and the permutation word's action on the
+components, derived by the same calculus once per permutation and kept.
 """
 
 from __future__ import annotations
@@ -425,36 +427,46 @@ def certified_mdeg(word: TameWord) -> Optional[tuple[int, ...]]:
     combos = [{i: 1} for i in range(n)]  # component -> {atom: coefficient}
     tops = list(atoms)  # (degree, leading-form value) per component
     for step in word.steps:
-        scale = step.scale
-        if scale.denominator == 1:
-            scale = scale.numerator
-        old = combos[step.target]
-        combo = dict(old) if scale == 1 else {a: c * scale for a, c in old.items()}
-        # a constant shift term never reaches the top of a component
-        for mono, c in step.shift.terms.items():
-            total = sum(mono)
-            if total == 1:
-                for a, k in combos[mono.index(1)].items():
-                    merged = combo.get(a, 0) + c * k
-                    if merged:
-                        combo[a] = merged
-                    else:
-                        del combo[a]
-            elif total:
-                degree, lead = 0, 1
-                for j, e in enumerate(mono):
-                    if e:
-                        d, v = tops[j]
-                        degree += e * d
-                        lead = lead * pow(v, e, _P) % _P
-                combo[len(atoms)] = c
-                atoms.append((degree, lead))
+        combo = _combine(step, combos, atoms, tops)
         top = _top(combo, atoms)
         if top is None:
             return None
         combos[step.target] = combo
         tops[step.target] = top
     return tuple(d for d, _ in tops)
+
+
+def _combine(step: ElementaryAut, combos: list, atoms: list, tops: Sequence) -> dict:
+    """The combination of step's new target component: scale times the
+    old one plus the shift, whose linear terms merge exactly with the
+    combinations of their variables and whose nonlinear terms each append
+    an atom to atoms, its degree and leading-form value taken from tops,
+    the components' (degree, leading-form value).  A constant shift term
+    is dropped: it never reaches the top of a component."""
+    scale = step.scale
+    if scale.denominator == 1:
+        scale = scale.numerator
+    old = combos[step.target]
+    combo = dict(old) if scale == 1 else {a: c * scale for a, c in old.items()}
+    for mono, c in step.shift.terms.items():
+        total = sum(mono)
+        if total == 1:
+            for a, k in combos[mono.index(1)].items():
+                merged = combo.get(a, 0) + c * k
+                if merged:
+                    combo[a] = merged
+                else:
+                    del combo[a]
+        elif total:
+            degree, lead = 0, 1
+            for j, e in enumerate(mono):
+                if e:
+                    d, v = tops[j]
+                    degree += e * d
+                    lead = lead * pow(v, e, _P) % _P
+            combo[len(atoms)] = c
+            atoms.append((degree, lead))
+    return combo
 
 
 def _check_mdeg(got: tuple[int, ...], expected: Sequence[int]) -> None:
@@ -478,21 +490,33 @@ def _verify_realization(
 
 
 def _verify_witness(
-    word: TameWord, expected: Sequence[int], budget: Optional[Budget] = None
-) -> None:
-    """Prove that word realizes the multidegree expected with a nonzero
-    constant Jacobian, or raise ConstructionError.
+    word: TameWord,
+    expected: Sequence[int],
+    budget: Optional[Budget] = None,
+    perm: Optional[Sequence[int]] = None,
+) -> TameWord:
+    """Prove that the witness, word followed by permutation_word(perm)
+    when perm is given, realizes the multidegree expected with a nonzero
+    constant Jacobian, or raise ConstructionError; returns the witness.
 
-    The multidegree comes from certified_mdeg.  The Jacobian is the
+    The multidegree comes from certified_mdeg over word alone.  The
+    permutation word's steps are linear in the components, so it sends
+    the components F of word to (+-F[pi[0]], ..., +-F[pi[n-1]]), with pi
+    from _permutation_action, derived once per permutation; the witness's
+    multidegree is then got[pi[i]] at position i.  The Jacobian is the
     product of the step scales by the chain rule, and ElementaryAut
-    rejects a zero scale.  Only when certified_mdeg falls back is the word
-    expanded, under budget, by _verify_realization.
+    rejects a zero scale.  Only when certified_mdeg falls back is the
+    whole witness expanded, under budget, by _verify_realization.
     """
+    witness = word if perm is None else word + permutation_word(perm, word.nvars)
     got = certified_mdeg(word)
     if got is None:
-        _verify_realization(word, expected, budget)
-    else:
-        _check_mdeg(got, expected)
+        _verify_realization(witness, expected, budget)
+        return witness
+    if perm is not None:
+        got = tuple(got[i] for i in _permutation_action(tuple(perm), word.nvars))
+    _check_mdeg(got, expected)
+    return witness
 
 
 def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
@@ -643,3 +667,26 @@ def _permutation_word(perm: tuple[int, ...], nvars: int) -> TameWord:
             word = word + transposition_word(pos, at, nvars)
             current[pos], current[at] = current[at], current[pos]
     return word
+
+
+@lru_cache(maxsize=64)
+def _permutation_action(perm: tuple[int, ...], nvars: int) -> tuple[int, ...]:
+    """The pi for which permutation_word(perm, nvars) sends every tuple of
+    components F to (+-F[pi[0]], ..., +-F[pi[nvars-1]]), derived from the
+    word's steps by the exact linear combinations of certified_mdeg, with
+    the components of F as its atoms; nothing is expanded.  Raises
+    ConstructionError unless each final combination is one component of F
+    with coefficient 1 or -1."""
+    atoms = [(1, v) for v in _point(nvars)]  # their degrees and values are never read here
+    combos = [{i: 1} for i in range(nvars)]
+    for step in _permutation_word(perm, nvars).steps:
+        combos[step.target] = _combine(step, combos, atoms, atoms)
+    pi = []
+    for i, combo in enumerate(combos, 1):
+        a, c = next(iter(combo.items()), (nvars, 0))
+        if len(combo) != 1 or a >= nvars or abs(c) != 1:
+            raise ConstructionError(
+                f"permutation word {perm} leaves component {i} as the combination {combo}"
+            )
+        pi.append(a)
+    return tuple(pi)

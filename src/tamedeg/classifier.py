@@ -41,7 +41,6 @@ from .automorphisms import (
     _verify_realization,
     _verify_witness,
     _witness_word,
-    permutation_word,
 )
 from .errors import DomainError, HypothesisViolation, _show
 from .ordgroup import (
@@ -213,16 +212,23 @@ class Unknown(_Value):
 ClassificationResult = Union[Excluded, Realizable, Unknown]
 
 
-def make_realizable(word: TameWord, expected: Sequence[int]) -> Realizable:
+def make_realizable(
+    word: TameWord, expected: Sequence[int], _perm: Optional[Sequence[int]] = None
+) -> Realizable:
     """Verdict constructor and the single verification point of a witness:
     proves that the word realizes the exact total-degree multidegree of the
     query with a nonzero constant Jacobian, raising ConstructionError
     otherwise.  The proof is the degree calculus of certified_mdeg plus the
     product of the step scales, or full expansion where the calculus falls
     back; the verdict's endo expands the word and checks it again when it
-    is first read."""
-    _verify_witness(word, expected)
-    return Realizable(word, tuple(expected))
+    is first read.
+
+    classify_total passes an unsorted query's sorted template as word and
+    its permutation as _perm: the witness is then word followed by
+    permutation_word(_perm), the template is proved by the calculus and
+    the permutation by its action on the components, derived once per
+    permutation (see automorphisms._verify_witness)."""
+    return Realizable(_verify_witness(word, expected, perm=_perm), tuple(expected))
 
 
 class DeltaBoundRegistry:
@@ -816,9 +822,8 @@ def classify_total(
     t1, t2, t3 = sorted(asked)
     word = _witness_word(t1, t2, t3)
     if word is not None:
-        if asked != (t1, t2, t3):
-            word = word + permutation_word(_matching_permutation(asked), 3)
-        return make_realizable(word, asked)
+        perm = None if asked == (t1, t2, t3) else _matching_permutation(asked)
+        return make_realizable(word, asked, _perm=perm)
     rep = check_total_abc(t1, t2, t3)
     holds = rep.holds
     if (holds("a1") or holds("a2")) and (holds("b1") or holds("b2")) and holds("c"):

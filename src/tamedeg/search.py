@@ -576,7 +576,9 @@ class SearchRecord(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchRecord":
-        """The record in a JSON value; any other value raises SchemaVersionError."""
+        """The record in a JSON value; any other value, or a record whose
+        word is not a list or whose weight or mdeg is not a list of integer
+        lists, raises SchemaVersionError."""
         if not isinstance(data, dict):
             raise SchemaVersionError(f"record must be a JSON object, not {_show(data)}")
         version = data.get("schema_version")
@@ -585,21 +587,36 @@ class SearchRecord(_Value):
                 f"unsupported record schema version {_show(version)}"
             )
         try:
-            return cls(
+            record = cls(
                 seed=data["seed"],
                 fingerprint=data["fingerprint"],
                 word=data["word"],
-                weight=tuple(tuple(c) for c in data["weight"]),
-                multidegree=tuple(tuple(c) for c in data["mdeg"]),
+                weight=_int_rows(data["weight"], "weight"),
+                multidegree=_int_rows(data["mdeg"], "mdeg"),
                 verdict=data["verdict"],
                 registry_fingerprint=data["registry_fingerprint"],
                 timestamp=data["ts"],
             )
         except KeyError as exc:
             raise SchemaVersionError(f"record has no field {_show(exc.args[0])}") from None
+        if type(record.word) is not list:
+            raise SchemaVersionError(f"record field 'word' must be a list, not {_show(record.word)}")
+        return record
 
     def to_word(self) -> TameWord:
         return TameWord.from_json(self.word)
+
+
+def _int_rows(value, field: str) -> tuple:
+    """A record's list of integer lists as a tuple of int tuples; any other
+    value raises SchemaVersionError naming field."""
+    if type(value) is list and all(type(row) is list for row in value) and all(
+        type(x) is int for row in value for x in row
+    ):
+        return tuple(map(tuple, value))
+    raise SchemaVersionError(
+        f"record field {field!r} must be a list of integer lists, not {_show(value)}"
+    )
 
 
 def run_search(

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tamedeg import (
@@ -29,7 +29,14 @@ from tamedeg import (
     shear,
     transposition_word,
 )
-from tamedeg.automorphisms import _P, _permutation_word, _witness_word, certified_mdeg
+from tamedeg.automorphisms import (
+    _P,
+    _permutation_action,
+    _permutation_word,
+    _verify_witness,
+    _witness_word,
+    certified_mdeg,
+)
 from tamedeg.classifier import _matching_permutation
 from oracles import (
     compose,
@@ -313,6 +320,71 @@ class TestPermutationHelpers:
             assert str(err.value) == f"{perm} is not a permutation of 0..2"
         after = _permutation_word.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+class TestPermutationAction:
+    def test_action_of_every_permutation(self):
+        for perm in itertools.permutations(range(3)):
+            pi = _permutation_action(perm, 3)
+            assert pi == perm
+            components = realize(permutation_word(perm, 3)).components
+            for got, i in zip(components, pi):
+                variable = Polynomial.variable(i, 3)
+                assert got in (variable, -variable)
+
+    def test_derived_without_realize(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the action must be derived without expansion")
+
+        monkeypatch.setattr(automorphisms, "realize", forbidden)
+        monkeypatch.setattr(automorphisms._Fold, "extend", forbidden)
+        _permutation_action.cache_clear()
+        for perm in itertools.permutations(range(3)):
+            assert _permutation_action(perm, 3) == perm
+        assert _permutation_action.cache_info().misses == 6
+
+    def test_derived_once_per_permutation(self):
+        _permutation_action.cache_clear()
+        for _ in range(3):
+            for d1, d2, d3 in itertools.permutations((3, 4, 7)):
+                classify_total(d1, d2, d3)
+        info = _permutation_action.cache_info()
+        assert (info.misses, info.hits) == (5, 10)  # the sorted order needs none
+
+    def test_word_that_is_no_signed_permutation_raises(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+
+        # x1 <- x1 + x2 alone leaves component 1 a sum of two variables
+        sheared = TameWord((shear(0, X2),), 3)
+        monkeypatch.setattr(automorphisms, "_permutation_word", lambda perm, nvars: sheared)
+        _permutation_action.cache_clear()
+        with pytest.raises(ConstructionError, match="component 1"):
+            _permutation_action((1, 0, 2), 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=3, max_size=3).map(sorted))
+    def test_template_fast_path_matches_calculus_and_expansion(self, triple):
+        template = _witness_word(*triple)
+        assume(template is not None)
+        got = certified_mdeg(template)
+        for perm in itertools.permutations(range(3)):
+            witness = template + permutation_word(perm, 3)
+            fast = tuple(got[i] for i in _permutation_action(perm, 3))
+            assert fast == certified_mdeg(witness) == mdeg(realize(witness))
+            assert _verify_witness(template, fast, perm=perm) == witness
+
+    @settings(max_examples=200, deadline=None)
+    @given(tame_words(), st.permutations(range(3)))
+    def test_any_word_fast_path_matches_expansion(self, template, perm):
+        got = certified_mdeg(template)
+        assume(got is not None)
+        witness = template + permutation_word(perm, 3)
+        fast = tuple(got[i] for i in _permutation_action(tuple(perm), 3))
+        assert fast == mdeg(realize(witness))
+        assert certified_mdeg(witness) in (None, fast)
+        assert _verify_witness(template, fast, perm=perm) == witness
 
 
 class TestWordJson:

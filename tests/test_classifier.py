@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 from dataclasses import FrozenInstanceError, make_dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -47,9 +47,9 @@ from tamedeg import (
     semigroup_witness,
     shear,
 )
-from tamedeg.automorphisms import _verify_realization
+from tamedeg.automorphisms import _verify_realization, _witness_word
 from tamedeg import ordgroup
-from tamedeg.classifier import _UNIT, Clause, Condition
+from tamedeg.classifier import _UNIT, Clause, Condition, _matching_permutation
 from tamedeg.ordgroup import GroupElem, _member1, _semigroup_solve, as_weight
 from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
 
@@ -234,6 +234,42 @@ class TestClassifyTotal:
         result = classify_total(*triple)
         assert isinstance(result, Realizable)
         assert result.multidegree == triple
+
+    def test_corrupted_permutation_action_raises(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+
+        for asked in permutations((3, 4, 7)):
+            if asked == (3, 4, 7):
+                continue
+            true_pi = automorphisms._permutation_action(_matching_permutation(asked), 3)
+            for wrong in permutations(range(3)):
+                if wrong == true_pi:
+                    continue
+                monkeypatch.setattr(automorphisms, "_permutation_action",
+                                    lambda perm, nvars, wrong=wrong: wrong)
+                with pytest.raises(ConstructionError, match="expected"):
+                    classify_total(*asked)
+                monkeypatch.undo()
+
+    def test_undecided_template_expands_the_whole_witness(self, monkeypatch):
+        import tamedeg.automorphisms as automorphisms
+        import tamedeg.classifier as classifier
+
+        expanded = []
+        original = automorphisms.realize
+
+        def counting(word, budget=None):
+            expanded.append(word)
+            return original(word, budget)
+
+        monkeypatch.setattr(automorphisms, "certified_mdeg", lambda word: None)
+        for module in (automorphisms, classifier):
+            if hasattr(module, "realize"):
+                monkeypatch.setattr(module, "realize", counting)
+        result = classify_total(11, 1, 7)
+        assert isinstance(result, Realizable)
+        assert expanded == [result.witness]
+        assert len(result.witness) > len(_witness_word(1, 7, 11))
 
     def test_nonpositive_degrees_rejected(self):
         with pytest.raises(DomainError):

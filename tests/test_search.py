@@ -505,6 +505,32 @@ class TestPersistence:
                 load(path)
             assert str(info.value) == f"line {lineno}: {message}"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("weight", 5, "record field 'weight' must be a list of integer lists, not 5"),
+        ("weight", [1, 2, 3],
+         "record field 'weight' must be a list of integer lists, not [1, 2, 3]"),
+        ("weight", [[1], ["2"]],
+         "record field 'weight' must be a list of integer lists, not [[1], ['2']]"),
+        ("mdeg", "3,5,7", "record field 'mdeg' must be a list of integer lists, not '3,5,7'"),
+        ("mdeg", [[1.5], [2], [3]],
+         "record field 'mdeg' must be a list of integer lists, not [[1.5], [2], [3]]"),
+        ("mdeg", [[True], [2], [3]],
+         "record field 'mdeg' must be a list of integer lists, not [[True], [2], [3]]"),
+        ("word", 5, "record field 'word' must be a list, not 5"),
+        ("word", {"target": 1}, "record field 'word' must be a list, not {'target': 1}"),
+    ], ids=["weight-int", "weight-flat", "weight-str-entry", "mdeg-str", "mdeg-float-entry",
+            "mdeg-bool-entry", "word-int", "word-object"])
+    def test_malformed_field_is_named(self, tmp_path, field, value, message):
+        config = SearchConfig(seed=5, sample_count=3, weights=((1, 1, 1),))
+        records, _ = run_search(config)
+        data = records[0].to_json()
+        data[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaVersionError) as info:
+            load(path)
+        assert str(info.value) == f"line 1: {message}"
+
     def test_word_reconstruction(self, tmp_path):
         config = SearchConfig(seed=9, sample_count=30, weights=((1, 1, 1),))
         records, _ = run_search(config)
