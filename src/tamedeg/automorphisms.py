@@ -130,7 +130,10 @@ class TameWord(_Value):
     def __add__(self, other: "TameWord") -> "TameWord":
         if other.nvars != self.nvars:
             raise DomainError("variable counts differ")
-        return TameWord(self.steps + other.steps, self.nvars)
+        word = object.__new__(TameWord)  # each step was checked in its own word
+        _set(word, "steps", self.steps + other.steps)
+        _set(word, "nvars", self.nvars)
+        return word
 
     def inverse(self) -> "TameWord":
         return TameWord(tuple(s.inverse() for s in reversed(self.steps)), self.nvars)

@@ -213,6 +213,9 @@ class TestRealize:
             w1 = random_word(rng, rng.randint(0, 3))
             w2 = random_word(rng, rng.randint(0, 3))
             assert realize(w1 + w2) == compose(realize(w1), realize(w2))
+            assert w1 + w2 == TameWord(w1.steps + w2.steps, 3)
+        with pytest.raises(DomainError, match="variable counts differ"):
+            TameWord((), 3) + TameWord((), 4)
 
     def test_invert_round_trip(self):
         rng = random.Random(43)
