@@ -73,7 +73,6 @@ from .poly import (
     Polynomial,
     degree_w,
     jacobian_det,
-    partial,
     render,
     substitute,
     wedge2_degree,

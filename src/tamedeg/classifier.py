@@ -248,10 +248,6 @@ class DeltaBoundRegistry:
     def _pair_key(d: GroupElem, e: GroupElem) -> tuple:
         return tuple(sorted((d.coords, e.coords)))
 
-    @classmethod
-    def empty(cls) -> "DeltaBoundRegistry":
-        return cls()
-
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
     ) -> "DeltaBoundRegistry":
@@ -264,17 +260,9 @@ class DeltaBoundRegistry:
     def lookup(self, w: Weight, d: GroupElem, e: GroupElem) -> Optional[GroupElem]:
         return self._entries.get((self._weight_key(w), self._pair_key(d, e)))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, DeltaBoundRegistry) and self._entries == other._entries
-        )
-
-    def entries(self) -> list[tuple[tuple, tuple, GroupElem]]:
-        return sorted(
-            (wk, pk, bound) for (wk, pk), bound in self._entries.items()
         )
 
     def fingerprint(self) -> str:
@@ -283,18 +271,10 @@ class DeltaBoundRegistry:
 
         payload = json.dumps(
             [[list(map(list, wk)), list(map(list, pk)), list(b.coords)]
-             for wk, pk, b in self.entries()],
+             for (wk, pk), b in sorted(self._entries.items())],
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def to_lines(self) -> list[str]:
-        out = []
-        for wk, pk, bound in self.entries():
-            ws = ",".join(_render_coords(c) for c in wk)
-            ps = ",".join(_render_coords(c) for c in pk)
-            out.append(f"{ws} ; {ps} ; {_render_coords(bound.coords)}")
-        return out
 
     @classmethod
     def from_lines(cls, lines) -> "DeltaBoundRegistry":
@@ -344,6 +324,8 @@ def delta_lower_bound(
     entry for (w, {d, e}); and the unconditional floor min_{i<j}(w_i + w_j)
     coming from the x_i*x_j factor every wedge term carries.  A registry
     entry that gives the bound is appended to _uses once, as a DeltaBoundUse.
+    registry None means builtin_registry(); this is the one place in the
+    classifier that resolves it, and its callers pass None down unchanged.
     """
     if registry is None:
         registry = builtin_registry()
@@ -418,9 +400,9 @@ class ConditionReport:
     zero-argument builder of its clauses.  __getitem__ and conditions()
     return memoized Conditions that carry the builder; it runs when the
     condition's clauses are first read, which may be long after the report
-    is gone, inside a certificate.  holds(), failed_names(), ``in`` and
-    reading a Condition's name or holds never build clause text, so a
-    verdict pays for formatting only when it is explained.
+    is gone, inside a certificate.  holds(), failed_names() and reading a
+    Condition's name or holds never build clause text, so a verdict pays
+    for formatting only when it is explained.
     """
 
     def __init__(self):
@@ -439,9 +421,6 @@ class ConditionReport:
                 name, self._holds[name], self._builders[name]
             )
         return cond
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._holds
 
     def holds(self, name: str) -> bool:
         return self._holds[name]
@@ -524,8 +503,6 @@ def check_weighted_conditions(
     ConditionReport).  At rank 1 the degrees (which may be given as ints),
     |w| and |w|* are ints, decided by the int kernels of ordgroup.  Registry
     entries that give a Delta bound go to _uses (see delta_lower_bound)."""
-    if registry is None:
-        registry = builtin_registry()
     wtotal, star = w.total, w.star
     rank1 = w.rank == 1
     if rank1:
@@ -746,8 +723,6 @@ def classify_weighted(
     constructive witnesses exist only for total degree; the search harness
     reports weighted realizations separately.
     """
-    if registry is None:
-        registry = builtin_registry()
     ds = [as_group_elem(d) for d in degrees]
     if len(ds) != 3:
         raise DomainError("expected a degree triple")
@@ -787,17 +762,10 @@ def classify_weighted(
 
 def _matching_permutation(asked: tuple[int, int, int]) -> tuple[int, ...]:
     """Indices into the sorted triple so that position i carries asked[i];
-    equal degrees are consumed left to right."""
-    ordered = sorted(asked)
-    taken = [False, False, False]
-    perm = []
-    for value in asked:
-        for j, v in enumerate(ordered):
-            if v == value and not taken[j]:
-                taken[j] = True
-                perm.append(j)
-                break
-    return tuple(perm)
+    equal degrees are consumed left to right.  order is the stable argsort
+    of asked; the permutation asked for is its inverse."""
+    order = sorted(range(3), key=asked.__getitem__)
+    return tuple(sorted(range(3), key=order.__getitem__))
 
 
 def classify_total(
@@ -814,8 +782,6 @@ def classify_total(
     through a1/a2, b1/b2, c; else run the weighted criteria at unit weights
     with the registry, which settles cases such as (4, 5, 6); else Unknown.
     """
-    if registry is None:
-        registry = builtin_registry()
     if min(d1, d2, d3) < 1:
         raise DomainError("degrees must be positive")
     asked = (d1, d2, d3)
@@ -859,8 +825,6 @@ def certify_wild(
     components of smallest degree; for an independent pair K1..K4 alone
     certify the triple impossible.
     """
-    if registry is None:
-        registry = builtin_registry()
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
     w = as_weight(weight)
@@ -1041,8 +1005,6 @@ def corollary_suite(
 ) -> ClassificationResult:
     """Verdict for a named corollary instance, always computed through
     classify_total / classify_weighted, never a separate code path."""
-    if registry is None:
-        registry = builtin_registry()
     triple, weight = corollary_inputs(name, args)
     if weight is not None:
         return classify_weighted(triple, weight, registry)

@@ -2,9 +2,10 @@
 
 Exit codes: 0 = ran and printed a verdict, 1 = stdout was closed before the
 output was written (as by `| head`), 2 = usage error, 3 = bad input (parse
-failure, domain error, unreadable file), 4 = internal soundness failure (a
-witness failed its own verification, or an internal invariant did not
-hold).
+failure, domain error, unreadable file, a file that is not valid JSON or
+not UTF-8), 4 = internal soundness failure (a witness failed its own
+verification, or an internal invariant did not hold).  Any other exception
+is a bug and propagates with its traceback.
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -75,7 +76,7 @@ _INPUT_ERRORS = (
     SchemaVersionError,
     BudgetExceededError,
     OSError,
-    ValueError,  # json.JSONDecodeError among them
+    UnicodeDecodeError,  # a config or registry file that is not UTF-8
 )
 
 # Integer arguments, read by the entry grammar (parse._integer) in main once
@@ -88,7 +89,7 @@ def _load_registry(spec: Optional[str]) -> DeltaBoundRegistry:
     if spec is None:
         return builtin_registry()
     if spec == "empty":
-        return DeltaBoundRegistry.empty()
+        return DeltaBoundRegistry()
     with open(spec, "r", encoding="utf-8") as fh:
         return DeltaBoundRegistry.from_lines(fh)
 
@@ -245,7 +246,7 @@ def _load_config(path: str) -> SearchConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_integer)
-        except DomainError as exc:
+        except (DomainError, json.JSONDecodeError) as exc:
             raise DomainError(f"config: {exc}") from None
     return SearchConfig.from_json(data)
 

@@ -50,9 +50,9 @@ class DegreeCapError(BudgetExceededError):
 class HypothesisViolation(ValueError):
     """A named hypothesis of a corollary is not met by the inputs."""
 
-    def __init__(self, hypothesis: str, message: str = ""):
+    def __init__(self, hypothesis: str):
         self.hypothesis = hypothesis
-        super().__init__(message or f"hypothesis violated: {hypothesis}")
+        super().__init__(f"hypothesis violated: {hypothesis}")
 
 
 class PolynomialSyntaxError(ValueError):

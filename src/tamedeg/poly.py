@@ -13,9 +13,8 @@ exponent tuple has length nvars.
 
 Degrees take values in Z^k under a vector of positive weights (one group
 element per variable); the zero polynomial has no degree (None).  On top
-of the ring operations this module computes weighted degrees, formal
-partials, degrees of wedge products of differentials and Jacobian
-determinants.
+of the ring operations this module computes weighted degrees, degrees of
+wedge products of differentials and Jacobian determinants.
 
 Every product runs on one private packed kernel: each exponent tuple
 becomes one int, with a field per variable and the total degree above
@@ -432,14 +431,6 @@ def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> Optional[GroupElem]:
         if best is None or val > best:
             best = val
     return best
-
-
-def partial(f: Polynomial, index: int) -> Polynomial:
-    """Formal partial derivative with respect to variable index (0-based)."""
-    if not 0 <= index < f.nvars:
-        raise DomainError(f"variable index {index} out of range for n={f.nvars}")
-    width = _pack_width(f.total_degree_int())
-    return _unpack(_ppartial(_pack(f.terms, width), index, f.nvars, width), f.nvars, width)
 
 
 def _ppartial(a: dict, index: int, nvars: int, width: int) -> dict:

@@ -529,8 +529,6 @@ def realizability_table(
     """
     if type(max_degree) is not int or max_degree < 1:
         raise DomainError(f"max_degree must be an int >= 1, got {_show(max_degree)}")
-    if registry is None:
-        registry = builtin_registry()
     w = None if weight is None else as_weight(weight)
     if w is not None and w.rank != 1:
         raise DomainError("tables index integer degree triples: rank-1 weights only")
@@ -576,9 +574,9 @@ class SearchRecord(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchRecord":
-        """The record in a JSON value; any other value, or a record whose
-        word is not a list or whose weight or mdeg is not a list of integer
-        lists, raises SchemaVersionError."""
+        """The record in a JSON value; any other value, or a record that
+        lacks a field or holds one of the wrong type (see _FIELD_CHECKS),
+        raises SchemaVersionError."""
         if not isinstance(data, dict):
             raise SchemaVersionError(f"record must be a JSON object, not {_show(data)}")
         version = data.get("schema_version")
@@ -587,36 +585,47 @@ class SearchRecord(_Value):
                 f"unsupported record schema version {_show(version)}"
             )
         try:
-            record = cls(
-                seed=data["seed"],
-                fingerprint=data["fingerprint"],
-                word=data["word"],
-                weight=_int_rows(data["weight"], "weight"),
-                multidegree=_int_rows(data["mdeg"], "mdeg"),
-                verdict=data["verdict"],
-                registry_fingerprint=data["registry_fingerprint"],
-                timestamp=data["ts"],
-            )
+            values = [data[field] for field in _FIELD_CHECKS]
         except KeyError as exc:
             raise SchemaVersionError(f"record has no field {_show(exc.args[0])}") from None
-        if type(record.word) is not list:
-            raise SchemaVersionError(f"record field 'word' must be a list, not {_show(record.word)}")
-        return record
+        for (field, (ok, wanted)), value in zip(_FIELD_CHECKS.items(), values):
+            if not ok(value):
+                raise SchemaVersionError(
+                    f"record field {field!r} must be {wanted}, not {_show(value)}"
+                )
+        seed, fingerprint, word, weight, mdeg, verdict, reg_fp, ts = values
+        return cls(seed, fingerprint, word, tuple(map(tuple, weight)),
+                   tuple(map(tuple, mdeg)), verdict, reg_fp, ts)
 
     def to_word(self) -> TameWord:
         return TameWord.from_json(self.word)
 
 
-def _int_rows(value, field: str) -> tuple:
-    """A record's list of integer lists as a tuple of int tuples; any other
-    value raises SchemaVersionError naming field."""
-    if type(value) is list and all(type(row) is list for row in value) and all(
-        type(x) is int for row in value for x in row
-    ):
-        return tuple(map(tuple, value))
-    raise SchemaVersionError(
-        f"record field {field!r} must be a list of integer lists, not {_show(value)}"
+def _three_int_rows(value) -> bool:
+    """Whether a record's weight or mdeg is three integer lists of one
+    nonzero length (bools and floats are not integers)."""
+    return (
+        type(value) is list
+        and len(value) == 3
+        and all(type(row) is list for row in value)
+        and 0 < len(value[0]) == len(value[1]) == len(value[2])
+        and all(type(x) is int for row in value for x in row)
     )
+
+
+# Each record field in to_json order, the test its value must pass and what
+# the error says it must be.
+_FIELD_CHECKS = {
+    "seed": (lambda v: type(v) is int, "an int"),
+    "fingerprint": (lambda v: type(v) is str, "a string"),
+    "word": (lambda v: type(v) is list, "a list"),
+    "weight": (_three_int_rows, "three integer lists of one nonzero length"),
+    "mdeg": (_three_int_rows, "three integer lists of one nonzero length"),
+    "verdict": (("realizable", "excluded", "unknown").__contains__,
+                "one of 'realizable', 'excluded', 'unknown'"),
+    "registry_fingerprint": (lambda v: type(v) is str, "a string"),
+    "ts": (lambda v: type(v) in (int, float), "an int or float"),
+}
 
 
 def run_search(

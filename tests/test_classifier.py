@@ -61,16 +61,16 @@ class TestDeltaLowerBound:
         assert delta_lower_bound(ge(4), ge(6), W111, builtin_registry()) == ge(4)
 
     def test_star_route(self):
-        assert delta_lower_bound(ge(3), ge(5), W111, DeltaBoundRegistry.empty()) == ge(3)
+        assert delta_lower_bound(ge(3), ge(5), W111, DeltaBoundRegistry()) == ge(3)
 
     def test_floor_when_multiplicity_blocks(self):
-        assert delta_lower_bound(ge(2), ge(4), W111, DeltaBoundRegistry.empty()) == ge(2)
+        assert delta_lower_bound(ge(2), ge(4), W111, DeltaBoundRegistry()) == ge(2)
 
     def test_registry_file_round_trip(self):
         reg = builtin_registry().with_entry(
             Weight.of(1, 2, 3), ge(5), ge(7), ge(6)
         )
-        again = DeltaBoundRegistry.from_lines(reg.to_lines())
+        again = DeltaBoundRegistry.from_lines(["1,1,1 ; 4,6 ; 4", "1,2,3 ; 7,5 ; 6"])
         assert again == reg
         assert again.fingerprint() == reg.fingerprint()
 
@@ -93,6 +93,33 @@ class TestDeltaLowerBound:
         with pytest.raises(DomainError) as err:
             DeltaBoundRegistry.from_lines(["# bounds", "1,1,1 ; 4,6 ; 4", line])
         assert str(err.value) == f"registry line 3: {message}"
+
+
+def _weighted_report(registry):
+    uses: list = []
+    rep = check_weighted_conditions(ge(4), ge(5), ge(6), W111, registry, uses)
+    return rep.conditions(), uses
+
+
+class TestDefaultRegistry:
+    """registry=None is resolved to builtin_registry() where a registry is
+    read; the functions that only pass it down leave it None."""
+
+    @pytest.mark.parametrize("call", [
+        lambda reg: classify_total(4, 5, 6, reg),
+        lambda reg: classify_weighted((4, 5, 6), (1, 1, 1), reg),
+        lambda reg: certify_wild(nagata(), (4, 3, 3), reg),
+        _weighted_report,
+        lambda reg: corollary_suite("karas-four", (5, 9), reg),
+        lambda reg: realizability_table(8, registry=reg),
+    ], ids=["classify_total", "classify_weighted", "certify_wild",
+            "check_weighted_conditions", "corollary_suite", "realizability_table"])
+    def test_none_is_the_builtin_registry(self, call):
+        assert call(None) == call(builtin_registry())
+
+    def test_explicit_empty_registry_stays_empty(self):
+        assert isinstance(classify_total(4, 5, 6, DeltaBoundRegistry()), Unknown)
+        assert isinstance(classify_total(4, 5, 6, None), Excluded)
 
 
 class TestTotalConditions:
@@ -146,7 +173,7 @@ class TestClassifyTotal:
             u.pair == ((4,), (6,)) for u in result.certificate.delta_bounds_used
         )
         assert isinstance(
-            classify_total(4, 5, 6, DeltaBoundRegistry.empty()), Unknown
+            classify_total(4, 5, 6, DeltaBoundRegistry()), Unknown
         )
 
     def test_realizable_with_witness(self):
@@ -163,7 +190,7 @@ class TestClassifyTotal:
         assert mdeg(realize(result.witness)) == (11, 1, 7)
 
     def test_registry_monotonicity(self):
-        empty = DeltaBoundRegistry.empty()
+        empty = DeltaBoundRegistry()
         full = builtin_registry().with_entry(W111, ge(5), ge(7), ge(4))
         for d1 in range(1, 13):
             for d2 in range(d1, 13):
@@ -291,7 +318,7 @@ class TestWeightedConditions:
         assert not rep.holds("A1")
         assert rep.holds("A3")
         rep_empty = check_weighted_conditions(
-            ge(4), ge(5), ge(6), W111, DeltaBoundRegistry.empty()
+            ge(4), ge(5), ge(6), W111, DeltaBoundRegistry()
         )
         assert not rep_empty.holds("A3")
 
@@ -362,8 +389,8 @@ class TestDecideBeforeExplaining:
         expected = eager_weighted_conditions(*ds, w, registry, oracle_uses)
         # the decisions are read before any clause is built
         assert rep.failed_names() == tuple(c.name for c in expected if not c.holds)
-        assert [(c.name, rep.holds(c.name), c.name in rep) for c in expected] == [
-            (c.name, c.holds, True) for c in expected
+        assert [(c.name, c.holds, rep.holds(c.name)) for c in rep.conditions()] == [
+            (c.name, c.holds, c.holds) for c in expected
         ]
         assert rep.conditions() == tuple(expected)
         assert rep["A1"] is rep.conditions()[6]

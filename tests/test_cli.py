@@ -746,6 +746,28 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv, content, needle", [
+        (["check", "--config"], b'{"seed": 1,', "config: Expecting property name"),
+        (["check", "--config"], b'{"seed": 1}\xff', "can't decode byte 0xff"),
+        (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; 4,6 ; 4\n\xff\n",
+         "can't decode byte 0xff"),
+    ], ids=["config-not-json", "config-not-utf8", "registry-not-utf8"])
+    def test_malformed_input_file(self, capsys, tmp_path, argv, content, needle):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr("tamedeg.cli.classify_total", broken)
+        with pytest.raises(ValueError, match="an internal fault"):
+            main(["classify", "3", "4", "5"])
+
 
 class TestProcess:
     # dataclasses (which imports inspect), hashlib and json add about 40 ms
@@ -812,7 +834,7 @@ def test_public_names_are_the_used_surface():
         "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
         "load", "make_realizable", "mdeg",
         "multiple_of", "nagata", "parse_polynomial", "parse_vector",
-        "parse_vector_list", "partial", "permutation_word", "persist",
+        "parse_vector_list", "permutation_word", "persist",
         "rank_profile", "realizability_table", "realize", "render", "run_search",
         "semigroup_member", "semigroup_witness", "shear", "substitute",
         "transposition_word", "w_star", "wedge2_degree", "word_fingerprint",

@@ -459,7 +459,7 @@ class TestRealizabilityTable:
                 realizability_table(bound)
 
     def test_registry_changes_single_cell(self):
-        empty = realizability_table(6, registry=DeltaBoundRegistry.empty())
+        empty = realizability_table(6, registry=DeltaBoundRegistry())
         assert empty[(4, 5, 6)].kind == "unknown"
 
 
@@ -506,20 +506,36 @@ class TestPersistence:
             assert str(info.value) == f"line {lineno}: {message}"
 
     @pytest.mark.parametrize("field, value, message", [
-        ("weight", 5, "record field 'weight' must be a list of integer lists, not 5"),
-        ("weight", [1, 2, 3],
-         "record field 'weight' must be a list of integer lists, not [1, 2, 3]"),
-        ("weight", [[1], ["2"]],
-         "record field 'weight' must be a list of integer lists, not [[1], ['2']]"),
-        ("mdeg", "3,5,7", "record field 'mdeg' must be a list of integer lists, not '3,5,7'"),
-        ("mdeg", [[1.5], [2], [3]],
-         "record field 'mdeg' must be a list of integer lists, not [[1.5], [2], [3]]"),
-        ("mdeg", [[True], [2], [3]],
-         "record field 'mdeg' must be a list of integer lists, not [[True], [2], [3]]"),
+        ("weight", 5, "record field 'weight' must be three integer lists of one nonzero "
+         "length, not 5"),
+        ("weight", [1, 2, 3], "record field 'weight' must be three integer lists of one "
+         "nonzero length, not [1, 2, 3]"),
+        ("weight", [[1], ["2"], [3]], "record field 'weight' must be three integer lists of "
+         "one nonzero length, not [[1], ['2'], [3]]"),
+        ("weight", [], "record field 'weight' must be three integer lists of one nonzero "
+         "length, not []"),
+        ("mdeg", "3,5,7", "record field 'mdeg' must be three integer lists of one nonzero "
+         "length, not '3,5,7'"),
+        ("mdeg", [[1.5], [2], [3]], "record field 'mdeg' must be three integer lists of one "
+         "nonzero length, not [[1.5], [2], [3]]"),
+        ("mdeg", [[True], [2], [3]], "record field 'mdeg' must be three integer lists of one "
+         "nonzero length, not [[True], [2], [3]]"),
+        ("mdeg", [[1]], "record field 'mdeg' must be three integer lists of one nonzero "
+         "length, not [[1]]"),
         ("word", 5, "record field 'word' must be a list, not 5"),
         ("word", {"target": 1}, "record field 'word' must be a list, not {'target': 1}"),
-    ], ids=["weight-int", "weight-flat", "weight-str-entry", "mdeg-str", "mdeg-float-entry",
-            "mdeg-bool-entry", "word-int", "word-object"])
+        ("seed", "x", "record field 'seed' must be an int, not 'x'"),
+        ("seed", True, "record field 'seed' must be an int, not True"),
+        ("verdict", 5, "record field 'verdict' must be one of 'realizable', 'excluded', "
+         "'unknown', not 5"),
+        ("ts", "yesterday", "record field 'ts' must be an int or float, not 'yesterday'"),
+        ("fingerprint", None, "record field 'fingerprint' must be a string, not None"),
+        ("registry_fingerprint", 7,
+         "record field 'registry_fingerprint' must be a string, not 7"),
+    ], ids=["weight-int", "weight-flat", "weight-str-entry", "weight-empty", "mdeg-str",
+            "mdeg-float-entry", "mdeg-bool-entry", "mdeg-one-row", "word-int", "word-object",
+            "seed-str", "seed-bool", "verdict-int", "ts-str", "fingerprint-null",
+            "registry-fingerprint-int"])
     def test_malformed_field_is_named(self, tmp_path, field, value, message):
         config = SearchConfig(seed=5, sample_count=3, weights=((1, 1, 1),))
         records, _ = run_search(config)
