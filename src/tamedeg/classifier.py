@@ -46,22 +46,22 @@ from .errors import DomainError, HypothesisViolation, _show
 from .ordgroup import (
     GroupElem,
     Weight,
+    _member,
     _member1,
     _multiple1,
+    _pair,
     _pair1,
     _render_coords,
     _set,
+    _swapped,
     _Value,
     as_group_elem,
     as_weight,
-    dependent_pair,
     independent_triple,
     is_prime,
     multiple_of,
-    rank_profile,
-    semigroup_member,
 )
-from .poly import jacobian_det, wedge2_degree, degree_w
+from .poly import _degree_w, _jacobian_minors, _wedge_degree
 
 
 class Theorem(str, Enum):
@@ -487,6 +487,9 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     return rep
 
 
+_UNSET = object()  # check_weighted_conditions was given no pair
+
+
 def check_weighted_conditions(
     d1: GroupElem,
     d2: GroupElem,
@@ -494,6 +497,7 @@ def check_weighted_conditions(
     w: Weight,
     registry: Optional[DeltaBoundRegistry] = None,
     _uses: Optional[list] = None,
+    _pair12=_UNSET,
 ) -> ConditionReport:
     """Evaluate K1..K5, A1..A3, B1..B2 for strictly ascending positive
     degrees.  Every Delta occurrence is replaced by delta_lower_bound, so a
@@ -501,8 +505,11 @@ def check_weighted_conditions(
     certified'.  Each condition is decided here; its clauses, and the
     quantities only they show, are built when it is read (see
     ConditionReport).  At rank 1 the degrees (which may be given as ints),
-    |w| and |w|* are ints, decided by the int kernels of ordgroup.  Registry
-    entries that give a Delta bound go to _uses (see delta_lower_bound)."""
+    |w| and |w|* are ints, decided by the int kernels of ordgroup; above
+    it the validated degrees go to the trusted kernels _pair and _member,
+    and a caller that has solved dependent_pair(d1, d2) already passes it
+    as _pair12.  Registry entries that give a Delta bound go to _uses (see
+    delta_lower_bound)."""
     wtotal, star = w.total, w.star
     rank1 = w.rank == 1
     if rank1:
@@ -510,13 +517,18 @@ def check_weighted_conditions(
         d1, d2, d3 = (
             d if type(d) is int else as_group_elem(d, 1).coords[0] for d in (d1, d2, d3)
         )
-        pair_of, multiple, member_of = _pair1, _multiple1, _member1
-    else:
-        pair_of, multiple, member_of = dependent_pair, multiple_of, semigroup_member
     if not (d1 < d2 < d3):
         raise DomainError("degrees must be strictly ascending")
     if not (d1 > 0 if rank1 else d1.is_positive):
         raise DomainError("degrees must be positive")
+    if rank1:
+        multiple = _multiple1
+        pair = _pair1(d1, d2)
+        member = _member1(d3, d1, d2)
+    else:
+        multiple = multiple_of
+        pair = _pair(d1, d2) if _pair12 is _UNSET else _pair12
+        member = _member(d3, d1, d2, pair)
 
     def delta(d, e):
         if rank1:  # the registry and DeltaBoundUse keep GroupElems
@@ -526,7 +538,6 @@ def check_weighted_conditions(
 
     rep = ConditionReport()
     total = d1 + d2 + d3
-    pair = pair_of(d1, d2)
 
     k1 = total > wtotal
     rep.put(
@@ -541,7 +552,6 @@ def check_weighted_conditions(
 
     # d2 is an integer multiple of d1 exactly when d2 = u2*d1, that is u1 = 1.
     m12 = pair[1] if pair is not None and pair[0] == 1 else None
-    member = member_of(d3, d1, d2)
     rep.put(
         "K2",
         m12 is None and member is None,
@@ -670,28 +680,27 @@ def _weighted_fires(rep: ConditionReport) -> bool:
     return rep.holds("K1") and rep.holds("K2") and a and b
 
 
-def _independent_weights_report(
-    d1: GroupElem, d2: GroupElem, d3: GroupElem
-) -> ConditionReport:
+def _independent_weights_report(ds: Sequence[GroupElem], pairs: dict) -> ConditionReport:
+    """Conditions 1 and 2 of the independent-weights criterion for validated
+    degrees ds, read from pairs[i, j] = dependent_pair(ds[i], ds[j])."""
+    d1, d2, d3 = ds
+    p12, p13, p23 = pairs[0, 1], pairs[0, 2], pairs[1, 2]
+    triple_dependent = not independent_triple(d1.coords, d2.coords, d3.coords)
     rep = ConditionReport()
-    profile = rank_profile(d1, d2, d3)
     rep.put(
         "1",
-        profile.pairwise_independent and profile.triple_dependent,
+        p12 is None and p13 is None and p23 is None and triple_dependent,
         lambda: (
-            Clause("d1, d2", "linearly independent", "", not profile.pair_12_dependent),
-            Clause("d1, d3", "linearly independent", "", not profile.pair_13_dependent),
-            Clause("d2, d3", "linearly independent", "", not profile.pair_23_dependent),
-            Clause("d1, d2, d3", "linearly dependent", "", profile.triple_dependent),
+            Clause("d1, d2", "linearly independent", "", p12 is None),
+            Clause("d1, d3", "linearly independent", "", p13 is None),
+            Clause("d2, d3", "linearly independent", "", p23 is None),
+            Clause("d1, d2, d3", "linearly dependent", "", triple_dependent),
         ),
     )
     members = [
-        (name, d, semigroup_member(d, e1, e2))
-        for name, d, e1, e2 in (
-            ("d1", d1, d2, d3),
-            ("d2", d2, d3, d1),
-            ("d3", d3, d1, d2),
-        )
+        ("d1", d1, _member(d1, d2, d3, p23)),
+        ("d2", d2, _member(d2, d3, d1, _swapped(p13))),
+        ("d3", d3, _member(d3, d1, d2, p12)),
     ]
     rep.put(
         "2",
@@ -722,6 +731,10 @@ def classify_weighted(
     certified chain K1, K2, A, B.  Weighted verdicts are never Realizable:
     constructive witnesses exist only for total degree; the search harness
     reports weighted realizations separately.
+
+    The ranks and positivity of the input are validated once, here; above
+    rank 1 each degree pair's dependent_pair relation is then solved once,
+    on the trusted kernel, and read by both criteria.
     """
     ds = [as_group_elem(d) for d in degrees]
     if len(ds) != 3:
@@ -737,8 +750,10 @@ def classify_weighted(
     elif not all(d.is_positive for d in ds):
         raise DomainError("degrees must be positive")
     reasons: list[str] = []
-    if rank > 2 and independent_triple(*(c.coords for c in w.components)):
-        rep = _independent_weights_report(*ds)
+    pairs: dict = {}
+    if rank > 2 and w.independent:
+        pairs = {(i, j): _pair(ds[i], ds[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
+        rep = _independent_weights_report(ds, pairs)
         if rep.holds("1") and rep.holds("2"):
             return Excluded(
                 Certificate(Theorem.INDEPENDENT_WEIGHTS, rep.conditions())
@@ -747,7 +762,11 @@ def classify_weighted(
     d1, d2, d3 = sorted(ds)
     if d1 < d2 < d3:
         uses: list = []
-        rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
+        pair = _UNSET
+        if pairs:  # the degrees are distinct: index finds each one
+            i, j = ds.index(d1), ds.index(d2)
+            pair = pairs[i, j] if i < j else _swapped(pairs[j, i])
+        rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
         if _weighted_fires(rep):
             return Excluded(
                 Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(uses))
@@ -824,22 +843,31 @@ def certify_wild(
     evaluated with the exact engine-computed wedge degree of the two
     components of smallest degree; for an independent pair K1..K4 alone
     certify the triple impossible.
+
+    The Jacobian matrix has the rows (top, lowest, middle) by degree, so
+    the 2x2 minors of its last two rows, which its expansion forms, are
+    the components of df1 ^ df2 (see poly._det): each component is packed
+    and differentiated once, and deg_w(df1 ^ df2) is read from those
+    minors.  With assume_automorphism only the minors are formed, and only
+    when the inequality is reached.
     """
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
     w = as_weight(weight)
+    comps = endo.components
+    degs = [_degree_w(c, w.components) for c in comps]
+    if None in degs:  # a zero component: the Jacobian vanishes
+        if not assume_automorphism:
+            raise DomainError(_NOT_AUTOMORPHISM)
+        return Unknown(("K1",))
+    low, mid, top = sorted(range(3), key=lambda i: degs[i].coords)
+    f1, f2 = comps[low], comps[mid]
+    minors = None
     if not assume_automorphism:
-        jac = jacobian_det(endo.components)
-        if jac.is_zero or not jac.is_constant:
-            raise DomainError("rejected input: Jacobian is not a nonzero constant")
-    scored = []
-    for comp in endo.components:
-        deg = degree_w(comp, w)
-        if deg is None:
-            return Unknown(("K1",))
-        scored.append((deg, comp))
-    scored.sort(key=lambda t: t[0].coords)
-    (d1, f1), (d2, f2), (d3, _) = scored
+        jac, minors, width = _jacobian_minors(f1, f2, comps[top])
+        if jac.keys() != {0}:  # a nonzero constant has the one key of x^0
+            raise DomainError(_NOT_AUTOMORPHISM)
+    d1, d2, d3 = degs[low], degs[mid], degs[top]
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
     uses: list = []
@@ -848,13 +876,15 @@ def certify_wild(
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
     conditions = [rep[n] for n in k_names]
-    pair = dependent_pair(d1, d2)
+    pair = _pair(d1, d2)
     if pair is not None:
         if not rep.holds("K5"):
             return Unknown(("K5",))
         conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
-        wedge = wedge2_degree(f1, f2, w)
+        if minors is None:
+            _, minors, width = _jacobian_minors(f1, f2)
+        wedge = _wedge_degree(minors, 3, width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))
@@ -871,6 +901,9 @@ def certify_wild(
             Clause("d1, d2", "linearly independent over Z", "", True),
         )))
     return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
+
+
+_NOT_AUTOMORPHISM = "rejected input: Jacobian is not a nonzero constant"
 
 
 def _hyp(cond: bool, name: str):

@@ -75,7 +75,12 @@ _INPUT_ERRORS = (
     HypothesisViolation,
     SchemaVersionError,
     BudgetExceededError,
-    OSError,
+    # what opening a user's --config, --registry or --out path raises; any
+    # other OSError is not the input's fault
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
     UnicodeDecodeError,  # a config or registry file that is not UTF-8
 )
 

@@ -10,7 +10,13 @@ semigroups, Sylvester's Frobenius number, staircase minimization above a
 threshold, and the derived invariant ``w_star``.
 
 Everything here is an immutable value and every function is pure; a Weight
-keeps its |w| and |w|* (Weight.total, Weight.star) once they are first read.
+keeps its |w|, its |w|* and whether it is Z-independent (Weight.total,
+Weight.star, Weight.independent) once they are first read.
+
+The public functions validate their input on every call.  Each is a check
+in front of a private kernel that trusts its input (_pair, _member and the
+rank-1 int kernels _pair1, _multiple1, _member1), which callers that have
+validated already, such as the classifier, call directly.
 """
 
 from __future__ import annotations
@@ -230,10 +236,16 @@ def dependent_pair(
     u2/u1 is read off the first coordinate where the pair is nonzero, in
     lowest terms by an integer gcd, and every later coordinate is checked
     against it by cross-multiplication.  The common element d always has
-    integer coordinates because u1 divides every coordinate of d1.
+    integer coordinates because u1 divides every coordinate of d1.  The
+    input is validated, then solved by _pair.
     """
     _require_positive(d1, d2)
     d1._check(d2)
+    return _pair(d1, d2)
+
+
+def _pair(d1: GroupElem, d2: GroupElem) -> Optional[tuple[int, int, GroupElem]]:
+    """dependent_pair on validated input: positive elements of one rank."""
     u1 = u2 = 0
     for a, b in zip(d1.coords, d2.coords):
         if a == 0 and b == 0:
@@ -250,6 +262,11 @@ def dependent_pair(
     if u1 * d != d1 or u2 * d != d2:
         raise ConstructionError(f"{d!r} is not a common divisor of {d1!r}, {d2!r}")
     return u1, u2, d
+
+
+def _swapped(pair: Optional[tuple[int, int, GroupElem]]):
+    """dependent_pair(d2, d1) from pair = dependent_pair(d1, d2)."""
+    return pair if pair is None else (pair[1], pair[0], pair[2])
 
 
 def _pair1(a: int, b: int) -> tuple[int, int, int]:
@@ -285,24 +302,22 @@ def semigroup_member(
     rational solution); dependent generators reduce to a coin problem on the
     coprime multipliers, solved with the smallest a as tie-break.
 
-    The input is validated on every call; the answer is then memoized in a
-    bounded LRU cache, on the ints at rank 1 (_member1) and on (d, e1, e2)
-    above it, so a bad input raises each time and is never cached.
+    The input is validated on every call.  At rank 1 the answer is then
+    memoized on the ints in a bounded LRU cache (_member1), so a bad input
+    raises each time and is never cached; above it _member solves it.
     """
     _require_positive(e1, e2)
     d._check(e1)
     d._check(e2)
     if len(d.coords) == 1:
         return _member1(d.coords[0], e1.coords[0], e2.coords[0])
-    return _semigroup_solve(d, e1, e2)
+    return _member(d, e1, e2, _pair(e1, e2))
 
 
-@lru_cache(maxsize=1024)
-def _semigroup_solve(
-    d: GroupElem, e1: GroupElem, e2: GroupElem
+def _member(
+    d: GroupElem, e1: GroupElem, e2: GroupElem, pair: Optional[tuple[int, int, GroupElem]]
 ) -> Optional[tuple[int, int]]:
-    """semigroup_member at rank >= 2, on validated input."""
-    pair = dependent_pair(e1, e2)
+    """semigroup_member on validated input, given pair = dependent_pair(e1, e2)."""
     if pair is None:
         return _solve_independent(d, e1, e2)
     u1, u2, e = pair
@@ -451,12 +466,6 @@ class RankProfile(_Value):
         _set(self, "pair_23_dependent", pair_23_dependent)
         _set(self, "triple_dependent", triple_dependent)
 
-    @property
-    def pairwise_independent(self) -> bool:
-        return not (
-            self.pair_12_dependent or self.pair_13_dependent or self.pair_23_dependent
-        )
-
 
 def independent_triple(
     u: Sequence[int], v: Sequence[int], w: Sequence[int]
@@ -487,9 +496,9 @@ def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
 
 class Weight(_Value):
     """Three strictly positive group elements of a common rank.  total
-    (|w|) and star (|w|*) are kept once read, past the frozen __setattr__;
-    equality and hash go by the fields alone.  Two threads reading one at
-    once may both compute it, to the same value."""
+    (|w|), star (|w|*) and independent are kept once read, past the frozen
+    __setattr__; equality and hash go by the fields alone.  Two threads
+    reading one at once may both compute it, to the same value."""
 
     _fields = ("w1", "w2", "w3")
 
@@ -521,6 +530,12 @@ class Weight(_Value):
     @cached_property
     def star(self) -> GroupElem:
         return w_star(self.components)
+
+    @cached_property
+    def independent(self) -> bool:
+        """Whether w1, w2, w3 are linearly independent over Z (never at
+        rank <= 2)."""
+        return independent_triple(self.w1.coords, self.w2.coords, self.w3.coords)
 
     def render(self) -> str:
         return ",".join(w.render() for w in self.components)

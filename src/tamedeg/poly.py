@@ -14,7 +14,12 @@ exponent tuple has length nvars.
 Degrees take values in Z^k under a vector of positive weights (one group
 element per variable); the zero polynomial has no degree (None).  On top
 of the ring operations this module computes weighted degrees, degrees of
-wedge products of differentials and Jacobian determinants.
+wedge products of differentials and Jacobian determinants.  The one
+determinant, ``_det``, expands along its first row and hands back, when
+asked, the 2x2 minors of its last two rows that the expansion forms: they
+are the components of the wedge of those rows, so a wildness certificate
+reads deg_w(df1 ^ df2) from the Jacobian it has already screened.  The
+public functions validate their input; the private ones trust it.
 
 Every product runs on one private packed kernel: each exponent tuple
 becomes one int, with a field per variable and the total degree above
@@ -418,19 +423,15 @@ def _degree_w(f: Polynomial, ws: tuple[GroupElem, ...]) -> Optional[GroupElem]:
     elements of one rank."""
     if f.is_zero:
         return None
-    if all(w.rank == 1 for w in ws):
+    if len(ws[0].coords) == 1:
         ints = [w.coords[0] for w in ws]
         top = max(sum(map(_mul, mono, ints)) for mono in f.terms)
         return GroupElem._trusted((top,))
-    best: Optional[GroupElem] = None
-    for mono in f.terms:
-        val = GroupElem.zero(ws[0].rank)
-        for e, w in zip(mono, ws):
-            if e:
-                val = val + e * w
-        if best is None or val > best:
-            best = val
-    return best
+    # coordinate tuples compare lexicographically, as GroupElems do
+    columns = list(zip(*(w.coords for w in ws)))  # one weight per variable
+    return GroupElem._trusted(
+        max(tuple([sum(map(_mul, mono, col)) for col in columns]) for mono in f.terms)
+    )
 
 
 def _ppartial(a: dict, index: int, nvars: int, width: int) -> dict:
@@ -452,35 +453,106 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupE
     ws = coerce_weight_vector(weights, n)
     # every exponent of a minor is at most deg f + deg g
     width = _pack_width(max(f.total_degree_int(), 0) + max(g.total_degree_int(), 0))
-    pf, pg = _pack(f.terms, width), _pack(g.terms, width)
-    df = [_ppartial(pf, i, n, width) for i in range(n)]
-    dg = [_ppartial(pg, i, n, width) for i in range(n)]
-    best: Optional[GroupElem] = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = _padd(_pmul(df[i], dg[j], None), _pmul(df[j], dg[i], None), -1)
-            if not minor:
-                continue
-            cand = _degree_w(_unpack(minor, n, width), ws) + ws[i] + ws[j]
-            if best is None or cand > best:
-                best = cand
-    return best
+    df, dg = _partials((f, g), n, width)
+    minors = [
+        ((i, j), _alternating(((df[i], dg[j]), (df[j], dg[i]))))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return _wedge_degree(minors, n, width, ws)
 
 
-def _det(matrix: list[list[dict]]) -> dict:
+def _wedge_degree(minors, nvars: int, width: int, ws) -> Optional[GroupElem]:
+    """deg_w of df ^ dg from its components: minors holds ((i, j), minor)
+    with the packed minor of the variable pair i < j, whose terms gain
+    w_i + w_j; None when all vanish.  The degrees are compared as
+    coordinate tuples, lexicographically, as GroupElems compare."""
+    mask = (1 << width) - 1
+    shifts = range(0, nvars * width, width)
+    columns = list(zip(*(w.coords for w in ws)))  # one weight per variable
+    best = None
+    for (i, j), minor in minors:
+        for key in minor:
+            exps = [key >> s & mask for s in shifts]
+            deg = tuple([sum(map(_mul, exps, col)) + col[i] + col[j] for col in columns])
+            if best is None or deg > best:
+                best = deg
+    return None if best is None else GroupElem._trusted(best)
+
+
+def _partials(components: Sequence[Polynomial], n: int, width: int) -> list[list[dict]]:
+    """One row per component in n variables: its partial derivatives by
+    each variable, packed at width; each component is packed once."""
+    return [
+        [_ppartial(p, j, n, width) for j in range(n)]
+        for p in (_pack(c.terms, width) for c in components)
+    ]
+
+
+def _det(matrix: list[list[dict]], minors: Optional[list] = None) -> dict:
     """Determinant of a square matrix of packed polynomials, by cofactors
-    along the first row."""
+    along the first row.
+
+    Given a list as minors, it hands back the cofactor determinants that
+    the expansion forms, one per column j (the matrix without row 0 and
+    column j) in column order, those of zero first-row entries included.
+    For a 3x3 matrix these are the 2x2 minors of its last two rows, the
+    components of df ^ dg for rows df, dg: minor j is the component of the
+    two variables other than j (_MINOR_PAIRS).  Under a first row of zeros
+    only the minors are formed."""
     if len(matrix) == 1:
         return matrix[0][0]
-    if len(matrix) == 2:
-        (a, b), (c, d) = matrix
-        return _padd(_pmul(a, d, None), _pmul(b, c, None), -1)
-    out: dict = {}
+    products = []
     for j, entry in enumerate(matrix[0]):
-        if entry:
-            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-            out = _padd(out, _pmul(entry, _det(minor), None), -1 if j % 2 else 1)
-    return out
+        minor: dict = {}
+        if entry or minors is not None:
+            minor = _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+            if minors is not None:
+                minors.append(minor)
+        products.append((entry, minor))
+    return _alternating(products)
+
+
+def _alternating(products) -> dict:
+    """The sum over j of (-1)**j * a_j * b_j for the packed pairs (a_j, b_j)
+    of products, a cofactor expansion: all products go into one term map,
+    whose zero coefficients are dropped once, at the end."""
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    negate = False
+    for a, b in products:
+        if a and b:
+            b_items = list(b.items())
+            for ka, ca in a.items():
+                if negate:
+                    ca = -ca
+                for kb, cb in b_items:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        negate = not negate
+    return _settle(acc)
+
+
+_MINOR_PAIRS = ((1, 2), (0, 2), (0, 1))  # the variable pair of _det's minor j
+
+
+def _jacobian_minors(
+    low: Polynomial, mid: Polynomial, top: Optional[Polynomial] = None
+) -> tuple[Optional[dict], list, int]:
+    """For three-variable components: the components of dlow ^ dmid as
+    _wedge_degree reads them, and, given top, the Jacobian determinant of
+    the rows (top, low, mid), whose expansion forms those minors on the
+    way.  Returns (determinant or None, minors, width), everything packed
+    at width; each component is packed once and differentiated once."""
+    rows = (low, mid) if top is None else (top, low, mid)
+    # every exponent of a cofactor product is at most the sum of the degrees
+    width = _pack_width(sum(max(c.total_degree_int(), 0) for c in rows))
+    matrix = _partials(rows, 3, width)
+    if top is None:
+        matrix.insert(0, [{}, {}, {}])
+    minors: list = []
+    det = _det(matrix, minors)
+    return (None if top is None else det), list(zip(_MINOR_PAIRS, minors)), width
 
 
 def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
@@ -491,9 +563,7 @@ def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
             raise DomainError("need as many variables as components")
     # every exponent of a cofactor product is at most the sum of the degrees
     width = _pack_width(sum(max(c.total_degree_int(), 0) for c in components))
-    packed = [_pack(c.terms, width) for c in components]
-    matrix = [[_ppartial(p, j, n, width) for j in range(n)] for p in packed]
-    return _unpack(_det(matrix), n, width)
+    return _unpack(_det(_partials(components, n, width)), n, width)
 
 
 def _render_coeff(c: Fraction) -> str:

@@ -669,16 +669,23 @@ def persist(records: Sequence[SearchRecord], path) -> None:
 
 def load(path) -> list[SearchRecord]:
     """The records that persist wrote to path; a line that is not one
-    raises SchemaVersionError naming the line."""
+    raises SchemaVersionError naming the line.  Each line is decoded from
+    UTF-8 on its own, so bytes that are not UTF-8 are reported on their
+    line, after every line before it has been read; lines end where a text
+    read would end them (at \\n, \\r or \\r\\n)."""
     import json
 
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines())
+        for lineno, line in enumerate(lines, start=1):
             try:
+                try:
+                    line = line.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise SchemaVersionError(f"not UTF-8: {exc}") from None
+                if not line:
+                    continue
                 try:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:

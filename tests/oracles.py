@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: plain enumeration, dynamic
 programming and schoolbook polynomial arithmetic on plain dicts with
-Fraction coefficients, independent of the library's algorithms.  Three
+Fraction coefficients, independent of the library's algorithms.  Some
 exceptions are earlier, simpler versions of library code kept as
 references for their faster replacements: ``frac_dependent_pair`` finds the
 ratio of a pair with Fraction, ``eager_weighted_conditions`` evaluates
-K1..K5, A1..A3, B1..B2 and formats every clause at once, and
+K1..K5, A1..A3, B1..B2 and formats every clause at once,
+``eager_certify_wild`` certifies wildness through the public
+``jacobian_det``, ``degree_w``, ``dependent_pair`` and ``wedge2_degree``,
+each differentiating the components it is given, and
 ``factor_parse_polynomial`` parses an expression through one Polynomial
 per factor, ``pair_loop_product`` multiplies packed polynomials pair by
 pair, and ``random_word`` draws a search word through ``randrange``,
@@ -33,17 +36,36 @@ from math import gcd
 from typing import Optional
 
 from tamedeg.automorphisms import ElementaryAut, Endo, TameWord, shear, transposition_word
-from tamedeg.classifier import Clause, Condition, check_total_abc, delta_lower_bound
+from tamedeg.classifier import (
+    Certificate,
+    Clause,
+    Condition,
+    Theorem,
+    Unknown,
+    check_total_abc,
+    check_weighted_conditions,
+    delta_lower_bound,
+)
 from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
     GroupElem,
+    as_weight,
     coerce_weight_vector,
+    dependent_pair,
     is_prime,
     multiple_of,
     semigroup_member,
     w_star,
 )
-from tamedeg.poly import Budget, Polynomial, degree_w, power, substitute
+from tamedeg.poly import (
+    Budget,
+    Polynomial,
+    degree_w,
+    jacobian_det,
+    power,
+    substitute,
+    wedge2_degree,
+)
 
 
 def dp_representable(target: int, e1: int, e2: int):
@@ -370,6 +392,60 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
             (_cmp("d1+d2+d3", total, "<", "lcm(d1,d2)+|w|*", l + star, total < l + star),))
     return out
 
+
+
+def eager_certify_wild(endo: Endo, weight, registry=None, assume_automorphism=False):
+    """certify_wild as the classifier had it before it read the wedge from
+    the Jacobian's minors: the Jacobian screen through jacobian_det, each
+    degree through degree_w, the pair through dependent_pair and the wedge
+    degree through wedge2_degree, which packs and differentiates f1 and f2
+    again."""
+    if endo.nvars != 3:
+        raise DomainError("wildness certification works in three variables")
+    w = as_weight(weight)
+    if not assume_automorphism:
+        jac = jacobian_det(endo.components)
+        if jac.is_zero or not jac.is_constant:
+            raise DomainError("rejected input: Jacobian is not a nonzero constant")
+    scored = []
+    for comp in endo.components:
+        deg = degree_w(comp, w)
+        if deg is None:
+            return Unknown(("K1",))
+        scored.append((deg, comp))
+    scored.sort(key=lambda t: t[0].coords)
+    (d1, f1), (d2, f2), (d3, _) = scored
+    if not (d1 < d2 < d3):
+        return Unknown(("K1",))
+    uses: list = []
+    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
+    k_names = ("K1", "K2", "K3", "K4")
+    if not all(rep.holds(n) for n in k_names):
+        return Unknown(tuple(n for n in k_names if not rep.holds(n)))
+    conditions = [rep[n] for n in k_names]
+    pair = dependent_pair(d1, d2)
+    if pair is not None:
+        if not rep.holds("K5"):
+            return Unknown(("K5",))
+        conditions.append(rep["K5"])
+        l = (pair[0] * pair[1]) * pair[2]
+        wedge = wedge2_degree(f1, f2, w)
+        total = d1 + d2 + d3
+        if wedge is None or not total < l + wedge:
+            return Unknown(("prop:main",))
+        conditions.append(Condition("prop:main", True, (
+            Clause(
+                left=f"d1+d2+d3 = {_fmt(total)}",
+                relation="<",
+                right=f"lcm(d1,d2)+deg_w(df1^df2) = {_fmt(l + wedge)}",
+                holds=True,
+            ),
+        )))
+    else:
+        conditions.append(Condition("1", True, (
+            Clause("d1, d2", "linearly independent over Z", "", True),
+        )))
+    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
 
 class _FactorToken:
     __slots__ = ("kind", "value", "pos")

@@ -50,8 +50,13 @@ from tamedeg import (
 from tamedeg.automorphisms import _verify_realization, _witness_word
 from tamedeg import ordgroup
 from tamedeg.classifier import _UNIT, Clause, Condition, _matching_permutation
-from tamedeg.ordgroup import GroupElem, _member1, _semigroup_solve, as_weight
-from oracles import eager_weighted_conditions, lemma_a_conditions, triple_semigroup_member
+from tamedeg.ordgroup import GroupElem, _member1, as_weight
+from oracles import (
+    eager_certify_wild,
+    eager_weighted_conditions,
+    lemma_a_conditions,
+    triple_semigroup_member,
+)
 
 W111 = Weight.of(1, 1, 1)
 
@@ -700,12 +705,17 @@ class TestDecideBeforeExplaining:
             gc.enable()
 
     @pytest.mark.parametrize("triple", [(4, 5, 6), (3, 4, 5), (4, 6, 9), (6, 7, 8), (2, 3, 4)])
-    def test_membership_solved_once_per_triple(self, triple):
+    def test_membership_solved_once_per_triple(self, triple, monkeypatch):
+        import tamedeg.classifier as classifier
+
+        def forbidden(*args):
+            raise AssertionError("rank 1 must not reach the rank >= 2 kernel")
+
+        for module in (ordgroup, classifier):
+            monkeypatch.setattr(module, "_member", forbidden)
         _member1.cache_clear()
-        _semigroup_solve.cache_clear()
         classify_total(*triple)
         assert _member1.cache_info().misses == 1
-        assert _semigroup_solve.cache_info().misses == 0  # rank 1 never reaches it
 
     def test_unit_weight_star_computed_at_most_once(self, monkeypatch):
         calls = []
@@ -794,6 +804,135 @@ class TestCertifyWild:
             endo = realize(TameWord(tuple(steps), 3))
             for w in (W111, Weight.of(1, 2, 3)):
                 assert not isinstance(certify_wild(endo, w), Certificate)
+
+
+def _outcome(certify, endo, weight, registry, assume):
+    """What a certifier says about one map: certificate JSON, Unknown
+    reasons, or the type and text of the error it raises."""
+    try:
+        out = certify(endo, weight, registry, assume_automorphism=assume)
+    except (DomainError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, Unknown):
+        return "unknown", out.reasons
+    return "certificate", json.dumps(out.to_json())
+
+
+_term = st.tuples(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                  st.integers(min_value=-3, max_value=3).filter(bool))
+_shear = st.tuples(st.integers(min_value=0, max_value=2),
+                   st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                   st.sampled_from((-1, 1)))
+
+
+@st.composite
+def _maps(draw):
+    """Three-variable maps: Nagata's map and tame words (constant Jacobian),
+    their components permuted, perturbed or zeroed, and random maps."""
+    kind = draw(st.sampled_from(("nagata", "tame", "random")))
+    if kind == "random":
+        comps = [Polynomial(3, dict(draw(st.lists(_term, max_size=4))))
+                 for _ in range(3)]
+    else:
+        if kind == "nagata":
+            comps = list(nagata().components)
+        else:
+            steps = []
+            for target, expo, c in draw(st.lists(_shear, max_size=4)):
+                expo = tuple(0 if i == target else e for i, e in enumerate(expo))
+                steps.append(shear(target, Polynomial.monomial(expo, c)))
+            comps = list(realize(TameWord(tuple(steps), 3)).components)
+        comps = [comps[i] for i in draw(st.permutations(range(3)))]
+        change = draw(st.sampled_from(("none", "none", "perturb", "zero", "repeat")))
+        i = draw(st.integers(min_value=0, max_value=2))
+        if change == "perturb":  # a non-constant Jacobian, mostly
+            comps[i] = comps[i] + Polynomial(3, dict(draw(st.lists(_term, max_size=2))))
+        elif change == "zero":
+            comps[i] = Polynomial.zero(3)
+        elif change == "repeat":  # equal degrees
+            comps[i] = comps[(i + 1) % 3]
+    return Endo(tuple(comps))
+
+
+_weights = st.one_of(
+    st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+    st.tuples(*[st.tuples(st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=-3, max_value=3))
+                .filter(lambda w: w > (0, 0))] * 3),
+    st.tuples(*[st.tuples(*[st.integers(min_value=-1, max_value=2)] * 3)
+                .filter(lambda w: w > (0, 0, 0))] * 3),
+    st.just(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+)
+
+
+class TestCertifyWildAgainstOracle:
+    """certify_wild reads deg_w(df1 ^ df2) from the Jacobian's own minors;
+    eager_certify_wild differentiates the components again for it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_maps(), _weights, st.booleans(), st.booleans())
+    def test_same_outcome(self, endo, weight, assume, empty_registry):
+        registry = DeltaBoundRegistry() if empty_registry else None
+        assert _outcome(certify_wild, endo, weight, registry, assume) == \
+            _outcome(eager_certify_wild, endo, weight, registry, assume)
+
+    @pytest.mark.parametrize("weight", [
+        (4, 3, 3), (1, 1, 1), (1, 2, 3), (1, 2, 5), ((1, 0), (1, 0), (1, 1)),
+        ((1, 0), (1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ])
+    @pytest.mark.parametrize("assume", [False, True])
+    def test_nagata(self, weight, assume):
+        for registry in (None, DeltaBoundRegistry()):
+            assert _outcome(certify_wild, nagata(), weight, registry, assume) == \
+                _outcome(eager_certify_wild, nagata(), weight, registry, assume)
+
+
+class TestWorkDoneOnce:
+    """Counts that pin the work each verdict does."""
+
+    @staticmethod
+    def _count(monkeypatch, module, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(module, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_wild_certificate_packs_and_differentiates_each_component_once(
+        self, monkeypatch
+    ):
+        from tamedeg import poly
+
+        endo = nagata()  # built before counting: building it packs too
+        calls = self._count(monkeypatch, poly, ("_ppartial", "_pack"))
+        cert = certify_wild(endo, Weight.of(4, 3, 3))
+        assert "prop:main" in [c.name for c in cert.conditions]
+        assert calls == {"_ppartial": 9, "_pack": 3}  # 15 and 5 through wedge2_degree
+        calls.update(dict.fromkeys(calls, 0))
+        assert certify_wild(endo, Weight.of(4, 3, 3), assume_automorphism=True) == cert
+        assert calls == {"_ppartial": 6, "_pack": 2}  # the minors alone
+        calls.update(dict.fromkeys(calls, 0))
+        out = certify_wild(endo, W111, assume_automorphism=True)
+        assert out == Unknown(("K2",)) and calls == {"_ppartial": 0, "_pack": 0}
+
+    @pytest.mark.parametrize("degrees, kind", [
+        (((1, 1, 0), (1, -1, 2), (1, 0, 1)), Excluded),  # independent-weights route
+        (((3, 0, 0), (1, 0, 0), (2, 0, 0)), Unknown),  # and then the chain
+    ])
+    def test_rank3_independent_weights_solve_each_pair_once(
+        self, monkeypatch, degrees, kind
+    ):
+        import tamedeg.classifier as classifier
+
+        calls = self._count(monkeypatch, classifier, ("_pair",))
+        result = classify_weighted(degrees, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert isinstance(result, kind)
+        assert calls == {"_pair": 3}
 
 
 class TestLemmaA:

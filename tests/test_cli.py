@@ -768,6 +768,30 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="an internal fault"):
             main(["classify", "3", "4", "5"])
 
+    def test_internal_os_error_propagates(self, capsys, monkeypatch):
+        def broken(*args):
+            raise OSError("an internal fault")
+
+        monkeypatch.setattr("tamedeg.cli.classify_total", broken)
+        with pytest.raises(OSError, match="an internal fault"):
+            main(["classify", "3", "4", "5"])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--config", "{missing}"],
+        ["classify", "4", "5", "6", "--registry", "{missing}"],
+        ["classify", "4", "5", "6", "--registry", "{directory}"],
+        ["classify", "4", "5", "6", "--registry", "{file}/below"],
+    ], ids=["config-missing", "registry-missing", "registry-directory",
+            "registry-below-a-file"])
+    def test_unopenable_input_file(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        paths = {"missing": tmp_path / "missing", "directory": tmp_path,
+                 "file": tmp_path / "file"}
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: [Errno ")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
 
 class TestProcess:
     # dataclasses (which imports inspect), hashlib and json add about 40 ms

@@ -33,8 +33,10 @@ from tamedeg import (
     wedge2_degree,
 )
 from tamedeg.errors import BudgetExceededError
+from tamedeg.ordgroup import coerce_weight_vector
 from tamedeg.poly import (
-    Budget, _pack, _pack_width, _pmul, _ppartial, _psquare, _unpack, multiply, power,
+    _MINOR_PAIRS, Budget, _det, _jacobian_minors, _pack, _pack_width, _partials, _pmul,
+    _ppartial, _psquare, _unpack, _wedge_degree, multiply, power,
 )
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
@@ -241,6 +243,10 @@ WEIGHTS = (
     .filter(lambda w: w > (0, 0)),
 )
 
+# rank-3 weights: independent or not, each positive
+RANK3 = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3).filter(
+    lambda w: w > (0, 0, 0))
+
 
 def assert_matches(poly, oracle_terms):
     """poly equals the oracle's term map, and stores an int exactly where
@@ -347,6 +353,28 @@ class TestAgainstFractionOracle:
         got = wedge2_degree(Polynomial(n, a), Polynomial(n, b), ws)
         assert (None if got is None else got.coords) == frac_wedge2_degree(
             frac_terms(a), frac_terms(b), ws)
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_in(3), maps_in(3), maps_in(3),
+           st.sampled_from(WEIGHTS + (RANK3,)).flatmap(
+               lambda w: st.lists(w, min_size=3, max_size=3)))
+    def test_determinant_hands_back_the_wedge_minors(self, a, b, c, ws):
+        # the minors of the last two rows are the components of db ^ dc:
+        # they give wedge2_degree's value, alone (under a zero first row)
+        # or from the expansion that gives jacobian_det's polynomial
+        top, low, mid = (Polynomial(3, m) for m in (a, b, c))
+        ws = coerce_weight_vector(ws, 3)
+        width = _pack_width(sum(max(f.total_degree_int(), 0) for f in (top, low, mid)))
+        minors = []
+        det = _det(_partials((top, low, mid), 3, width), minors)
+        assert _unpack(det, 3, width) == jacobian_det([top, low, mid])
+        wedge = wedge2_degree(low, mid, ws)
+        assert _wedge_degree(list(zip(_MINOR_PAIRS, minors)), 3, width, ws) == wedge
+        got, alone, alone_width = _jacobian_minors(low, mid, top)
+        assert (got, [m for _, m in alone], alone_width) == (det, minors, width)
+        got, alone, alone_width = _jacobian_minors(low, mid)
+        assert got is None
+        assert _wedge_degree(alone, 3, alone_width, ws) == wedge
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps)

@@ -505,6 +505,38 @@ class TestPersistence:
                 load(path)
             assert str(info.value) == f"line {lineno}: {message}"
 
+    def test_bytes_that_are_not_utf8_are_named_after_earlier_lines(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        # the malformed line 1 is reported, not the undecodable line 2
+        path.write_bytes(b'{"schema_version":1}\n\xff')
+        with pytest.raises(SchemaVersionError) as info:
+            load(path)
+        assert str(info.value) == "line 1: record has no field 'seed'"
+        config = SearchConfig(seed=5, sample_count=3, weights=((1, 1, 1),))
+        records, _ = run_search(config)
+        persist(records[:1], path.with_name("good.jsonl"))
+        good = path.with_name("good.jsonl").read_bytes()
+        path.write_bytes(good + b"\xff\n")
+        with pytest.raises(SchemaVersionError) as info:
+            load(path)
+        assert str(info.value) == (
+            "line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"
+        )
+
+    def test_lines_end_as_a_text_read_ends_them(self, tmp_path):
+        config = SearchConfig(seed=5, sample_count=3, weights=((1, 1, 1),))
+        records, _ = run_search(config)
+        path = tmp_path / "records.jsonl"
+        persist(records[:2], path)
+        first, second = path.read_bytes().splitlines()
+        for sep in (b"\r\n", b"\r", b"\n\r\n"):
+            path.write_bytes(first + sep + second + sep)
+            assert load(path) == records[:2]
+        path.write_bytes(first + b"\r{\r" + second)
+        with pytest.raises(SchemaVersionError, match="^line 2: not valid JSON"):
+            load(path)
+
     @pytest.mark.parametrize("field, value, message", [
         ("weight", 5, "record field 'weight' must be three integer lists of one nonzero "
          "length, not 5"),
