@@ -823,6 +823,9 @@ def classify_total(
     return Unknown(tuple(reasons))
 
 
+_NOT_AUTOMORPHISM = "rejected input: Jacobian is not a nonzero constant"
+
+
 def certify_wild(
     endo: Endo,
     weight,
@@ -901,9 +904,6 @@ def certify_wild(
             Clause("d1, d2", "linearly independent over Z", "", True),
         )))
     return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
-
-
-_NOT_AUTOMORPHISM = "rejected input: Jacobian is not a nonzero constant"
 
 
 def _hyp(cond: bool, name: str):

@@ -22,6 +22,7 @@ from tamedeg import (
     HypothesisViolation,
     Polynomial,
     Realizable,
+    RankMismatchError,
     SearchConfig,
     TameWord,
     Theorem,
@@ -811,7 +812,7 @@ def _outcome(certify, endo, weight, registry, assume):
     reasons, or the type and text of the error it raises."""
     try:
         out = certify(endo, weight, registry, assume_automorphism=assume)
-    except (DomainError, TypeError) as exc:
+    except (DomainError, RankMismatchError) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, Unknown):
         return "unknown", out.reasons
