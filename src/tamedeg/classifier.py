@@ -251,6 +251,8 @@ class DeltaBoundRegistry:
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
     ) -> "DeltaBoundRegistry":
+        if not d.rank == e.rank == bound.rank == w.rank:
+            raise DomainError(f"degrees and bound need the weight's rank {w.rank}")
         if not bound.is_positive:
             raise DomainError("registry bounds must be positive")
         entries = dict(self._entries)
@@ -847,12 +849,13 @@ def certify_wild(
     components of smallest degree; for an independent pair K1..K4 alone
     certify the triple impossible.
 
-    The Jacobian matrix has the rows (top, lowest, middle) by degree, so
-    the 2x2 minors of its last two rows, which its expansion forms, are
-    the components of df1 ^ df2 (see poly._det): each component is packed
-    and differentiated once, and deg_w(df1 ^ df2) is read from those
+    The 2x2 minors of the two lowest components' partials are the
+    components of df1 ^ df2 (poly._minors): the Jacobian is expanded
+    along the top component's row against them, each component is packed
+    and differentiated once, and deg_w(df1 ^ df2) is read from the same
     minors.  With assume_automorphism only the minors are formed, and only
-    when the inequality is reached.
+    when the inequality is reached.  The pair relation of d1, d2 is solved
+    once, for K1..K5 and for lcm(d1, d2).
     """
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
@@ -873,13 +876,13 @@ def certify_wild(
     d1, d2, d3 = degs[low], degs[mid], degs[top]
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
+    pair = _pair(d1, d2)
     uses: list = []
-    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
+    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
     k_names = ("K1", "K2", "K3", "K4")
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
     conditions = [rep[n] for n in k_names]
-    pair = _pair(d1, d2)
     if pair is not None:
         if not rep.holds("K5"):
             return Unknown(("K5",))

@@ -14,12 +14,13 @@ exponent tuple has length nvars.
 Degrees take values in Z^k under a vector of positive weights (one group
 element per variable); the zero polynomial has no degree (None).  On top
 of the ring operations this module computes weighted degrees, degrees of
-wedge products of differentials and Jacobian determinants.  The one
-determinant, ``_det``, expands along its first row and hands back, when
-asked, the 2x2 minors of its last two rows that the expansion forms: they
-are the components of the wedge of those rows, so a wildness certificate
-reads deg_w(df1 ^ df2) from the Jacobian it has already screened.  The
-public functions validate their input; the private ones trust it.
+wedge products of differentials and Jacobian determinants.  The 2x2
+minors of two rows of partials, the components of df ^ dg, are formed in
+one place, ``_minors``: ``wedge2_degree`` reads its degree from them, and
+``_jacobian_minors`` expands a three-variable Jacobian along its top row
+against them, so a wildness certificate screens the Jacobian and reads
+deg_w(df1 ^ df2) from the same minors.  The public functions validate
+their input; the private ones trust it.
 
 Every product runs on one private packed kernel: each exponent tuple
 becomes one int, with a field per variable and the total degree above
@@ -453,13 +454,7 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupE
     ws = coerce_weight_vector(weights, n)
     # every exponent of a minor is at most deg f + deg g
     width = _pack_width(max(f.total_degree_int(), 0) + max(g.total_degree_int(), 0))
-    df, dg = _partials((f, g), n, width)
-    minors = [
-        ((i, j), _alternating(((df[i], dg[j]), (df[j], dg[i]))))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return _wedge_degree(minors, n, width, ws)
+    return _wedge_degree(_minors(*_partials((f, g), n, width)), n, width, ws)
 
 
 def _wedge_degree(minors, nvars: int, width: int, ws) -> Optional[GroupElem]:
@@ -489,28 +484,15 @@ def _partials(components: Sequence[Polynomial], n: int, width: int) -> list[list
     ]
 
 
-def _det(matrix: list[list[dict]], minors: Optional[list] = None) -> dict:
+def _det(matrix: list[list[dict]]) -> dict:
     """Determinant of a square matrix of packed polynomials, by cofactors
-    along the first row.
-
-    Given a list as minors, it hands back the cofactor determinants that
-    the expansion forms, one per column j (the matrix without row 0 and
-    column j) in column order, those of zero first-row entries included.
-    For a 3x3 matrix these are the 2x2 minors of its last two rows, the
-    components of df ^ dg for rows df, dg: minor j is the component of the
-    two variables other than j (_MINOR_PAIRS).  Under a first row of zeros
-    only the minors are formed."""
+    along the first row; a cofactor is formed only under a nonzero entry."""
     if len(matrix) == 1:
         return matrix[0][0]
-    products = []
-    for j, entry in enumerate(matrix[0]):
-        minor: dict = {}
-        if entry or minors is not None:
-            minor = _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
-            if minors is not None:
-                minors.append(minor)
-        products.append((entry, minor))
-    return _alternating(products)
+    return _alternating(
+        (entry, _det([row[:j] + row[j + 1 :] for row in matrix[1:]]) if entry else {})
+        for j, entry in enumerate(matrix[0])
+    )
 
 
 def _alternating(products) -> dict:
@@ -533,7 +515,15 @@ def _alternating(products) -> dict:
     return _settle(acc)
 
 
-_MINOR_PAIRS = ((1, 2), (0, 2), (0, 1))  # the variable pair of _det's minor j
+def _minors(df: list, dg: list) -> list:
+    """The 2x2 minors of two rows of packed partials, the components of
+    df ^ dg: ((i, j), df_i*dg_j - df_j*dg_i) for each variable pair i < j."""
+    n = len(df)
+    return [
+        ((i, j), _alternating(((df[i], dg[j]), (df[j], dg[i]))))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
 
 
 def _jacobian_minors(
@@ -541,23 +531,26 @@ def _jacobian_minors(
 ) -> tuple[Optional[dict], list, int]:
     """For three-variable components: the components of dlow ^ dmid as
     _wedge_degree reads them, and, given top, the Jacobian determinant of
-    the rows (top, low, mid), whose expansion forms those minors on the
-    way.  Returns (determinant or None, minors, width), everything packed
-    at width; each component is packed once and differentiated once."""
-    rows = (low, mid) if top is None else (top, low, mid)
+    the rows (top, low, mid), expanded along top's row against those
+    minors.  Returns (determinant or None, minors, width), everything
+    packed at width; each component is packed once and differentiated
+    once."""
+    rows = (low, mid) if top is None else (low, mid, top)
     # every exponent of a cofactor product is at most the sum of the degrees
     width = _pack_width(sum(max(c.total_degree_int(), 0) for c in rows))
-    matrix = _partials(rows, 3, width)
-    if top is None:
-        matrix.insert(0, [{}, {}, {}])
-    minors: list = []
-    det = _det(matrix, minors)
-    return (None if top is None else det), list(zip(_MINOR_PAIRS, minors)), width
+    partials = _partials(rows, 3, width)
+    minors = _minors(partials[0], partials[1])
+    det = None
+    if top is not None:  # the minor of top's entry j leaves out variable j
+        det = _alternating(zip(partials[2], reversed([m for _, m in minors])))
+    return det, minors, width
 
 
 def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     """Determinant of the matrix of partials of the components."""
     n = len(components)
+    if not n:
+        raise DomainError("need at least one component")
     for c in components:
         if c.nvars != n:
             raise DomainError("need as many variables as components")

@@ -92,8 +92,10 @@ class TestDeltaLowerBound:
             ("1,1 ; 4,6 ; 5", "need 3 weights, 2 degrees, 1 bound"),
             ("1,1,-1 ; 4,6 ; 5", "expected a positive group element, got GroupElem(-1,)"),
             ("1,1,1 ; 4,6 ; -5", "registry bounds must be positive"),
+            ("1,1,1 ; 4,6 ; [5,0]", "degrees and bound need the weight's rank 1"),
+            ("1,1,1 ; [4,0],[6,0] ; 5", "degrees and bound need the weight's rank 1"),
         ],
-        ids=["entry", "shape", "counts", "weight", "bound"],
+        ids=["entry", "shape", "counts", "weight", "bound", "bound-rank", "degree-rank"],
     )
     def test_registry_errors_name_their_line(self, line, message):
         with pytest.raises(DomainError) as err:
@@ -920,6 +922,15 @@ class TestWorkDoneOnce:
         calls.update(dict.fromkeys(calls, 0))
         out = certify_wild(endo, W111, assume_automorphism=True)
         assert out == Unknown(("K2",)) and calls == {"_ppartial": 0, "_pack": 0}
+
+    @pytest.mark.parametrize("weight", [(4, 3, 3), ((1, 0), (1, 0), (1, 1))])
+    def test_wild_certificate_solves_its_lowest_pair_once(self, monkeypatch, weight):
+        import tamedeg.classifier as classifier
+
+        calls = self._count(monkeypatch, classifier, ("_pair",))
+        cert = certify_wild(nagata(), weight)
+        assert isinstance(cert, Certificate)
+        assert calls == {"_pair": 1}
 
     @pytest.mark.parametrize("degrees, kind", [
         (((1, 1, 0), (1, -1, 2), (1, 0, 1)), Excluded),  # independent-weights route

@@ -751,7 +751,12 @@ class TestExitCodes:
         (["check", "--config"], b'{"seed": 1}\xff', "can't decode byte 0xff"),
         (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; 4,6 ; 4\n\xff\n",
          "can't decode byte 0xff"),
-    ], ids=["config-not-json", "config-not-utf8", "registry-not-utf8"])
+        (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; 4,6 ; [5,0]\n",
+         "registry line 1: degrees and bound need the weight's rank 1"),
+        (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; [4,0],[6,0] ; 5\n",
+         "registry line 1: degrees and bound need the weight's rank 1"),
+    ], ids=["config-not-json", "config-not-utf8", "registry-not-utf8",
+            "registry-bound-rank", "registry-degree-rank"])
     def test_malformed_input_file(self, capsys, tmp_path, argv, content, needle):
         path = tmp_path / "input"
         path.write_bytes(content)

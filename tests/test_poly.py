@@ -35,8 +35,8 @@ from tamedeg import (
 from tamedeg.errors import BudgetExceededError
 from tamedeg.ordgroup import coerce_weight_vector
 from tamedeg.poly import (
-    _MINOR_PAIRS, Budget, _det, _jacobian_minors, _pack, _pack_width, _partials, _pmul,
-    _ppartial, _psquare, _unpack, _wedge_degree, multiply, power,
+    Budget, _jacobian_minors, _pack, _pack_width, _pmul, _ppartial, _psquare, _unpack,
+    _wedge_degree, multiply, power,
 )
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
@@ -174,6 +174,10 @@ class TestWedge:
         assert wedge3_degree(f1, X2, X3, (1, 1, 1)) == ge(3)
         assert jacobian_det([X1, X1, X2]).is_zero
         assert wedge3_degree(X1, X1, X2, (1, 1, 1)) is None
+
+    def test_jacobian_of_no_components_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="need at least one component"):
+            jacobian_det([])
 
 
 class TestPowerDependence:
@@ -359,21 +363,17 @@ class TestAgainstFractionOracle:
            st.sampled_from(WEIGHTS + (RANK3,)).flatmap(
                lambda w: st.lists(w, min_size=3, max_size=3)))
     def test_determinant_hands_back_the_wedge_minors(self, a, b, c, ws):
-        # the minors of the last two rows are the components of db ^ dc:
-        # they give wedge2_degree's value, alone (under a zero first row)
-        # or from the expansion that gives jacobian_det's polynomial
+        # the minors of low and mid are the components of db ^ dc: they give
+        # wedge2_degree's value, alone or beside the determinant expanded
+        # against them, which is jacobian_det's polynomial
         top, low, mid = (Polynomial(3, m) for m in (a, b, c))
         ws = coerce_weight_vector(ws, 3)
-        width = _pack_width(sum(max(f.total_degree_int(), 0) for f in (top, low, mid)))
-        minors = []
-        det = _det(_partials((top, low, mid), 3, width), minors)
-        assert _unpack(det, 3, width) == jacobian_det([top, low, mid])
         wedge = wedge2_degree(low, mid, ws)
-        assert _wedge_degree(list(zip(_MINOR_PAIRS, minors)), 3, width, ws) == wedge
-        got, alone, alone_width = _jacobian_minors(low, mid, top)
-        assert (got, [m for _, m in alone], alone_width) == (det, minors, width)
-        got, alone, alone_width = _jacobian_minors(low, mid)
-        assert got is None
+        det, minors, width = _jacobian_minors(low, mid, top)
+        assert _unpack(det, 3, width) == jacobian_det([top, low, mid])
+        assert _wedge_degree(minors, 3, width, ws) == wedge
+        det, alone, alone_width = _jacobian_minors(low, mid)
+        assert det is None
         assert _wedge_degree(alone, 3, alone_width, ws) == wedge
 
     @settings(max_examples=100, deadline=None)
