@@ -7,8 +7,8 @@ words to polynomial maps.  The fold keeps its components in the packed form
 of the poly kernel (one int per monomial) across all steps and unpacks each
 component once at the end; the field width comes from the steps' degrees
 predicted with cancellation ignored (and the degree cap, when set), before
-anything is expanded.  The exhaustive search walk extends a prefix's
-packed fold by one step per word.
+anything is expanded.  The search harness runs this fold directly, and
+its exhaustive walk extends a prefix's packed fold by one step per word.
 
 Every constructive witness produced here is verified after the fact rather
 than trusted from its construction, and without expanding it:

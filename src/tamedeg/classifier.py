@@ -253,6 +253,8 @@ class DeltaBoundRegistry:
     ) -> "DeltaBoundRegistry":
         if not d.rank == e.rank == bound.rank == w.rank:
             raise DomainError(f"degrees and bound need the weight's rank {w.rank}")
+        if not (d.is_positive and e.is_positive):
+            raise DomainError("registry degrees must be positive")
         if not bound.is_positive:
             raise DomainError("registry bounds must be positive")
         entries = dict(self._entries)
@@ -438,10 +440,10 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     """Evaluate the total-degree exclusion conditions a1, a2, b1, b2, c for a
     sorted positive triple, with the witnessing quantities recorded (the
     clauses are built when read, see ConditionReport)."""
-    if not (0 < d1 <= d2 <= d3):
-        raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
     if not all(isinstance(d, int) for d in (d1, d2, d3)):
         raise DomainError("degrees must be integers")
+    if not (0 < d1 <= d2 <= d3):
+        raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
     rep = ConditionReport()
     s = _odd_multiplier(_multiple1(2 * d3, d1))
     ratio_ok = 3 * d2 != 2 * d3
@@ -803,6 +805,8 @@ def classify_total(
     through a1/a2, b1/b2, c; else run the weighted criteria at unit weights
     with the registry, which settles cases such as (4, 5, 6); else Unknown.
     """
+    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+        raise DomainError("degrees must be integers")
     if min(d1, d2, d3) < 1:
         raise DomainError("degrees must be positive")
     asked = (d1, d2, d3)

@@ -31,7 +31,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .automorphisms import Endo, TameWord, _verify_realization, _witness_word, mdeg
+from .automorphisms import Endo, TameWord, _verify_realization, mdeg, semigroup_witness
 from .classifier import (
     Certificate,
     DeltaBoundRegistry,
@@ -44,7 +44,6 @@ from .classifier import (
     corollary_inputs,
     corollary_names,
     corollary_suite,
-    make_realizable,
 )
 from .errors import (
     BudgetExceededError,
@@ -215,16 +214,15 @@ def _cmd_certify_wild(args) -> int:
 
 def _cmd_witness(args) -> int:
     d1, d2, d3 = sorted((args.d1, args.d2, args.d3))
-    word = _witness_word(d1, d2, d3)
+    word = semigroup_witness(d1, d2, d3)
     if word is None:
         print(
             f"no witness: {d2} is not a multiple of {d1} and {d3} is not a "
             f"nonnegative combination of {d1} and {d2}"
         )
         return 0
-    make_realizable(word, (d1, d2, d3))
     # expand the word and check its multidegree and Jacobian again, from
-    # the expansion, independently of make_realizable
+    # the expansion, independently of the proof in semigroup_witness
     endo, jac = _verify_realization(word, (d1, d2, d3))
     _print_word(word, endo, sys.stdout)
     if args.verify:

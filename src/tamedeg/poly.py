@@ -19,8 +19,9 @@ minors of two rows of partials, the components of df ^ dg, are formed in
 one place, ``_minors``: ``wedge2_degree`` reads its degree from them, and
 ``_jacobian_minors`` expands a three-variable Jacobian along its top row
 against them, so a wildness certificate screens the Jacobian and reads
-deg_w(df1 ^ df2) from the same minors.  The public functions validate
-their input; the private ones trust it.
+deg_w(df1 ^ df2) from the same minors, whose rows of partials ``_partials``
+packs at a width it sizes itself.  The public functions validate their
+input; the private ones trust it.
 
 Every product runs on one private packed kernel: each exponent tuple
 becomes one int, with a field per variable and the total degree above
@@ -32,8 +33,9 @@ fold of ``automorphisms`` keeps its components packed across steps.  A
 product with a one-term operand (a component still a variable, or a
 monomial power) is one shift of the other operand's keys; a one-term power
 is closed form; any other power squares through a loop that forms each
-cross product once.  Each path gives the general loop's terms in its order
-and raises on the same term count.
+cross product once; every other product, and each alternating sum of
+products in a minor or a determinant, runs through one loop, ``_alternating``,
+whose terms each path gives in its order, raising on the same term count.
 """
 
 from __future__ import annotations
@@ -158,9 +160,9 @@ class Polynomial:
         return _trusted(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff=1, nvars: Optional[int] = None) -> "Polynomial":
+    def monomial(cls, exponents: Sequence[int], coeff=1) -> "Polynomial":
         exponents = tuple(exponents)
-        return cls(nvars or len(exponents), {exponents: coeff})
+        return cls(len(exponents), {exponents: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -296,9 +298,9 @@ def _unpack(packed: dict, nvars: int, width: int) -> Polynomial:
 
 
 def _pmul(a: dict, b: dict, budget: Optional[Budget]) -> dict:
-    """Product of two packed polynomials; charges the budget as multiply
-    does, once per term of a.  A one-term operand takes one comprehension
-    and one charge, which names the size at which that loop would stop."""
+    """Product of two packed polynomials; _alternating charges the budget
+    once per term of a.  A one-term operand takes one comprehension and
+    one charge, which names the size at which that loop would stop."""
     if not a or not b:
         return {}
     if len(a) == 1 or len(b) == 1:
@@ -310,16 +312,7 @@ def _pmul(a: dict, b: dict, budget: Optional[Budget]) -> dict:
             n = len(out)
             budget.charge(n if one is a else min(n, budget.term_cap + 1), n)
         return _settle(out)
-    acc: dict[int, Coeff] = {}
-    get = acc.get
-    b_items = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in b_items:
-            key = ka + kb
-            acc[key] = get(key, 0) + ca * cb
-        if budget is not None:
-            budget.charge(len(acc), len(b_items))
-    return _settle(acc)
+    return _alternating(((a, b),), budget)
 
 
 def _psquare(a: dict, budget: Optional[Budget]) -> dict:
@@ -452,9 +445,8 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupE
         raise DomainError("variable counts differ")
     n = f.nvars
     ws = coerce_weight_vector(weights, n)
-    # every exponent of a minor is at most deg f + deg g
-    width = _pack_width(max(f.total_degree_int(), 0) + max(g.total_degree_int(), 0))
-    return _wedge_degree(_minors(*_partials((f, g), n, width)), n, width, ws)
+    (df, dg), width = _partials((f, g), n)
+    return _wedge_degree(_minors(df, dg), n, width, ws)
 
 
 def _wedge_degree(minors, nvars: int, width: int, ws) -> Optional[GroupElem]:
@@ -475,13 +467,16 @@ def _wedge_degree(minors, nvars: int, width: int, ws) -> Optional[GroupElem]:
     return None if best is None else GroupElem._trusted(best)
 
 
-def _partials(components: Sequence[Polynomial], n: int, width: int) -> list[list[dict]]:
-    """One row per component in n variables: its partial derivatives by
-    each variable, packed at width; each component is packed once."""
+def _partials(components: Sequence[Polynomial], n: int) -> tuple[list[list[dict]], int]:
+    """(rows, width): one row per component in n variables, its partial
+    derivatives by each variable, packed once at width, which holds the
+    sum of the component degrees, a bound on every exponent of a product
+    of entries from distinct rows (a minor or a cofactor product)."""
+    width = _pack_width(sum(max(c.total_degree_int(), 0) for c in components))
     return [
         [_ppartial(p, j, n, width) for j in range(n)]
         for p in (_pack(c.terms, width) for c in components)
-    ]
+    ], width
 
 
 def _det(matrix: list[list[dict]]) -> dict:
@@ -495,10 +490,11 @@ def _det(matrix: list[list[dict]]) -> dict:
     )
 
 
-def _alternating(products) -> dict:
+def _alternating(products, budget: Optional[Budget] = None) -> dict:
     """The sum over j of (-1)**j * a_j * b_j for the packed pairs (a_j, b_j)
     of products, a cofactor expansion: all products go into one term map,
-    whose zero coefficients are dropped once, at the end."""
+    whose zero coefficients are dropped once, at the end.  A budget, which
+    only _pmul passes, is charged once per term of each a_j."""
     acc: dict[int, Coeff] = {}
     get = acc.get
     negate = False
@@ -511,6 +507,8 @@ def _alternating(products) -> dict:
                 for kb, cb in b_items:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
+                if budget is not None:
+                    budget.charge(len(acc), len(b_items))
         negate = not negate
     return _settle(acc)
 
@@ -536,9 +534,7 @@ def _jacobian_minors(
     packed at width; each component is packed once and differentiated
     once."""
     rows = (low, mid) if top is None else (low, mid, top)
-    # every exponent of a cofactor product is at most the sum of the degrees
-    width = _pack_width(sum(max(c.total_degree_int(), 0) for c in rows))
-    partials = _partials(rows, 3, width)
+    partials, width = _partials(rows, 3)
     minors = _minors(partials[0], partials[1])
     det = None
     if top is not None:  # the minor of top's entry j leaves out variable j
@@ -554,9 +550,8 @@ def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     for c in components:
         if c.nvars != n:
             raise DomainError("need as many variables as components")
-    # every exponent of a cofactor product is at most the sum of the degrees
-    width = _pack_width(sum(max(c.total_degree_int(), 0) for c in components))
-    return _unpack(_det(_partials(components, n, width)), n, width)
+    rows, width = _partials(components, n)
+    return _unpack(_det(rows), n, width)
 
 
 def _render_coeff(c: Fraction) -> str:

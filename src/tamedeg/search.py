@@ -10,9 +10,10 @@ Generation is deterministic: randomized mode drives a counter-based RNG
 keyed by (seed, word index), so equal configs give equal streams.  A
 config's stream depends only on the SHA-256 seeding of each child RNG and
 on its ``getrandbits`` and ``random()``, which every step draw reads.  Each word
-is realized by ``automorphisms.realize`` under a budget that carries the
-config's term budget and degree cap; words that hit either cap are counted,
-not dropped silently.  ``consistency_check`` and ``run_search`` share one
+is realized by extending a packed ``automorphisms._Fold``, the fold that
+``automorphisms.realize`` runs, under a budget that carries the config's
+term budget and degree cap; words that hit either cap are counted, not
+dropped silently.  ``consistency_check`` and ``run_search`` share one
 loop that classifies each realized multidegree once per weight, with the
 verdicts cached by (weight, sorted multidegree).  ``realizability_table``
 maps each sorted degree triple to the verdict object the classifier
@@ -28,13 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .automorphisms import (
-    ElementaryAut,
-    Endo,
-    TameWord,
-    _Fold,
-    realize,
-)
+from .automorphisms import ElementaryAut, Endo, TameWord, _Fold
 from .classifier import (
     Certificate,
     ClassificationResult,
@@ -276,28 +271,26 @@ def generate(
     length cap, depth first from the empty word.  Resource-pruned words are
     counted, never silently dropped, and duplicate realizations are
     deduplicated by canonical form, which does not depend on how the
-    realization was packed.  The walk extends every word that realizes,
-    duplicates included, and no word that a cap pruned; it realizes a word
-    by extending the packed realization of its prefix by the last step.
+    realization was packed.  Every word is realized by extending a packed
+    fold, as automorphisms.realize does: a randomized word extends the
+    identity fold by all its steps, and the walk extends the fold of a
+    word's prefix by its last step.  The walk extends every word that
+    realizes, duplicates included, and no word that a cap pruned.
     """
     if stats is None:
         stats = GenerationStats()
     seen: set[Endo] = set()  # compared by their term maps
 
-    def visit(word: TameWord, prefix: Optional[_Fold]) -> Iterator[tuple[TameWord, Endo]]:
-        """Realize word under the caps, count it, and yield it unless its
-        realization was seen before.  With prefix, the fold of all but the
-        last step of word, only that step is expanded.  Returns the fold of
-        word (None in randomized mode), or None when a cap pruned it."""
+    def visit(word: TameWord, prefix: _Fold, steps: tuple) -> Iterator[tuple[TameWord, Endo]]:
+        """Realize word by extending prefix, the fold of its first steps,
+        by the rest of them, steps, under the caps; count it, and yield it
+        unless its realization was seen before.  Returns the fold of word,
+        or None when a cap pruned it."""
         stats.samples_drawn += 1
         budget = Budget(config.term_budget, degree_cap=config.degree_cap)
-        fold = None
         try:
-            if prefix is None:
-                endo = realize(word, budget)
-            else:
-                fold = prefix.extend(word.steps[-1:], budget)
-                endo = fold.endo()
+            fold = prefix.extend(steps, budget)
+            endo = fold.endo()
         except DegreeCapError:
             stats.degree_pruned += 1
             return None
@@ -313,20 +306,22 @@ def generate(
             yield word, endo
         return fold
 
+    identity = _Fold.identity(3)
     if config.mode == "randomized":
         for index in range(config.sample_count):
-            yield from visit(_random_word(_child_rng(config.seed, index), config), None)
+            word = _random_word(_child_rng(config.seed, index), config)
+            yield from visit(word, identity, word.steps)
         return
 
     pool = _generator_pool(config)
 
     def walk(word: TameWord, prefix: _Fold) -> Iterator[tuple[TameWord, Endo]]:
-        fold = yield from visit(word, prefix)
+        fold = yield from visit(word, prefix, word.steps[-1:])
         if fold is not None and len(word) < config.max_word_length:
             for step in pool:
                 yield from walk(TameWord(word.steps + (step,), 3), fold)
 
-    yield from walk(TameWord((), 3), _Fold.identity(3))
+    yield from walk(TameWord((), 3), identity)
 
 
 class Violation(_Value):

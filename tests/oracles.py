@@ -682,7 +682,7 @@ def wedge3_degree(f1: Polynomial, f2: Polynomial, f3: Polynomial, weights=None):
 def leading_form(f: Polynomial, weights=None) -> Polynomial:
     """Sum of the terms of maximal weighted degree; zero for zero input."""
     ws = coerce_weight_vector(weights, f.nvars)
-    scored = [(degree_w(Polynomial.monomial(mono, 1, f.nvars), ws), mono) for mono in f.terms]
+    scored = [(degree_w(Polynomial.monomial(mono), ws), mono) for mono in f.terms]
     top = max((val for val, _ in scored), default=None)
     return Polynomial(f.nvars, {mono: f.terms[mono] for val, mono in scored if val == top})
 

@@ -91,11 +91,14 @@ class TestDeltaLowerBound:
             ("1,1,1 ; 4,6", "expected 'W1,W2,W3 ; D,E ; BOUND'"),
             ("1,1 ; 4,6 ; 5", "need 3 weights, 2 degrees, 1 bound"),
             ("1,1,-1 ; 4,6 ; 5", "expected a positive group element, got GroupElem(-1,)"),
+            ("1,1,1 ; -4,6 ; 4", "registry degrees must be positive"),
+            ("1,1,1 ; 4,0 ; 4", "registry degrees must be positive"),
             ("1,1,1 ; 4,6 ; -5", "registry bounds must be positive"),
             ("1,1,1 ; 4,6 ; [5,0]", "degrees and bound need the weight's rank 1"),
             ("1,1,1 ; [4,0],[6,0] ; 5", "degrees and bound need the weight's rank 1"),
         ],
-        ids=["entry", "shape", "counts", "weight", "bound", "bound-rank", "degree-rank"],
+        ids=["entry", "shape", "counts", "weight", "negative-degree", "zero-degree", "bound",
+             "bound-rank", "degree-rank"],
     )
     def test_registry_errors_name_their_line(self, line, message):
         with pytest.raises(DomainError) as err:
@@ -150,7 +153,8 @@ class TestTotalConditions:
         with pytest.raises(DomainError):
             check_total_abc(4, 3, 5)
 
-    @pytest.mark.parametrize("triple", [(2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.5)])
+    @pytest.mark.parametrize("triple", [(2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.5), ("1", "2", "3"),
+                                        (None, 2, 3)])
     def test_non_integer_degrees_rejected(self, triple):
         with pytest.raises(DomainError, match="^degrees must be integers$"):
             check_total_abc(*triple)
@@ -311,6 +315,11 @@ class TestClassifyTotal:
             classify_total(0, 1, 2)
         with pytest.raises(DomainError):
             classify_weighted((1, 2, -3), W111)
+
+    @pytest.mark.parametrize("triple", [("1", "2", "3"), (None, 2, 3), (2, 3, 4.0)])
+    def test_non_integer_degrees_rejected(self, triple):
+        with pytest.raises(DomainError, match="^degrees must be integers$"):
+            classify_total(*triple)
 
 
 class TestWeightedConditions:

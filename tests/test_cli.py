@@ -755,8 +755,10 @@ class TestExitCodes:
          "registry line 1: degrees and bound need the weight's rank 1"),
         (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; [4,0],[6,0] ; 5\n",
          "registry line 1: degrees and bound need the weight's rank 1"),
+        (["classify", "4", "5", "6", "--registry"], b"1,1,1 ; -4,6 ; 4\n",
+         "registry line 1: registry degrees must be positive"),
     ], ids=["config-not-json", "config-not-utf8", "registry-not-utf8",
-            "registry-bound-rank", "registry-degree-rank"])
+            "registry-bound-rank", "registry-degree-rank", "registry-nonpositive-degree"])
     def test_malformed_input_file(self, capsys, tmp_path, argv, content, needle):
         path = tmp_path / "input"
         path.write_bytes(content)

@@ -70,6 +70,17 @@ class TestGenerate:
         fingerprints = {word_fingerprint(w) for w, _ in items}
         assert len(fingerprints) == len(items)
 
+    def test_randomized_words_realize_as_realize_does(self):
+        # a randomized word extends the identity fold by all its steps, as
+        # realize does, so under the config's caps both give one map
+        config = SearchConfig(seed=7, sample_count=200, term_budget=40,
+                              coefficient_pool=(1, -1, "1/2"), scale_pool=(-1, "3/2"))
+        stats = GenerationStats()
+        items = list(generate(config, stats))
+        assert stats.emitted == len(items) and stats.budget_skipped and stats.degree_pruned
+        for word, endo in items:
+            assert realize(word, Budget(config.term_budget, config.degree_cap)) == endo
+
     def test_seed_determinism(self):
         first = [word_fingerprint(w) for w, _ in generate(SMALL)]
         second = [word_fingerprint(w) for w, _ in generate(SMALL)]
