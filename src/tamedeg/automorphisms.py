@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, DegreeCapError, DomainError, PolynomialSyntaxError
+from .errors import ConstructionError, DegreeCapError, DomainError
 from .ordgroup import _member1, _multiple1, _set, _Value, is_prime
 from .parse import parse_polynomial
 from .poly import (
@@ -193,7 +193,7 @@ class TameWord(_Value):
                     and not _EXPANDS.search(shift))
             try:
                 out.append((_memo_step if memo else _step)(target, text, shift))
-            except (DomainError, PolynomialSyntaxError) as exc:
+            except DomainError as exc:
                 raise DomainError(f"step {k}: {exc}") from None
         return cls(tuple(out), 3)
 
@@ -205,7 +205,7 @@ _EXPANDS = re.compile(r"\(|(?<![x0-9])[0-9]+\s*\^")  # a parenthesis or a power 
 def _step(target: int, text, shift: str) -> ElementaryAut:
     """The step that from_json reads from a checked 1-based target, an
     unchecked scale and a shift string; a bad scale or shift raises
-    DomainError or PolynomialSyntaxError without the step's number."""
+    DomainError without the step's number."""
     m = _SCALE.fullmatch(text) if isinstance(text, str) else None
     try:
         scale = Fraction(int(m[1]), int(m[2] or 1)) if m else None
@@ -525,7 +525,7 @@ def _verify_witness(
 def _witness_word(d1: int, d2: int, d3: int) -> Optional[TameWord]:
     """Unverified tame word for the sorted triple (d1, d2, d3) from the two
     shear templates of semigroup_witness, or None when neither applies."""
-    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+    if not all(type(d) is int for d in (d1, d2, d3)):
         raise DomainError("degrees must be integers")
     if not (1 <= d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 1 <= d1 <= d2 <= d3")
@@ -580,7 +580,7 @@ def intro_family(
     primes = tuple(primes)
     if len(primes) < 2:
         raise DomainError("need at least two primes (n >= 3)")
-    if not all(isinstance(p, int) for p in primes):
+    if not all(type(p) is int for p in primes):
         raise DomainError("primes must be integers")
     for p in primes:
         if not is_prime(p):

@@ -440,7 +440,7 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     """Evaluate the total-degree exclusion conditions a1, a2, b1, b2, c for a
     sorted positive triple, with the witnessing quantities recorded (the
     clauses are built when read, see ConditionReport)."""
-    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+    if not all(type(d) is int for d in (d1, d2, d3)):
         raise DomainError("degrees must be integers")
     if not (0 < d1 <= d2 <= d3):
         raise DomainError("degrees must satisfy 0 < d1 <= d2 <= d3")
@@ -805,7 +805,7 @@ def classify_total(
     through a1/a2, b1/b2, c; else run the weighted criteria at unit weights
     with the registry, which settles cases such as (4, 5, 6); else Unknown.
     """
-    if not all(isinstance(d, int) for d in (d1, d2, d3)):
+    if not all(type(d) is int for d in (d1, d2, d3)):
         raise DomainError("degrees must be integers")
     if min(d1, d2, d3) < 1:
         raise DomainError("degrees must be positive")

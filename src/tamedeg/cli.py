@@ -1,11 +1,18 @@
 """Command-line surface.
 
 Exit codes: 0 = ran and printed a verdict, 1 = stdout was closed before the
-output was written (as by `| head`), 2 = usage error, 3 = bad input (parse
-failure, domain error, unreadable file, a file that is not valid JSON or
-not UTF-8), 4 = internal soundness failure (a witness failed its own
-verification, or an internal invariant did not hold).  Any other exception
-is a bug and propagates with its traceback.
+output was written (as by `| head`), 2 = usage error, 3 = bad input (any
+DomainError, which covers parse failures, rank mismatches, violated
+hypotheses and malformed records; a budget overrun; an unreadable file, a
+file that is not valid JSON or not UTF-8), 4 = internal soundness failure
+(a witness failed its own verification, or an internal invariant did not
+hold).  Any other exception is a bug and propagates with its traceback.
+
+main is the one path of every command: it reads the integer arguments,
+starts the --json timer, loads --registry for each command that takes it,
+runs the command and, for the four verdict commands (classify,
+classify-weighted, certify-wild, corollary), which return their query and
+verdict, prints the report.  The other commands print their own output.
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -45,16 +52,7 @@ from .classifier import (
     corollary_names,
     corollary_suite,
 )
-from .errors import (
-    BudgetExceededError,
-    ConstructionError,
-    DomainError,
-    HypothesisViolation,
-    PolynomialSyntaxError,
-    RankMismatchError,
-    SchemaVersionError,
-    _show,
-)
+from .errors import BudgetExceededError, ConstructionError, DomainError, _show
 from .ordgroup import frobenius_number, w_star
 from .parse import _integer, parse_polynomial, parse_vector_list
 from .search import (
@@ -68,11 +66,7 @@ from .search import (
 REPORT_SCHEMA = "tamedeg.report/1"
 
 _INPUT_ERRORS = (
-    DomainError,
-    RankMismatchError,
-    PolynomialSyntaxError,
-    HypothesisViolation,
-    SchemaVersionError,
+    DomainError,  # every fault of the input: parse, rank, hypothesis, schema
     BudgetExceededError,
     # what opening a user's --config, --registry or --out path raises; any
     # other OSError is not the input's fault
@@ -156,9 +150,9 @@ def _print_word(word: TameWord, endo: Endo, out) -> None:
         print(f"  f{i} = {comp.render()}", file=out)
 
 
-def _report(args, query: dict, result, started: float) -> int:
+def _report(args, query: dict, result, started: float) -> None:
     out = sys.stdout
-    if getattr(args, "json", False):
+    if args.json:
         doc = {
             "schema": REPORT_SCHEMA,
             "query": query,
@@ -170,49 +164,58 @@ def _report(args, query: dict, result, started: float) -> int:
         print(json.dumps(doc, indent=2), file=out)
     else:
         _print_result(result, out)
-    return 0
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
-    registry = _load_registry(args.registry)
-    result = classify_total(args.d1, args.d2, args.d3, registry)
-    query = {"command": "classify", "degrees": [args.d1, args.d2, args.d3]}
-    return _report(args, query, result, started)
+# A verdict command maps the parsed arguments to the (query, verdict) main reports.
+def _cmd_classify(args) -> tuple:
+    result = classify_total(args.d1, args.d2, args.d3, args.registry)
+    return {"command": "classify", "degrees": [args.d1, args.d2, args.d3]}, result
 
 
-def _cmd_classify_weighted(args) -> int:
-    started = time.perf_counter()
-    registry = _load_registry(args.registry)
+def _cmd_classify_weighted(args) -> tuple:
     degrees = parse_vector_list(args.deg, rank=args.rank)
     weights = parse_vector_list(args.weight, rank=args.rank)
-    result = classify_weighted(degrees, weights, registry)
+    result = classify_weighted(degrees, weights, args.registry)
     query = {
         "command": "classify-weighted",
         "degrees": [list(d.coords) for d in degrees],
         "weight": [list(w.coords) for w in weights],
     }
-    return _report(args, query, result, started)
+    return query, result
 
 
-def _cmd_certify_wild(args) -> int:
-    started = time.perf_counter()
-    registry = _load_registry(args.registry)
+def _cmd_certify_wild(args) -> tuple:
     comps = tuple(
         parse_polynomial(text, nvars=3) for text in (args.f1, args.f2, args.f3)
     )
-    endo = Endo(comps)
     weights = parse_vector_list(args.weight)
-    outcome = certify_wild(endo, weights, registry)
+    outcome = certify_wild(Endo(comps), weights, args.registry)
     query = {
         "command": "certify-wild",
         "components": [c.render() for c in comps],
         "weight": [list(w.coords) for w in weights],
     }
-    return _report(args, query, outcome, started)
+    return query, outcome
 
 
-def _cmd_witness(args) -> int:
+def _cmd_corollary(args) -> tuple:
+    triple, weight = corollary_inputs(args.name, args.args)
+    result = corollary_suite(args.name, args.args, args.registry)
+    query = {
+        "command": "corollary",
+        "name": args.name,
+        "args": args.args,
+        "triple": list(triple),
+    }
+    if weight is not None:
+        query["weight"] = [list(w.coords) for w in weight.components]
+        print(f"triple {triple} under weight ({weight.render()})")
+    else:
+        print(f"triple {triple}")
+    return query, result
+
+
+def _cmd_witness(args) -> None:
     d1, d2, d3 = sorted((args.d1, args.d2, args.d3))
     word = semigroup_witness(d1, d2, d3)
     if word is None:
@@ -220,25 +223,22 @@ def _cmd_witness(args) -> int:
             f"no witness: {d2} is not a multiple of {d1} and {d3} is not a "
             f"nonnegative combination of {d1} and {d2}"
         )
-        return 0
+        return
     # expand the word and check its multidegree and Jacobian again, from
     # the expansion, independently of the proof in semigroup_witness
     endo, jac = _verify_realization(word, (d1, d2, d3))
     _print_word(word, endo, sys.stdout)
     if args.verify:
         print(f"mdeg verified: {mdeg(endo)}; Jacobian = {jac.render()}")
-    return 0
 
 
-def _cmd_wstar(args) -> int:
+def _cmd_wstar(args) -> None:
     weights = parse_vector_list(",".join(args.w), rank=args.rank)
     print(w_star(weights).render())
-    return 0
 
 
-def _cmd_frobenius(args) -> int:
+def _cmd_frobenius(args) -> None:
     print(frobenius_number(args.u1, args.u2))
-    return 0
 
 
 def _load_config(path: str) -> SearchConfig:
@@ -254,10 +254,8 @@ def _load_config(path: str) -> SearchConfig:
     return SearchConfig.from_json(data)
 
 
-def _cmd_search(args) -> int:
-    config = _load_config(args.config)
-    registry = _load_registry(args.registry)
-    records, stats = run_search(config, registry)
+def _cmd_search(args) -> None:
+    records, stats = run_search(_load_config(args.config), args.registry)
     persist(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     print(
@@ -265,27 +263,22 @@ def _cmd_search(args) -> int:
         f"duplicates {stats.duplicates}, degree-pruned {stats.degree_pruned}, "
         f"budget-skipped {stats.budget_skipped}"
     )
-    return 0
 
 
-def _cmd_check(args) -> int:
-    config = _load_config(args.config)
-    registry = _load_registry(args.registry)
-    report = consistency_check(config, registry)
-    if getattr(args, "json", False):
+def _cmd_check(args) -> None:
+    report = consistency_check(_load_config(args.config), args.registry)
+    if args.json:
         import json
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.summary())
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     if args.max < 1:
         raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
-    registry = _load_registry(args.registry)
     weight = parse_vector_list(args.weight) if args.weight else None
-    table = realizability_table(args.max, weight=weight, registry=registry)
+    table = realizability_table(args.max, weight=weight, registry=args.registry)
     lines = [
         f"{d1} {d2} {d3} {entry.kind}"
         for (d1, d2, d3), entry in sorted(table.items())
@@ -301,26 +294,6 @@ def _cmd_table(args) -> int:
     for entry in table.values():
         counts[entry.kind] = counts.get(entry.kind, 0) + 1
     print("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    return 0
-
-
-def _cmd_corollary(args) -> int:
-    started = time.perf_counter()
-    registry = _load_registry(args.registry)
-    triple, weight = corollary_inputs(args.name, args.args)
-    result = corollary_suite(args.name, args.args, registry)
-    query = {
-        "command": "corollary",
-        "name": args.name,
-        "args": args.args,
-        "triple": list(triple),
-    }
-    if weight is not None:
-        query["weight"] = [list(w.coords) for w in weight.components]
-        print(f"triple {triple} under weight ({weight.render()})")
-    else:
-        print(f"triple {triple}")
-    return _report(args, query, result, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,16 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d1")
     p.add_argument("d2")
     p.add_argument("d3")
-    p.add_argument("--registry", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("classify-weighted", help="weighted triple verdict")
     p.add_argument("--deg", required=True, help="D1,D2,D3 (ints or [a,b,...])")
     p.add_argument("--weight", required=True, help="W1,W2,W3 (ints or [a,b,...])")
     p.add_argument("--rank", default=None)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify_weighted)
 
     p = sub.add_parser("certify-wild", help="wildness certificate for a map")
@@ -353,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", required=True)
     p.add_argument("--f3", required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_certify_wild)
 
     p = sub.add_parser("witness", help="constructive tame word for a triple")
@@ -377,20 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run a search and persist records")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--registry", default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("check", help="search-vs-classifier consistency check")
     p.add_argument("--config", required=True)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("table", help="realizability table up to a bound")
     p.add_argument("--max", required=True)
     p.add_argument("--weight", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--registry", default=None)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser(
@@ -399,9 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("name")
     p.add_argument("args", nargs="*")
-    p.add_argument("--registry", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_corollary)
+
+    # the shared options come last, so each --help lists them after the command's own
+    for name, p in sub.choices.items():
+        if name not in ("witness", "wstar", "frobenius"):
+            p.add_argument("--registry", default=None)
+        if name in ("classify", "classify-weighted", "certify-wild", "check", "corollary"):
+            p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -419,10 +387,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 setattr(args, name, [_integer(v) for v in value])
             elif value is not None:
                 setattr(args, name, _integer(value))
-        code = args.func(args)
+        started = time.perf_counter()
+        if hasattr(args, "registry"):
+            args.registry = _load_registry(args.registry)
+        verdict = args.func(args)
+        if verdict is not None:
+            _report(args, *verdict, started)
         if sys.stdout is not None:  # None when Python started with no stdout
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # Python's recipe for SIGPIPE: the flush at exit writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

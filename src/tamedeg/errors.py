@@ -25,12 +25,13 @@ def _show(value, limit: int = 40) -> str:
     return text if len(text) <= cut else f"{text[:cut]}... ({len(text)} characters)"
 
 
-class RankMismatchError(ValueError):
-    """Group elements of different rank were combined or compared."""
-
-
 class DomainError(ValueError):
-    """Input violates a documented precondition."""
+    """Input violates a documented precondition.  Every fault of the input
+    raises one of this family; the CLI exits 3 on it."""
+
+
+class RankMismatchError(DomainError):
+    """Group elements of different rank were combined or compared."""
 
 
 class ConstructionError(RuntimeError):
@@ -47,7 +48,7 @@ class DegreeCapError(BudgetExceededError):
     """A realization step would exceed the budget's total-degree cap."""
 
 
-class HypothesisViolation(ValueError):
+class HypothesisViolation(DomainError):
     """A named hypothesis of a corollary is not met by the inputs."""
 
     def __init__(self, hypothesis: str):
@@ -55,7 +56,7 @@ class HypothesisViolation(ValueError):
         super().__init__(f"hypothesis violated: {hypothesis}")
 
 
-class PolynomialSyntaxError(ValueError):
+class PolynomialSyntaxError(DomainError):
     """Syntax error in a polynomial expression, with source position."""
 
     def __init__(self, message: str, position: int):
@@ -63,5 +64,5 @@ class PolynomialSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class SchemaVersionError(ValueError):
+class SchemaVersionError(DomainError):
     """A persisted record carries an unsupported schema version."""

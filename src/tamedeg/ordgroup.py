@@ -88,7 +88,7 @@ class GroupElem:
         if not coords:
             raise DomainError("group element needs rank >= 1")
         for c in coords:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise DomainError(f"coordinates must be integers, got {_show(c)}")
         self.coords = coords
 
@@ -200,7 +200,7 @@ def as_group_elem(value, rank: Optional[int] = None) -> GroupElem:
     """Coerce an int, coordinate sequence or GroupElem; check rank if given."""
     if isinstance(value, GroupElem):
         out = value
-    elif isinstance(value, int):
+    elif type(value) is int:
         out = GroupElem((value,))
     elif isinstance(value, (tuple, list)):
         out = GroupElem(value)
@@ -221,6 +221,8 @@ def as_weight(value) -> "Weight":
 
 def _require_positive(*elems: GroupElem) -> None:
     for e in elems:
+        if type(e) is not GroupElem:
+            raise DomainError(f"expected a group element, got {_show(e)}")
         if not e.is_positive:
             raise DomainError(
                 f"expected a positive group element, got GroupElem{_show(e.coords)}"
@@ -375,6 +377,8 @@ def frobenius_number(u1: int, u2: int) -> int:
 
     Every integer >= (u1-1)(u2-1) is representable over {u1, u2}.
     """
+    if type(u1) is not int or type(u2) is not int:
+        raise DomainError("generators must be integers")
     if u1 < 2 or u2 < 2:
         raise DomainError("generators must be >= 2")
     if _int_gcd(u1, u2) != 1:
@@ -444,8 +448,8 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     Weight keeps it as Weight.star once read."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
+    _require_positive(*weights)
     s1, s2, s3 = sorted(weights)
-    _require_positive(s1, s2, s3)
     fallback = 2 * s1 + s3
     stair = least_combination_exceeding(s1, s2, s1 + s3)
     if stair is None or fallback < stair:

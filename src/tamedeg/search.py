@@ -688,6 +688,6 @@ def load(path) -> list[SearchRecord]:
                 except ValueError:  # an int past Python's digit limit: read
                     data = json.loads(line, parse_int=_integer)  # again to name it
                 records.append(SearchRecord.from_json(data))
-            except (DomainError, SchemaVersionError) as exc:
+            except DomainError as exc:
                 raise SchemaVersionError(f"line {lineno}: {exc}") from None
     return records

@@ -584,7 +584,7 @@ class TestSemigroupWitness:
             semigroup_witness(3, 2, 4)
 
     def test_non_integer_degrees_rejected(self):
-        for triple in ((2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.0), (1, 1.5, 2)):
+        for triple in ((2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.0), (1, 1.5, 2), (True, True, 2)):
             with pytest.raises(DomainError):
                 semigroup_witness(*triple)
 

@@ -154,7 +154,7 @@ class TestTotalConditions:
             check_total_abc(4, 3, 5)
 
     @pytest.mark.parametrize("triple", [(2.0, 3, 4), (2, 3.0, 4), (2, 3, 4.5), ("1", "2", "3"),
-                                        (None, 2, 3)])
+                                        (None, 2, 3), (True, 2, 5), (1, True, 2)])
     def test_non_integer_degrees_rejected(self, triple):
         with pytest.raises(DomainError, match="^degrees must be integers$"):
             check_total_abc(*triple)
@@ -316,7 +316,12 @@ class TestClassifyTotal:
         with pytest.raises(DomainError):
             classify_weighted((1, 2, -3), W111)
 
-    @pytest.mark.parametrize("triple", [("1", "2", "3"), (None, 2, 3), (2, 3, 4.0)])
+    def test_bool_weighted_degree_rejected(self):
+        with pytest.raises(DomainError, match="^cannot interpret True as a group element$"):
+            classify_weighted([True, 2, 3], (1, 1, 1))
+
+    @pytest.mark.parametrize("triple", [("1", "2", "3"), (None, 2, 3), (2, 3, 4.0), (True, 2, 3),
+                                        (2, 3, True)])
     def test_non_integer_degrees_rejected(self, triple):
         with pytest.raises(DomainError, match="^degrees must be integers$"):
             classify_total(*triple)

@@ -20,6 +20,7 @@ from tamedeg import (
     parse_vector_list,
     render,
 )
+from tamedeg import errors
 from tamedeg.cli import main
 from tamedeg.errors import DomainError
 from oracles import factor_parse_polynomial
@@ -766,6 +767,24 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and needle in err
         assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+    ], ids=lambda c: c.__name__)
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, cls):
+        args = {errors.HypothesisViolation: ("a hypothesis",),
+                errors.PolynomialSyntaxError: ("a fault", 0)}.get(cls, ("a fault",))
+
+        def broken(*_):
+            raise cls(*args)
+
+        monkeypatch.setattr("tamedeg.cli.classify_total", broken)
+        code, out, err = run_cli(capsys, "classify", "3", "4", "5")
+        if issubclass(cls, errors.ConstructionError):
+            assert (code, out, err) == (4, "", f"error: internal soundness failure: {cls(*args)}\n")
+        else:  # every other class is a fault of the input
+            assert issubclass(cls, (DomainError, errors.BudgetExceededError))
+            assert (code, out, err) == (3, "", f"error: {cls(*args)}\n")
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*args):

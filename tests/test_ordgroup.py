@@ -80,6 +80,18 @@ class TestLexOrder:
             with pytest.raises(TypeError, match="expected GroupElem"):
                 op(ge(1, 2), other)
 
+    @pytest.mark.parametrize("build", [
+        lambda: GroupElem((True,)),
+        lambda: GroupElem((1, False)),
+        lambda: ordgroup.as_group_elem(True),
+        lambda: Weight.of(True, 2, 3),
+        lambda: Weight.of(1, (2, True), 3),
+    ], ids=["coordinate", "second-coordinate", "as-group-elem", "weight-entry",
+            "weight-coordinate"])
+    def test_bools_are_no_integers(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_positivity(self):
         assert ge(0, 0, 1).is_positive
         assert ge(1, -99).is_positive
@@ -264,6 +276,21 @@ class TestFrobenius:
             frobenius_number(4, 6)
         with pytest.raises(DomainError):
             frobenius_number(1, 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: w_star([1, 2, 3]), "expected a group element, got 1"),
+    (lambda: w_star([ge(1), 2, 3]), "expected a group element, got 2"),
+    (lambda: dependent_pair(4, 6), "expected a group element, got 4"),
+    (lambda: semigroup_member(ge(10), 3, 4), "expected a group element, got 3"),
+    (lambda: least_combination_exceeding(2, 3, ge(5)), "expected a group element, got 2"),
+    (lambda: frobenius_number(2.5, 3), "generators must be integers"),
+    (lambda: frobenius_number(3, True), "generators must be integers"),
+], ids=["w_star", "w_star-mixed", "dependent_pair", "semigroup_member",
+        "least_combination_exceeding", "frobenius_number", "frobenius_number-bool"])
+def test_building_blocks_reject_other_types(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 class TestLeastMultipleExceeding:
