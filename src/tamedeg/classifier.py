@@ -48,6 +48,7 @@ from .ordgroup import (
     Weight,
     _member,
     _member1,
+    _multiple,
     _multiple1,
     _pair,
     _pair1,
@@ -62,6 +63,8 @@ from .ordgroup import (
     multiple_of,
 )
 from .poly import _degree_w, _jacobian_minors, _wedge_degree
+
+_new = object.__new__
 
 
 class Theorem(str, Enum):
@@ -98,18 +101,18 @@ class Condition(_Value):
     _fields = ("name", "holds", "clauses")
 
     def __init__(self, name: str, holds: bool, clauses: tuple[Clause, ...]):
-        _set(self, "name", name)
-        _set(self, "holds", holds)
-        _set(self, "_clauses", clauses)
+        _set_name(self, name)
+        _set_holds(self, holds)
+        _set_clauses(self, clauses)
 
     @classmethod
     def _deferred(
         cls, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]
     ) -> "Condition":
-        cond = cls.__new__(cls)  # skips __init__: runs for every certified condition
-        _set(cond, "name", name)
-        _set(cond, "holds", holds)
-        _set(cond, "_clauses", build)
+        cond = _new(cls)  # skips __init__: runs for every certified condition
+        _set_name(cond, name)
+        _set_holds(cond, holds)
+        _set_clauses(cond, build)
         return cond
 
     @property
@@ -117,12 +120,19 @@ class Condition(_Value):
         clauses = self._clauses
         if callable(clauses):  # one slot, swapped once: safe under threads
             clauses = tuple(clauses())
-            _set(self, "_clauses", clauses)
+            _set_clauses(self, clauses)
         return clauses
 
     def describe(self) -> str:
         mark = "+" if self.holds else "x"
         return f"{self.name} {mark} ({'; '.join(c.describe() for c in self.clauses)})"
+
+
+# The setters of Condition's own slots, past its frozen __setattr__: a
+# third of the cost of object.__setattr__, which looks each slot up again.
+_set_name, _set_holds, _set_clauses = (
+    Condition.__dict__[slot].__set__ for slot in Condition.__slots__
+)
 
 
 class DeltaBoundUse(_Value):
@@ -430,7 +440,19 @@ class ConditionReport:
         return self._holds[name]
 
     def conditions(self) -> tuple[Condition, ...]:
-        return tuple(self[name] for name in self._holds)
+        """Every condition in put() order, in one pass: a condition not
+        read before is made here and memoized as __getitem__ does."""
+        built, builders = self._built, self._builders
+        out = []
+        for name, holds in self._holds.items():
+            cond = built.get(name)
+            if cond is None:
+                cond = built[name] = _new(Condition)
+                _set_name(cond, name)
+                _set_holds(cond, holds)
+                _set_clauses(cond, builders[name])
+            out.append(cond)
+        return tuple(out)
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(n for n, h in self._holds.items() if not h)
@@ -491,6 +513,15 @@ def check_total_abc(d1: int, d2: int, d3: int) -> ConditionReport:
     return rep
 
 
+def _delta(d, e, w: Weight, registry, uses):
+    """delta_lower_bound for check_weighted_conditions, whose rank-1
+    degrees are ints: the registry and DeltaBoundUse keep GroupElems."""
+    if type(d) is int:
+        d, e = GroupElem._trusted((d,)), GroupElem._trusted((e,))
+        return delta_lower_bound(d, e, w, registry, uses).coords[0]
+    return delta_lower_bound(d, e, w, registry, uses)
+
+
 _UNSET = object()  # check_weighted_conditions was given no pair
 
 
@@ -530,15 +561,9 @@ def check_weighted_conditions(
         pair = _pair1(d1, d2)
         member = _member1(d3, d1, d2)
     else:
-        multiple = multiple_of
+        multiple = _multiple
         pair = _pair(d1, d2) if _pair12 is _UNSET else _pair12
         member = _member(d3, d1, d2, pair)
-
-    def delta(d, e):
-        if rank1:  # the registry and DeltaBoundUse keep GroupElems
-            d, e = GroupElem._trusted((d,)), GroupElem._trusted((e,))
-            return delta_lower_bound(d, e, w, registry, _uses).coords[0]
-        return delta_lower_bound(d, e, w, registry, _uses)
 
     rep = ConditionReport()
     total = d1 + d2 + d3
@@ -607,7 +632,7 @@ def check_weighted_conditions(
         k3_guard,
         lambda: _ratio_clause(d2, d3, "!=" if ratio32 else "=", False),
         "d2,d3",
-        delta(d2, d3) if ratio32 else None,
+        _delta(d2, d3, w, registry, _uses) if ratio32 else None,
     )
     s = _odd_multiplier(multiple(2 * d3, d1))
 
@@ -620,7 +645,7 @@ def check_weighted_conditions(
         k4_guard,
         lambda: _odd_clause(s, s is not None),
         "d1,d3",
-        delta(d1, d3) if s is not None else None,
+        _delta(d1, d3, w, registry, _uses) if s is not None else None,
     )
     # No builder refers to rep: a report is then freed by reference
     # counting alone, without leaving garbage cycles for the collector.
@@ -628,7 +653,7 @@ def check_weighted_conditions(
 
     if 4 * d1 == 3 * d2:
         g = pair[2]
-        bound43 = delta(2 * d1, d2)
+        bound43 = _delta(2 * d1, d2, w, registry, _uses)
         k5 = d3 < 5 * g + bound43
         rep.put(
             "K5",
@@ -679,9 +704,8 @@ def check_weighted_conditions(
 
 
 def _weighted_fires(rep: ConditionReport) -> bool:
-    a = rep.holds("A1") or rep.holds("A2") or rep.holds("A3")
-    b = rep.holds("B1") or rep.holds("B2")
-    return rep.holds("K1") and rep.holds("K2") and a and b
+    h = rep._holds
+    return h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"])
 
 
 def _independent_weights_report(ds: Sequence[GroupElem], pairs: dict) -> ConditionReport:
@@ -736,19 +760,22 @@ def classify_weighted(
     constructive witnesses exist only for total degree; the search harness
     reports weighted realizations separately.
 
-    The ranks and positivity of the input are validated once, here; above
-    rank 1 each degree pair's dependent_pair relation is then solved once,
-    on the trusted kernel, and read by both criteria.
+    The ranks and positivity of the input are validated once, here.  An
+    int degree is a rank-1 degree as it is; every other degree is read by
+    as_group_elem, and at rank 1 its one coordinate is taken, so rank-1
+    triples are decided on ints.  Above rank 1 each degree pair's
+    dependent_pair relation is solved once, on the trusted kernel, and
+    read by both criteria.
     """
-    ds = [as_group_elem(d) for d in degrees]
+    ds = [d if type(d) is int else as_group_elem(d) for d in degrees]
     if len(ds) != 3:
         raise DomainError("expected a degree triple")
     w = as_weight(weight)
     rank = w.rank
-    if any(d.rank != rank for d in ds):
+    if any((1 if type(d) is int else d.rank) != rank for d in ds):
         raise DomainError("degrees and weights must share one rank")
     if rank == 1:
-        ds = [d.coords[0] for d in ds]
+        ds = [d if type(d) is int else d.coords[0] for d in ds]
         if min(ds) < 1:
             raise DomainError("degrees must be positive")
     elif not all(d.is_positive for d in ds):
@@ -883,10 +910,10 @@ def certify_wild(
     pair = _pair(d1, d2)
     uses: list = []
     rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
-    k_names = ("K1", "K2", "K3", "K4")
-    if not all(rep.holds(n) for n in k_names):
-        return Unknown(tuple(n for n in k_names if not rep.holds(n)))
-    conditions = [rep[n] for n in k_names]
+    h = rep._holds
+    if not (h["K1"] and h["K2"] and h["K3"] and h["K4"]):
+        return Unknown(tuple(n for n in ("K1", "K2", "K3", "K4") if not h[n]))
+    conditions = [rep["K1"], rep["K2"], rep["K3"], rep["K4"]]
     if pair is not None:
         if not rep.holds("K5"):
             return Unknown(("K5",))

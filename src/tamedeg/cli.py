@@ -209,9 +209,9 @@ def _cmd_corollary(args) -> tuple:
     }
     if weight is not None:
         query["weight"] = [list(w.coords) for w in weight.components]
-        print(f"triple {triple} under weight ({weight.render()})")
-    else:
-        print(f"triple {triple}")
+    if not args.json:  # the --json report names the triple in its query
+        under = f" under weight ({weight.render()})" if weight is not None else ""
+        print(f"triple {triple}{under}")
     return query, result
 
 

@@ -14,9 +14,11 @@ keeps its |w|, its |w|* and whether it is Z-independent (Weight.total,
 Weight.star, Weight.independent) once they are first read.
 
 The public functions validate their input on every call.  Each is a check
-in front of a private kernel that trusts its input (_pair, _member and the
-rank-1 int kernels _pair1, _multiple1, _member1), which callers that have
-validated already, such as the classifier, call directly.
+in front of a private kernel that trusts its input (_pair, _multiple,
+_member and the rank-1 int kernels _pair1, _multiple1, _member1), which
+callers that have validated already, such as the classifier, call
+directly.  A group-element argument that is not a GroupElem raises
+DomainError in every position, and one of another rank RankMismatchError.
 """
 
 from __future__ import annotations
@@ -219,10 +221,21 @@ def as_weight(value) -> "Weight":
     return Weight(*coerce_weight_vector(value, 3))
 
 
-def _require_positive(*elems: GroupElem) -> None:
+def _require_elems(*elems: GroupElem) -> None:
+    """The check of every GroupElem argument of a public function:
+    DomainError for one that is not a GroupElem, then RankMismatchError for
+    one whose rank is not the first one's."""
     for e in elems:
         if type(e) is not GroupElem:
             raise DomainError(f"expected a group element, got {_show(e)}")
+    for e in elems[1:]:
+        elems[0]._check(e)
+
+
+def _require_positive(*elems: GroupElem) -> None:
+    """DomainError for an element, checked by _require_elems, that is not
+    positive."""
+    for e in elems:
         if not e.is_positive:
             raise DomainError(
                 f"expected a positive group element, got GroupElem{_show(e.coords)}"
@@ -241,8 +254,8 @@ def dependent_pair(
     integer coordinates because u1 divides every coordinate of d1.  The
     input is validated, then solved by _pair.
     """
+    _require_elems(d1, d2)
     _require_positive(d1, d2)
-    d1._check(d2)
     return _pair(d1, d2)
 
 
@@ -278,8 +291,14 @@ def _pair1(a: int, b: int) -> tuple[int, int, int]:
 
 
 def multiple_of(d: GroupElem, e: GroupElem) -> Optional[int]:
-    """The positive integer m with d == m*e, or None."""
-    d._check(e)
+    """The positive integer m with d == m*e, or None.  The input is
+    validated, then solved by _multiple."""
+    _require_elems(d, e)
+    return _multiple(d, e)
+
+
+def _multiple(d: GroupElem, e: GroupElem) -> Optional[int]:
+    """multiple_of on validated input: elements of one rank."""
     for a, b in zip(d.coords, e.coords):
         if b != 0:
             m = _multiple1(a, b)
@@ -308,9 +327,8 @@ def semigroup_member(
     memoized on the ints in a bounded LRU cache (_member1), so a bad input
     raises each time and is never cached; above it _member solves it.
     """
+    _require_elems(d, e1, e2)
     _require_positive(e1, e2)
-    d._check(e1)
-    d._check(e2)
     if len(d.coords) == 1:
         return _member1(d.coords[0], e1.coords[0], e2.coords[0])
     return _member(d, e1, e2, _pair(e1, e2))
@@ -323,7 +341,7 @@ def _member(
     if pair is None:
         return _solve_independent(d, e1, e2)
     u1, u2, e = pair
-    return _coin(0 if d.is_zero else multiple_of(d, e), u1, u2)
+    return _coin(0 if d.is_zero else _multiple(d, e), u1, u2)
 
 
 @lru_cache(maxsize=1024)
@@ -394,8 +412,8 @@ def least_multiple_exceeding(e: GroupElem, t: GroupElem) -> Optional[int]:
     with q = t_lead // e_lead, every b > q passes, every b < q fails, and
     b = q passes when q*e > t (a tie at the lead, broken further on).
     """
+    _require_elems(e, t)
     _require_positive(e)
-    e._check(t)
     lead = next(i for i, c in enumerate(e.coords) if c != 0)
     for j in range(lead):
         if t.coords[j] > 0:
@@ -419,6 +437,7 @@ def least_combination_exceeding(
     first a with b(a) == 1.  That stopping index is computed up front; when
     it does not exist for either role assignment the whole set is empty.
     """
+    _require_elems(e1, e2, t)
     _require_positive(e1, e2)
     a_cap = least_multiple_exceeding(e1, t - e2)
     if a_cap is None:
@@ -448,6 +467,7 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     Weight keeps it as Weight.star once read."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
+    _require_elems(*weights)
     _require_positive(*weights)
     s1, s2, s3 = sorted(weights)
     fallback = 2 * s1 + s3
@@ -488,8 +508,7 @@ def independent_triple(
 def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
     """Exact integer linear algebra for positive elements: which pairs are
     proportional over Z and whether the triple spans rank <= 2."""
-    d1._check(d2)
-    d1._check(d3)
+    _require_elems(d1, d2, d3)
     return RankProfile(
         pair_12_dependent=dependent_pair(d1, d2) is not None,
         pair_13_dependent=dependent_pair(d1, d3) is not None,
@@ -507,8 +526,7 @@ class Weight(_Value):
     _fields = ("w1", "w2", "w3")
 
     def __init__(self, w1: GroupElem, w2: GroupElem, w3: GroupElem):
-        w1._check(w2)
-        w1._check(w3)
+        _require_elems(w1, w2, w3)
         _require_positive(w1, w2, w3)
         _set(self, "w1", w1)
         _set(self, "w2", w2)

@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 from dataclasses import FrozenInstanceError, make_dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -454,6 +454,26 @@ class TestDecideBeforeExplaining:
                     self.assert_matches_oracle(ds, w, registry)
         assert ascending > 200
 
+    @pytest.mark.parametrize("make", [
+        lambda: check_weighted_conditions(3, 5, 7, Weight.of(1, 2, 3)),
+        lambda: check_weighted_conditions(ge(2, 1), ge(3, 0), ge(4, 1),
+                                          Weight.of((1, 0), (1, 1), (0, 1))),
+        lambda: check_total_abc(4, 5, 6),
+    ], ids=["rank1", "rank2", "total"])
+    def test_conditions_are_the_items_in_either_read_order(self, make):
+        rep = make()
+        conds = rep.conditions()
+        assert [c.name for c in conds] == list(rep._holds)
+        assert all(rep[c.name] is c for c in conds)
+        assert rep.conditions() == conds and all(
+            a is b for a, b in zip(rep.conditions(), conds)
+        )
+        rep = make()  # items read first, some of them: conditions() keeps them
+        read = {name: rep[name] for name in list(rep._holds)[::2]}
+        conds = rep.conditions()
+        assert all(c is read[c.name] for c in conds if c.name in read)
+        assert all(rep[c.name] is c for c in conds)
+
     # k*triple meets the named guard: 3*d2 = 2*d3 (K3), an odd s >= 3 with
     # s*d1 = 2*d3 (K4), 4*d1 = 3*d2 (K5); (2, 3, 4) meets none
     SCALED = {(4, 6, 9): "K3", (4, 5, 6): "K4", (3, 4, 6): "K5", (2, 3, 4): None}
@@ -772,6 +792,117 @@ class TestClassifyWeighted:
         result = classify_weighted((2, 2, 3), W111)
         assert isinstance(result, Unknown)
         assert "K1" in result.reasons
+
+
+def _weighted_outcome(degrees, weight):
+    """The verdict, or the class and message of the exception raised."""
+    try:
+        return classify_weighted(degrees, weight)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _degree_forms(ints):
+    """An int degree triple as given, as GroupElems and as 1-tuples, each
+    also as an iterable that is not a sequence; entries that are not ints
+    are kept as they are."""
+    forms = (
+        tuple(ints),
+        tuple(ge(d) if type(d) is int else d for d in ints),
+        tuple((d,) if type(d) is int else d for d in ints),
+    )
+    return [*forms, *(iter(f) for f in forms)]
+
+
+class TestRankOneDegreeForms:
+    """classify_weighted decides a rank-1 triple on ints, whichever of the
+    int, GroupElem or 1-tuple forms its degrees come in: the verdicts, the
+    errors and the order of the checks are those of one normalization."""
+
+    @pytest.mark.parametrize("weight", [(1, 1, 1), (1, 2, 3), (2, 3, 5)])
+    def test_valid_triples(self, weight):
+        for triple in product(range(1, 9), repeat=3):
+            outcomes = [_weighted_outcome(f, weight) for f in _degree_forms(triple)]
+            assert isinstance(outcomes[0], (Excluded, Unknown)), (triple, outcomes[0])
+            assert outcomes == [outcomes[0]] * len(outcomes), triple
+
+    @pytest.mark.parametrize("degrees, weight, error", [
+        ((1, 2), (1, 1, 1), (DomainError, "expected a degree triple")),
+        ((1, 2, 3, 4), (1, 1, 1), (DomainError, "expected a degree triple")),
+        ((3, 5, 7), ((1, 0), (0, 1), (1, 1)),
+         (DomainError, "degrees and weights must share one rank")),
+        ((3, ge(5, 0), 7), (1, 2, 3), (DomainError, "degrees and weights must share one rank")),
+        ((0, 2, 3), (1, 2, 3), (DomainError, "degrees must be positive")),
+        ((3, 5, -1), (1, 1, 1), (DomainError, "degrees must be positive")),
+        ((3, 5, 7.0), (1, 1, 1), (DomainError, "cannot interpret 7.0 as a group element")),
+        # the order of the checks: the degrees' entries, their count, the
+        # weight, the ranks, and positivity last
+        ((1, 2.5), (1, 2), (DomainError, "cannot interpret 2.5 as a group element")),
+        ((1, 2), (1, 2), (DomainError, "expected a degree triple")),
+        ((0, 2, 3), (1, 2), (DomainError, "expected 3 weights, got 2")),
+        ((0, 2, 3), ((1, 0), (0, 1), (1, 1)),
+         (DomainError, "degrees and weights must share one rank")),
+    ], ids=["short", "long", "int-rank-2-weight", "mixed-ranks", "zero", "negative", "float",
+            "entry-before-count", "count-before-weight", "weight-before-positivity",
+            "rank-before-positivity"])
+    def test_errors(self, degrees, weight, error):
+        for form in _degree_forms(degrees):
+            assert _weighted_outcome(form, weight) == error
+
+    def test_bool_degrees_rejected(self):
+        # a bool has no GroupElem form; its other forms keep their messages
+        assert _weighted_outcome((True, 2, 3), W111) == (
+            DomainError, "cannot interpret True as a group element"
+        )
+        assert _weighted_outcome(((True,), (2,), (3,)), W111) == (
+            DomainError, "coordinates must be integers, got True"
+        )
+        assert _weighted_outcome((3, 5, False), (1, 2, 3)) == (
+            DomainError, "cannot interpret False as a group element"
+        )
+
+
+def _abc_fires(rep) -> bool:
+    h = rep.holds
+    return (h("a1") or h("a2")) and (h("b1") or h("b2")) and h("c")
+
+
+def _describe(conditions) -> str:
+    return "; ".join(c.describe() for c in conditions)
+
+
+class TestTwoDerivations:
+    """The Karas-type total-degree conditions are the unit-weight case of
+    the main weighted theorem: on the triples with distinct entries and no
+    template witness, every a/b/c exclusion is re-derived by the weighted
+    chain at weight (1, 1, 1), and the chain excludes one triple more,
+    (4, 5, 6), through the registry's Delta(4, 6) >= 4 alone."""
+
+    def test_abc_exclusions_are_unit_weight_exclusions(self):
+        triples = [
+            t for t in combinations(range(1, 51), 3) if _witness_word(*t) is None
+        ]
+        assert len(triples) == 12117
+        abc_excluded, chain_only = 0, []
+        for t in triples:
+            rep = check_total_abc(*t)
+            weighted = classify_weighted(t, (1, 1, 1))
+            if _abc_fires(rep):
+                abc_excluded += 1
+                assert isinstance(weighted, Excluded), (
+                    f"{t}: a/b/c excludes it ({_describe(rep.conditions())}) but the "
+                    f"unit-weight chain gives {weighted!r}"
+                )
+            elif isinstance(weighted, Excluded):
+                chain_only.append((t, weighted.certificate))
+        assert abc_excluded == 10891
+        assert [t for t, _ in chain_only] == [(4, 5, 6)], "excluded by the chain alone: " + (
+            " | ".join(f"{t}: {_describe(cert.conditions)}" for t, cert in chain_only)
+        )
+        cert = chain_only[0][1]
+        assert cert.theorem is Theorem.MAIN_WEIGHTED
+        assert [u.describe() for u in cert.delta_bounds_used] == ["Delta(4,6)>=4"]
+        assert isinstance(classify_weighted((4, 5, 6), (1, 1, 1), DeltaBoundRegistry()), Unknown)
 
 
 class TestCertifyWild:

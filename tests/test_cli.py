@@ -452,6 +452,20 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "corollary", "progression", "5", "3")
         assert code == 0 and "(5, 8, 11)" in out and "Excluded" in out
 
+    @pytest.mark.parametrize("args, triple, weight", [
+        (["two-three", "7"], [7, 10, 15], None),
+        (["kanehira", "3", "5", "7", "1", "2", "3"], [3, 5, 7], [[1], [2], [3]]),
+    ], ids=["total", "weighted"])
+    def test_corollary_json_is_one_document(self, capsys, args, triple, weight):
+        code, out, _ = run_cli(capsys, "corollary", *args, "--json")
+        doc = json.loads(out)  # the whole of stdout
+        assert code == 0 and doc["verdict"] == "excluded"
+        assert doc["query"]["triple"] == triple and doc["query"].get("weight") == weight
+        # the human report names the triple on its first line
+        code, out, _ = run_cli(capsys, "corollary", *args)
+        under = " under weight (1,2,3)" if weight else ""
+        assert code == 0 and out.splitlines()[0] == f"triple {tuple(triple)}{under}"
+
     def test_table(self, capsys, tmp_path):
         out_path = tmp_path / "table.txt"
         code, out, _ = run_cli(

@@ -284,10 +284,20 @@ class TestFrobenius:
     (lambda: dependent_pair(4, 6), "expected a group element, got 4"),
     (lambda: semigroup_member(ge(10), 3, 4), "expected a group element, got 3"),
     (lambda: least_combination_exceeding(2, 3, ge(5)), "expected a group element, got 2"),
+    (lambda: semigroup_member(10, ge(3), ge(4)), "expected a group element, got 10"),
+    (lambda: multiple_of(4, ge(2)), "expected a group element, got 4"),
+    (lambda: multiple_of(ge(4), 2), "expected a group element, got 2"),
+    (lambda: rank_profile(4, 6, 8), "expected a group element, got 4"),
+    (lambda: least_multiple_exceeding(ge(2), 5), "expected a group element, got 5"),
+    (lambda: least_combination_exceeding(ge(2), ge(3), 5), "expected a group element, got 5"),
+    (lambda: Weight(1, 2, 3), "expected a group element, got 1"),
     (lambda: frobenius_number(2.5, 3), "generators must be integers"),
     (lambda: frobenius_number(3, True), "generators must be integers"),
 ], ids=["w_star", "w_star-mixed", "dependent_pair", "semigroup_member",
-        "least_combination_exceeding", "frobenius_number", "frobenius_number-bool"])
+        "least_combination_exceeding", "semigroup_member-target", "multiple_of-first",
+        "multiple_of-second", "rank_profile", "least_multiple_exceeding-threshold",
+        "least_combination_exceeding-threshold", "Weight", "frobenius_number",
+        "frobenius_number-bool"])
 def test_building_blocks_reject_other_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
