@@ -36,12 +36,13 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, DegreeCapError, DomainError
+from .errors import ConstructionError, DegreeCapError, DomainError, _show
 from .ordgroup import _member1, _multiple1, _set, _Value, is_prime
 from .parse import parse_polynomial
 from .poly import (
     Budget,
     Polynomial,
+    _canonical,
     _pack,
     _pack_width,
     _padd,
@@ -67,12 +68,12 @@ class ElementaryAut(_Value):
 
     def __init__(self, target: int, scale: Fraction, shift: Polynomial):
         if type(scale) is not Fraction:
-            scale = Fraction(scale)
+            scale = Fraction(_canonical(scale))
         if scale == 0:
             raise DomainError("elementary step needs a nonzero scale")
         n = shift.nvars
-        if not 0 <= target < n:
-            raise DomainError(f"target {target} out of range for n={n}")
+        if type(target) is not int or not 0 <= target < n:
+            raise DomainError(f"target {_show(target)} out of range for n={n}")
         for mono in shift.terms:
             if mono[target] != 0:
                 raise DomainError("shift must not involve the target variable")
@@ -245,7 +246,7 @@ class Endo(_Value):
 
 
 def shear(target: int, shift: Polynomial, scale=1) -> ElementaryAut:
-    return ElementaryAut(target, Fraction(scale), shift)
+    return ElementaryAut(target, scale, shift)
 
 
 def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:

@@ -53,6 +53,7 @@ from .ordgroup import (
     _pair,
     _pair1,
     _render_coords,
+    _require_elems,
     _set,
     _swapped,
     _Value,
@@ -60,7 +61,6 @@ from .ordgroup import (
     as_weight,
     independent_triple,
     is_prime,
-    multiple_of,
 )
 from .poly import _degree_w, _jacobian_minors, _wedge_degree
 
@@ -261,6 +261,9 @@ class DeltaBoundRegistry:
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
     ) -> "DeltaBoundRegistry":
+        w = as_weight(w)
+        for x in (d, e, bound):  # one at a time: the rank test comes next
+            _require_elems(x)
         if not d.rank == e.rank == bound.rank == w.rank:
             raise DomainError(f"degrees and bound need the weight's rank {w.rank}")
         if not (d.is_positive and e.is_positive):
@@ -272,6 +275,8 @@ class DeltaBoundRegistry:
         return DeltaBoundRegistry(entries)
 
     def lookup(self, w: Weight, d: GroupElem, e: GroupElem) -> Optional[GroupElem]:
+        w = as_weight(w)
+        _require_elems(d, e)
         return self._entries.get((self._weight_key(w), self._pair_key(d, e)))
 
     def __eq__(self, other):
@@ -343,11 +348,13 @@ def delta_lower_bound(
     """
     if registry is None:
         registry = builtin_registry()
+    w = as_weight(w)
+    _require_elems(d, e, w.components[0])
     if not (d.is_positive and e.is_positive):
         raise DomainError("degrees must be positive")
     ws = w.components
     best = min(ws[0] + ws[1], ws[0] + ws[2], ws[1] + ws[2])
-    if multiple_of(d, e) is None and multiple_of(e, d) is None:
+    if _multiple(d, e) is None and _multiple(e, d) is None:
         if (d not in ws or e not in ws) and w.star > best:
             best = w.star
     reg = registry.lookup(w, d, e)
@@ -539,12 +546,13 @@ def check_weighted_conditions(
     reported 'holds' is sound and a failed report only means 'not
     certified'.  Each condition is decided here; its clauses, and the
     quantities only they show, are built when it is read (see
-    ConditionReport).  At rank 1 the degrees (which may be given as ints),
-    |w| and |w|* are ints, decided by the int kernels of ordgroup; above
-    it the validated degrees go to the trusted kernels _pair and _member,
-    and a caller that has solved dependent_pair(d1, d2) already passes it
-    as _pair12.  Registry entries that give a Delta bound go to _uses (see
-    delta_lower_bound)."""
+    ConditionReport).  Weight and degrees may be given by their entries.
+    At rank 1 the degrees, |w| and |w|* are ints, decided by the int
+    kernels of ordgroup; above it the GroupElem degrees go to the trusted
+    kernels _pair and _member, and a caller that has solved
+    dependent_pair(d1, d2) already passes it as _pair12.  Registry entries
+    that give a Delta bound go to _uses (see delta_lower_bound)."""
+    w = as_weight(w)
     wtotal, star = w.total, w.star
     rank1 = w.rank == 1
     if rank1:
@@ -552,6 +560,8 @@ def check_weighted_conditions(
         d1, d2, d3 = (
             d if type(d) is int else as_group_elem(d, 1).coords[0] for d in (d1, d2, d3)
         )
+    elif not (type(d1) is GroupElem and type(d2) is GroupElem and type(d3) is GroupElem):
+        d1, d2, d3 = (as_group_elem(d, w.rank) for d in (d1, d2, d3))
     if not (d1 < d2 < d3):
         raise DomainError("degrees must be strictly ascending")
     if not (d1 > 0 if rank1 else d1.is_positive):
@@ -703,11 +713,6 @@ def check_weighted_conditions(
     return rep
 
 
-def _weighted_fires(rep: ConditionReport) -> bool:
-    h = rep._holds
-    return h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"])
-
-
 def _independent_weights_report(ds: Sequence[GroupElem], pairs: dict) -> ConditionReport:
     """Conditions 1 and 2 of the independent-weights criterion for validated
     degrees ds, read from pairs[i, j] = dependent_pair(ds[i], ds[j])."""
@@ -798,7 +803,8 @@ def classify_weighted(
             i, j = ds.index(d1), ds.index(d2)
             pair = pairs[i, j] if i < j else _swapped(pairs[j, i])
         rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
-        if _weighted_fires(rep):
+        h = rep._holds
+        if h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"]):
             return Excluded(
                 Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(uses))
             )
@@ -863,16 +869,14 @@ def certify_wild(
     endo: Endo,
     weight,
     registry: Optional[DeltaBoundRegistry] = None,
-    assume_automorphism: bool = False,
 ) -> Union[Certificate, Unknown]:
     """Wildness certificate for a specific automorphism, or Unknown.
 
-    The caller is responsible for the input being a genuine automorphism; a
-    constant nonzero Jacobian is checked as a necessary screen unless
-    assume_automorphism is set (the search harness sets it for maps it
-    realized from tame words itself).  The certificate chain is K1..K4,
-    then, for a Z-dependent pair of smallest degrees, K5 together with the
-    strict inequality
+    The caller is responsible for the input being a genuine automorphism;
+    every call screens for a nonzero constant Jacobian and raises
+    DomainError for a map without one, such as a map with a zero component.
+    The certificate chain is K1..K4, then, for a Z-dependent pair of
+    smallest degrees, K5 together with the strict inequality
 
         d1 + d2 + d3 < lcm(d1, d2) + deg_w df1 ^ df2
 
@@ -884,9 +888,8 @@ def certify_wild(
     components of df1 ^ df2 (poly._minors): the Jacobian is expanded
     along the top component's row against them, each component is packed
     and differentiated once, and deg_w(df1 ^ df2) is read from the same
-    minors.  With assume_automorphism only the minors are formed, and only
-    when the inequality is reached.  The pair relation of d1, d2 is solved
-    once, for K1..K5 and for lcm(d1, d2).
+    minors.  The pair relation of d1, d2 is solved once, for K1..K5 and
+    for lcm(d1, d2).
     """
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
@@ -894,16 +897,11 @@ def certify_wild(
     comps = endo.components
     degs = [_degree_w(c, w.components) for c in comps]
     if None in degs:  # a zero component: the Jacobian vanishes
-        if not assume_automorphism:
-            raise DomainError(_NOT_AUTOMORPHISM)
-        return Unknown(("K1",))
+        raise DomainError(_NOT_AUTOMORPHISM)
     low, mid, top = sorted(range(3), key=lambda i: degs[i].coords)
-    f1, f2 = comps[low], comps[mid]
-    minors = None
-    if not assume_automorphism:
-        jac, minors, width = _jacobian_minors(f1, f2, comps[top])
-        if jac.keys() != {0}:  # a nonzero constant has the one key of x^0
-            raise DomainError(_NOT_AUTOMORPHISM)
+    jac, minors, width = _jacobian_minors(comps[low], comps[mid], comps[top])
+    if jac.keys() != {0}:  # a nonzero constant has the one key of x^0
+        raise DomainError(_NOT_AUTOMORPHISM)
     d1, d2, d3 = degs[low], degs[mid], degs[top]
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
@@ -919,8 +917,6 @@ def certify_wild(
             return Unknown(("K5",))
         conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
-        if minors is None:
-            _, minors, width = _jacobian_minors(f1, f2)
         wedge = _wedge_degree(minors, 3, width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:

@@ -34,7 +34,7 @@ from typing import Optional
 
 from .errors import DomainError, PolynomialSyntaxError, _show
 from .ordgroup import GroupElem
-from .poly import Polynomial, _settle, _trusted
+from .poly import Polynomial, _require_nvars, _settle, _trusted
 
 DEFAULT_EXPONENT_CAP = 10_000
 
@@ -170,8 +170,7 @@ def parse_polynomial(
     text: str, nvars: int = 3, exponent_cap: int = DEFAULT_EXPONENT_CAP
 ) -> Polynomial:
     """Parse an expression into a canonical polynomial in nvars variables."""
-    if nvars < 1:
-        raise DomainError("polynomials need at least one variable")
+    _require_nvars(nvars)
     parser = _Parser(_tokenize(text), nvars, exponent_cap)
     value = parser.parse_expr()
     kind, _, pos = parser.tokens[parser.i]

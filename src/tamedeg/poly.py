@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, _show
 from .ordgroup import GroupElem, coerce_weight_vector
 
 Monomial = tuple[int, ...]
@@ -53,11 +53,21 @@ DEFAULT_TERM_BUDGET = 200_000  # the term cap of Budget() and of SearchConfig
 
 
 def _canonical(value) -> Coeff:
-    """The canonical form of a rational: an int when integral, else a Fraction."""
+    """The canonical form of a rational: an int when integral, else a
+    Fraction; DomainError for a value that is no rational."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"expected a rational number, got {_show(value)}") from None
     return value.numerator if value.denominator == 1 else value
+
+
+def _require_nvars(nvars) -> None:
+    """DomainError unless nvars is an int (not a bool) of at least 1."""
+    if type(nvars) is not int or nvars < 1:
+        raise DomainError(f"polynomials need at least one variable, got nvars={_show(nvars)}")
 
 
 def _settle(terms: dict) -> dict:
@@ -127,19 +137,14 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        if nvars < 1:
-            raise DomainError("polynomials need at least one variable")
+        _require_nvars(nvars)
         self.nvars = nvars
         clean: dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in dict(terms).items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
-                    raise DomainError(
-                        f"exponent tuple {mono} does not match {nvars} variables"
-                    )
-                if any(e < 0 for e in mono):
-                    raise DomainError(f"negative exponent in {mono}")
+                if not (isinstance(mono, tuple) and len(mono) == nvars
+                        and all(type(e) is int and e >= 0 for e in mono)):
+                    raise DomainError(f"need {nvars} exponents, ints >= 0, got {_show(mono)}")
                 c = _canonical(coeff)
                 if c != 0:
                     clean[mono] = c
@@ -155,8 +160,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int, nvars: int = 3) -> "Polynomial":
-        if not 0 <= index < nvars:
-            raise DomainError(f"variable index {index} out of range for n={nvars}")
+        _require_nvars(nvars)
+        if type(index) is not int or not 0 <= index < nvars:
+            raise DomainError(f"variable index {_show(index)} out of range for n={nvars}")
         return _trusted(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     @classmethod
@@ -257,7 +263,7 @@ def multiply(f: Polynomial, g: Polynomial, budget: Optional[Budget] = None) -> P
 
 
 def power(f: Polynomial, exponent: int, budget: Optional[Budget] = None) -> Polynomial:
-    if not isinstance(exponent, int) or exponent < 0:
+    if type(exponent) is not int or exponent < 0:
         raise DomainError("exponent must be a nonnegative integer")
     if exponent == 0:
         return _trusted(f.nvars, {(0,) * f.nvars: 1})
@@ -524,21 +530,16 @@ def _minors(df: list, dg: list) -> list:
     ]
 
 
-def _jacobian_minors(
-    low: Polynomial, mid: Polynomial, top: Optional[Polynomial] = None
-) -> tuple[Optional[dict], list, int]:
+def _jacobian_minors(low: Polynomial, mid: Polynomial, top: Polynomial) -> tuple[dict, list, int]:
     """For three-variable components: the components of dlow ^ dmid as
-    _wedge_degree reads them, and, given top, the Jacobian determinant of
-    the rows (top, low, mid), expanded along top's row against those
-    minors.  Returns (determinant or None, minors, width), everything
-    packed at width; each component is packed once and differentiated
-    once."""
-    rows = (low, mid) if top is None else (low, mid, top)
-    partials, width = _partials(rows, 3)
-    minors = _minors(partials[0], partials[1])
-    det = None
-    if top is not None:  # the minor of top's entry j leaves out variable j
-        det = _alternating(zip(partials[2], reversed([m for _, m in minors])))
+    _wedge_degree reads them, and the Jacobian determinant of the rows
+    (top, low, mid), expanded along top's row against those minors.
+    Returns (determinant, minors, width), everything packed at width; each
+    component is packed once and differentiated once."""
+    (dlow, dmid, dtop), width = _partials((low, mid, top), 3)
+    minors = _minors(dlow, dmid)
+    # the minor of top's entry j leaves out variable j
+    det = _alternating(zip(dtop, reversed([m for _, m in minors])))
     return det, minors, width
 
 

@@ -15,9 +15,10 @@ is realized by extending a packed ``automorphisms._Fold``, the fold that
 term budget and degree cap; words that hit either cap are counted, not
 dropped silently.  ``consistency_check`` and ``run_search`` share one
 loop that classifies each realized multidegree once per weight, with the
-verdicts cached by (weight, sorted multidegree).  ``realizability_table``
-maps each sorted degree triple to the verdict object the classifier
-returned for it.
+verdicts cached by (weight, sorted multidegree); ``certify_wild`` screens
+each realized map's Jacobian as it does for every caller.
+``realizability_table`` maps each sorted degree triple to the verdict
+object the classifier returned for it.
 """
 
 from __future__ import annotations
@@ -473,7 +474,8 @@ def consistency_check(
     contract: an Unknown verdict names every failed K1..K4 condition in
     ``reasons``, as classify_weighted's do, because the wildness screen in
     front of certify_wild reads them instead of re-checking the conditions.
-    Every other row goes to certify_wild, which checks K1..K4 itself.
+    Every other row goes to certify_wild, which checks K1..K4 itself after
+    its Jacobian screen, passed by every tame word's realization.
     """
     if registry is None:
         registry = builtin_registry()
@@ -496,7 +498,7 @@ def consistency_check(
                 isinstance(verdict, Unknown)
                 and any(n in verdict.reasons for n in ("K1", "K2", "K3", "K4"))
             ):
-                cert = certify_wild(endo, w, registry, assume_automorphism=True)
+                cert = certify_wild(endo, w, registry)
                 if isinstance(cert, Certificate):
                     violations.append(
                         Violation.of("certified-wild", w, word, endo, key[1], cert)

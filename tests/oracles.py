@@ -394,7 +394,7 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
 
 
 
-def eager_certify_wild(endo: Endo, weight, registry=None, assume_automorphism=False):
+def eager_certify_wild(endo: Endo, weight, registry=None):
     """certify_wild as the classifier had it before it read the wedge from
     the Jacobian's minors: the Jacobian screen through jacobian_det, each
     degree through degree_w, the pair through dependent_pair and the wedge
@@ -403,17 +403,12 @@ def eager_certify_wild(endo: Endo, weight, registry=None, assume_automorphism=Fa
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
     w = as_weight(weight)
-    if not assume_automorphism:
-        jac = jacobian_det(endo.components)
-        if jac.is_zero or not jac.is_constant:
-            raise DomainError("rejected input: Jacobian is not a nonzero constant")
-    scored = []
-    for comp in endo.components:
-        deg = degree_w(comp, w)
-        if deg is None:
-            return Unknown(("K1",))
-        scored.append((deg, comp))
-    scored.sort(key=lambda t: t[0].coords)
+    jac = jacobian_det(endo.components)
+    if jac.is_zero or not jac.is_constant:
+        raise DomainError("rejected input: Jacobian is not a nonzero constant")
+    # the screen rejects a zero component, so every degree is a GroupElem
+    scored = sorted(((degree_w(c, w), c) for c in endo.components),
+                    key=lambda t: t[0].coords)
     (d1, f1), (d2, f2), (d3, _) = scored
     if not (d1 < d2 < d3):
         return Unknown(("K1",))

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamedeg import (
@@ -104,6 +104,46 @@ class TestDeltaLowerBound:
         with pytest.raises(DomainError) as err:
             DeltaBoundRegistry.from_lines(["# bounds", "1,1,1 ; 4,6 ; 4", line])
         assert str(err.value) == f"registry line 3: {message}"
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: delta_lower_bound(4, 6, W111), DomainError, "expected a group element, got 4"),
+        (lambda: delta_lower_bound(ge(4), (6,), W111), DomainError,
+         r"expected a group element, got \(6,\)"),
+        (lambda: delta_lower_bound(ge(4, 0), ge(6, 0), W111), RankMismatchError,
+         "rank mismatch: 2 vs 1"),
+        (lambda: delta_lower_bound(ge(4), ge(6), (1, 1)), DomainError, "expected 3 weights, got 2"),
+        (lambda: DeltaBoundRegistry().with_entry(W111, 4, 6, 4), DomainError,
+         "expected a group element, got 4"),
+        (lambda: DeltaBoundRegistry().with_entry(W111, ge(4), ge(6), 4), DomainError,
+         "expected a group element, got 4"),
+        (lambda: DeltaBoundRegistry().lookup(W111, 4, 6), DomainError,
+         "expected a group element, got 4"),
+        (lambda: builtin_registry().lookup(None, ge(4), True), DomainError,
+         "expected a group element, got True"),
+        (lambda: check_weighted_conditions(1, 2, 3, ((1, 0), (1, 1), (0, 1))),
+         RankMismatchError, "expected rank 2, got rank 1"),
+        (lambda: check_weighted_conditions(ge(1, 0), (1, 1), "x", ((1, 0), (1, 1), (0, 1))),
+         DomainError, "cannot interpret 'x' as a group element"),
+        (lambda: check_weighted_conditions(ge(1), ge(2), ge(3), "1,1,1"), DomainError,
+         "cannot interpret '1' as a group element"),
+    ], ids=["delta-ints", "delta-tuple", "delta-rank", "delta-weight-count", "with_entry-ints",
+            "with_entry-bound", "lookup-ints", "lookup-bool", "conditions-ints-rank-2",
+            "conditions-str", "conditions-str-weight"])
+    def test_other_types_are_domain_errors(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
+    def test_weights_may_be_given_by_their_entries(self):
+        reg = DeltaBoundRegistry().with_entry((1, 1, 1), ge(4), ge(6), ge(4))
+        assert reg == builtin_registry()
+        assert reg.lookup(None, ge(6), ge(4)) == ge(4)  # None: unit weights
+        assert delta_lower_bound(ge(4), ge(6), (1, 1, 1)) == ge(4)
+        for degrees in ((ge(4), ge(5), ge(6)), ((4,), (5,), (6,)), (4, 5, 6)):
+            rep = check_weighted_conditions(*degrees, (1, 1, 1))
+            assert rep.conditions() == _weighted_report(None)[0]
+        rank2 = ((1, 0), (1, 1), (0, 1))
+        assert check_weighted_conditions((2, 1), (3, 0), (4, 1), rank2).conditions() == \
+            check_weighted_conditions(ge(2, 1), ge(3, 0), ge(4, 1), Weight.of(*rank2)).conditions()
 
 
 def _weighted_report(registry):
@@ -904,6 +944,24 @@ class TestTwoDerivations:
         assert [u.describe() for u in cert.delta_bounds_used] == ["Delta(4,6)>=4"]
         assert isinstance(classify_weighted((4, 5, 6), (1, 1, 1), DeltaBoundRegistry()), Unknown)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=10**4), min_size=3, max_size=3,
+                    unique=True).map(sorted))
+    @example([4, 5, 6])  # the one chain-only exclusion up to 90
+    def test_large_triples(self, t):
+        assume(_witness_word(*t) is None)
+        rep = check_total_abc(*t)
+        weighted = classify_weighted(t, (1, 1, 1))
+        if _abc_fires(rep):
+            assert isinstance(weighted, Excluded), (
+                f"{t}: a/b/c excludes it ({_describe(rep.conditions())}) but the "
+                f"unit-weight chain gives {weighted!r}"
+            )
+        elif isinstance(weighted, Excluded):
+            # excluded by the unit-weight chain alone: only through a registry bound
+            assert weighted.certificate.delta_bounds_used, _describe(weighted.certificate.conditions)
+            assert not isinstance(classify_weighted(t, (1, 1, 1), DeltaBoundRegistry()), Excluded)
+
 
 class TestCertifyWild:
     def test_identity_unknown(self):
@@ -911,11 +969,13 @@ class TestCertifyWild:
         assert isinstance(out, Unknown) and out.reasons == ("K1",)
 
     def test_zero_component_has_no_degree(self):
+        # a zero component has no degree and makes the Jacobian vanish,
+        # so the screen rejects the map
         x1, x2 = Polynomial.variable(0, 3), Polynomial.variable(1, 3)
         endo = Endo((x1, x2, Polynomial.zero(3)))
         assert degree_w(endo.components[2], W111) is None
-        out = certify_wild(endo, W111, assume_automorphism=True)
-        assert isinstance(out, Unknown) and out.reasons == ("K1",)
+        with pytest.raises(DomainError, match="^rejected input: Jacobian is not a nonzero constant$"):
+            certify_wild(endo, W111)
 
     def test_nagata_unit_weights_unknown(self):
         out = certify_wild(nagata(), W111)
@@ -954,11 +1014,11 @@ class TestCertifyWild:
                 assert not isinstance(certify_wild(endo, w), Certificate)
 
 
-def _outcome(certify, endo, weight, registry, assume):
+def _outcome(certify, endo, weight, registry):
     """What a certifier says about one map: certificate JSON, Unknown
     reasons, or the type and text of the error it raises."""
     try:
-        out = certify(endo, weight, registry, assume_automorphism=assume)
+        out = certify(endo, weight, registry)
     except (DomainError, RankMismatchError) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, Unknown):
@@ -1018,21 +1078,20 @@ class TestCertifyWildAgainstOracle:
     eager_certify_wild differentiates the components again for it."""
 
     @settings(max_examples=400, deadline=None)
-    @given(_maps(), _weights, st.booleans(), st.booleans())
-    def test_same_outcome(self, endo, weight, assume, empty_registry):
+    @given(_maps(), _weights, st.booleans())
+    def test_same_outcome(self, endo, weight, empty_registry):
         registry = DeltaBoundRegistry() if empty_registry else None
-        assert _outcome(certify_wild, endo, weight, registry, assume) == \
-            _outcome(eager_certify_wild, endo, weight, registry, assume)
+        assert _outcome(certify_wild, endo, weight, registry) == \
+            _outcome(eager_certify_wild, endo, weight, registry)
 
     @pytest.mark.parametrize("weight", [
         (4, 3, 3), (1, 1, 1), (1, 2, 3), (1, 2, 5), ((1, 0), (1, 0), (1, 1)),
         ((1, 0), (1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     ])
-    @pytest.mark.parametrize("assume", [False, True])
-    def test_nagata(self, weight, assume):
+    def test_nagata(self, weight):
         for registry in (None, DeltaBoundRegistry()):
-            assert _outcome(certify_wild, nagata(), weight, registry, assume) == \
-                _outcome(eager_certify_wild, nagata(), weight, registry, assume)
+            assert _outcome(certify_wild, nagata(), weight, registry) == \
+                _outcome(eager_certify_wild, nagata(), weight, registry)
 
 
 class TestWorkDoneOnce:
@@ -1061,12 +1120,6 @@ class TestWorkDoneOnce:
         cert = certify_wild(endo, Weight.of(4, 3, 3))
         assert "prop:main" in [c.name for c in cert.conditions]
         assert calls == {"_ppartial": 9, "_pack": 3}  # 15 and 5 through wedge2_degree
-        calls.update(dict.fromkeys(calls, 0))
-        assert certify_wild(endo, Weight.of(4, 3, 3), assume_automorphism=True) == cert
-        assert calls == {"_ppartial": 6, "_pack": 2}  # the minors alone
-        calls.update(dict.fromkeys(calls, 0))
-        out = certify_wild(endo, W111, assume_automorphism=True)
-        assert out == Unknown(("K2",)) and calls == {"_ppartial": 0, "_pack": 0}
 
     @pytest.mark.parametrize("weight", [(4, 3, 3), ((1, 0), (1, 0), (1, 1))])
     def test_wild_certificate_solves_its_lowest_pair_once(self, monkeypatch, weight):

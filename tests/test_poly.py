@@ -29,6 +29,7 @@ from tamedeg import (
     jacobian_det,
     parse_polynomial,
     render,
+    shear,
     substitute,
     wedge2_degree,
 )
@@ -85,6 +86,34 @@ class TestRingOps:
     def test_mismatched_nvars(self):
         with pytest.raises(DomainError):
             X1 + Polynomial.variable(0, 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Polynomial(3, {(1.5, 0, 0): 1}), r"need 3 exponents, ints >= 0, got \(1.5, 0, 0\)"),
+        (lambda: Polynomial(3, {(True, 0, 0): 1}),
+         r"need 3 exponents, ints >= 0, got \(True, 0, 0\)"),
+        (lambda: Polynomial(3, {(-1, 0, 0): 1}), r"need 3 exponents, ints >= 0, got \(-1, 0, 0\)"),
+        (lambda: Polynomial(3, {(1, 0): 1}), r"need 3 exponents, ints >= 0, got \(1, 0\)"),
+        (lambda: Polynomial(3, {5: 1}), "need 3 exponents, ints >= 0, got 5"),
+        (lambda: Polynomial(3, {"abc": 1}), "need 3 exponents, ints >= 0, got 'abc'"),
+        (lambda: Polynomial(True), "polynomials need at least one variable, got nvars=True"),
+        (lambda: Polynomial("3"), "polynomials need at least one variable, got nvars='3'"),
+        (lambda: Polynomial(0), "polynomials need at least one variable, got nvars=0"),
+        (lambda: parse_polynomial("x1", nvars="3"),
+         "polynomials need at least one variable, got nvars='3'"),
+        (lambda: Polynomial.variable(True, 3), "variable index True out of range for n=3"),
+        (lambda: Polynomial(3, {(1, 0, 0): "x"}), "expected a rational number, got 'x'"),
+        (lambda: Polynomial(3, {(1, 0, 0): None}), "expected a rational number, got None"),
+        (lambda: Polynomial.constant(float("inf")), "expected a rational number, got inf"),
+        (lambda: shear(0, X2, "a"), "expected a rational number, got 'a'"),
+        (lambda: shear("a", X2), "target 'a' out of range for n=3"),
+        (lambda: power(X1, True), "exponent must be a nonnegative integer"),
+    ], ids=["float-exponent", "bool-exponent", "negative-exponent", "short-exponents",
+            "int-key", "str-key", "bool-nvars", "str-nvars",
+            "zero-nvars", "parse-str-nvars", "bool-index", "str-coefficient", "none-coefficient",
+            "infinite-coefficient", "str-scale", "str-target", "bool-power"])
+    def test_input_faults_are_domain_errors(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
 
 
 class TestDegrees:
@@ -364,17 +393,13 @@ class TestAgainstFractionOracle:
                lambda w: st.lists(w, min_size=3, max_size=3)))
     def test_determinant_hands_back_the_wedge_minors(self, a, b, c, ws):
         # the minors of low and mid are the components of db ^ dc: they give
-        # wedge2_degree's value, alone or beside the determinant expanded
-        # against them, which is jacobian_det's polynomial
+        # wedge2_degree's value beside the determinant expanded against
+        # them, which is jacobian_det's polynomial
         top, low, mid = (Polynomial(3, m) for m in (a, b, c))
         ws = coerce_weight_vector(ws, 3)
-        wedge = wedge2_degree(low, mid, ws)
         det, minors, width = _jacobian_minors(low, mid, top)
         assert _unpack(det, 3, width) == jacobian_det([top, low, mid])
-        assert _wedge_degree(minors, 3, width, ws) == wedge
-        det, alone, alone_width = _jacobian_minors(low, mid)
-        assert det is None
-        assert _wedge_degree(alone, 3, alone_width, ws) == wedge
+        assert _wedge_degree(minors, 3, width, ws) == wedge2_degree(low, mid, ws)
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps)

@@ -281,8 +281,8 @@ class TestConsistency:
         excluded = Certificate(Theorem.TOTAL_DEGREE, ())
         certified = []
 
-        def always_wild(endo, w, registry, assume_automorphism=False):
-            certified.append(assume_automorphism)
+        def always_wild(endo, w, registry):
+            certified.append((endo, w))
             return wild
 
         def corrupted(degrees, weight, registry):
@@ -295,7 +295,7 @@ class TestConsistency:
         config = SearchConfig(seed=3, sample_count=20, weights=((1, 2, 3), (1, 1, 1)))
         report = consistency_check(config, classify_fn=corrupted)
 
-        expected, words, rows = [], 0, 0
+        expected, words, reached = [], 0, []
         keys = {w.render(): set() for w in config.weight_objects()}
         for word, endo in generate(config):
             words += 1
@@ -303,7 +303,7 @@ class TestConsistency:
                 degs = mdeg_w(endo, w.components)
                 if None in degs:
                     continue
-                rows += 1
+                reached.append((endo, w))
                 key = tuple(d.coords for d in sorted(degs))
                 keys[w.render()].add(key)
                 kinds = [("certified-wild", wild)]
@@ -321,7 +321,8 @@ class TestConsistency:
                     })
         expected.sort(key=lambda v: (v["weight"], v["fingerprint"], v["kind"]))
 
-        assert rows > 0 and certified == [True] * rows
+        rows = len(reached)
+        assert rows > 0 and certified == reached
         assert not report.ok
         kinds = Counter(v.kind for v in report.violations)
         assert kinds["certified-wild"] == rows and 0 < kinds["excluded"] < rows
