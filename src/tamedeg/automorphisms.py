@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -43,6 +43,7 @@ from .poly import (
     Budget,
     Polynomial,
     _canonical,
+    _Jacobian,
     _pack,
     _pack_width,
     _padd,
@@ -71,6 +72,8 @@ class ElementaryAut(_Value):
             scale = Fraction(_canonical(scale))
         if scale == 0:
             raise DomainError("elementary step needs a nonzero scale")
+        if not isinstance(shift, Polynomial):
+            raise DomainError(f"shift must be a Polynomial, got {_show(shift)}")
         n = shift.nvars
         if type(target) is not int or not 0 <= target < n:
             raise DomainError(f"target {_show(target)} out of range for n={n}")
@@ -118,8 +121,13 @@ class TameWord(_Value):
     _fields = ("steps", "nvars")
 
     def __init__(self, steps: tuple[ElementaryAut, ...], nvars: int = 3):
-        steps = tuple(steps)
+        try:
+            steps = tuple(steps)
+        except TypeError:
+            raise DomainError(f"steps must be a sequence, got {_show(steps)}") from None
         for s in steps:
+            if not isinstance(s, ElementaryAut):
+                raise DomainError(f"each step must be an ElementaryAut, got {_show(s)}")
             if s.nvars != nvars:
                 raise DomainError("all steps must use the same variable count")
         _set(self, "steps", steps)
@@ -221,7 +229,14 @@ _memo_step = lru_cache(maxsize=1024)(_step)
 
 
 class Endo(_Value):
-    """Polynomial endomorphism given by its components."""
+    """Polynomial endomorphism given by its components.
+
+    A map in three variables keeps, once it is first certified, the part
+    of its wildness certificates that no weight changes (``_jacobian``, a
+    ``poly._Jacobian``): its partials, its Jacobian screen and the minors
+    of its component pairs.  Equality, hashing, repr and pickling read
+    only the components.
+    """
 
     _fields = ("components",)
 
@@ -236,6 +251,10 @@ class Endo(_Value):
     @property
     def nvars(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def _jacobian(self) -> _Jacobian:
+        return _Jacobian(self.components)
 
     @classmethod
     def identity(cls, nvars: int = 3) -> "Endo":

@@ -62,7 +62,7 @@ from .ordgroup import (
     independent_triple,
     is_prime,
 )
-from .poly import _degree_w, _jacobian_minors, _wedge_degree
+from .poly import _degree_w, _wedge_degree
 
 _new = object.__new__
 
@@ -884,12 +884,14 @@ def certify_wild(
     components of smallest degree; for an independent pair K1..K4 alone
     certify the triple impossible.
 
-    The 2x2 minors of the two lowest components' partials are the
-    components of df1 ^ df2 (poly._minors): the Jacobian is expanded
-    along the top component's row against them, each component is packed
-    and differentiated once, and deg_w(df1 ^ df2) is read from the same
-    minors.  The pair relation of d1, d2 is solved once, for K1..K5 and
-    for lcm(d1, d2).
+    Only the degrees depend on the weight.  The rest is built once per
+    map and kept with it (Endo._jacobian): each component is packed and
+    differentiated once; the first call expands the Jacobian along the
+    top component's row against the 2x2 minors of the two lowest, the
+    components of df1 ^ df2 (poly._minors), and every call reads the
+    screen's result; deg_w(df1 ^ df2) is read from the minors of the
+    lowest pair, formed the first time that pair is asked for.  The pair
+    relation of d1, d2 is solved once, for K1..K5 and for lcm(d1, d2).
     """
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
@@ -899,8 +901,8 @@ def certify_wild(
     if None in degs:  # a zero component: the Jacobian vanishes
         raise DomainError(_NOT_AUTOMORPHISM)
     low, mid, top = sorted(range(3), key=lambda i: degs[i].coords)
-    jac, minors, width = _jacobian_minors(comps[low], comps[mid], comps[top])
-    if jac.keys() != {0}:  # a nonzero constant has the one key of x^0
+    jacobian = endo._jacobian
+    if not jacobian.screen(low, mid):
         raise DomainError(_NOT_AUTOMORPHISM)
     d1, d2, d3 = degs[low], degs[mid], degs[top]
     if not (d1 < d2 < d3):
@@ -917,7 +919,7 @@ def certify_wild(
             return Unknown(("K5",))
         conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
-        wedge = _wedge_degree(minors, 3, width, w.components)
+        wedge = _wedge_degree(jacobian.minors(low, mid), 3, jacobian.width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))

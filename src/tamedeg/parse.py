@@ -170,7 +170,11 @@ def parse_polynomial(
     text: str, nvars: int = 3, exponent_cap: int = DEFAULT_EXPONENT_CAP
 ) -> Polynomial:
     """Parse an expression into a canonical polynomial in nvars variables."""
+    if not isinstance(text, str):
+        raise DomainError(f"expected polynomial text, got {_show(text)}")
     _require_nvars(nvars)
+    if type(exponent_cap) is not int or exponent_cap < 0:
+        raise DomainError(f"exponent cap must be an int >= 0, got {_show(exponent_cap)}")
     parser = _Parser(_tokenize(text), nvars, exponent_cap)
     value = parser.parse_expr()
     kind, _, pos = parser.tokens[parser.i]

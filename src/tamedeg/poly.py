@@ -17,11 +17,13 @@ of the ring operations this module computes weighted degrees, degrees of
 wedge products of differentials and Jacobian determinants.  The 2x2
 minors of two rows of partials, the components of df ^ dg, are formed in
 one place, ``_minors``: ``wedge2_degree`` reads its degree from them, and
-``_jacobian_minors`` expands a three-variable Jacobian along its top row
-against them, so a wildness certificate screens the Jacobian and reads
-deg_w(df1 ^ df2) from the same minors, whose rows of partials ``_partials``
-packs at a width it sizes itself.  The public functions validate their
-input; the private ones trust it.
+``_Jacobian``, the record a map in three variables keeps for its wildness
+certificates, forms them once per component pair, expands the Jacobian
+along the third row against the first pair's minors to screen it once,
+and hands the minors back for deg_w(df1 ^ df2) under every weight; the
+rows of partials under them are packed by ``_partials`` at a width it
+sizes itself.  The public functions validate their input; the private
+ones trust it.
 
 Every product runs on one private packed kernel: each exponent tuple
 becomes one int, with a field per variable and the total degree above
@@ -54,9 +56,11 @@ DEFAULT_TERM_BUDGET = 200_000  # the term cap of Budget() and of SearchConfig
 
 def _canonical(value) -> Coeff:
     """The canonical form of a rational: an int when integral, else a
-    Fraction; DomainError for a value that is no rational."""
+    Fraction; DomainError for a value that is no rational, a bool too."""
     if type(value) is int:
         return value
+    if type(value) is bool:
+        raise DomainError(f"expected a rational number, got {value}")
     try:
         value = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -140,8 +144,14 @@ class Polynomial:
         _require_nvars(nvars)
         self.nvars = nvars
         clean: dict[Monomial, Coeff] = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
+        if terms is not None:
+            try:
+                terms = dict(terms)
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"terms must map exponent tuples to coefficients, got {_show(terms)}"
+                ) from None
+            for mono, coeff in terms.items():
                 if not (isinstance(mono, tuple) and len(mono) == nvars
                         and all(type(e) is int and e >= 0 for e in mono)):
                     raise DomainError(f"need {nvars} exponents, ints >= 0, got {_show(mono)}")
@@ -167,7 +177,10 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff=1) -> "Polynomial":
-        exponents = tuple(exponents)
+        try:
+            exponents = tuple(exponents)
+        except TypeError:
+            raise DomainError(f"exponents must be a sequence, got {_show(exponents)}") from None
         return cls(len(exponents), {exponents: coeff})
 
     @property
@@ -209,7 +222,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other == 1:
+        if type(other) in (int, Fraction) and other == 1:
             return self
         other = self._coerce(other)
         if other is NotImplemented:
@@ -530,17 +543,44 @@ def _minors(df: list, dg: list) -> list:
     ]
 
 
-def _jacobian_minors(low: Polynomial, mid: Polynomial, top: Polynomial) -> tuple[dict, list, int]:
-    """For three-variable components: the components of dlow ^ dmid as
-    _wedge_degree reads them, and the Jacobian determinant of the rows
-    (top, low, mid), expanded along top's row against those minors.
-    Returns (determinant, minors, width), everything packed at width; each
-    component is packed once and differentiated once."""
-    (dlow, dmid, dtop), width = _partials((low, mid, top), 3)
-    minors = _minors(dlow, dmid)
-    # the minor of top's entry j leaves out variable j
-    det = _alternating(zip(dtop, reversed([m for _, m in minors])))
-    return det, minors, width
+class _Jacobian:
+    """The weight-independent part of a wildness certificate for a map in
+    three variables, kept with the map (``Endo._jacobian``): rows, the
+    components' partials packed once at width (``_partials``); the 2x2
+    minors of each unordered component pair, formed the first time the
+    pair is asked for; and constant, whether the Jacobian is a nonzero
+    constant, decided by the first ``screen`` and None before it."""
+
+    __slots__ = ("rows", "width", "pairs", "constant")
+
+    def __init__(self, components: Sequence[Polynomial]):
+        self.rows, self.width = _partials(components, 3)
+        self.pairs: dict[tuple[int, int], list] = {}
+        self.constant: Optional[bool] = None
+
+    def minors(self, i: int, j: int) -> list:
+        """The components of dc_i ^ dc_j as _wedge_degree reads them, up to
+        sign: one list per unordered pair, since swapping the pair negates
+        every minor and _wedge_degree reads only exponents."""
+        pair = (i, j) if i < j else (j, i)
+        minors = self.pairs.get(pair)
+        if minors is None:
+            minors = self.pairs[pair] = _minors(self.rows[pair[0]], self.rows[pair[1]])
+        return minors
+
+    def determinant(self, i: int, j: int) -> dict:
+        """The Jacobian determinant up to sign, packed at width: expanded
+        along the row of the third component against the minors of i, j."""
+        # the minor of the third row's entry k leaves out variable k
+        minors = reversed([m for _, m in self.minors(i, j)])
+        return _alternating(zip(self.rows[3 - i - j], minors))
+
+    def screen(self, i: int, j: int) -> bool:
+        """Whether the Jacobian is a nonzero constant: on the first call,
+        the determinant against the minors of i, j has the one key of x^0."""
+        if self.constant is None:
+            self.constant = self.determinant(i, j).keys() == {0}
+        return self.constant
 
 
 def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:

@@ -43,6 +43,7 @@ from tamedeg import (
     make_realizable,
     mdeg,
     nagata,
+    parse_polynomial,
     realizability_table,
     realize,
     semigroup_witness,
@@ -996,6 +997,35 @@ class TestCertifyWild:
         with pytest.raises(DomainError):
             certify_wild(Endo((x1 * x1, x2, x3)), W111)
 
+    @pytest.mark.parametrize("components", [
+        ("x1^2", "x2", "x3"),  # Jacobian 2*x1
+        ("x1 + x2^2", "x2 + x3^3", "2*x3 + x1*x3"),  # Jacobian 6*x2*x3^3 + x1 + 2
+        ("x1", "x2", "0"),  # a zero component
+        ("0", "x2 + x1^3", "x3"),
+    ])
+    def test_rejection_is_kept_for_every_later_call(self, components):
+        # the screen's result stays with the map: whichever weight the first
+        # call brings, that call and every later one raise
+        endo = Endo(tuple(parse_polynomial(c) for c in components))
+        for weight in ((1, 1, 1), (3, 2, 1), (1, 5, 2), ((1, 0), (0, 1), (1, 1)),
+                       (1, 1, 1), ((0, 0, 1), (0, 1, 0), (1, 0, 0))):
+            with pytest.raises(DomainError,
+                               match="^rejected input: Jacobian is not a nonzero constant$"):
+                certify_wild(endo, weight)
+
+    def test_certified_map_keeps_its_equality_hash_and_pickle(self):
+        endo = nagata()
+        before = (hash(endo), repr(endo), pickle.dumps(endo))
+        for weight in ((4, 3, 3), (1, 1, 1), (1, 2, 3), ((1, 0), (1, 0), (1, 1))):
+            certify_wild(endo, weight)
+        assert "_jacobian" in vars(endo)  # the record is kept with the map
+        assert (hash(endo), repr(endo), pickle.dumps(endo)) == before
+        assert endo == nagata() and hash(endo) == hash(nagata())
+        back = pickle.loads(pickle.dumps(endo))
+        assert back == endo and "_jacobian" not in vars(back)
+        assert _outcome(certify_wild, back, (4, 3, 3), None) == \
+            _outcome(certify_wild, endo, (4, 3, 3), None)
+
     def test_tame_words_never_certified(self):
         rng = random.Random(67)
         for _ in range(60):
@@ -1093,6 +1123,16 @@ class TestCertifyWildAgainstOracle:
             assert _outcome(certify_wild, nagata(), weight, registry) == \
                 _outcome(eager_certify_wild, nagata(), weight, registry)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_maps(), st.lists(_weights, min_size=1, max_size=8), st.booleans())
+    def test_one_map_many_weights(self, endo, weights, empty_registry):
+        # one map object certified again and again reads the record its
+        # first call built; the oracle sees a fresh, equal map every time
+        registry = DeltaBoundRegistry() if empty_registry else None
+        for weight in weights:
+            assert _outcome(certify_wild, endo, weight, registry) == \
+                _outcome(eager_certify_wild, Endo(endo.components), weight, registry)
+
 
 class TestWorkDoneOnce:
     """Counts that pin the work each verdict does."""
@@ -1116,10 +1156,35 @@ class TestWorkDoneOnce:
         from tamedeg import poly
 
         endo = nagata()  # built before counting: building it packs too
-        calls = self._count(monkeypatch, poly, ("_ppartial", "_pack"))
+        calls = self._count(monkeypatch, poly, ("_ppartial", "_pack", "_minors"))
         cert = certify_wild(endo, Weight.of(4, 3, 3))
         assert "prop:main" in [c.name for c in cert.conditions]
-        assert calls == {"_ppartial": 9, "_pack": 3}  # 15 and 5 through wedge2_degree
+        # 15 and 5 through wedge2_degree
+        assert calls == {"_ppartial": 9, "_pack": 3, "_minors": 1}
+        # the record stays with the map: no later weight packs or
+        # differentiates, and (x3, x2 + ...) is the lowest pair under each
+        for weight in ((1, 2, 3), (1, 1, 1), ((1, 0), (1, 0), (1, 1)), (4, 3, 3)):
+            certify_wild(endo, weight)
+        assert calls == {"_ppartial": 9, "_pack": 3, "_minors": 1}
+
+    def test_wild_certificate_forms_the_minors_of_each_pair_once(self, monkeypatch):
+        from tamedeg import poly
+
+        f1, f2, f3 = nagata().components
+        endo = Endo((f1, f2 + f3**4, f3))  # constant Jacobian, still
+        calls = self._count(monkeypatch, poly, ("_ppartial", "_pack", "_minors"))
+        # under (1, 1, 2) the degrees are (8, 8, 2): the screen forms the
+        # minors of (f3, f1), and K1 fails
+        assert certify_wild(endo, (1, 1, 2)).reasons == ("K1",)
+        assert calls == {"_ppartial": 9, "_pack": 3, "_minors": 1}
+        # under (6, 5, 3) they are (23, 13, 3): the wedge of (f3, f2 + f3^4)
+        cert = certify_wild(endo, (6, 5, 3))
+        assert "prop:main" in [c.name for c in cert.conditions]
+        assert calls == {"_ppartial": 9, "_pack": 3, "_minors": 2}
+        for weight in ((6, 5, 3), (1, 1, 2), (1, 1, 1), (2, 1, 1)):
+            certify_wild(endo, weight)
+        assert calls == {"_ppartial": 9, "_pack": 3, "_minors": 2}
+        assert sorted(endo._jacobian.pairs) == [(0, 2), (1, 2)]
 
     @pytest.mark.parametrize("weight", [(4, 3, 3), ((1, 0), (1, 0), (1, 1))])
     def test_wild_certificate_solves_its_lowest_pair_once(self, monkeypatch, weight):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from oracles import (
 from tamedeg import (
     DomainError,
     Polynomial,
+    TameWord,
     degree_w,
     ge,
     jacobian_det,
@@ -36,7 +38,7 @@ from tamedeg import (
 from tamedeg.errors import BudgetExceededError
 from tamedeg.ordgroup import coerce_weight_vector
 from tamedeg.poly import (
-    Budget, _jacobian_minors, _pack, _pack_width, _pmul, _ppartial, _psquare, _unpack,
+    Budget, _Jacobian, _pack, _pack_width, _pmul, _ppartial, _psquare, _unpack,
     _wedge_degree, multiply, power,
 )
 
@@ -107,10 +109,30 @@ class TestRingOps:
         (lambda: shear(0, X2, "a"), "expected a rational number, got 'a'"),
         (lambda: shear("a", X2), "target 'a' out of range for n=3"),
         (lambda: power(X1, True), "exponent must be a nonnegative integer"),
+        (lambda: Polynomial(3, 5), "terms must map exponent tuples to coefficients, got 5"),
+        (lambda: Polynomial(3, ["abc"]),
+         r"terms must map exponent tuples to coefficients, got \['abc'\]"),
+        (lambda: Polynomial.monomial(5), "exponents must be a sequence, got 5"),
+        (lambda: Polynomial(3, {(1, 0, 0): True}), "expected a rational number, got True"),
+        (lambda: Polynomial.constant(False), "expected a rational number, got False"),
+        (lambda: X1 + True, "expected a rational number, got True"),
+        (lambda: X1 * True, "expected a rational number, got True"),
+        (lambda: shear(0, X2, True), "expected a rational number, got True"),
+        (lambda: parse_polynomial("x1^2", exponent_cap="3"),
+         "exponent cap must be an int >= 0, got '3'"),
+        (lambda: parse_polynomial("x1^2", exponent_cap=True),
+         "exponent cap must be an int >= 0, got True"),
+        (lambda: parse_polynomial(5), "expected polynomial text, got 5"),
+        (lambda: shear(0, "x2"), "shift must be a Polynomial, got 'x2'"),
+        (lambda: TameWord((1, 2), 3), "each step must be an ElementaryAut, got 1"),
+        (lambda: TameWord(5), "steps must be a sequence, got 5"),
     ], ids=["float-exponent", "bool-exponent", "negative-exponent", "short-exponents",
             "int-key", "str-key", "bool-nvars", "str-nvars",
             "zero-nvars", "parse-str-nvars", "bool-index", "str-coefficient", "none-coefficient",
-            "infinite-coefficient", "str-scale", "str-target", "bool-power"])
+            "infinite-coefficient", "str-scale", "str-target", "bool-power",
+            "int-terms", "str-list-terms", "int-exponents", "bool-coefficient",
+            "bool-constant", "bool-summand", "bool-factor", "bool-scale", "str-exponent-cap",
+            "bool-exponent-cap", "int-text", "str-shift", "int-steps", "int-word"])
     def test_input_faults_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call()
@@ -392,14 +414,19 @@ class TestAgainstFractionOracle:
            st.sampled_from(WEIGHTS + (RANK3,)).flatmap(
                lambda w: st.lists(w, min_size=3, max_size=3)))
     def test_determinant_hands_back_the_wedge_minors(self, a, b, c, ws):
-        # the minors of low and mid are the components of db ^ dc: they give
-        # wedge2_degree's value beside the determinant expanded against
-        # them, which is jacobian_det's polynomial
-        top, low, mid = (Polynomial(3, m) for m in (a, b, c))
+        # a map's record expands the determinant along the third row against
+        # the minors of any pair, whichever it is asked for first; each
+        # pair's minors give that pair's wedge2_degree in either order
+        comps = [Polynomial(3, m) for m in (a, b, c)]
         ws = coerce_weight_vector(ws, 3)
-        det, minors, width = _jacobian_minors(low, mid, top)
-        assert _unpack(det, 3, width) == jacobian_det([top, low, mid])
-        assert _wedge_degree(minors, 3, width, ws) == wedge2_degree(low, mid, ws)
+        det = jacobian_det(comps)
+        record = _Jacobian(comps)
+        for i, j in itertools.permutations(range(3), 2):
+            assert _unpack(record.determinant(i, j), 3, record.width) in (det, -det)
+            wedge = _wedge_degree(record.minors(i, j), 3, record.width, ws)
+            assert wedge == wedge2_degree(comps[i], comps[j], ws)
+        assert len(record.pairs) == 3  # one list of minors per unordered pair
+        assert record.screen(2, 0) == (det.is_constant and not det.is_zero)
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps)
