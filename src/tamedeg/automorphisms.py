@@ -125,6 +125,8 @@ class TameWord(_Value):
             steps = tuple(steps)
         except TypeError:
             raise DomainError(f"steps must be a sequence, got {_show(steps)}") from None
+        if type(nvars) is not int or nvars < 1:
+            raise DomainError(f"a word needs at least one variable, got nvars={_show(nvars)}")
         for s in steps:
             if not isinstance(s, ElementaryAut):
                 raise DomainError(f"each step must be an ElementaryAut, got {_show(s)}")
@@ -241,9 +243,14 @@ class Endo(_Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[Polynomial, ...]):
-        components = tuple(components)
+        try:
+            components = tuple(components)
+        except TypeError:
+            raise DomainError(f"components must be a sequence, got {_show(components)}") from None
         n = len(components)
         for c in components:
+            if not isinstance(c, Polynomial):
+                raise DomainError(f"each component must be a Polynomial, got {_show(c)}")
             if c.nvars != n:
                 raise DomainError("each component must use n variables")
         _set(self, "components", components)
@@ -279,6 +286,8 @@ def realize(word: TameWord, budget: Optional[Budget] = None) -> Endo:
     predicted from the degrees of the current components, and a step
     predicted above the cap raises DegreeCapError before it is expanded.
     """
+    if not isinstance(word, TameWord):
+        raise DomainError(f"expected a TameWord, got {_show(word)}")
     if budget is None:
         budget = Budget()
     return _Fold.identity(word.nvars).extend(word.steps, budget).endo()

@@ -893,6 +893,8 @@ def certify_wild(
     lowest pair, formed the first time that pair is asked for.  The pair
     relation of d1, d2 is solved once, for K1..K5 and for lcm(d1, d2).
     """
+    if not isinstance(endo, Endo):
+        raise DomainError(f"expected an Endo, got {_show(endo)}")
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
     w = as_weight(weight)

@@ -13,12 +13,21 @@ Everything here is an immutable value and every function is pure; a Weight
 keeps its |w|, its |w|* and whether it is Z-independent (Weight.total,
 Weight.star, Weight.independent) once they are first read.
 
-The public functions validate their input on every call.  Each is a check
-in front of a private kernel that trusts its input (_pair, _multiple,
-_member and the rank-1 int kernels _pair1, _multiple1, _member1), which
+The public functions validate their input once per call.  Each is a
+check in front of a private kernel that trusts its input (_pair,
+_multiple, _member, _multiple_exceeding, _combination_exceeding, _stair
+and the rank-1 int kernels _pair1, _multiple1, _member1, _lce1), which
 callers that have validated already, such as the classifier, call
 directly.  A group-element argument that is not a GroupElem raises
-DomainError in every position, and one of another rank RankMismatchError.
+DomainError in every position, and one of another rank
+RankMismatchError.
+
+The staircase minimum behind w_star and least_combination_exceeding is
+found at rank 1 by residue arithmetic (_lce1): at most
+min((t - p)//q, p/gcd(p, q)) integer steps for generators p <= q and
+threshold t.  Above rank 1, _stair scans coordinate tuples, one step per
+multiple of the first generator up to the threshold at its lead, so its
+cost still grows linearly with that ratio.
 """
 
 from __future__ import annotations
@@ -411,17 +420,24 @@ def least_multiple_exceeding(e: GroupElem, t: GroupElem) -> Optional[int]:
     coordinate strictly before e's first nonzero coordinate.  Otherwise,
     with q = t_lead // e_lead, every b > q passes, every b < q fails, and
     b = q passes when q*e > t (a tie at the lead, broken further on).
+    The input is validated, then solved by _multiple_exceeding.
     """
     _require_elems(e, t)
     _require_positive(e)
-    lead = next(i for i, c in enumerate(e.coords) if c != 0)
-    for j in range(lead):
-        if t.coords[j] > 0:
-            return None
-        if t.coords[j] < 0:
-            return 1
-    q = t.coords[lead] // e.coords[lead]
-    if q >= 1 and q * e > t:
+    return _multiple_exceeding(e.coords, t.coords)
+
+
+def _multiple_exceeding(e: tuple, t: tuple) -> Optional[int]:
+    """least_multiple_exceeding on coordinate tuples of one length, e
+    positive."""
+    lead = 0
+    while e[lead] == 0:
+        lead += 1
+    for c in t[:lead]:
+        if c:
+            return None if c > 0 else 1
+    q = t[lead] // e[lead]
+    if q >= 1 and tuple([q * c for c in e]) > t:
         return q
     return max(1, q + 1)
 
@@ -431,28 +447,79 @@ def least_combination_exceeding(
 ) -> Optional[GroupElem]:
     """min{a*e1 + b*e2 : a, b >= 1, a*e1 + b*e2 > t}, or None if empty.
 
-    Staircase scan: for a = 1, 2, ... take the minimal b(a) with
-    b(a)*e2 > t - a*e1.  b(a) is non-increasing in a, and once b(a) == 1
-    every larger a only yields larger combinations, so the scan stops at the
-    first a with b(a) == 1.  That stopping index is computed up front; when
-    it does not exist for either role assignment the whole set is empty.
+    The input is validated once, then solved by _combination_exceeding:
+    at rank 1 in at most min((t - p)//q, p/gcd(p, q)) integer steps for
+    p <= q the two generators, above it by a scan on coordinate tuples
+    whose length grows with t/e1 at the lead.
     """
     _require_elems(e1, e2, t)
     _require_positive(e1, e2)
-    a_cap = least_multiple_exceeding(e1, t - e2)
+    best = _combination_exceeding(e1.coords, e2.coords, t.coords)
+    return None if best is None else GroupElem._trusted(best)
+
+
+def _combination_exceeding(e1: tuple, e2: tuple, t: tuple) -> Optional[tuple]:
+    """least_combination_exceeding on coordinate tuples of one length, e1
+    and e2 positive: by _lce1 at rank 1, by _stair above it."""
+    if len(t) == 1:
+        return (_lce1(e1[0], e2[0], t[0]),)
+    return _stair(e1, e2, t)
+
+
+def _lce1(u1: int, u2: int, t: int) -> int:
+    """least_combination_exceeding for positive ints u1, u2 and any int t.
+
+    Below t = u1 + u2 the answer is u1 + u2.  Otherwise let p <= q be the
+    generators, g = gcd(p, q) and B = (t - p)//q >= 1.  For b <= B the
+    least a*p above t - b*q has a >= 2, so that combination is
+    t + p - r_b with r_b = (t - b*q) mod p; for b > B, a = 1 is least and
+    b = B + 1 the best.  In b the residues r_b repeat with period p/g
+    through the class of t mod g, so once B >= p/g their largest is
+    p - g + t mod g; below that the B residues are stepped through.
+    """
+    if t < u1 + u2:
+        return u1 + u2
+    p, q = (u1, u2) if u1 <= u2 else (u2, u1)
+    g = _int_gcd(p, q)
+    top = p - g + t % g  # the largest residue in t's class mod g
+    n = (t - p) // q
+    if n >= p // g:
+        r = top
+    else:
+        r, rb, step = -1, t % p, q % p  # rb runs through r_1 .. r_B
+        for _ in range(n):
+            rb -= step
+            if rb < 0:
+                rb += p
+            if rb > r:
+                r = rb
+                if r == top:
+                    break
+    return min((n + 1) * q + p, t + p - r)
+
+
+def _stair(e1: tuple, e2: tuple, t: tuple) -> Optional[tuple]:
+    """least_combination_exceeding on coordinate tuples, e1 and e2
+    positive, by a staircase scan: for a = 1, 2, ... take the minimal b(a)
+    with b(a)*e2 > t - a*e1.  b(a) is non-increasing in a, and once
+    b(a) == 1 every larger a only yields larger combinations, so the scan
+    stops at the first a with b(a) == 1.  That stopping index is computed
+    up front; when it does not exist for either role assignment the whole
+    set is empty."""
+    a_cap = _multiple_exceeding(e1, tuple(map(_sub, t, e2)))
     if a_cap is None:
         e1, e2 = e2, e1
-        a_cap = least_multiple_exceeding(e1, t - e2)
+        a_cap = _multiple_exceeding(e1, tuple(map(_sub, t, e2)))
         if a_cap is None:
             return None
-    best: Optional[GroupElem] = None
-    acc = GroupElem.zero(e1.rank)
-    for a in range(1, a_cap + 1):
-        acc = acc + e1
-        b = least_multiple_exceeding(e2, t - acc)
+    best = None
+    acc = (0,) * len(t)
+    for _ in range(a_cap):
+        acc = tuple(map(_add, acc, e1))
+        b = _multiple_exceeding(e2, tuple(map(_sub, t, acc)))
         if b is None:
             continue
-        cand = acc + b * e2
+        cand = tuple([a + b * c for a, c in zip(acc, e2)])
         if best is None or cand < best:
             best = cand
     return best
@@ -464,17 +531,17 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     ascending.  Equals 3 for unit weights on Z.
 
     The input is validated, then the value computed, on every call; a
-    Weight keeps it as Weight.star once read."""
+    Weight keeps it as Weight.star once read.  At rank 1 the minimum
+    takes at most min(s3//s2, s1/gcd(s1, s2)) integer steps; above it a
+    scan takes steps that grow with s3/s1 at the lead."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
     _require_elems(*weights)
     _require_positive(*weights)
-    s1, s2, s3 = sorted(weights)
-    fallback = 2 * s1 + s3
-    stair = least_combination_exceeding(s1, s2, s1 + s3)
-    if stair is None or fallback < stair:
-        return fallback
-    return stair
+    s1, s2, s3 = sorted([w.coords for w in weights])
+    fallback = tuple([2 * a + c for a, c in zip(s1, s3)])
+    stair = _combination_exceeding(s1, s2, tuple(map(_add, s1, s3)))
+    return GroupElem._trusted(fallback if stair is None or fallback < stair else stair)
 
 
 class RankProfile(_Value):

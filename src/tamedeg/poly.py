@@ -74,6 +74,13 @@ def _require_nvars(nvars) -> None:
         raise DomainError(f"polynomials need at least one variable, got nvars={_show(nvars)}")
 
 
+def _require_polys(fs) -> None:
+    """DomainError for an argument that is not a Polynomial."""
+    for f in fs:
+        if not isinstance(f, Polynomial):
+            raise DomainError(f"expected a Polynomial, got {_show(f)}")
+
+
 def _settle(terms: dict) -> dict:
     """Drop zero coefficients and turn integral Fractions into ints, in place."""
     dead = []
@@ -428,6 +435,7 @@ def substitute(
 
 def degree_w(f: Polynomial, weights=None) -> Optional[GroupElem]:
     """Maximal weighted degree over the terms of f; None for zero."""
+    _require_polys((f,))
     return _degree_w(f, coerce_weight_vector(weights, f.nvars))
 
 
@@ -460,6 +468,7 @@ def wedge2_degree(f: Polynomial, g: Polynomial, weights=None) -> Optional[GroupE
     """Weighted degree of df ^ dg: the maximum over variable pairs i < j of
     deg_w of the antisymmetrized minor times x_i*x_j.  None exactly when
     every minor vanishes (f and g algebraically dependent)."""
+    _require_polys((f, g))
     if f.nvars != g.nvars:
         raise DomainError("variable counts differ")
     n = f.nvars
@@ -588,6 +597,7 @@ def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     n = len(components)
     if not n:
         raise DomainError("need at least one component")
+    _require_polys(components)
     for c in components:
         if c.nvars != n:
             raise DomainError("need as many variables as components")

@@ -12,8 +12,10 @@ K1..K5, A1..A3, B1..B2 and formats every clause at once,
 each differentiating the components it is given, and
 ``factor_parse_polynomial`` parses an expression through one Polynomial
 per factor, ``pair_loop_product`` multiplies packed polynomials pair by
-pair, and ``random_word`` draws a search word through ``randrange``,
-``randint`` and ``choice``.
+pair, ``random_word`` draws a search word through ``randrange``,
+``randint`` and ``choice``, and ``scan_least_combination`` and
+``scan_w_star`` find the staircase minimum by a scan over GroupElems,
+validated at every step, at every rank.
 
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
@@ -53,6 +55,7 @@ from tamedeg.ordgroup import (
     coerce_weight_vector,
     dependent_pair,
     is_prime,
+    least_multiple_exceeding,
     multiple_of,
     semigroup_member,
     w_star,
@@ -127,6 +130,45 @@ def enum_w_star(w1, w2, w3, bound: int = 64):
     threshold = add(s1, s3)
     fallback = add(smul(2, s1), s3)
     stair = enum_least_combination(s1, s2, threshold, bound)
+    if stair is None or fallback < stair:
+        return fallback
+    return stair
+
+
+def scan_least_combination(e1: GroupElem, e2: GroupElem, t: GroupElem):
+    """min{a*e1 + b*e2 : a, b >= 1, a*e1 + b*e2 > t}, or None if empty.
+
+    Staircase scan: for a = 1, 2, ... take the minimal b(a) with
+    b(a)*e2 > t - a*e1.  b(a) is non-increasing in a, and once b(a) == 1
+    every larger a only yields larger combinations, so the scan stops at the
+    first a with b(a) == 1.  That stopping index is computed up front; when
+    it does not exist for either role assignment the whole set is empty.
+    """
+    a_cap = least_multiple_exceeding(e1, t - e2)
+    if a_cap is None:
+        e1, e2 = e2, e1
+        a_cap = least_multiple_exceeding(e1, t - e2)
+        if a_cap is None:
+            return None
+    best = None
+    acc = GroupElem.zero(e1.rank)
+    for a in range(1, a_cap + 1):
+        acc = acc + e1
+        b = least_multiple_exceeding(e2, t - acc)
+        if b is None:
+            continue
+        cand = acc + b * e2
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def scan_w_star(weights) -> GroupElem:
+    """w_star through scan_least_combination: the staircase minimum above
+    s1 + s3, capped by 2*s1 + s3, for the weights s sorted ascending."""
+    s1, s2, s3 = sorted(weights)
+    fallback = 2 * s1 + s3
+    stair = scan_least_combination(s1, s2, s1 + s3)
     if stair is None or fallback < stair:
         return fallback
     return stair

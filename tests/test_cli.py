@@ -857,6 +857,21 @@ class TestProcess:
         assert self.HEAVY.isdisjoint(imported)
         assert self.HEAVY.isdisjoint(after_main)
 
+    @pytest.mark.parametrize("argv, want", [
+        (["-m", "tamedeg", "wstar", "1", "1", "1000000000"], "1000000002\n"),
+        (["-m", "tamedeg", "classify-weighted", "--deg", "3,5,7", "--weight", "1,1,1000000000"],
+         "verdict: Unknown\nuncertified conditions: K1, A2, A3\n"),
+        (["-c", "from tamedeg import ge, least_combination_exceeding as lce\n"
+                "print(lce(ge(1), ge(1), ge(10**9)))"], "GroupElem(1000000001,)\n"),
+    ], ids=["wstar", "classify-weighted", "least_combination_exceeding"])
+    def test_large_rank1_weights_answer_in_bounded_time(self, argv, want):
+        # the rank-1 minimum takes at most min((t - p)//q, p/gcd(p, q))
+        # steps for generators p <= q and threshold t: here one, against
+        # about 10^9 for a staircase scan over multiples of p
+        proc = subprocess.run([sys.executable, *argv], env=_process_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
     def test_closed_stdout_exits_1_quietly(self):
         # the table is far larger than a pipe buffer, so printing it meets
         # the closed pipe

@@ -6,7 +6,7 @@ from itertools import permutations, product
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tamedeg import (
@@ -27,6 +27,7 @@ from tamedeg import (
 from tamedeg import ordgroup
 from tamedeg.ordgroup import (
     RankProfile,
+    _lce1,
     _member1,
     _multiple1,
     _pair1,
@@ -41,6 +42,8 @@ from oracles import (
     enum_w_star,
     frac_dependent_pair,
     fraction_rank,
+    scan_least_combination,
+    scan_w_star,
 )
 
 vectors = st.integers(min_value=1, max_value=4).flatmap(
@@ -387,6 +390,29 @@ class TestLeastCombinationExceeding:
                 assert got.coords == want
             else:
                 assert want is None
+
+
+class TestKernelsAgainstScan:
+    """The rank-1 residue kernel and w_star's trusted path against the
+    staircase scan over GroupElems that they replaced."""
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(-50, 3000))
+    @settings(max_examples=400)
+    def test_lce1_matches_scan(self, u1, u2, t):
+        assert ge(_lce1(u1, u2, t)) == scan_least_combination(ge(u1), ge(u2), ge(t))
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda k: st.lists(
+                st.tuples(*[st.integers(min_value=-8, max_value=30)] * k), min_size=3, max_size=3
+            )
+        )
+    )
+    @settings(max_examples=400)
+    def test_w_star_matches_scan(self, rows):
+        ws = [GroupElem(r) for r in rows]
+        assume(all(w.is_positive for w in ws))
+        assert w_star(ws) == scan_w_star(ws)
 
 
 class TestWStar:

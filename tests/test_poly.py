@@ -24,12 +24,15 @@ from oracles import (
 )
 from tamedeg import (
     DomainError,
+    Endo,
     Polynomial,
     TameWord,
+    certify_wild,
     degree_w,
     ge,
     jacobian_det,
     parse_polynomial,
+    realize,
     render,
     shear,
     substitute,
@@ -126,13 +129,25 @@ class TestRingOps:
         (lambda: shear(0, "x2"), "shift must be a Polynomial, got 'x2'"),
         (lambda: TameWord((1, 2), 3), "each step must be an ElementaryAut, got 1"),
         (lambda: TameWord(5), "steps must be a sequence, got 5"),
+        (lambda: certify_wild(5, (1, 1, 1)), "expected an Endo, got 5"),
+        (lambda: realize(5), "expected a TameWord, got 5"),
+        (lambda: degree_w(5, (1, 1, 1)), "expected a Polynomial, got 5"),
+        (lambda: wedge2_degree(X1, 5), "expected a Polynomial, got 5"),
+        (lambda: jacobian_det([X1, 5, X1]), "expected a Polynomial, got 5"),
+        (lambda: Endo((1, 2, 3)), "each component must be a Polynomial, got 1"),
+        (lambda: Endo(5), "components must be a sequence, got 5"),
+        (lambda: TameWord((), True), "a word needs at least one variable, got nvars=True"),
+        (lambda: TameWord((), 0), "a word needs at least one variable, got nvars=0"),
     ], ids=["float-exponent", "bool-exponent", "negative-exponent", "short-exponents",
             "int-key", "str-key", "bool-nvars", "str-nvars",
             "zero-nvars", "parse-str-nvars", "bool-index", "str-coefficient", "none-coefficient",
             "infinite-coefficient", "str-scale", "str-target", "bool-power",
             "int-terms", "str-list-terms", "int-exponents", "bool-coefficient",
             "bool-constant", "bool-summand", "bool-factor", "bool-scale", "str-exponent-cap",
-            "bool-exponent-cap", "int-text", "str-shift", "int-steps", "int-word"])
+            "bool-exponent-cap", "int-text", "str-shift", "int-steps", "int-word",
+            "int-certified-map", "int-realized-word", "int-degree-polynomial",
+            "int-wedge-factor", "int-jacobian-component", "int-components", "int-endo",
+            "bool-word-nvars", "zero-word-nvars"])
     def test_input_faults_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call()
