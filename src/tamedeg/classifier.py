@@ -31,14 +31,12 @@ because Delta only ever appears on the large side of a strict inequality.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .automorphisms import (
     Endo,
     TameWord,
-    _verify_realization,
     _verify_witness,
     _witness_word,
 )
@@ -203,13 +201,6 @@ class Realizable(_Value):
         _set(self, "witness", witness)
         _set(self, "multidegree", multidegree)
 
-    @cached_property
-    def endo(self) -> Endo:
-        """The witness expanded on first read, its multidegree and Jacobian
-        checked again from the expansion (ConstructionError on a mismatch)."""
-        endo, _ = _verify_realization(self.witness, self.multidegree)
-        return endo
-
 
 class Unknown(_Value):
     _fields = ("reasons",)
@@ -230,8 +221,7 @@ def make_realizable(
     query with a nonzero constant Jacobian, raising ConstructionError
     otherwise.  The proof is the degree calculus of certified_mdeg plus the
     product of the step scales, or full expansion where the calculus falls
-    back; the verdict's endo expands the word and checks it again when it
-    is first read.
+    back.
 
     classify_total passes an unsorted query's sorted template as word and
     its permutation as _perm: the witness is then word followed by
@@ -261,6 +251,12 @@ class DeltaBoundRegistry:
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
     ) -> "DeltaBoundRegistry":
+        reg = DeltaBoundRegistry(self._entries)  # the one copy
+        reg._add(w, d, e, bound)
+        return reg
+
+    def _add(self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem) -> None:
+        """Check one entry and store it in place, in a registry not yet shared."""
         w = as_weight(w)
         for x in (d, e, bound):  # one at a time: the rank test comes next
             _require_elems(x)
@@ -270,9 +266,7 @@ class DeltaBoundRegistry:
             raise DomainError("registry degrees must be positive")
         if not bound.is_positive:
             raise DomainError("registry bounds must be positive")
-        entries = dict(self._entries)
-        entries[(self._weight_key(w), self._pair_key(d, e))] = bound
-        return DeltaBoundRegistry(entries)
+        self._entries[(self._weight_key(w), self._pair_key(d, e))] = bound
 
     def lookup(self, w: Weight, d: GroupElem, e: GroupElem) -> Optional[GroupElem]:
         w = as_weight(w)
@@ -311,7 +305,7 @@ class DeltaBoundRegistry:
                 ws, ds, bs = map(parse_vector_list, parts)
                 if len(ws) != 3 or len(ds) != 2 or len(bs) != 1:
                     raise DomainError("need 3 weights, 2 degrees, 1 bound")
-                reg = reg.with_entry(Weight(*ws), ds[0], ds[1], bs[0])
+                reg._add(Weight(*ws), ds[0], ds[1], bs[0])  # not a copy per line
             except DomainError as exc:
                 raise DomainError(f"registry line {lineno}: {exc}") from None
         return reg

@@ -10,8 +10,8 @@ hold).  Any other exception is a bug and propagates with its traceback.
 
 main is the one path of every command: it reads the integer arguments,
 starts the --json timer, loads --registry for each command that takes it,
-runs the command and, for the four verdict commands (classify,
-classify-weighted, certify-wild, corollary), which return their query and
+runs the command and, for the verdict commands (classify, classify-weighted,
+certify-wild, and corollary under --json), which return their query and
 verdict, prints the report.  The other commands print their own output.
 
 Commands:
@@ -50,7 +50,6 @@ from .classifier import (
     classify_weighted,
     corollary_inputs,
     corollary_names,
-    corollary_suite,
 )
 from .errors import BudgetExceededError, ConstructionError, DomainError, _show
 from .ordgroup import frobenius_number, w_star
@@ -121,33 +120,34 @@ def _print_result(result, out) -> None:
         print("verdict: Wild (certified)", file=out)
         _print_certificate(result, out)
     elif isinstance(result, Excluded):
-        extra = ""
-        if result.certificate.delta_bounds_used:
-            extra = " (registry: " + ", ".join(
-                u.describe() for u in result.certificate.delta_bounds_used
-            ) + ")"
+        used = result.certificate.delta_bounds_used
+        extra = f" (registry: {', '.join(u.describe() for u in used)})" if used else ""
         print(f"verdict: Excluded{extra}", file=out)
         _print_certificate(result.certificate, out)
     elif isinstance(result, Realizable):
         print(f"verdict: Realizable, multidegree {result.multidegree}", file=out)
-        # reading result.endo expands the witness and checks it again
-        _print_word(result.witness, result.endo, out)
+        _print_steps(result.witness, out)
     else:
         print("verdict: Unknown", file=out)
         if result.reasons:
             print(f"uncertified conditions: {', '.join(result.reasons)}", file=out)
 
 
-def _print_word(word: TameWord, endo: Endo, out) -> None:
-    """Print the witness steps and the components of its realization."""
+def _print_steps(word: TameWord, out) -> None:
     print(f"word ({len(word)} steps):", file=out)
     if not word.steps:
         print("  (identity)", file=out)
     for i, step in enumerate(word.steps, start=1):
         print(f"  step {i}: {step.render()}", file=out)
+
+
+def _print_components(word: TameWord, multidegree: tuple, out) -> tuple:
+    """Expand the word, check it again from the expansion, print its components."""
+    endo, jac = _verify_realization(word, multidegree)
     print("realized components:", file=out)
     for i, comp in enumerate(endo.components, start=1):
         print(f"  f{i} = {comp.render()}", file=out)
+    return endo, jac
 
 
 def _report(args, query: dict, result, started: float) -> None:
@@ -198,9 +198,10 @@ def _cmd_certify_wild(args) -> tuple:
     return query, outcome
 
 
-def _cmd_corollary(args) -> tuple:
+def _cmd_corollary(args) -> Optional[tuple]:
     triple, weight = corollary_inputs(args.name, args.args)
-    result = corollary_suite(args.name, args.args, args.registry)
+    result = (classify_total(*triple, args.registry) if weight is None
+              else classify_weighted(triple, weight, args.registry))
     query = {
         "command": "corollary",
         "name": args.name,
@@ -209,10 +210,14 @@ def _cmd_corollary(args) -> tuple:
     }
     if weight is not None:
         query["weight"] = [list(w.coords) for w in weight.components]
-    if not args.json:  # the --json report names the triple in its query
-        under = f" under weight ({weight.render()})" if weight is not None else ""
-        print(f"triple {triple}{under}")
-    return query, result
+    if args.json:  # the --json report names the triple in its query
+        return query, result
+    under = f" under weight ({weight.render()})" if weight is not None else ""
+    print(f"triple {triple}{under}")
+    _print_result(result, sys.stdout)
+    if isinstance(result, Realizable):  # the corollary report still lists the components
+        _print_components(result.witness, result.multidegree, sys.stdout)
+    return None
 
 
 def _cmd_witness(args) -> None:
@@ -224,10 +229,8 @@ def _cmd_witness(args) -> None:
             f"nonnegative combination of {d1} and {d2}"
         )
         return
-    # expand the word and check its multidegree and Jacobian again, from
-    # the expansion, independently of the proof in semigroup_witness
-    endo, jac = _verify_realization(word, (d1, d2, d3))
-    _print_word(word, endo, sys.stdout)
+    _print_steps(word, sys.stdout)
+    endo, jac = _print_components(word, (d1, d2, d3), sys.stdout)
     if args.verify:
         print(f"mdeg verified: {mdeg(endo)}; Jacobian = {jac.render()}")
 

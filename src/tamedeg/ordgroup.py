@@ -655,7 +655,9 @@ def coerce_weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for any n below 3.3e24; inputs here are
-    degree integers, far below that."""
+    degree integers, far below that.  DomainError for anything but an int."""
+    if type(n) is not int:
+        raise DomainError(f"expected an integer, got {_show(n)}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -437,8 +437,27 @@ class TestOtherCommands:
             if name.startswith("tamedeg") and vars(module).get("realize") is original:
                 monkeypatch.setattr(module, "realize", counting)
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and "f3 = x3^4 + 2*x1*x3^2 + x1^2 + x3" in out
-        assert len(calls) == 1
+        steps = ("word (3 steps):\n"
+                 "  step 1: x1 <- x1 + x3^2\n"
+                 "  step 2: x2 <- x2 + x3^3\n"
+                 "  step 3: x3 <- x3 + x1^2\n")
+        if argv[0] == "classify":  # the classifier's proof is the only one
+            assert code == 0 and len(calls) == 0
+            assert out == "verdict: Realizable, multidegree (2, 3, 4)\n" + steps
+            assert "realized components:" not in out
+        else:  # witness expands the word and checks it again
+            assert code == 0 and len(calls) == 1 and out.startswith(steps)
+            assert "f3 = x3^4 + 2*x1*x3^2 + x1^2 + x3" in out
+
+    def test_human_classify_of_a_large_realizable_triple(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "2", "3", "100000")
+        assert code == 0 and out == (
+            "verdict: Realizable, multidegree (2, 3, 100000)\n"
+            "word (3 steps):\n"
+            "  step 1: x1 <- x1 + x3^2\n"
+            "  step 2: x2 <- x2 + x3^3\n"
+            "  step 3: x3 <- x3 + x1^2*x2^33332\n"
+        )
 
     def test_wstar_and_frobenius(self, capsys):
         code, out, _ = run_cli(capsys, "wstar", "1", "1", "1")
@@ -451,6 +470,23 @@ class TestOtherCommands:
     def test_corollary(self, capsys):
         code, out, _ = run_cli(capsys, "corollary", "progression", "5", "3")
         assert code == 0 and "(5, 8, 11)" in out and "Excluded" in out
+
+    def test_corollary_checks_its_hypotheses_once(self, capsys, monkeypatch):
+        import tamedeg.classifier
+        import tamedeg.cli
+
+        calls = []
+        original = tamedeg.classifier.corollary_inputs
+
+        def counting(name, args):
+            calls.append(name)
+            return original(name, args)
+
+        for module in (tamedeg.classifier, tamedeg.cli):
+            monkeypatch.setattr(module, "corollary_inputs", counting)
+        code, out, _ = run_cli(capsys, "corollary", "progression", "5", "3")
+        assert code == 0 and out.startswith("triple (5, 8, 11)\nverdict: Excluded\n")
+        assert calls == ["progression"]
 
     @pytest.mark.parametrize("args, triple, weight", [
         (["two-three", "7"], [7, 10, 15], None),

@@ -18,6 +18,7 @@ from tamedeg import (
     dependent_pair,
     frobenius_number,
     ge,
+    is_prime,
     least_combination_exceeding,
     multiple_of,
     rank_profile,
@@ -296,11 +297,12 @@ class TestFrobenius:
     (lambda: Weight(1, 2, 3), "expected a group element, got 1"),
     (lambda: frobenius_number(2.5, 3), "generators must be integers"),
     (lambda: frobenius_number(3, True), "generators must be integers"),
+    (lambda: is_prime(7.0), "expected an integer, got 7.0"),
 ], ids=["w_star", "w_star-mixed", "dependent_pair", "semigroup_member",
         "least_combination_exceeding", "semigroup_member-target", "multiple_of-first",
         "multiple_of-second", "rank_profile", "least_multiple_exceeding-threshold",
         "least_combination_exceeding-threshold", "Weight", "frobenius_number",
-        "frobenius_number-bool"])
+        "frobenius_number-bool", "is_prime"])
 def test_building_blocks_reject_other_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
