@@ -39,7 +39,6 @@ from .classifier import (
     classify_total,
     classify_weighted,
     corollary_names,
-    corollary_suite,
     delta_lower_bound,
     make_realizable,
 )

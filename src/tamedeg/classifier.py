@@ -237,8 +237,8 @@ class DeltaBoundRegistry:
     registry carries the single classical entry Delta(4, 6) >= 4 for unit
     weights on Z."""
 
-    def __init__(self, entries: Optional[dict] = None):
-        self._entries: dict = dict(entries or {})
+    def __init__(self):
+        self._entries: dict = {}
 
     @staticmethod
     def _weight_key(w: Weight) -> tuple:
@@ -251,7 +251,8 @@ class DeltaBoundRegistry:
     def with_entry(
         self, w: Weight, d: GroupElem, e: GroupElem, bound: GroupElem
     ) -> "DeltaBoundRegistry":
-        reg = DeltaBoundRegistry(self._entries)  # the one copy
+        reg = DeltaBoundRegistry()
+        reg._entries.update(self._entries)  # the one copy
         reg._add(w, d, e, bound)
         return reg
 
@@ -417,13 +418,16 @@ class ConditionReport:
     condition's clauses are first read, which may be long after the report
     is gone, inside a certificate.  holds(), failed_names() and reading a
     Condition's name or holds never build clause text, so a verdict pays
-    for formatting only when it is explained.
+    for formatting only when it is explained.  uses lists the registry
+    entries that gave a Delta bound, once each, as DeltaBoundUses (see
+    delta_lower_bound).
     """
 
     def __init__(self):
         self._holds: dict[str, bool] = {}
         self._builders: dict[str, Callable[[], tuple[Clause, ...]]] = {}
         self._built: dict[str, Condition] = {}
+        self.uses: list[DeltaBoundUse] = []
 
     def put(self, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]) -> None:
         self._holds[name] = holds
@@ -443,15 +447,12 @@ class ConditionReport:
     def conditions(self) -> tuple[Condition, ...]:
         """Every condition in put() order, in one pass: a condition not
         read before is made here and memoized as __getitem__ does."""
-        built, builders = self._built, self._builders
+        built, builders, deferred = self._built, self._builders, Condition._deferred
         out = []
         for name, holds in self._holds.items():
             cond = built.get(name)
             if cond is None:
-                cond = built[name] = _new(Condition)
-                _set_name(cond, name)
-                _set_holds(cond, holds)
-                _set_clauses(cond, builders[name])
+                cond = built[name] = deferred(name, holds, builders[name])
             out.append(cond)
         return tuple(out)
 
@@ -532,7 +533,7 @@ def check_weighted_conditions(
     d3: GroupElem,
     w: Weight,
     registry: Optional[DeltaBoundRegistry] = None,
-    _uses: Optional[list] = None,
+    *,
     _pair12=_UNSET,
 ) -> ConditionReport:
     """Evaluate K1..K5, A1..A3, B1..B2 for strictly ascending positive
@@ -545,7 +546,7 @@ def check_weighted_conditions(
     kernels of ordgroup; above it the GroupElem degrees go to the trusted
     kernels _pair and _member, and a caller that has solved
     dependent_pair(d1, d2) already passes it as _pair12.  Registry entries
-    that give a Delta bound go to _uses (see delta_lower_bound)."""
+    that give a Delta bound go to the report's uses."""
     w = as_weight(w)
     wtotal, star = w.total, w.star
     rank1 = w.rank == 1
@@ -636,7 +637,7 @@ def check_weighted_conditions(
         k3_guard,
         lambda: _ratio_clause(d2, d3, "!=" if ratio32 else "=", False),
         "d2,d3",
-        _delta(d2, d3, w, registry, _uses) if ratio32 else None,
+        _delta(d2, d3, w, registry, rep.uses) if ratio32 else None,
     )
     s = _odd_multiplier(multiple(2 * d3, d1))
 
@@ -649,7 +650,7 @@ def check_weighted_conditions(
         k4_guard,
         lambda: _odd_clause(s, s is not None),
         "d1,d3",
-        _delta(d1, d3, w, registry, _uses) if s is not None else None,
+        _delta(d1, d3, w, registry, rep.uses) if s is not None else None,
     )
     # No builder refers to rep: a report is then freed by reference
     # counting alone, without leaving garbage cycles for the collector.
@@ -657,7 +658,7 @@ def check_weighted_conditions(
 
     if 4 * d1 == 3 * d2:
         g = pair[2]
-        bound43 = _delta(2 * d1, d2, w, registry, _uses)
+        bound43 = _delta(2 * d1, d2, w, registry, rep.uses)
         k5 = d3 < 5 * g + bound43
         rep.put(
             "K5",
@@ -791,16 +792,15 @@ def classify_weighted(
         reasons.extend(rep.failed_names())
     d1, d2, d3 = sorted(ds)
     if d1 < d2 < d3:
-        uses: list = []
         pair = _UNSET
         if pairs:  # the degrees are distinct: index finds each one
             i, j = ds.index(d1), ds.index(d2)
             pair = pairs[i, j] if i < j else _swapped(pairs[j, i])
-        rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
+        rep = check_weighted_conditions(d1, d2, d3, w, registry, _pair12=pair)
         h = rep._holds
         if h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"]):
             return Excluded(
-                Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(uses))
+                Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(rep.uses))
             )
         reasons.extend(
             n for n in rep.failed_names() if n not in reasons
@@ -904,8 +904,7 @@ def certify_wild(
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
     pair = _pair(d1, d2)
-    uses: list = []
-    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses, pair)
+    rep = check_weighted_conditions(d1, d2, d3, w, registry, _pair12=pair)
     h = rep._holds
     if not (h["K1"] and h["K2"] and h["K3"] and h["K4"]):
         return Unknown(tuple(n for n in ("K1", "K2", "K3", "K4") if not h[n]))
@@ -931,7 +930,7 @@ def certify_wild(
         conditions.append(Condition._deferred("1", True, lambda: (
             Clause("d1, d2", "linearly independent over Z", "", True),
         )))
-    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
+    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(rep.uses))
 
 
 def _hyp(cond: bool, name: str):
@@ -1057,16 +1056,3 @@ def corollary_inputs(name: str, args: Sequence[int]) -> tuple[tuple[int, ...], O
     if len(args) != arity or not all(type(a) is int for a in args):
         raise DomainError(f"corollary {name} takes {arity} integers")
     return builder(args)
-
-
-def corollary_suite(
-    name: str,
-    args: Sequence[int],
-    registry: Optional[DeltaBoundRegistry] = None,
-) -> ClassificationResult:
-    """Verdict for a named corollary instance, always computed through
-    classify_total / classify_weighted, never a separate code path."""
-    triple, weight = corollary_inputs(name, args)
-    if weight is not None:
-        return classify_weighted(triple, weight, registry)
-    return classify_total(*triple, registry=registry)

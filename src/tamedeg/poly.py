@@ -605,12 +605,6 @@ def jacobian_det(components: Sequence[Polynomial]) -> Polynomial:
     return _unpack(_det(rows), n, width)
 
 
-def _render_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _render_monomial(mono: Monomial) -> str:
     parts = []
     for i, e in enumerate(mono):
@@ -631,7 +625,7 @@ def render(f: Polynomial) -> str:
     pieces = []
     for idx, (mono, coeff) in enumerate(ordered):
         mono_str = _render_monomial(mono)
-        mag = _render_coeff(abs(coeff))
+        mag = str(abs(coeff))
         if not mono_str:
             body = mag
         elif abs(coeff) == 1:

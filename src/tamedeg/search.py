@@ -115,6 +115,8 @@ class SearchConfig(_Value):
             isinstance(w, (tuple, list)) and len(w) == 3 for w in self.weights
         ):
             raise DomainError("weights must be a list of three-entry weights")
+        if not self.weights:  # a run would classify nothing and find no violation
+            raise DomainError("weights must not be empty")
         self.weight_objects()  # bad weight entries fail here, not mid-run
 
     def weight_objects(self) -> tuple[Weight, ...]:

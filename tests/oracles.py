@@ -28,7 +28,8 @@ the invariant suites call, built on the library's public kernel:
 ``lemma_a_conditions`` with its ``LemmaAReport`` (arithmetic screens that
 imply condition (a) of the total-degree criterion).  ``public_witness_word``
 builds the total-degree witness of ``classify_total`` through the public,
-validating constructors only.
+validating constructors only.  ``corollary_verdict`` classifies a named
+corollary instance as the ``corollary`` command does.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,9 @@ from tamedeg.classifier import (
     Unknown,
     check_total_abc,
     check_weighted_conditions,
+    classify_total,
+    classify_weighted,
+    corollary_inputs,
     delta_lower_bound,
 )
 from tamedeg.errors import DomainError, PolynomialSyntaxError
@@ -100,7 +104,23 @@ def dp_frobenius(u1: int, u2: int) -> int:
 
 def enum_least_combination(e1, e2, t, bound: int = 64):
     """min{a*e1 + b*e2 > t : 1 <= a, b <= bound} over tuples under lex order,
-    or None.  e1, e2, t are coordinate tuples of equal length."""
+    or None.  e1, e2, t are coordinate tuples of equal length.
+
+    At rank 1 with e1, e2 > 0 the scan runs over plain ints in a smaller
+    box: a pair with a > max(1, t//e1 + 1) is not the minimum, since
+    (a - 1)*e1 alone exceeds t, and likewise for b."""
+    if len(t) == 1 and e1[0] > 0 and e2[0] > 0:
+        (u,), (v,), (s,) = e1, e2, t
+        least = min(
+            (
+                a * u + b * v
+                for a in range(1, min(bound, max(1, s // u + 1)) + 1)
+                for b in range(1, min(bound, max(1, s // v + 1)) + 1)
+                if a * u + b * v > s
+            ),
+            default=None,
+        )
+        return None if least is None else (least,)
 
     def add(u, v):
         return tuple(x + y for x, y in zip(u, v))
@@ -454,8 +474,7 @@ def eager_certify_wild(endo: Endo, weight, registry=None):
     (d1, f1), (d2, f2), (d3, _) = scored
     if not (d1 < d2 < d3):
         return Unknown(("K1",))
-    uses: list = []
-    rep = check_weighted_conditions(d1, d2, d3, w, registry, uses)
+    rep = check_weighted_conditions(d1, d2, d3, w, registry)
     k_names = ("K1", "K2", "K3", "K4")
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
@@ -482,7 +501,7 @@ def eager_certify_wild(endo: Endo, weight, registry=None):
         conditions.append(Condition("1", True, (
             Clause("d1, d2", "linearly independent over Z", "", True),
         )))
-    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(uses))
+    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(rep.uses))
 
 class _FactorToken:
     __slots__ = ("kind", "value", "pos")
@@ -829,3 +848,13 @@ def public_witness_word(asked) -> Optional[TameWord]:
             word = word + transposition_word(pos, at, 3)
             current[pos], current[at] = current[at], current[pos]
     return word
+
+
+def corollary_verdict(name: str, args, registry=None):
+    """The verdict of a named corollary instance: its hypotheses checked by
+    corollary_inputs, then classify_total, or classify_weighted for the
+    weighted corollary."""
+    triple, weight = corollary_inputs(name, args)
+    if weight is not None:
+        return classify_weighted(triple, weight, registry)
+    return classify_total(*triple, registry)

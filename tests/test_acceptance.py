@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import io
+import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from itertools import product
 from math import gcd
 
@@ -120,15 +122,13 @@ def _expected_realizable(d1, d2, d3):
 
 class _IffChecker:
     """Checks corollary instances against the classifier, and routes every
-    17th instance through the public corollary_suite surface as well."""
+    17th instance through the corollary command's --json report as well."""
 
     def __init__(self):
         self.cache = {}
         self.count = 0
 
     def check(self, d1, d2, d3, name, suite_args=None):
-        from tamedeg import corollary_suite
-
         triple = (d1, d2, d3)
         if triple not in self.cache:
             self.cache[triple] = classify_total(*triple)
@@ -137,8 +137,12 @@ class _IffChecker:
         assert isinstance(result, expected), (name, triple)
         self.count += 1
         if suite_args is not None and self.count % 17 == 0:
-            via_suite = corollary_suite(name, suite_args)
-            assert isinstance(via_suite, expected), ("suite", name, triple)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli_main(["corollary", name, *map(str, suite_args), "--json"])
+            report = json.loads(out.getvalue())
+            assert code == 0 and report["query"]["triple"] == list(triple), (name, triple)
+            assert report["verdict"] == expected.kind, ("corollary", name, triple)
 
 
 def test_criterion_5_corollary_suite():

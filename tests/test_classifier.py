@@ -37,7 +37,6 @@ from tamedeg import (
     classify_total,
     classify_weighted,
     consistency_check,
-    corollary_suite,
     degree_w,
     delta_lower_bound,
     ge,
@@ -56,6 +55,7 @@ from tamedeg import ordgroup
 from tamedeg.classifier import _UNIT, Clause, Condition, _matching_permutation
 from tamedeg.ordgroup import GroupElem, _member1, as_weight
 from oracles import (
+    corollary_verdict,
     eager_certify_wild,
     eager_weighted_conditions,
     lemma_a_conditions,
@@ -121,6 +121,18 @@ class TestDeltaLowerBound:
             chained = chained.with_entry(Weight(*ws), ds[0], ds[1], bs[0])
         assert loaded == chained and elapsed < 2
 
+    @pytest.mark.parametrize("bound", [ge(-3), ge(0)])
+    def test_entries_get_in_only_through_the_checks(self, bound):
+        # the constructor takes no entries, so none skips the bound check
+        with pytest.raises(TypeError):
+            DeltaBoundRegistry({((1,), (1,), (1,)): bound})
+        with pytest.raises(DomainError, match="^registry bounds must be positive$"):
+            builtin_registry().with_entry(W111, ge(5), ge(7), bound)
+        with pytest.raises(DomainError, match="^registry line 1: registry bounds must be"):
+            DeltaBoundRegistry.from_lines([f"1,1,1 ; 5,7 ; {bound.coords[0]}"])
+        # a refused entry leaves the registry it was offered to as it was
+        assert builtin_registry() == DeltaBoundRegistry.from_lines(["1,1,1 ; 4,6 ; 4"])
+
     @pytest.mark.parametrize("call, error, message", [
         (lambda: delta_lower_bound(4, 6, W111), DomainError, "expected a group element, got 4"),
         (lambda: delta_lower_bound(ge(4), (6,), W111), DomainError,
@@ -161,11 +173,16 @@ class TestDeltaLowerBound:
         assert check_weighted_conditions((2, 1), (3, 0), (4, 1), rank2).conditions() == \
             check_weighted_conditions(ge(2, 1), ge(3, 0), ge(4, 1), Weight.of(*rank2)).conditions()
 
+    def test_a_list_of_uses_is_not_taken(self):
+        # the report carries its uses; a list passed after the registry
+        # would otherwise bind to the solved pair
+        with pytest.raises(TypeError):
+            check_weighted_conditions(ge(4), ge(5), ge(6), W111, None, [])
+
 
 def _weighted_report(registry):
-    uses: list = []
-    rep = check_weighted_conditions(ge(4), ge(5), ge(6), W111, registry, uses)
-    return rep.conditions(), uses
+    rep = check_weighted_conditions(ge(4), ge(5), ge(6), W111, registry)
+    return rep.conditions(), rep.uses
 
 
 class TestDefaultRegistry:
@@ -177,10 +194,10 @@ class TestDefaultRegistry:
         lambda reg: classify_weighted((4, 5, 6), (1, 1, 1), reg),
         lambda reg: certify_wild(nagata(), (4, 3, 3), reg),
         _weighted_report,
-        lambda reg: corollary_suite("karas-four", (5, 9), reg),
+        lambda reg: corollary_verdict("karas-four", (5, 9), reg),
         lambda reg: realizability_table(8, registry=reg),
     ], ids=["classify_total", "classify_weighted", "certify_wild",
-            "check_weighted_conditions", "corollary_suite", "realizability_table"])
+            "check_weighted_conditions", "corollary_verdict", "realizability_table"])
     def test_none_is_the_builtin_registry(self, call):
         assert call(None) == call(builtin_registry())
 
@@ -459,8 +476,9 @@ class TestDecideBeforeExplaining:
 
     @staticmethod
     def assert_matches_oracle(ds, w, registry):
-        uses, oracle_uses = [], []
-        rep = check_weighted_conditions(*ds, w, registry, uses)
+        oracle_uses = []
+        rep = check_weighted_conditions(*ds, w, registry)
+        uses = rep.uses
         expected = eager_weighted_conditions(*ds, w, registry, oracle_uses)
         # the decisions are read before any clause is built
         assert rep.failed_names() == tuple(c.name for c in expected if not c.holds)
@@ -472,11 +490,10 @@ class TestDecideBeforeExplaining:
         assert uses == oracle_uses
         assert all(type(u.bound) is GroupElem for u in uses)
         if w.rank == 1:  # degrees passed as ints give the same report
-            int_uses = []
             ints = (d.coords[0] for d in ds)
-            int_rep = check_weighted_conditions(*ints, w, registry, int_uses)
+            int_rep = check_weighted_conditions(*ints, w, registry)
             assert int_rep.conditions() == rep.conditions()
-            assert int_uses == uses
+            assert int_rep.uses == uses
         return rep, uses
 
     def test_matches_eager_oracle_on_rank1_grid(self):
@@ -1244,40 +1261,40 @@ class TestLemmaA:
 
 class TestCorollaries:
     def test_karas_zygadlo_realizable(self):
-        result = corollary_suite("karas-zygadlo", (3, 5, 9))
+        result = corollary_verdict("karas-zygadlo", (3, 5, 9))
         assert isinstance(result, Realizable)
 
     def test_progression_excluded(self):
-        result = corollary_suite("progression", (5, 3))
+        result = corollary_verdict("progression", (5, 3))
         assert isinstance(result, Excluded)
 
     def test_two_three_family(self):
-        assert isinstance(corollary_suite("two-three", (5,)), Excluded)
+        assert isinstance(corollary_verdict("two-three", (5,)), Excluded)
         with pytest.raises(HypothesisViolation):
-            corollary_suite("two-three", (6,))
+            corollary_verdict("two-three", (6,))
 
     def test_kanehira_weighted(self):
-        result = corollary_suite("kanehira", (3, 5, 7, 1, 2, 3))
+        result = corollary_verdict("kanehira", (3, 5, 7, 1, 2, 3))
         assert isinstance(result, Excluded)
 
     def test_hypothesis_violations_named(self):
         with pytest.raises(HypothesisViolation) as err:
-            corollary_suite("karas-zygadlo", (3, 4, 9))
+            corollary_verdict("karas-zygadlo", (3, 4, 9))
         assert "odd" in str(err.value)
         with pytest.raises(DomainError):
-            corollary_suite("no-such-name", (1, 2, 3))
+            corollary_verdict("no-such-name", (1, 2, 3))
 
     @pytest.mark.parametrize("args", [(7.9,), ("7",), (True,), (5, 3.0)])
     def test_arguments_must_be_ints(self, args):
         # 7.9 was read as 7, and "7" as 7
         name = "two-three" if len(args) == 1 else "progression"
         with pytest.raises(DomainError, match="integers"):
-            corollary_suite(name, args)
+            corollary_verdict(name, args)
 
     def test_progression_hypothesis(self):
         # 4d = ta for odd t: a=5, d=5 gives t=4 (even, fine); a=4, d=3: 12=3*4 odd t=3 -> violation
         with pytest.raises(HypothesisViolation):
-            corollary_suite("progression", (4, 3))
+            corollary_verdict("progression", (4, 3))
 
 
 class TestSoundnessAgainstWitnesses:

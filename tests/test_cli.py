@@ -667,6 +667,7 @@ class TestExitCodes:
             ([1, 2], None),
             ({"weights": [[1, 2]]}, None),
             ({"weights": 5}, None),
+            ({"weights": []}, "weights"),
             ({"coefficient_pool": [1, 0]}, "coefficient_pool"),
             ({"scale_pool": [0, 2]}, "scale_pool"),
             ({"coefficient_pool": [0.1]}, "coefficient_pool"),
@@ -694,8 +695,8 @@ class TestExitCodes:
             ({"shear_probability": True}, "shear_probability"),
             ({"shear_probability": "0.5"}, "shear_probability"),
         ],
-        ids=["not-object", "weight-shape", "weights-scalar", "zero-coefficient",
-             "zero-scale", "float-coefficient", "text-coefficient", "text-scale",
+        ids=["not-object", "weight-shape", "weights-scalar", "empty-weights",
+             "zero-coefficient", "zero-scale", "float-coefficient", "text-coefficient", "text-scale",
              "float-scale", "bool-scale", "zero-denominator", "zero-fraction",
              "list-coefficient", "scalar-scale-pool", "empty-coefficient-pool",
              "shear-probability", "float-sample-count",
@@ -944,7 +945,7 @@ def test_public_names_are_the_used_surface():
         "Unknown", "Weight", "as_group_elem", "builtin_registry", "certify_wild",
         "check_total_abc", "check_weighted_conditions", "classify_total",
         "classify_weighted", "consistency_check", "corollary_names",
-        "corollary_suite", "degree_w", "delta_lower_bound",
+        "degree_w", "delta_lower_bound",
         "dependent_pair", "frobenius_number", "ge", "generate",
         "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
         "load", "make_realizable", "mdeg",

@@ -371,11 +371,11 @@ class TestWildnessScreen:
         real = classifier_mod.check_weighted_conditions
         calls = Counter()
 
-        def counted(d1, d2, d3, w, *args):
+        def counted(d1, d2, d3, w, *args, **kwargs):
             # classify_weighted passes rank-1 degrees as ints
             coords = tuple(as_group_elem(d).coords for d in (d1, d2, d3))
             calls[(w.render(), coords)] += 1
-            return real(d1, d2, d3, w, *args)
+            return real(d1, d2, d3, w, *args, **kwargs)
 
         monkeypatch.setattr(classifier_mod, "check_weighted_conditions", counted)
         report = consistency_check(self.CONFIG)
