@@ -56,12 +56,10 @@ from .ordgroup import (
     GroupElem,
     Weight,
     as_group_elem,
-    dependent_pair,
     frobenius_number,
     ge,
     is_prime,
     least_combination_exceeding,
-    multiple_of,
     rank_profile,
     semigroup_member,
     w_star,

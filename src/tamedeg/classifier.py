@@ -363,7 +363,7 @@ def delta_lower_bound(
 
 
 def _odd_multiplier(s: Optional[int]) -> Optional[int]:
-    """The odd s >= 3 with s*d1 == 2*d3, given s = multiple_of(2*d3, d1):
+    """The odd s >= 3 with s*d1 == 2*d3, given s = _multiple(2*d3, d1):
     s itself when it is odd and at least 3, else None."""
     return s if s is not None and s % 2 == 1 and s >= 3 else None
 
@@ -544,9 +544,9 @@ def check_weighted_conditions(
     ConditionReport).  Weight and degrees may be given by their entries.
     At rank 1 the degrees, |w| and |w|* are ints, decided by the int
     kernels of ordgroup; above it the GroupElem degrees go to the trusted
-    kernels _pair and _member, and a caller that has solved
-    dependent_pair(d1, d2) already passes it as _pair12.  Registry entries
-    that give a Delta bound go to the report's uses."""
+    kernels _pair and _member, and a caller that has solved _pair(d1, d2)
+    already passes it as _pair12.  Registry entries that give a Delta bound
+    go to the report's uses."""
     w = as_weight(w)
     wtotal, star = w.total, w.star
     rank1 = w.rank == 1
@@ -710,7 +710,7 @@ def check_weighted_conditions(
 
 def _independent_weights_report(ds: Sequence[GroupElem], pairs: dict) -> ConditionReport:
     """Conditions 1 and 2 of the independent-weights criterion for validated
-    degrees ds, read from pairs[i, j] = dependent_pair(ds[i], ds[j])."""
+    degrees ds, read from pairs[i, j] = _pair(ds[i], ds[j])."""
     d1, d2, d3 = ds
     p12, p13, p23 = pairs[0, 1], pairs[0, 2], pairs[1, 2]
     triple_dependent = not independent_triple(d1.coords, d2.coords, d3.coords)
@@ -764,8 +764,8 @@ def classify_weighted(
     int degree is a rank-1 degree as it is; every other degree is read by
     as_group_elem, and at rank 1 its one coordinate is taken, so rank-1
     triples are decided on ints.  Above rank 1 each degree pair's
-    dependent_pair relation is solved once, on the trusted kernel, and
-    read by both criteria.
+    dependence is solved once, by the trusted kernel _pair, and read by
+    both criteria.
     """
     ds = [d if type(d) is int else as_group_elem(d) for d in degrees]
     if len(ds) != 3:

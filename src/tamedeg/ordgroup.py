@@ -13,12 +13,12 @@ Everything here is an immutable value and every function is pure; a Weight
 keeps its |w|, its |w|* and whether it is Z-independent (Weight.total,
 Weight.star, Weight.independent) once they are first read.
 
-The public functions validate their input once per call.  Each is a
-check in front of a private kernel that trusts its input (_pair,
-_multiple, _member, _multiple_exceeding, _combination_exceeding, _stair
-and the rank-1 int kernels _pair1, _multiple1, _member1, _lce1), which
-callers that have validated already, such as the classifier, call
-directly.  A group-element argument that is not a GroupElem raises
+The public functions validate their input once per call, then call a
+private kernel that trusts its input (_member, _combination_exceeding,
+_stair and the rank-1 int kernels _member1, _lce1).  The kernels _pair,
+_multiple, _multiple_exceeding, _pair1 and _multiple1 have no public
+check: callers that have validated already, such as the classifier, call
+them directly.  A group-element argument that is not a GroupElem raises
 DomainError in every position, and one of another rank
 RankMismatchError.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
-from operator import add as _add, neg as _neg, sub as _sub
+from operator import add as _add, sub as _sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionError, DomainError, RankMismatchError, _show
@@ -139,9 +139,6 @@ class GroupElem:
         if type(other) is not GroupElem or len(self.coords) != len(other.coords):
             self._check(other)
         return GroupElem._trusted(tuple(map(_sub, self.coords, other.coords)))
-
-    def __neg__(self):
-        return GroupElem._trusted(tuple(map(_neg, self.coords)))
 
     def __mul__(self, n):
         if not isinstance(n, int):
@@ -251,25 +248,16 @@ def _require_positive(*elems: GroupElem) -> None:
             )
 
 
-def dependent_pair(
-    d1: GroupElem, d2: GroupElem
-) -> Optional[tuple[int, int, GroupElem]]:
-    """Coprime (u1, u2) with u2*d1 == u1*d2, plus the common d with d_i == u_i*d.
+def _pair(d1: GroupElem, d2: GroupElem) -> Optional[tuple[int, int, GroupElem]]:
+    """Coprime (u1, u2) with u2*d1 == u1*d2, plus the common d with d_i == u_i*d,
+    for positive elements d1, d2 of one rank (not checked).
 
     Returns None when d1 and d2 are linearly independent over Z.  The ratio
     u2/u1 is read off the first coordinate where the pair is nonzero, in
     lowest terms by an integer gcd, and every later coordinate is checked
     against it by cross-multiplication.  The common element d always has
-    integer coordinates because u1 divides every coordinate of d1.  The
-    input is validated, then solved by _pair.
+    integer coordinates because u1 divides every coordinate of d1.
     """
-    _require_elems(d1, d2)
-    _require_positive(d1, d2)
-    return _pair(d1, d2)
-
-
-def _pair(d1: GroupElem, d2: GroupElem) -> Optional[tuple[int, int, GroupElem]]:
-    """dependent_pair on validated input: positive elements of one rank."""
     u1 = u2 = 0
     for a, b in zip(d1.coords, d2.coords):
         if a == 0 and b == 0:
@@ -289,25 +277,18 @@ def _pair(d1: GroupElem, d2: GroupElem) -> Optional[tuple[int, int, GroupElem]]:
 
 
 def _swapped(pair: Optional[tuple[int, int, GroupElem]]):
-    """dependent_pair(d2, d1) from pair = dependent_pair(d1, d2)."""
+    """_pair(d2, d1) from pair = _pair(d1, d2)."""
     return pair if pair is None else (pair[1], pair[0], pair[2])
 
 
 def _pair1(a: int, b: int) -> tuple[int, int, int]:
-    """dependent_pair of positive ints a, b: (a/g, b/g, g), g = gcd(a, b)."""
+    """_pair of positive ints a, b: (a/g, b/g, g), g = gcd(a, b)."""
     g = _int_gcd(a, b)
     return a // g, b // g, g
 
 
-def multiple_of(d: GroupElem, e: GroupElem) -> Optional[int]:
-    """The positive integer m with d == m*e, or None.  The input is
-    validated, then solved by _multiple."""
-    _require_elems(d, e)
-    return _multiple(d, e)
-
-
 def _multiple(d: GroupElem, e: GroupElem) -> Optional[int]:
-    """multiple_of on validated input: elements of one rank."""
+    """The positive integer m with d == m*e, or None; d and e share a rank."""
     for a, b in zip(d.coords, e.coords):
         if b != 0:
             m = _multiple1(a, b)
@@ -316,7 +297,7 @@ def _multiple(d: GroupElem, e: GroupElem) -> Optional[int]:
 
 
 def _multiple1(a: int, b: int) -> Optional[int]:
-    """multiple_of for ints: the positive int m with a == m*b, or None."""
+    """_multiple for ints: the positive int m with a == m*b, or None."""
     if b == 0 or a % b:
         return None
     m = a // b
@@ -346,7 +327,7 @@ def semigroup_member(
 def _member(
     d: GroupElem, e1: GroupElem, e2: GroupElem, pair: Optional[tuple[int, int, GroupElem]]
 ) -> Optional[tuple[int, int]]:
-    """semigroup_member on validated input, given pair = dependent_pair(e1, e2)."""
+    """semigroup_member on validated input, given pair = _pair(e1, e2)."""
     if pair is None:
         return _solve_independent(d, e1, e2)
     u1, u2, e = pair
@@ -413,23 +394,15 @@ def frobenius_number(u1: int, u2: int) -> int:
     return u1 * u2 - u1 - u2
 
 
-def least_multiple_exceeding(e: GroupElem, t: GroupElem) -> Optional[int]:
-    """Smallest b >= 1 with b*e > t, or None when no multiple passes t.
+def _multiple_exceeding(e: tuple, t: tuple) -> Optional[int]:
+    """Smallest b >= 1 with b*e > t, or None when no multiple passes t, for
+    coordinate tuples e, t of one length with e positive (not checked).
 
     At rank >= 2 the answer may not exist: t can carry a positive
     coordinate strictly before e's first nonzero coordinate.  Otherwise,
     with q = t_lead // e_lead, every b > q passes, every b < q fails, and
     b = q passes when q*e > t (a tie at the lead, broken further on).
-    The input is validated, then solved by _multiple_exceeding.
     """
-    _require_elems(e, t)
-    _require_positive(e)
-    return _multiple_exceeding(e.coords, t.coords)
-
-
-def _multiple_exceeding(e: tuple, t: tuple) -> Optional[int]:
-    """least_multiple_exceeding on coordinate tuples of one length, e
-    positive."""
     lead = 0
     while e[lead] == 0:
         lead += 1
@@ -576,10 +549,11 @@ def rank_profile(d1: GroupElem, d2: GroupElem, d3: GroupElem) -> RankProfile:
     """Exact integer linear algebra for positive elements: which pairs are
     proportional over Z and whether the triple spans rank <= 2."""
     _require_elems(d1, d2, d3)
+    _require_positive(d1, d2, d3)
     return RankProfile(
-        pair_12_dependent=dependent_pair(d1, d2) is not None,
-        pair_13_dependent=dependent_pair(d1, d3) is not None,
-        pair_23_dependent=dependent_pair(d2, d3) is not None,
+        pair_12_dependent=_pair(d1, d2) is not None,
+        pair_13_dependent=_pair(d1, d3) is not None,
+        pair_23_dependent=_pair(d2, d3) is not None,
         triple_dependent=not independent_triple(d1.coords, d2.coords, d3.coords),
     )
 
@@ -642,25 +616,30 @@ def coerce_weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
     items = weights.components if trusted else tuple(as_group_elem(w) for w in weights)
     if len(items) != nvars:
         raise DomainError(f"expected {nvars} weights, got {len(items)}")
-    if trusted:
-        return items
-    rank = items[0].rank
-    for w in items:
-        if w.rank != rank:
-            raise RankMismatchError("weights must share one rank")
-        if not w.is_positive:
-            raise DomainError(f"weights must be positive, got GroupElem{_show(w.coords)}")
+    if not trusted:
+        _require_elems(*items)
+        _require_positive(*items)
     return items
 
 
+# The least strong pseudoprime to every prime base up to 41 (Sorenson and
+# Webster, Math. Comp. 2017): below it those bases decide primality.
+_PSI13 = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for any n below 3.3e24; inputs here are
-    degree integers, far below that.  DomainError for anything but an int."""
+    """Deterministic Miller-Rabin to the prime bases up to 41, exact for
+    every n below 3317044064679887385961981 (about 3.3e24); inputs here are
+    degree integers, far below that.  DomainError at or above that bound,
+    and for anything but an int."""
     if type(n) is not int:
         raise DomainError(f"expected an integer, got {_show(n)}")
+    if n >= _PSI13:
+        raise DomainError(f"primality is decided only below {_PSI13}, got {_show(n)}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -668,7 +647,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

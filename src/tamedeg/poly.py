@@ -225,9 +225,6 @@ class Polynomial:
             return other
         return _trusted(self.nvars, _padd(self.terms, other.terms, -1))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) in (int, Fraction) and other == 1:
             return self

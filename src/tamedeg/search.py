@@ -117,7 +117,9 @@ class SearchConfig(_Value):
             raise DomainError("weights must be a list of three-entry weights")
         if not self.weights:  # a run would classify nothing and find no violation
             raise DomainError("weights must not be empty")
-        self.weight_objects()  # bad weight entries fail here, not mid-run
+        weights = self.weight_objects()  # bad weight entries fail here, not mid-run
+        if len(set(weights)) < len(weights):  # each record would be written twice
+            raise DomainError("weights must not repeat")
 
     def weight_objects(self) -> tuple[Weight, ...]:
         return tuple(Weight.of(*w) for w in self.weights)
@@ -421,8 +423,8 @@ def _classified(
 ) -> Iterator[tuple[TameWord, Endo, list]]:
     """The generate -> degrees -> classify loop: for each generated word,
     yields (word, realization, rows) with one row (weight, key, degrees,
-    verdict) per configured weight, or no rows when a component is zero.
-    Degrees are coordinate tuples, in component order.  The key is
+    verdict) per configured weight (scales are nonzero, so no component is
+    zero).  Degrees are coordinate tuples, in component order.  The key is
     (rendered weight, sorted multidegree), and verdicts are cached by key,
     so each distinct multidegree is classified once per weight."""
     weights = config.weight_objects()
@@ -434,9 +436,6 @@ def _classified(
     spans = list(zip([0] + ends, ends))
     cache: dict = {}
     for word, endo in generate(config, stats):
-        if any(c.is_zero for c in endo.components):
-            yield word, endo, []
-            continue
         per_component = [_degrees(c.terms, rows, spans) for c in endo.components]
         out = []
         for j, w in enumerate(weights):

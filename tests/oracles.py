@@ -7,15 +7,15 @@ exceptions are earlier, simpler versions of library code kept as
 references for their faster replacements: ``frac_dependent_pair`` finds the
 ratio of a pair with Fraction, ``eager_weighted_conditions`` evaluates
 K1..K5, A1..A3, B1..B2 and formats every clause at once,
-``eager_certify_wild`` certifies wildness through the public
-``jacobian_det``, ``degree_w``, ``dependent_pair`` and ``wedge2_degree``,
-each differentiating the components it is given, and
+``eager_certify_wild`` certifies wildness through ``jacobian_det``,
+``degree_w``, the pair kernel ``_pair`` and ``wedge2_degree``, each
+differentiating the components it is given, and
 ``factor_parse_polynomial`` parses an expression through one Polynomial
 per factor, ``pair_loop_product`` multiplies packed polynomials pair by
 pair, ``random_word`` draws a search word through ``randrange``,
 ``randint`` and ``choice``, and ``scan_least_combination`` and
-``scan_w_star`` find the staircase minimum by a scan over GroupElems,
-validated at every step, at every rank.
+``scan_w_star`` find the staircase minimum by a scan over GroupElems at
+every rank, through the kernel ``_multiple_exceeding``.
 
 Helpers moved out of the library.  The last section holds code that only
 the invariant suites call, built on the library's public kernel:
@@ -55,12 +55,12 @@ from tamedeg.classifier import (
 from tamedeg.errors import DomainError, PolynomialSyntaxError
 from tamedeg.ordgroup import (
     GroupElem,
+    _multiple,
+    _multiple_exceeding,
+    _pair,
     as_weight,
     coerce_weight_vector,
-    dependent_pair,
     is_prime,
-    least_multiple_exceeding,
-    multiple_of,
     semigroup_member,
     w_star,
 )
@@ -164,17 +164,17 @@ def scan_least_combination(e1: GroupElem, e2: GroupElem, t: GroupElem):
     first a with b(a) == 1.  That stopping index is computed up front; when
     it does not exist for either role assignment the whole set is empty.
     """
-    a_cap = least_multiple_exceeding(e1, t - e2)
+    a_cap = _multiple_exceeding(e1.coords, (t - e2).coords)
     if a_cap is None:
         e1, e2 = e2, e1
-        a_cap = least_multiple_exceeding(e1, t - e2)
+        a_cap = _multiple_exceeding(e1.coords, (t - e2).coords)
         if a_cap is None:
             return None
     best = None
     acc = GroupElem.zero(e1.rank)
     for a in range(1, a_cap + 1):
         acc = acc + e1
-        b = least_multiple_exceeding(e2, t - acc)
+        b = _multiple_exceeding(e2.coords, (t - acc).coords)
         if b is None:
             continue
         cand = acc + b * e2
@@ -381,7 +381,7 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
         _cmp("d2", d2, "<", "d3", d3, True),
         _cmp("d1+d2+d3", total, ">", "|w|", wtotal, total > wtotal),
     ))
-    m12 = multiple_of(d2, d1)
+    m12 = _multiple(d2, d1)
     member = semigroup_member(d3, d1, d2)
     k2a = Clause(f"d2 = {_fmt(d2)}", "not in",
                  "N*d1" + (f" (d2 = {m12}*d1)" if m12 is not None else ""), m12 is None)
@@ -406,7 +406,7 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
         put("A2", False, (Clause(f"3*d2 = {_fmt(3 * d2)}", "=",
                                  f"2*d3 = {_fmt(2 * d3)}", False),))
 
-    s = multiple_of(2 * d3, d1)
+    s = _multiple(2 * d3, d1)
     if s is not None and (s % 2 == 0 or s < 3):
         s = None
     odd = "odd s >= 3 with s*d1 = 2*d3"
@@ -444,7 +444,7 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
         put("B2", True, (indep,))
     else:
         g, l = gcd_lcm(d1, d2)
-        m3 = multiple_of(d3, g)
+        m3 = _multiple(d3, g)
         b1a = _cmp("gcd(d1,d2)", g, "<=", "|w|*", star, g <= star)
         b1b = Clause(f"d3 = {_fmt(d3)}", "in" if m3 is not None else "not in",
                      "N*gcd(d1,d2)" + (f" (d3 = {m3}*gcd)" if m3 is not None else ""),
@@ -459,9 +459,8 @@ def eager_weighted_conditions(d1, d2, d3, w, registry, uses) -> list:
 def eager_certify_wild(endo: Endo, weight, registry=None):
     """certify_wild as the classifier had it before it read the wedge from
     the Jacobian's minors: the Jacobian screen through jacobian_det, each
-    degree through degree_w, the pair through dependent_pair and the wedge
-    degree through wedge2_degree, which packs and differentiates f1 and f2
-    again."""
+    degree through degree_w, the pair through _pair and the wedge degree
+    through wedge2_degree, which packs and differentiates f1 and f2 again."""
     if endo.nvars != 3:
         raise DomainError("wildness certification works in three variables")
     w = as_weight(weight)
@@ -479,7 +478,7 @@ def eager_certify_wild(endo: Endo, weight, registry=None):
     if not all(rep.holds(n) for n in k_names):
         return Unknown(tuple(n for n in k_names if not rep.holds(n)))
     conditions = [rep[n] for n in k_names]
-    pair = dependent_pair(d1, d2)
+    pair = _pair(d1, d2)
     if pair is not None:
         if not rep.holds("K5"):
             return Unknown(("K5",))

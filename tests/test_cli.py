@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from tamedeg import (
     Polynomial,
     PolynomialSyntaxError,
+    SearchConfig,
+    consistency_check,
     nagata,
     parse_polynomial,
     parse_vector,
@@ -538,6 +540,16 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "check", "--config", str(cfg_path))
         assert code == 0 and "violations: 0" in out
 
+    def test_check_json_is_the_report_as_one_document(self, capsys, tmp_path):
+        config = {"seed": 11, "sample_count": 40, "weights": [[1, 1, 1], [1, 2, 3]]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "check", "--config", str(cfg_path), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)  # raises on anything after the one document
+        assert doc == consistency_check(SearchConfig.from_json(config)).to_json()
+        assert doc["words_checked"] > 0 and set(doc["distinct_multidegrees"]) == {"1,1,1", "1,2,3"}
+
 
 class TestVectorEntries:
     """Degree and weight entries follow the number grammar of polynomial
@@ -668,6 +680,7 @@ class TestExitCodes:
             ({"weights": [[1, 2]]}, None),
             ({"weights": 5}, None),
             ({"weights": []}, "weights"),
+            ({"weights": [[1, 1, 1], [[1], [1], [1]]]}, "weights must not repeat"),
             ({"coefficient_pool": [1, 0]}, "coefficient_pool"),
             ({"scale_pool": [0, 2]}, "scale_pool"),
             ({"coefficient_pool": [0.1]}, "coefficient_pool"),
@@ -695,7 +708,7 @@ class TestExitCodes:
             ({"shear_probability": True}, "shear_probability"),
             ({"shear_probability": "0.5"}, "shear_probability"),
         ],
-        ids=["not-object", "weight-shape", "weights-scalar", "empty-weights",
+        ids=["not-object", "weight-shape", "weights-scalar", "empty-weights", "repeated-weights",
              "zero-coefficient", "zero-scale", "float-coefficient", "text-coefficient", "text-scale",
              "float-scale", "bool-scale", "zero-denominator", "zero-fraction",
              "list-coefficient", "scalar-scale-pool", "empty-coefficient-pool",
@@ -709,13 +722,15 @@ class TestExitCodes:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         argv = [command, "--config", str(cfg_path)]
+        out = tmp_path / "records.jsonl"
         if command == "search":
-            argv += ["--out", str(tmp_path / "records.jsonl")]
+            argv += ["--out", str(out)]
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
         assert err.count("\n") == 1 and len(err.encode()) < 300
         assert field is None or field in err
+        assert not out.exists()
 
     def test_failed_witness_verification_is_internal(self, capsys, monkeypatch):
         from tamedeg import Endo
@@ -945,11 +960,9 @@ def test_public_names_are_the_used_surface():
         "Unknown", "Weight", "as_group_elem", "builtin_registry", "certify_wild",
         "check_total_abc", "check_weighted_conditions", "classify_total",
         "classify_weighted", "consistency_check", "corollary_names",
-        "degree_w", "delta_lower_bound",
-        "dependent_pair", "frobenius_number", "ge", "generate",
+        "degree_w", "delta_lower_bound", "frobenius_number", "ge", "generate",
         "intro_family", "is_prime", "jacobian_det", "least_combination_exceeding",
-        "load", "make_realizable", "mdeg",
-        "multiple_of", "nagata", "parse_polynomial", "parse_vector",
+        "load", "make_realizable", "mdeg", "nagata", "parse_polynomial", "parse_vector",
         "parse_vector_list", "permutation_word", "persist",
         "rank_profile", "realizability_table", "realize", "render", "run_search",
         "semigroup_member", "semigroup_witness", "shear", "substitute",

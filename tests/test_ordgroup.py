@@ -15,12 +15,10 @@ from tamedeg import (
     RankMismatchError,
     Weight,
     classify_weighted,
-    dependent_pair,
     frobenius_number,
     ge,
     is_prime,
     least_combination_exceeding,
-    multiple_of,
     rank_profile,
     semigroup_member,
     w_star,
@@ -30,11 +28,13 @@ from tamedeg.ordgroup import (
     RankProfile,
     _lce1,
     _member1,
+    _multiple,
     _multiple1,
+    _multiple_exceeding,
+    _pair,
     _pair1,
     coerce_weight_vector,
     independent_triple,
-    least_multiple_exceeding,
 )
 from oracles import (
     dp_frobenius,
@@ -104,10 +104,13 @@ class TestLexOrder:
 
 
 class TestDependentPair:
+    """The pair kernel _pair, which trusts its input: positive elements of
+    one rank."""
+
     def test_spec_examples(self):
-        assert dependent_pair(ge(4), ge(10)) == (2, 5, ge(2))
-        assert dependent_pair(ge(2, 4), ge(3, 6)) == (2, 3, ge(1, 2))
-        assert dependent_pair(ge(1, 0), ge(0, 1)) is None
+        assert _pair(ge(4), ge(10)) == (2, 5, ge(2))
+        assert _pair(ge(2, 4), ge(3, 6)) == (2, 3, ge(1, 2))
+        assert _pair(ge(1, 0), ge(0, 1)) is None
 
     @given(
         st.integers(1, 12),
@@ -123,7 +126,7 @@ class TestDependentPair:
         d = GroupElem(dcoords)
         if not d.is_positive:
             return
-        got = dependent_pair(u1 * d, u2 * d)
+        got = _pair(u1 * d, u2 * d)
         assert got is not None
         v1, v2, e = got
         assert v2 * (u1 * d) == v1 * (u2 * d)
@@ -145,13 +148,13 @@ class TestDependentPair:
         d1, d2 = (m1 * c, m2 * c) if dependent else (a, b)
         if not (d1.is_positive and d2.is_positive):
             return
-        assert dependent_pair(d1, d2) == frac_dependent_pair(d1, d2)
+        assert _pair(d1, d2) == frac_dependent_pair(d1, d2)
 
     @staticmethod
     def gcd_lcm(d1, d2):
         """gcd d and lcm u1*u2*d of a dependent pair, as the classifier reads
-        them off dependent_pair."""
-        u1, u2, d = dependent_pair(d1, d2)
+        them off _pair."""
+        u1, u2, d = _pair(d1, d2)
         return d, (u1 * u2) * d
 
     def test_gcd_lcm(self):
@@ -169,14 +172,17 @@ class TestDependentPair:
 
 
 class TestMultipleOf:
+    """The multiple kernel _multiple, which trusts its input: elements of
+    one rank."""
+
     def test_spec_examples(self):
-        assert multiple_of(ge(12), ge(4)) == 3
-        assert multiple_of(ge(2, 4), ge(1, 2)) == 2
-        assert multiple_of(ge(9), ge(6)) is None
+        assert _multiple(ge(12), ge(4)) == 3
+        assert _multiple(ge(2, 4), ge(1, 2)) == 2
+        assert _multiple(ge(9), ge(6)) is None
 
     def test_zero_pattern(self):
-        assert multiple_of(ge(0, 3), ge(0, 1)) == 3
-        assert multiple_of(ge(1, 3), ge(0, 1)) is None
+        assert _multiple(ge(0, 3), ge(0, 1)) == 3
+        assert _multiple(ge(1, 3), ge(0, 1)) is None
 
 
 class TestSemigroupMember:
@@ -246,8 +252,8 @@ class TestSemigroupMember:
 
 
 class TestRankOneKernels:
-    """The int kernels behind dependent_pair, multiple_of and
-    semigroup_member at rank 1, which the classifier calls directly there."""
+    """The int kernels behind _pair, _multiple and semigroup_member at rank
+    1, which the classifier calls directly there."""
 
     def test_no_fixed_width(self):
         k = 10**30
@@ -282,37 +288,58 @@ class TestFrobenius:
             frobenius_number(1, 5)
 
 
+class TestIsPrime:
+    PSI12 = 318665857834031151167461  # strong pseudoprime to every prime base up to 37
+    PSI13 = 3317044064679887385961981  # ... and to 41: the least n it cannot decide
+
+    def test_matches_a_sieve(self):
+        n = 2 * 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+        for p in range(2, int(n**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytearray(len(range(p * p, n + 1, p)))
+        assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+
+    def test_large_primes_and_pseudoprimes(self):
+        assert self.PSI12 == 399165290221 * 798330580441
+        assert not is_prime(self.PSI12)
+        assert is_prime(2**61 - 1) and is_prime(2**80 - 65)  # 2**89 - 1 is past the bound
+        assert not is_prime(self.PSI13 - 1)
+
+    @pytest.mark.parametrize("n", [PSI13, 2**89 - 1], ids=["psi13", "mersenne-89"])
+    def test_past_the_bound_raises(self, n):
+        with pytest.raises(DomainError, match=f"^primality is decided only below {self.PSI13},"):
+            is_prime(n)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: w_star([1, 2, 3]), "expected a group element, got 1"),
     (lambda: w_star([ge(1), 2, 3]), "expected a group element, got 2"),
-    (lambda: dependent_pair(4, 6), "expected a group element, got 4"),
     (lambda: semigroup_member(ge(10), 3, 4), "expected a group element, got 3"),
     (lambda: least_combination_exceeding(2, 3, ge(5)), "expected a group element, got 2"),
     (lambda: semigroup_member(10, ge(3), ge(4)), "expected a group element, got 10"),
-    (lambda: multiple_of(4, ge(2)), "expected a group element, got 4"),
-    (lambda: multiple_of(ge(4), 2), "expected a group element, got 2"),
     (lambda: rank_profile(4, 6, 8), "expected a group element, got 4"),
-    (lambda: least_multiple_exceeding(ge(2), 5), "expected a group element, got 5"),
     (lambda: least_combination_exceeding(ge(2), ge(3), 5), "expected a group element, got 5"),
     (lambda: Weight(1, 2, 3), "expected a group element, got 1"),
     (lambda: frobenius_number(2.5, 3), "generators must be integers"),
     (lambda: frobenius_number(3, True), "generators must be integers"),
     (lambda: is_prime(7.0), "expected an integer, got 7.0"),
-], ids=["w_star", "w_star-mixed", "dependent_pair", "semigroup_member",
-        "least_combination_exceeding", "semigroup_member-target", "multiple_of-first",
-        "multiple_of-second", "rank_profile", "least_multiple_exceeding-threshold",
-        "least_combination_exceeding-threshold", "Weight", "frobenius_number",
-        "frobenius_number-bool", "is_prime"])
+], ids=["w_star", "w_star-mixed", "semigroup_member", "least_combination_exceeding",
+        "semigroup_member-target", "rank_profile", "least_combination_exceeding-threshold",
+        "Weight", "frobenius_number", "frobenius_number-bool", "is_prime"])
 def test_building_blocks_reject_other_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
 
 
 class TestLeastMultipleExceeding:
+    """The kernel _multiple_exceeding, on coordinate tuples of one length
+    with the first one positive."""
+
     def test_spec_examples(self):
-        assert least_multiple_exceeding(ge(3), ge(7)) == 3
-        assert least_multiple_exceeding(ge(3), ge(-1)) == 1
-        assert least_multiple_exceeding(ge(0, 1), ge(1, 0)) is None
+        assert _multiple_exceeding((3,), (7,)) == 3
+        assert _multiple_exceeding((3,), (-1,)) == 1
+        assert _multiple_exceeding((0, 1), (1, 0)) is None
 
     def test_minimality(self):
         rng = random.Random(11)
@@ -322,7 +349,7 @@ class TestLeastMultipleExceeding:
             if not e.is_positive:
                 continue
             t = GroupElem([rng.randint(-30, 30) for _ in range(k)])
-            b = least_multiple_exceeding(e, t)
+            b = _multiple_exceeding(e.coords, t.coords)
             if b is None:
                 for j in range(1, 200):
                     assert not (j * e > t)
@@ -355,7 +382,7 @@ class TestLeastMultipleExceedingProperty:
         e, t = case
         # |t| <= 30 and e_lead >= 1, so any answer lies below 40
         scan = next((b for b in range(1, 40) if b * e > t), None)
-        assert least_multiple_exceeding(e, t) == scan
+        assert _multiple_exceeding(e.coords, t.coords) == scan
 
 
 class TestLeastCombinationExceeding:

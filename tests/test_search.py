@@ -267,6 +267,13 @@ class TestConsistency:
         first = report.violations[0]
         assert first.kind == "excluded"
         assert first.word and first.realization and first.multidegree
+        lines = report.summary().splitlines()
+        at = lines.index(
+            f"  VIOLATION [excluded] weight=((1,), (1,), (1,)) mdeg={first.multidegree}"
+        )
+        assert lines[at + 1:at + 3] == [
+            f"    word: {first.word}", f"    realization: {first.realization}"
+        ]
 
     def test_certified_wild_violations_are_reported(self, monkeypatch):
         # no realized word passes K1..K4, so a stand-in certifier that
