@@ -52,7 +52,7 @@ from .classifier import (
     corollary_names,
 )
 from .errors import BudgetExceededError, ConstructionError, DomainError, _show
-from .ordgroup import frobenius_number, w_star
+from .ordgroup import _render_coords, frobenius_number, w_star
 from .parse import _integer, parse_polynomial, parse_vector_list
 from .search import (
     SearchConfig,
@@ -237,11 +237,22 @@ def _cmd_witness(args) -> None:
 
 def _cmd_wstar(args) -> None:
     weights = parse_vector_list(",".join(args.w), rank=args.rank)
-    print(w_star(weights).render())
+    _print_answer(w_star(weights).coords)
 
 
 def _cmd_frobenius(args) -> None:
-    print(frobenius_number(args.u1, args.u2))
+    _print_answer((frobenius_number(args.u1, args.u2),))
+
+
+def _print_answer(coords: tuple) -> None:
+    """Print coords as a group element renders them; DomainError first when
+    str() refuses an entry past Python's digit limit."""
+    try:
+        text = _render_coords(coords)
+    except ValueError:
+        raise DomainError(f"answer {_show(max(coords, key=abs))} exceeds Python's "
+                          f"limit of {sys.get_int_max_str_digits()} digits") from None
+    print(text)
 
 
 def _load_config(path: str) -> SearchConfig:

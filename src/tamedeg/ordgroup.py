@@ -23,11 +23,11 @@ DomainError in every position, and one of another rank
 RankMismatchError.
 
 The staircase minimum behind w_star and least_combination_exceeding is
-found at rank 1 by residue arithmetic (_lce1): at most
-min((t - p)//q, p/gcd(p, q)) integer steps for generators p <= q and
-threshold t.  Above rank 1, _stair scans coordinate tuples, one step per
-multiple of the first generator up to the threshold at its lead, so its
-cost still grows linearly with that ratio.
+found at rank 1 (_lce1) by _extreme, the largest residue of a linear
+function mod one generator, in O(log) Euclid rounds.  Above rank 1,
+_stair scans coordinate tuples, one step per multiple of the first
+generator up to the threshold at its lead, so its cost grows linearly
+with that ratio.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ class GroupElem:
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    @classmethod
-    def zero(cls, rank: int = 1) -> "GroupElem":
-        return cls((0,) * rank)
 
     def _check(self, other: "GroupElem") -> None:
         """Raise for an operand that is not a GroupElem of this rank.  The
@@ -356,26 +352,18 @@ def _coin(m: Optional[int], u1: int, u2: int) -> Optional[tuple[int, int]]:
 def _solve_independent(
     d: GroupElem, e1: GroupElem, e2: GroupElem
 ) -> Optional[tuple[int, int]]:
-    k = d.rank
-    pivot = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            det = e1.coords[i] * e2.coords[j] - e1.coords[j] * e2.coords[i]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
+    """semigroup_member for independent e1, e2: Cramer's rule on their
+    first nonzero 2x2 minor, then a check of every coordinate."""
+    p, q, c = e1.coords, e2.coords, d.coords
+    for i, j in combinations(range(len(c)), 2):
+        det = p[i] * q[j] - p[j] * q[i]
+        if det:
             break
-    if pivot is None:
-        raise ConstructionError(
-            f"independent pair {e1!r}, {e2!r} has no nonzero 2x2 minor"
-        )
-    i, j, det = pivot
-    a, ra = divmod(d.coords[i] * e2.coords[j] - d.coords[j] * e2.coords[i], det)
-    b, rb = divmod(e1.coords[i] * d.coords[j] - e1.coords[j] * d.coords[i], det)
-    if ra or rb or a < 0 or b < 0:
-        return None
-    if a * e1 + b * e2 != d:
+    else:
+        raise ConstructionError(f"independent pair {e1!r}, {e2!r} has no nonzero 2x2 minor")
+    a, ra = divmod(c[i] * q[j] - c[j] * q[i], det)
+    b, rb = divmod(p[i] * c[j] - p[j] * c[i], det)
+    if ra or rb or a < 0 or b < 0 or a * e1 + b * e2 != d:
         return None
     return a, b
 
@@ -420,10 +408,8 @@ def least_combination_exceeding(
 ) -> Optional[GroupElem]:
     """min{a*e1 + b*e2 : a, b >= 1, a*e1 + b*e2 > t}, or None if empty.
 
-    The input is validated once, then solved by _combination_exceeding:
-    at rank 1 in at most min((t - p)//q, p/gcd(p, q)) integer steps for
-    p <= q the two generators, above it by a scan on coordinate tuples
-    whose length grows with t/e1 at the lead.
+    The input is validated once, then solved by _combination_exceeding,
+    at the cost the module docstring states.
     """
     _require_elems(e1, e2, t)
     _require_positive(e1, e2)
@@ -442,33 +428,40 @@ def _combination_exceeding(e1: tuple, e2: tuple, t: tuple) -> Optional[tuple]:
 def _lce1(u1: int, u2: int, t: int) -> int:
     """least_combination_exceeding for positive ints u1, u2 and any int t.
 
-    Below t = u1 + u2 the answer is u1 + u2.  Otherwise let p <= q be the
-    generators, g = gcd(p, q) and B = (t - p)//q >= 1.  For b <= B the
-    least a*p above t - b*q has a >= 2, so that combination is
-    t + p - r_b with r_b = (t - b*q) mod p; for b > B, a = 1 is least and
-    b = B + 1 the best.  In b the residues r_b repeat with period p/g
-    through the class of t mod g, so once B >= p/g their largest is
-    p - g + t mod g; below that the B residues are stepped through.
-    """
+    Below t = u1 + u2 the answer is u1 + u2.  Otherwise, with
+    n = (t - u1)//u2, each b <= n gives t + u1 - (t - b*u2) mod u1 (its
+    least a*u1 above t - b*u2 has a >= 2), and b = n + 1 with a = 1 beats
+    every larger b."""
     if t < u1 + u2:
         return u1 + u2
-    p, q = (u1, u2) if u1 <= u2 else (u2, u1)
-    g = _int_gcd(p, q)
-    top = p - g + t % g  # the largest residue in t's class mod g
-    n = (t - p) // q
-    if n >= p // g:
-        r = top
-    else:
-        r, rb, step = -1, t % p, q % p  # rb runs through r_1 .. r_B
-        for _ in range(n):
-            rb -= step
-            if rb < 0:
-                rb += p
-            if rb > r:
-                r = rb
-                if r == top:
-                    break
-    return min((n + 1) * q + p, t + p - r)
+    n = (t - u1) // u2
+    return min((n + 1) * u2 + u1, t + u1 - _extreme(n, u1, -u2, t - u2, True))
+
+
+def _extreme(n: int, m: int, a: int, b: int, top: bool) -> int:
+    """The largest (top) or least value of (a*x + b) mod m over 0 <= x < n,
+    for ints n, m >= 1 and any a, b, in O(log m) Euclid rounds.
+
+    With a, b reduced mod m the values wrap past a multiple of m
+    w = (a*(n-1) + b)//m times.  With v_i = ((m mod a)*i + m - b - 1) mod a,
+    the least is b or, just after the j-th wrap, a - 1 - v_(j-1); the
+    largest is the last value or, just before that wrap, m - 1 - v_(j-1).
+    So the opposite extreme of v over i < w, the same problem mod a,
+    settles the round.  The rounds go on a list, not the stack:
+    4,000-digit consecutive Fibonacci numbers take about 19,000."""
+    rounds = []
+    n = min(n, m)  # x -> (a*x + b) mod m has period m
+    while True:
+        a, b = a % m, b % m
+        n, last = divmod(a * (n - 1) + b, m)
+        value = last if top else b
+        if n == 0:
+            break
+        rounds.append((top, value, m - 1 if top else a - 1))
+        m, a, b, top = a, m, m - b - 1, not top
+    for top, own, k in reversed(rounds):
+        value = max(own, k - value) if top else min(own, k - value)
+    return value
 
 
 def _stair(e1: tuple, e2: tuple, t: tuple) -> Optional[tuple]:
@@ -503,10 +496,9 @@ def w_star(weights: Sequence[GroupElem]) -> GroupElem:
     w_s1 + w_s3, capped by 2*w_s1 + w_s3, where s sorts the three weights
     ascending.  Equals 3 for unit weights on Z.
 
-    The input is validated, then the value computed, on every call; a
-    Weight keeps it as Weight.star once read.  At rank 1 the minimum
-    takes at most min(s3//s2, s1/gcd(s1, s2)) integer steps; above it a
-    scan takes steps that grow with s3/s1 at the lead."""
+    The input is validated, then the value computed by
+    _combination_exceeding, on every call; a Weight keeps it as
+    Weight.star once read."""
     if len(weights) != 3:
         raise DomainError("w_star takes exactly three weights")
     _require_elems(*weights)
@@ -525,10 +517,9 @@ class RankProfile(_Value):
 
     def __init__(self, pair_12_dependent: bool, pair_13_dependent: bool,
                  pair_23_dependent: bool, triple_dependent: bool):
-        _set(self, "pair_12_dependent", pair_12_dependent)
-        _set(self, "pair_13_dependent", pair_13_dependent)
-        _set(self, "pair_23_dependent", pair_23_dependent)
-        _set(self, "triple_dependent", triple_dependent)
+        given = locals()
+        for name in self._fields:
+            _set(self, name, given[name])
 
 
 def independent_triple(
@@ -642,11 +633,8 @@ def is_prime(n: int) -> bool:
     for p in _BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
     for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -49,7 +49,7 @@ from .errors import (
     SchemaVersionError,
     _show,
 )
-from .ordgroup import GroupElem, Weight, _set, _Value, as_weight
+from .ordgroup import GroupElem, Weight, _render_coords, _set, _Value, as_weight
 from .parse import _integer
 from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
@@ -407,9 +407,8 @@ class ConsistencyReport(_Value, frozen=False):
             lines.append(f"weight {key}: {count} distinct multidegrees")
         lines.append(f"violations: {len(self.violations)}")
         for v in self.violations:
-            lines.append(
-                f"  VIOLATION [{v.kind}] weight={v.weight} mdeg={v.multidegree}"
-            )
+            weight, mdeg = (",".join(map(_render_coords, c)) for c in (v.weight, v.multidegree))
+            lines.append(f"  VIOLATION [{v.kind}] weight={weight} mdeg={mdeg}")
             lines.append(f"    word: {v.word}")
             lines.append(f"    realization: {v.realization}")
         return "\n".join(lines)

@@ -171,7 +171,7 @@ def scan_least_combination(e1: GroupElem, e2: GroupElem, t: GroupElem):
         if a_cap is None:
             return None
     best = None
-    acc = GroupElem.zero(e1.rank)
+    acc = GroupElem((0,) * e1.rank)
     for a in range(1, a_cap + 1):
         acc = acc + e1
         b = _multiple_exceeding(e2.coords, (t - acc).coords)

@@ -788,6 +788,19 @@ class TestExitCodes:
         assert err == "error: 4300-digit exponent exceeds cap 10000 (at position 3)\n"
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("argv, digits", [
+        (["wstar", *["9" + "0" * 4299] * 3], 4301),
+        (["frobenius", "1" + "0" * 2498 + "1", "1" + "0" * 2498 + "3"], 4999),
+    ], ids=["wstar", "frobenius"])
+    def test_answer_past_the_digit_limit(self, capsys, argv, digits):
+        # every argument parses, but str() refuses the answer
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: answer <{digits}-digit integer> exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
         assert code == 2
@@ -911,15 +924,16 @@ class TestProcess:
 
     @pytest.mark.parametrize("argv, want", [
         (["-m", "tamedeg", "wstar", "1", "1", "1000000000"], "1000000002\n"),
+        (["-m", "tamedeg", "wstar", "10000000", "10000001", "99999989999998"],
+         "100000000000001\n"),
         (["-m", "tamedeg", "classify-weighted", "--deg", "3,5,7", "--weight", "1,1,1000000000"],
          "verdict: Unknown\nuncertified conditions: K1, A2, A3\n"),
         (["-c", "from tamedeg import ge, least_combination_exceeding as lce\n"
                 "print(lce(ge(1), ge(1), ge(10**9)))"], "GroupElem(1000000001,)\n"),
-    ], ids=["wstar", "classify-weighted", "least_combination_exceeding"])
+    ], ids=["wstar", "wstar-late-residue", "classify-weighted", "least_combination_exceeding"])
     def test_large_rank1_weights_answer_in_bounded_time(self, argv, want):
-        # the rank-1 minimum takes at most min((t - p)//q, p/gcd(p, q))
-        # steps for generators p <= q and threshold t: here one, against
-        # about 10^9 for a staircase scan over multiples of p
+        # the rank-1 minimum takes O(log) Euclid rounds, against about
+        # 10^9 steps for a staircase scan over multiples of the generator
         proc = subprocess.run([sys.executable, *argv], env=_process_env(),
                               capture_output=True, text=True, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")

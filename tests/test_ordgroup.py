@@ -26,6 +26,7 @@ from tamedeg import (
 from tamedeg import ordgroup
 from tamedeg.ordgroup import (
     RankProfile,
+    _extreme,
     _lce1,
     _member1,
     _multiple,
@@ -422,13 +423,44 @@ class TestLeastCombinationExceeding:
 
 
 class TestKernelsAgainstScan:
-    """The rank-1 residue kernel and w_star's trusted path against the
-    staircase scan over GroupElems that they replaced."""
+    """The rank-1 Euclid kernels and w_star's trusted path against the
+    staircase scan over GroupElems that they replaced, and against plain
+    enumeration."""
+
+    @given(st.integers(1, 200), st.integers(1, 200), st.integers(-10**4, 10**4),
+           st.integers(-10**4, 10**4), st.booleans())
+    @settings(max_examples=500)
+    def test_extreme_matches_max_and_min(self, n, m, a, b, top):
+        values = [(a * x + b) % m for x in range(n)]
+        assert _extreme(n, m, a, b, top) == (max if top else min)(values)
 
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(-50, 3000))
     @settings(max_examples=400)
     def test_lce1_matches_scan(self, u1, u2, t):
         assert ge(_lce1(u1, u2, t)) == scan_least_combination(ge(u1), ge(u2), ge(t))
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(-50, 3000))
+    @settings(max_examples=300)
+    def test_lce1_matches_enumeration(self, u1, u2, t):
+        # the oracle scans (t//u1 + 1) * (t//u2 + 1) pairs at most
+        assume((t // u1 + 1) * (t // u2 + 1) <= 10**6)
+        # a bound past t + 1 leaves every useful pair in the oracle's box
+        want = enum_least_combination((u1,), (u2,), (t,), bound=max(t, 0) + 2)
+        assert (_lce1(u1, u2, t),) == want
+
+    def test_lce1_large_generators(self):
+        # wstar 10000000 10000001 99999989999998: about 10^7 residues, the
+        # largest of them late
+        assert _lce1(10**7, 10**7 + 1, 10**14 - 2) == 100000000000001
+        assert w_star([ge(10**7), ge(10**7 + 1), ge(99999989999998)]) == ge(100000000000001)
+        # 4,000-digit consecutive Fibonacci numbers, a threshold 10^100 times
+        # the larger one: only the answer's bounds can be checked
+        u1, u2, digits = 1, 1, 10**3999
+        while u2 < digits:
+            u1, u2 = u2, u1 + u2
+        t = u2 * 10**100
+        for e1, e2 in ((u1, u2), (u2, u1)):
+            assert t < _lce1(e1, e2, t) <= t + u1
 
     @given(
         st.integers(min_value=1, max_value=3).flatmap(

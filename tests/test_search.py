@@ -268,9 +268,8 @@ class TestConsistency:
         assert first.kind == "excluded"
         assert first.word and first.realization and first.multidegree
         lines = report.summary().splitlines()
-        at = lines.index(
-            f"  VIOLATION [excluded] weight=((1,), (1,), (1,)) mdeg={first.multidegree}"
-        )
+        mdeg = ",".join(str(d) for (d,) in first.multidegree)
+        at = lines.index(f"  VIOLATION [excluded] weight=1,1,1 mdeg={mdeg}")
         assert lines[at + 1:at + 3] == [
             f"    word: {first.word}", f"    realization: {first.realization}"
         ]
