@@ -15,12 +15,14 @@ total-degree criteria, and 1..2 for the independent-weights criterion.
 Deciding comes before explaining.  Whether a condition holds is decided at
 once, in exact integer arithmetic; the text of its clauses is built only
 when its clauses are first read.  That holds inside a certificate too: an
-Excluded verdict or a wildness certificate builds no text until its
-clauses, describe() or to_json() are read.  An Unknown verdict, which keeps
-only the names of the failed conditions, builds none at all.  Rank-1
-weights, which every Karas-type corollary and the search harness use, are
-decided on plain ints rather than GroupElems; reports and certificates are
-the same as at any rank.
+Excluded verdict or a wildness certificate keeps its decisions, theorem
+and registry bounds, but builds neither its conditions nor their clauses
+until they are read (by .conditions, to_json(), equality, hash, repr or
+pickling; the clause text waits for .clauses, describe() or to_json()).
+An Unknown verdict, which keeps only the names of the failed conditions,
+builds none at all.  Rank-1 weights, which every Karas-type corollary and
+the search harness use, are decided on plain ints rather than GroupElems;
+reports and certificates are the same as at any rank.
 
 The quantity Delta(d, e) (minimal wedge degree over tame maps with two
 prescribed component degrees) is never computed exactly; every use is
@@ -147,13 +149,39 @@ class DeltaBoundUse(_Value):
 
 
 class Certificate(_Value):
+    """The theorem that excludes a triple (or certifies a map wild), the
+    chain of conditions it rests on, and the registry bounds it used.
+
+    A certificate made by _deferred holds a builder of its conditions
+    instead: the first read of .conditions runs it and keeps the tuple in
+    its place, as Condition does with its clauses.  Equality, hash, repr,
+    pickling and to_json() read .conditions, so they see the built tuple."""
+
+    __slots__ = ("theorem", "_conditions", "delta_bounds_used")
     _fields = ("theorem", "conditions", "delta_bounds_used")
 
-    def __init__(self, theorem: Theorem, conditions: tuple[Condition, ...],
-                 delta_bounds_used: tuple[DeltaBoundUse, ...] = ()):
-        _set(self, "theorem", theorem)
-        _set(self, "conditions", conditions)
-        _set(self, "delta_bounds_used", delta_bounds_used)
+    def __init__(self, theorem: Theorem, conditions: Sequence[Condition],
+                 delta_bounds_used: Sequence[DeltaBoundUse] = ()):
+        _set_theorem(self, theorem)
+        _set_conditions(self, tuple(conditions))
+        _set_bounds(self, tuple(delta_bounds_used))
+
+    @classmethod
+    def _deferred(cls, theorem: Theorem, build: Callable[[], Sequence[Condition]],
+                  delta_bounds_used: tuple[DeltaBoundUse, ...] = ()) -> "Certificate":
+        cert = _new(cls)  # skips __init__: runs for every Excluded verdict
+        _set_theorem(cert, theorem)
+        _set_conditions(cert, build)
+        _set_bounds(cert, delta_bounds_used)
+        return cert
+
+    @property
+    def conditions(self) -> tuple[Condition, ...]:
+        conditions = self._conditions
+        if callable(conditions):  # one slot, swapped once: safe under threads
+            conditions = tuple(conditions())
+            _set_conditions(self, conditions)
+        return conditions
 
     def to_json(self) -> dict:
         return {
@@ -183,6 +211,11 @@ class Certificate(_Value):
                 for u in self.delta_bounds_used
             ],
         }
+
+
+_set_theorem, _set_conditions, _set_bounds = (
+    Certificate.__dict__[slot].__set__ for slot in Certificate.__slots__
+)
 
 
 class Excluded(_Value):
@@ -787,7 +820,7 @@ def classify_weighted(
         rep = _independent_weights_report(ds, pairs)
         if rep.holds("1") and rep.holds("2"):
             return Excluded(
-                Certificate(Theorem.INDEPENDENT_WEIGHTS, rep.conditions())
+                Certificate._deferred(Theorem.INDEPENDENT_WEIGHTS, rep.conditions)
             )
         reasons.extend(rep.failed_names())
     d1, d2, d3 = sorted(ds)
@@ -800,7 +833,7 @@ def classify_weighted(
         h = rep._holds
         if h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"]):
             return Excluded(
-                Certificate(Theorem.MAIN_WEIGHTED, rep.conditions(), tuple(rep.uses))
+                Certificate._deferred(Theorem.MAIN_WEIGHTED, rep.conditions, tuple(rep.uses))
             )
         reasons.extend(
             n for n in rep.failed_names() if n not in reasons
@@ -845,7 +878,7 @@ def classify_total(
     rep = check_total_abc(t1, t2, t3)
     holds = rep.holds
     if (holds("a1") or holds("a2")) and (holds("b1") or holds("b2")) and holds("c"):
-        return Excluded(Certificate(Theorem.TOTAL_DEGREE, rep.conditions()))
+        return Excluded(Certificate._deferred(Theorem.TOTAL_DEGREE, rep.conditions))
     weighted = classify_weighted((t1, t2, t3), _UNIT, registry)
     if isinstance(weighted, Excluded):
         return weighted
@@ -908,17 +941,22 @@ def certify_wild(
     h = rep._holds
     if not (h["K1"] and h["K2"] and h["K3"] and h["K4"]):
         return Unknown(tuple(n for n in ("K1", "K2", "K3", "K4") if not h[n]))
-    conditions = [rep["K1"], rep["K2"], rep["K3"], rep["K4"]]
     if pair is not None:
-        if not rep.holds("K5"):
+        if not h["K5"]:
             return Unknown(("K5",))
-        conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
         wedge = _wedge_degree(jacobian.minors(low, mid), 3, jacobian.width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))
-        conditions.append(Condition._deferred("prop:main", True, lambda: (
+
+    def conditions():  # the certificate runs it when its conditions are read
+        chain = (rep["K1"], rep["K2"], rep["K3"], rep["K4"])
+        if pair is None:
+            return (*chain, Condition._deferred("1", True, lambda: (
+                Clause("d1, d2", "linearly independent over Z", "", True),
+            )))
+        return (*chain, rep["K5"], Condition._deferred("prop:main", True, lambda: (
             Clause(
                 left=f"d1+d2+d3 = {_fmt(total)}",
                 relation="<",
@@ -926,11 +964,8 @@ def certify_wild(
                 holds=True,
             ),
         )))
-    else:
-        conditions.append(Condition._deferred("1", True, lambda: (
-            Clause("d1, d2", "linearly independent over Z", "", True),
-        )))
-    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(rep.uses))
+
+    return Certificate._deferred(Theorem.F_SPECIFIC, conditions, tuple(rep.uses))
 
 
 def _hyp(cond: bool, name: str):

@@ -13,6 +13,8 @@ starts the --json timer, loads --registry for each command that takes it,
 runs the command and, for the verdict commands (classify, classify-weighted,
 certify-wild, and corollary under --json), which return their query and
 verdict, prints the report.  The other commands print their own output.
+Every verdict report, human or --json, is rendered whole before any of it
+is written (_emit).
 
 Commands:
   classify D1 D2 D3            total-degree triple verdict with certificate
@@ -33,6 +35,7 @@ built-in bound Delta(4,6) >= 4 at unit weights.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -150,20 +153,38 @@ def _print_components(word: TameWord, multidegree: tuple, out) -> tuple:
     return endo, jac
 
 
-def _report(args, query: dict, result, started: float) -> None:
-    out = sys.stdout
-    if args.json:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "query": query,
-            **_verdict_json(result),
-            "timings": {"total_ms": round((time.perf_counter() - started) * 1e3, 3)},
-        }
-        import json  # after the timing, which measures the command alone
+def _emit(write) -> None:
+    """Run write(out) into a buffer and print the whole text only when it
+    returns, so a report that cannot be rendered prints none of itself:
+    str() refusing an integer past Python's digit limit, as it may inside
+    a certificate's clause text, becomes a DomainError."""
+    out = io.StringIO()
+    try:
+        write(out)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # any other is a bug
+            raise
+        raise DomainError(f"the report has an integer past Python's limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    print(out.getvalue(), end="")
 
-        print(json.dumps(doc, indent=2), file=out)
-    else:
-        _print_result(result, out)
+
+def _report(args, query: dict, result, started: float) -> None:
+    def write(out):
+        if args.json:
+            doc = {
+                "schema": REPORT_SCHEMA,
+                "query": query,
+                **_verdict_json(result),
+                "timings": {"total_ms": round((time.perf_counter() - started) * 1e3, 3)},
+            }
+            import json  # after the timing, which measures the command alone
+
+            print(json.dumps(doc, indent=2), file=out)
+        else:
+            _print_result(result, out)
+
+    _emit(write)
 
 
 # A verdict command maps the parsed arguments to the (query, verdict) main reports.
@@ -213,10 +234,14 @@ def _cmd_corollary(args) -> Optional[tuple]:
     if args.json:  # the --json report names the triple in its query
         return query, result
     under = f" under weight ({weight.render()})" if weight is not None else ""
-    print(f"triple {triple}{under}")
-    _print_result(result, sys.stdout)
-    if isinstance(result, Realizable):  # the corollary report still lists the components
-        _print_components(result.witness, result.multidegree, sys.stdout)
+
+    def write(out):
+        print(f"triple {triple}{under}", file=out)
+        _print_result(result, out)
+        if isinstance(result, Realizable):  # the corollary report still lists the components
+            _print_components(result.witness, result.multidegree, out)
+
+    _emit(write)
     return None
 
 

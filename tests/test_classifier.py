@@ -52,7 +52,14 @@ from tamedeg import (
 )
 from tamedeg.automorphisms import _verify_realization, _witness_word
 from tamedeg import ordgroup
-from tamedeg.classifier import _UNIT, Clause, Condition, _matching_permutation
+from tamedeg.classifier import (
+    _UNIT,
+    Clause,
+    Condition,
+    ConditionReport,
+    DeltaBoundUse,
+    _matching_permutation,
+)
 from tamedeg.ordgroup import GroupElem, _member1, as_weight
 from oracles import (
     corollary_verdict,
@@ -759,6 +766,116 @@ class TestDecideBeforeExplaining:
         assert texts[0] == texts[1] == texts[2] == texts[3]
         assert len(texts[0]) == len(certs)
 
+    @staticmethod
+    def eager_certificate(case):
+        """The certificate of a CERTIFICATES case as the eager oracles make
+        it: every condition and clause built as it is decided.  None for
+        the theorems no oracle covers, which are checked by their lines."""
+        _, theorem, _, query = TestDecideBeforeExplaining.CERTIFICATES[case]
+        if theorem is Theorem.F_SPECIFIC:
+            return eager_certify_wild(nagata(), query[1])
+        if theorem is Theorem.MAIN_WEIGHTED:
+            ds, w = query
+            uses = []
+            conditions = eager_weighted_conditions(
+                *map(as_group_elem, ds), Weight.of(*w), builtin_registry(), uses
+            )
+            return Certificate(theorem, conditions, uses)
+        return None
+
+    # each reads a certificate and checks what it read against a built one
+    READERS = {
+        "conditions": lambda cert, ref: cert.conditions == ref.conditions,
+        "to_json": lambda cert, ref: cert.to_json() == ref.to_json(),
+        "eq": lambda cert, ref: cert == ref,
+        "hash": lambda cert, ref: hash(cert) == hash(ref),
+        "repr": lambda cert, ref: repr(cert) == repr(ref),
+        "pickle": lambda cert, ref: pickle.loads(pickle.dumps(cert)) == ref,
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("case", list(CERTIFICATES))
+    def test_certificates_make_no_condition_until_read(self, monkeypatch, case, reader):
+        make, theorem, own_lines, _ = self.CERTIFICATES[case]
+        reference, eager = make(), self.eager_certificate(case)
+        names = [c.name for c in reference.conditions]  # built before counting
+        made, reports = [], []
+        deferred, report_init = Condition._deferred, ConditionReport.__init__
+
+        def counting(name, holds, build):
+            made.append(name)
+            return deferred(name, holds, build)
+
+        def recording(rep):
+            reports.append(rep)
+            report_init(rep)
+
+        monkeypatch.setattr(Condition, "_deferred", staticmethod(counting))
+        monkeypatch.setattr(ConditionReport, "__init__", recording)
+        cert = make()
+        assert cert.theorem is theorem
+        assert cert.delta_bounds_used == reference.delta_bounds_used
+        assert made == [] and reports  # the verdict, its theorem and bounds: no Condition
+        assert self.READERS[reader](cert, reference)
+        assert made == names  # the first read made each condition once
+        for read in self.READERS.values():
+            assert read(cert, reference)
+        assert made == names  # and the later reads made none
+        stored = cert.conditions
+        assert cert.conditions is stored
+        if eager is not None:
+            assert cert == eager and hash(cert) == hash(eager) and repr(cert) == repr(eager)
+            assert cert.to_json() == eager.to_json()
+        else:
+            assert tuple(c.describe() for c in stored) == own_lines
+        # a condition a report decided is that report's own Condition
+        owned = [(r, c) for c in stored for r in reports if c.name in r._holds]
+        assert len(owned) == len(stored) - (theorem is Theorem.F_SPECIFIC)
+        assert all(r[c.name] is c for r, c in owned)
+
+    @pytest.mark.parametrize("case", list(CERTIFICATES))
+    def test_concurrent_first_reads_of_one_certificate(self, case):
+        make = self.CERTIFICATES[case][0]
+        reference = make().conditions
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                cert = make()
+                barrier = threading.Barrier(8)
+                got, errors = [], []
+
+                def read():
+                    try:
+                        barrier.wait(timeout=60)
+                        got.append(cert.conditions)
+                    except Exception as exc:  # reported below, in the main thread
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and errors == []
+                assert len(got) == 8 and all(g == reference for g in got)
+                stored = cert.conditions
+                assert any(g is stored for g in got)
+                assert all(cert.conditions is stored for _ in range(3))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_certificate_stores_tuples(self):
+        cond = Condition("c", True, ())
+        use = DeltaBoundUse(((1,), (1,), (1,)), ((4,), (6,)), ge(4))
+        listed = Certificate(Theorem.TOTAL_DEGREE, [cond], [use])
+        tupled = Certificate(Theorem.TOTAL_DEGREE, (cond,), (use,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert type(listed.conditions) is tuple and type(listed.delta_bounds_used) is tuple
+        empty = Certificate(Theorem.TOTAL_DEGREE, [])
+        assert empty == Certificate(Theorem.TOTAL_DEGREE, ())
+        assert hash(empty) == hash(Certificate(Theorem.TOTAL_DEGREE, ()))
+
     def test_condition_equals_its_eager_value(self):
         reference = make_dataclass(
             "Condition", [("name", str), ("holds", bool), ("clauses", tuple)], frozen=True
@@ -802,6 +919,10 @@ class TestDecideBeforeExplaining:
             unit3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
             assert isinstance(classify_weighted(((1, 0, 0), (1, 1, 0), (1, 2, 0)), unit3), Excluded)
             certify_wild(nagata(), (4, 3, 3))
+            assert gc.collect() == 0
+            # certificates never read hold the builders of their conditions
+            unread = [case[0]() for case in self.CERTIFICATES.values()]
+            del unread
             assert gc.collect() == 0
             # certificates whose clauses are never read hold builders, not text
             unread = [case[0]() for case in self.CERTIFICATES.values()]

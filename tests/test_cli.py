@@ -801,6 +801,37 @@ class TestExitCodes:
             f"{sys.get_int_max_str_digits()} digits\n"
         )
 
+    # 4,300-digit degrees parse, but the report then needs wider integers:
+    # 3*d2 in a certificate's clause text, or 2*(d-2) in a corollary's triple
+    A, B, N = "9" * 4299 + "5", "9" * 4299 + "7", "9" * 4300
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", A, B, N],
+        ["classify", A, B, N, "--json"],
+        ["classify-weighted", "--deg", f"{A},{B},{N}", "--weight", "1,1,1"],
+        ["corollary", "two-three", N],
+        ["corollary", "two-three", N, "--json"],
+    ], ids=["classify", "classify-json", "classify-weighted", "corollary", "corollary-json"])
+    def test_report_past_the_digit_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")  # nothing of the report is printed
+        assert err == (
+            "error: the report has an integer past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("argv", [["classify", "4", "5", "11"],
+                                      ["corollary", "two-three", "7"]])
+    def test_internal_value_error_while_rendering_propagates(self, capsys, monkeypatch, argv):
+        def broken(*args):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr("tamedeg.cli._print_result", broken)
+        with pytest.raises(ValueError, match="an internal fault"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
     def test_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "3", "4")
         assert code == 2
