@@ -15,12 +15,14 @@ total-degree criteria, and 1..2 for the independent-weights criterion.
 Deciding comes before explaining.  Whether a condition holds is decided at
 once, in exact integer arithmetic; the text of its clauses is built only
 when its clauses are first read.  That holds inside a certificate too: an
-Excluded verdict or a wildness certificate keeps its decisions, theorem
-and registry bounds, but builds neither its conditions nor their clauses
+Excluded verdict keeps its theorem, its registry bounds and the report
+that decided it, and builds neither its conditions nor their clauses
 until they are read (by .conditions, to_json(), equality, hash, repr or
-pickling; the clause text waits for .clauses, describe() or to_json()).
-An Unknown verdict, which keeps only the names of the failed conditions,
-builds none at all.  Rank-1 weights, which every Karas-type corollary and
+pickling; the clause text waits for .clauses, describe() or to_json()),
+so a caller that reads only the verdict kind, such as the table command,
+makes none.  A wildness certificate makes its conditions at once, but no
+clause text until it is read.  An Unknown verdict, which keeps only the
+names of the failed conditions, builds none at all.  Rank-1 weights, which every Karas-type corollary and
 the search harness use, are decided on plain ints rather than GroupElems;
 reports and certificates are the same as at any rank.
 
@@ -152,10 +154,11 @@ class Certificate(_Value):
     """The theorem that excludes a triple (or certifies a map wild), the
     chain of conditions it rests on, and the registry bounds it used.
 
-    A certificate made by _deferred holds a builder of its conditions
-    instead: the first read of .conditions runs it and keeps the tuple in
-    its place, as Condition does with its clauses.  Equality, hash, repr,
-    pickling and to_json() read .conditions, so they see the built tuple."""
+    A certificate made by _deferred holds the ConditionReport that decided
+    it instead: the first read of .conditions takes the report's conditions
+    and keeps the tuple in its place, as Condition does with its clauses.
+    Equality, hash, repr, pickling and to_json() read .conditions, so they
+    see the built tuple."""
 
     __slots__ = ("theorem", "_conditions", "delta_bounds_used")
     _fields = ("theorem", "conditions", "delta_bounds_used")
@@ -167,19 +170,19 @@ class Certificate(_Value):
         _set_bounds(self, tuple(delta_bounds_used))
 
     @classmethod
-    def _deferred(cls, theorem: Theorem, build: Callable[[], Sequence[Condition]],
+    def _deferred(cls, theorem: Theorem, report: "ConditionReport",
                   delta_bounds_used: tuple[DeltaBoundUse, ...] = ()) -> "Certificate":
         cert = _new(cls)  # skips __init__: runs for every Excluded verdict
         _set_theorem(cert, theorem)
-        _set_conditions(cert, build)
+        _set_conditions(cert, report)
         _set_bounds(cert, delta_bounds_used)
         return cert
 
     @property
     def conditions(self) -> tuple[Condition, ...]:
         conditions = self._conditions
-        if callable(conditions):  # one slot, swapped once: safe under threads
-            conditions = tuple(conditions())
+        if type(conditions) is not tuple:  # one slot, swapped once: safe under threads
+            conditions = conditions.conditions()
             _set_conditions(self, conditions)
         return conditions
 
@@ -447,31 +450,32 @@ class ConditionReport:
 
     put() stores whether a condition holds at once, together with a
     zero-argument builder of its clauses.  __getitem__ and conditions()
-    return memoized Conditions that carry the builder; it runs when the
-    condition's clauses are first read, which may be long after the report
-    is gone, inside a certificate.  holds(), failed_names() and reading a
-    Condition's name or holds never build clause text, so a verdict pays
-    for formatting only when it is explained.  uses lists the registry
+    make each Condition once, keep it in its builder's place and return
+    it; the Condition runs the builder when its clauses are first read,
+    which may be long after the report is gone, inside a certificate.
+    holds(), failed_names() and reading a Condition's name or holds never
+    build clause text, so a verdict pays for formatting only when it is
+    explained.  uses lists the registry
     entries that gave a Delta bound, once each, as DeltaBoundUses (see
     delta_lower_bound).
     """
 
+    __slots__ = ("_holds", "_items", "uses")
+
     def __init__(self):
         self._holds: dict[str, bool] = {}
-        self._builders: dict[str, Callable[[], tuple[Clause, ...]]] = {}
-        self._built: dict[str, Condition] = {}
+        # the builder put() was given, replaced by its Condition when first read
+        self._items: dict[str, Union[Callable[[], tuple[Clause, ...]], Condition]] = {}
         self.uses: list[DeltaBoundUse] = []
 
     def put(self, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]) -> None:
         self._holds[name] = holds
-        self._builders[name] = build
+        self._items[name] = build
 
     def __getitem__(self, name: str) -> Condition:
-        cond = self._built.get(name)
-        if cond is None:
-            cond = self._built[name] = Condition._deferred(
-                name, self._holds[name], self._builders[name]
-            )
+        cond = self._items[name]
+        if type(cond) is not Condition:
+            cond = self._items[name] = Condition._deferred(name, self._holds[name], cond)
         return cond
 
     def holds(self, name: str) -> bool:
@@ -479,13 +483,12 @@ class ConditionReport:
 
     def conditions(self) -> tuple[Condition, ...]:
         """Every condition in put() order, in one pass: a condition not
-        read before is made here and memoized as __getitem__ does."""
-        built, builders, deferred = self._built, self._builders, Condition._deferred
+        read before is made here and kept as __getitem__ keeps it."""
+        items, holds, deferred = self._items, self._holds, Condition._deferred
         out = []
-        for name, holds in self._holds.items():
-            cond = built.get(name)
-            if cond is None:
-                cond = built[name] = deferred(name, holds, builders[name])
+        for name, cond in items.items():
+            if type(cond) is not Condition:  # a new value, not a new key: iteration goes on
+                cond = items[name] = deferred(name, holds[name], cond)
             out.append(cond)
         return tuple(out)
 
@@ -820,7 +823,7 @@ def classify_weighted(
         rep = _independent_weights_report(ds, pairs)
         if rep.holds("1") and rep.holds("2"):
             return Excluded(
-                Certificate._deferred(Theorem.INDEPENDENT_WEIGHTS, rep.conditions)
+                Certificate._deferred(Theorem.INDEPENDENT_WEIGHTS, rep)
             )
         reasons.extend(rep.failed_names())
     d1, d2, d3 = sorted(ds)
@@ -833,7 +836,7 @@ def classify_weighted(
         h = rep._holds
         if h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"]):
             return Excluded(
-                Certificate._deferred(Theorem.MAIN_WEIGHTED, rep.conditions, tuple(rep.uses))
+                Certificate._deferred(Theorem.MAIN_WEIGHTED, rep, tuple(rep.uses))
             )
         reasons.extend(
             n for n in rep.failed_names() if n not in reasons
@@ -878,7 +881,7 @@ def classify_total(
     rep = check_total_abc(t1, t2, t3)
     holds = rep.holds
     if (holds("a1") or holds("a2")) and (holds("b1") or holds("b2")) and holds("c"):
-        return Excluded(Certificate._deferred(Theorem.TOTAL_DEGREE, rep.conditions))
+        return Excluded(Certificate._deferred(Theorem.TOTAL_DEGREE, rep))
     weighted = classify_weighted((t1, t2, t3), _UNIT, registry)
     if isinstance(weighted, Excluded):
         return weighted
@@ -941,22 +944,17 @@ def certify_wild(
     h = rep._holds
     if not (h["K1"] and h["K2"] and h["K3"] and h["K4"]):
         return Unknown(tuple(n for n in ("K1", "K2", "K3", "K4") if not h[n]))
+    conditions = [rep["K1"], rep["K2"], rep["K3"], rep["K4"]]
     if pair is not None:
-        if not h["K5"]:
+        if not rep.holds("K5"):
             return Unknown(("K5",))
+        conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
         wedge = _wedge_degree(jacobian.minors(low, mid), 3, jacobian.width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))
-
-    def conditions():  # the certificate runs it when its conditions are read
-        chain = (rep["K1"], rep["K2"], rep["K3"], rep["K4"])
-        if pair is None:
-            return (*chain, Condition._deferred("1", True, lambda: (
-                Clause("d1, d2", "linearly independent over Z", "", True),
-            )))
-        return (*chain, rep["K5"], Condition._deferred("prop:main", True, lambda: (
+        conditions.append(Condition._deferred("prop:main", True, lambda: (
             Clause(
                 left=f"d1+d2+d3 = {_fmt(total)}",
                 relation="<",
@@ -964,8 +962,11 @@ def certify_wild(
                 holds=True,
             ),
         )))
-
-    return Certificate._deferred(Theorem.F_SPECIFIC, conditions, tuple(rep.uses))
+    else:
+        conditions.append(Condition._deferred("1", True, lambda: (
+            Clause("d1, d2", "linearly independent over Z", "", True),
+        )))
+    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(rep.uses))
 
 
 def _hyp(cond: bool, name: str):

@@ -153,38 +153,39 @@ def _print_components(word: TameWord, multidegree: tuple, out) -> tuple:
     return endo, jac
 
 
-def _emit(write) -> None:
-    """Run write(out) into a buffer and print the whole text only when it
-    returns, so a report that cannot be rendered prints none of itself:
-    str() refusing an integer past Python's digit limit, as it may inside
-    a certificate's clause text, becomes a DomainError."""
+def _emit(too_long: str, write, *args) -> None:
+    """Run write(*args, out) into a buffer and print the whole text only
+    when it returns, so output that cannot be rendered prints none of
+    itself: str() refusing an integer past Python's digit limit, as it may
+    inside a certificate's clause text, becomes a DomainError that says
+    too_long and the limit.  Any other ValueError is a bug and propagates."""
     out = io.StringIO()
     try:
-        write(out)
+        write(*args, out)
     except ValueError as exc:
-        if "integer string conversion" not in str(exc):  # any other is a bug
+        if "integer string conversion" not in str(exc):
             raise
-        raise DomainError(f"the report has an integer past Python's limit of "
+        raise DomainError(f"{too_long} Python's limit of "
                           f"{sys.get_int_max_str_digits()} digits") from None
     print(out.getvalue(), end="")
 
 
-def _report(args, query: dict, result, started: float) -> None:
-    def write(out):
-        if args.json:
-            doc = {
-                "schema": REPORT_SCHEMA,
-                "query": query,
-                **_verdict_json(result),
-                "timings": {"total_ms": round((time.perf_counter() - started) * 1e3, 3)},
-            }
-            import json  # after the timing, which measures the command alone
+_REPORT_TOO_LONG = "the report has an integer past"
 
-            print(json.dumps(doc, indent=2), file=out)
-        else:
-            _print_result(result, out)
 
-    _emit(write)
+def _write_report(args, query: dict, result, started: float, out) -> None:
+    if args.json:
+        doc = {
+            "schema": REPORT_SCHEMA,
+            "query": query,
+            **_verdict_json(result),
+            "timings": {"total_ms": round((time.perf_counter() - started) * 1e3, 3)},
+        }
+        import json  # after the timing, which measures the command alone
+
+        print(json.dumps(doc, indent=2), file=out)
+    else:
+        _print_result(result, out)
 
 
 # A verdict command maps the parsed arguments to the (query, verdict) main reports.
@@ -233,16 +234,16 @@ def _cmd_corollary(args) -> Optional[tuple]:
         query["weight"] = [list(w.coords) for w in weight.components]
     if args.json:  # the --json report names the triple in its query
         return query, result
-    under = f" under weight ({weight.render()})" if weight is not None else ""
-
-    def write(out):
-        print(f"triple {triple}{under}", file=out)
-        _print_result(result, out)
-        if isinstance(result, Realizable):  # the corollary report still lists the components
-            _print_components(result.witness, result.multidegree, out)
-
-    _emit(write)
+    _emit(_REPORT_TOO_LONG, _write_corollary, triple, weight, result)
     return None
+
+
+def _write_corollary(triple: tuple, weight, result, out) -> None:
+    under = f" under weight ({weight.render()})" if weight is not None else ""
+    print(f"triple {triple}{under}", file=out)
+    _print_result(result, out)
+    if isinstance(result, Realizable):  # the corollary report still lists the components
+        _print_components(result.witness, result.multidegree, out)
 
 
 def _cmd_witness(args) -> None:
@@ -272,12 +273,11 @@ def _cmd_frobenius(args) -> None:
 def _print_answer(coords: tuple) -> None:
     """Print coords as a group element renders them; DomainError first when
     str() refuses an entry past Python's digit limit."""
-    try:
-        text = _render_coords(coords)
-    except ValueError:
-        raise DomainError(f"answer {_show(max(coords, key=abs))} exceeds Python's "
-                          f"limit of {sys.get_int_max_str_digits()} digits") from None
-    print(text)
+    _emit(f"answer {_show(max(coords, key=abs))} exceeds", _write_coords, coords)
+
+
+def _write_coords(coords: tuple, out) -> None:
+    print(_render_coords(coords), file=out)
 
 
 def _load_config(path: str) -> SearchConfig:
@@ -431,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.registry = _load_registry(args.registry)
         verdict = args.func(args)
         if verdict is not None:
-            _report(args, *verdict, started)
+            _emit(_REPORT_TOO_LONG, _write_report, args, *verdict, started)
         if sys.stdout is not None:  # None when Python started with no stdout
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0
