@@ -193,10 +193,7 @@ class TameWord(_Value):
             except KeyError as exc:
                 raise DomainError(f"step {k}: missing key {exc.args[0]!r}") from None
             if type(target) is not int or not 1 <= target <= 3:
-                if type(target) is not int:
-                    shown = type(target).__name__
-                else:  # str() of an int past 4,300 digits raises ValueError
-                    shown = target if target.bit_length() <= 64 else "a larger int"
+                shown = _show(target) if type(target) is int else type(target).__name__
                 raise DomainError(f"step {k}: target must be an int in 1..3, not {shown}")
             if not isinstance(shift, str):
                 raise DomainError(f"step {k}: shift must be a string, not {type(shift).__name__}")

@@ -449,48 +449,38 @@ class ConditionReport:
     explains on demand.
 
     put() stores whether a condition holds at once, together with a
-    zero-argument builder of its clauses.  __getitem__ and conditions()
-    make each Condition once, keep it in its builder's place and return
-    it; the Condition runs the builder when its clauses are first read,
-    which may be long after the report is gone, inside a certificate.
-    holds(), failed_names() and reading a Condition's name or holds never
-    build clause text, so a verdict pays for formatting only when it is
-    explained.  uses lists the registry
-    entries that gave a Delta bound, once each, as DeltaBoundUses (see
-    delta_lower_bound).
+    zero-argument builder of its clauses, and nothing writes the report
+    after that.  __getitem__ and conditions() make a new Condition on
+    every call, and a certificate keeps the one list it takes; the
+    Condition runs the builder when its clauses are first read, which may
+    be long after the report is gone.  holds(),
+    failed_names() and reading a Condition's name or holds never build
+    clause text, so a verdict pays for formatting only when it is
+    explained.  uses lists the registry entries that gave a Delta bound,
+    once each, as DeltaBoundUses (see delta_lower_bound).
     """
 
-    __slots__ = ("_holds", "_items", "uses")
+    __slots__ = ("_holds", "_builders", "uses")
 
     def __init__(self):
         self._holds: dict[str, bool] = {}
-        # the builder put() was given, replaced by its Condition when first read
-        self._items: dict[str, Union[Callable[[], tuple[Clause, ...]], Condition]] = {}
+        self._builders: dict[str, Callable[[], tuple[Clause, ...]]] = {}
         self.uses: list[DeltaBoundUse] = []
 
     def put(self, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]) -> None:
         self._holds[name] = holds
-        self._items[name] = build
+        self._builders[name] = build
 
     def __getitem__(self, name: str) -> Condition:
-        cond = self._items[name]
-        if type(cond) is not Condition:
-            cond = self._items[name] = Condition._deferred(name, self._holds[name], cond)
-        return cond
+        return Condition._deferred(name, self._holds[name], self._builders[name])
 
     def holds(self, name: str) -> bool:
         return self._holds[name]
 
     def conditions(self) -> tuple[Condition, ...]:
-        """Every condition in put() order, in one pass: a condition not
-        read before is made here and kept as __getitem__ keeps it."""
-        items, holds, deferred = self._items, self._holds, Condition._deferred
-        out = []
-        for name, cond in items.items():
-            if type(cond) is not Condition:  # a new value, not a new key: iteration goes on
-                cond = items[name] = deferred(name, holds[name], cond)
-            out.append(cond)
-        return tuple(out)
+        """Every condition in put() order, each made anew."""
+        holds, deferred = self._holds, Condition._deferred
+        return tuple(deferred(name, holds[name], build) for name, build in self._builders.items())
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(n for n, h in self._holds.items() if not h)

@@ -436,7 +436,7 @@ class TestWordJson:
             ({**GOOD, "target": True}, "target must be an int in 1..3, not bool"),
             ({**GOOD, "target": 0}, "target must be an int in 1..3, not 0"),
             ({**GOOD, "target": 4}, "target must be an int in 1..3, not 4"),
-            ({**GOOD, "target": 10**400}, "target must be an int in 1..3, not a larger int"),
+            ({**GOOD, "target": 10**400}, "target must be an int in 1..3, not <401-digit integer>"),
             ({**GOOD, "shift": 2}, "shift must be a string, not int"),
             ({**GOOD, "shift": None}, "shift must be a string, not NoneType"),
             (

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError, make_dataclass
 from itertools import combinations, permutations, product
 from math import gcd
@@ -40,6 +41,7 @@ from tamedeg import (
     degree_w,
     delta_lower_bound,
     ge,
+    intro_family,
     make_realizable,
     mdeg,
     nagata,
@@ -493,7 +495,7 @@ class TestDecideBeforeExplaining:
             (c.name, c.holds, c.holds) for c in expected
         ]
         assert rep.conditions() == tuple(expected)
-        assert rep["A1"] is rep.conditions()[6]
+        assert [rep[c.name] for c in expected] == expected
         assert uses == oracle_uses
         assert all(type(u.bound) is GroupElem for u in uses)
         if w.rank == 1:  # degrees passed as ints give the same report
@@ -531,25 +533,89 @@ class TestDecideBeforeExplaining:
                     self.assert_matches_oracle(ds, w, registry)
         assert ascending > 200
 
-    @pytest.mark.parametrize("make", [
-        lambda: check_weighted_conditions(3, 5, 7, Weight.of(1, 2, 3)),
-        lambda: check_weighted_conditions(ge(2, 1), ge(3, 0), ge(4, 1),
-                                          Weight.of((1, 0), (1, 1), (0, 1))),
-        lambda: check_total_abc(4, 5, 6),
-    ], ids=["rank1", "rank2", "total"])
-    def test_conditions_are_the_items_in_either_read_order(self, make):
-        rep = make()
+    # (make a report, its conditions as done eagerly or as describe() lines)
+    REPORTS = {
+        "rank1": (
+            lambda: check_weighted_conditions(3, 5, 7, Weight.of(1, 2, 3)),
+            lambda: tuple(eager_weighted_conditions(
+                ge(3), ge(5), ge(7), Weight.of(1, 2, 3), builtin_registry(), []
+            )),
+        ),
+        "rank2": (
+            lambda: check_weighted_conditions(ge(2, 1), ge(3, 0), ge(4, 1),
+                                              Weight.of((1, 0), (1, 1), (0, 1))),
+            lambda: tuple(eager_weighted_conditions(
+                ge(2, 1), ge(3, 0), ge(4, 1), Weight.of((1, 0), (1, 1), (0, 1)),
+                builtin_registry(), [],
+            )),
+        ),
+        "total": (lambda: check_total_abc(4, 5, 11), None),
+    }
+
+    @pytest.mark.parametrize("case", list(REPORTS))
+    def test_reads_leave_the_report_as_put_stored_it(self, monkeypatch, case):
+        make, eager = self.REPORTS[case]
+        if eager is None:  # no eager total-degree oracle: its pinned lines
+            lines = self.CERTIFICATES["total-degree"][2]
+            matches = lambda conds: tuple(c.describe() for c in conds) == lines
+        else:
+            expected = eager()
+            matches = lambda conds: conds == expected
+        stored, put = [], ConditionReport.put
+
+        def recording(rep, name, holds, build):
+            stored.append((rep, name, holds, build))
+            put(rep, name, holds, build)
+
+        monkeypatch.setattr(ConditionReport, "put", recording)
+
+        def made():
+            stored.clear()
+            rep = make()
+            assert stored and all(r is rep for r, *_ in stored)
+            return rep
+
+        def as_put(rep):  # the report holds exactly what put() was given
+            return list(rep._holds) == list(rep._builders) == [n for _, n, _, _ in stored] and all(
+                rep._holds[n] is h and rep._builders[n] is b for _, n, h, b in stored
+            )
+
+        rep = made()  # conditions() first, then every item
         conds = rep.conditions()
         assert [c.name for c in conds] == list(rep._holds)
-        assert all(rep[c.name] is c for c in conds)
-        assert rep.conditions() == conds and all(
-            a is b for a, b in zip(rep.conditions(), conds)
-        )
-        rep = make()  # items read first, some of them: conditions() keeps them
-        read = {name: rep[name] for name in list(rep._holds)[::2]}
+        assert matches(conds) and matches(tuple(rep[c.name] for c in conds))
+        assert matches(rep.conditions()) and as_put(rep)
+        rep = made()  # some items first, then conditions()
+        read = tuple(rep[name] for name in list(rep._holds)[::2])
         conds = rep.conditions()
-        assert all(c is read[c.name] for c in conds if c.name in read)
-        assert all(rep[c.name] is c for c in conds)
+        assert read == conds[::2] and matches(conds) and as_put(rep)
+        rep = made()  # both reads from 8 threads at once
+        barrier = threading.Barrier(8)
+        got, errors = [], []
+
+        def read_both(by_name):
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(20):
+                    if by_name:
+                        got.append(tuple(rep[name] for name in rep._builders))
+                    else:
+                        got.append(rep.conditions())
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_both, args=(i % 2,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 160 and all(matches(g) for g in got) and as_put(rep)
 
     # k*triple meets the named guard: 3*d2 = 2*d3 (K3), an odd s >= 3 with
     # s*d1 = 2*d3 (K4), 4*d1 = 3*d2 (K5); (2, 3, 4) meets none
@@ -606,6 +672,9 @@ class TestDecideBeforeExplaining:
         self.assert_matches_oracle(ds, w, registry)
 
     def test_unknown_verdict_builds_no_clause(self, monkeypatch):
+        expected = tuple(
+            eager_weighted_conditions(ge(1), ge(2), ge(3), W111, builtin_registry(), [])
+        )
         built = []
         init = Clause.__init__
 
@@ -629,10 +698,13 @@ class TestDecideBeforeExplaining:
         first = rep.conditions()
         assert built == []
         assert sum(len(c.clauses) for c in first) == 17 and len(built) == 17
-        assert rep.conditions() == first
-        assert sum(len(c.clauses) for c in first) == 17 and len(built) == 17
+        assert first == expected and len(built) == 17
+        # a second conditions() makes new conditions, which build their own
+        second = rep.conditions()
+        assert len(built) == 17 and second == expected and len(built) == 34
+        assert sum(len(c.clauses) for c in first + second) == 34 and len(built) == 34
         assert isinstance(classify_weighted((4, 5, 7), (1, 1, 1)), Excluded)
-        assert len(built) == 17
+        assert len(built) == 34
 
     # Excluded verdicts and wildness certificates of every theorem: how to
     # make one, its theorem, the describe() lines of the conditions that
@@ -834,7 +906,7 @@ class TestDecideBeforeExplaining:
         # a condition a report decided is that report's own Condition
         owned = [(r, c) for c in stored for r in reports if c.name in r._holds]
         assert len(owned) == len(stored) - (theorem is Theorem.F_SPECIFIC)
-        assert all(r[c.name] is c for r, c in owned)
+        assert all(r[c.name] == c for r, c in owned)
 
     @pytest.mark.parametrize("case", list(CERTIFICATES))
     def test_concurrent_first_reads_of_one_certificate(self, case):
@@ -1195,6 +1267,47 @@ class TestCertifyWild:
             endo = realize(TameWord(tuple(steps), 3))
             for w in (W111, Weight.of(1, 2, 3)):
                 assert not isinstance(certify_wild(endo, w), Certificate)
+
+    @staticmethod
+    def staircase(a, b, A, B):
+        """x1 += x3^a; x2 += x3^b; x3 += x1^A - x2^B, tame whatever the
+        exponents; A*a = B*b makes the last shift cancel its lead terms."""
+        def mono(var, exp):
+            return Polynomial.monomial(tuple(exp if i == var else 0 for i in range(3)))
+
+        return TameWord((shear(0, mono(2, a)), shear(1, mono(2, b)),
+                         shear(2, mono(0, A) - mono(1, B))), 3)
+
+    def test_tame_staircases_stop_at_k5_or_prop_main(self):
+        # tame maps that pass K1..K4 must stop at the last two exits
+        words = [
+            self.staircase(a, b, A, B)
+            for a, b, A, B in product(range(1, 9), range(1, 9), range(1, 5), range(1, 5))
+            if a < b and A * a == B * b
+        ]
+        assert len(words) == 16
+        reasons = Counter()
+        for word in words:
+            endo = realize(word)
+            for w in product(range(1, 5), repeat=3):
+                out = certify_wild(endo, w)
+                assert isinstance(out, Unknown), (word, w)
+                reasons[out.reasons] += 1
+        assert sum(reasons.values()) == 1024
+        assert reasons[("K5",)] == 82 and reasons[("prop:main",)] == 82
+
+    @pytest.mark.parametrize("word, weight, reason", [
+        ((3, 4, 4, 3), (1, 1, 2), "K5"),
+        ((2, 3, 3, 2), (1, 1, 2), "prop:main"),
+        (None, (1, 1, 1), "prop:main"),  # intro_family((2, 3)): the staircase (6, 9, 9, 6)
+    ], ids=["K5", "prop-main", "intro-family"])
+    def test_named_tame_staircases(self, word, weight, reason):
+        if word is None:
+            word = intro_family((2, 3))[1]
+            assert word == self.staircase(6, 9, 9, 6)
+        else:
+            word = self.staircase(*word)
+        assert certify_wild(realize(word), weight) == Unknown((reason,))
 
 
 def _outcome(certify, endo, weight, registry):

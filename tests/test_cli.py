@@ -504,6 +504,30 @@ class TestOtherCommands:
         under = " under weight (1,2,3)" if weight else ""
         assert code == 0 and out.splitlines()[0] == f"triple {tuple(triple)}{under}"
 
+    def test_realizable_corollary_lists_its_components(self, capsys):
+        code, out, err = run_cli(capsys, "corollary", "li-du-top-prime", "3", "4", "7")
+        assert (code, err) == (0, "")
+        assert out == (
+            "triple (3, 4, 7)\n"
+            "verdict: Realizable, multidegree (3, 4, 7)\n"
+            "word (3 steps):\n"
+            "  step 1: x1 <- x1 + x3^3\n"
+            "  step 2: x2 <- x2 + x3^4\n"
+            "  step 3: x3 <- x3 + x1*x2\n"
+            "realized components:\n"
+            "  f1 = x3^3 + x1\n"
+            "  f2 = x3^4 + x2\n"
+            "  f3 = x3^7 + x1*x3^4 + x2*x3^3 + x1*x2 + x3\n"
+        )
+
+    def test_unknown_json_names_the_failed_conditions(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "4", "6", "11", "--json")
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert doc["query"] == {"command": "classify", "degrees": [4, 6, 11]}
+        assert doc["verdict"] == "unknown" and "certificate" not in doc
+        assert doc["failed_conditions"] == ["b1", "b2", "A2", "A3", "B1", "B2"]
+
     def test_table(self, capsys, tmp_path):
         out_path = tmp_path / "table.txt"
         code, out, _ = run_cli(
