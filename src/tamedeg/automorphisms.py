@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, DegreeCapError, DomainError, _show
+from .errors import ConstructionError, DegreeCapError, DomainError, _entries, _show
 from .ordgroup import _member1, _multiple1, _set, _Value, is_prime
 from .parse import parse_polynomial
 from .poly import (
@@ -121,10 +121,7 @@ class TameWord(_Value):
     _fields = ("steps", "nvars")
 
     def __init__(self, steps: tuple[ElementaryAut, ...], nvars: int = 3):
-        try:
-            steps = tuple(steps)
-        except TypeError:
-            raise DomainError(f"steps must be a sequence, got {_show(steps)}") from None
+        steps = _entries(steps, "steps")
         if type(nvars) is not int or nvars < 1:
             raise DomainError(f"a word needs at least one variable, got nvars={_show(nvars)}")
         for s in steps:
@@ -240,10 +237,7 @@ class Endo(_Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[Polynomial, ...]):
-        try:
-            components = tuple(components)
-        except TypeError:
-            raise DomainError(f"components must be a sequence, got {_show(components)}") from None
+        components = _entries(components, "components")
         n = len(components)
         for c in components:
             if not isinstance(c, Polynomial):
@@ -680,9 +674,10 @@ def permutation_word(perm: Sequence[int], nvars: int = 3) -> TameWord:
     cached.  Equal permutations get the same word object, with steps
     shared among the words: like every TameWord, ElementaryAut and
     Polynomial, they must never be mutated."""
-    if sorted(perm) != list(range(nvars)):
+    entries = _entries(perm, "perm")
+    if any(type(p) is not int for p in entries) or sorted(entries) != list(range(nvars)):
         raise DomainError(f"{perm} is not a permutation of 0..{nvars - 1}")
-    return _permutation_word(tuple(perm), nvars)
+    return _permutation_word(entries, nvars)
 
 
 @lru_cache(maxsize=64)

@@ -44,7 +44,7 @@ from .automorphisms import (
     _verify_witness,
     _witness_word,
 )
-from .errors import DomainError, HypothesisViolation, _show
+from .errors import DomainError, HypothesisViolation, _entries, _show
 from .ordgroup import (
     GroupElem,
     Weight,
@@ -793,7 +793,7 @@ def classify_weighted(
     dependence is solved once, by the trusted kernel _pair, and read by
     both criteria.
     """
-    ds = [d if type(d) is int else as_group_elem(d) for d in degrees]
+    ds = [d if type(d) is int else as_group_elem(d) for d in _entries(degrees, "degrees")]
     if len(ds) != 3:
         raise DomainError("expected a degree triple")
     w = as_weight(weight)

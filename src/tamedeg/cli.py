@@ -317,21 +317,18 @@ def _cmd_table(args) -> None:
     if args.max < 1:
         raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
     weight = parse_vector_list(args.weight) if args.weight else None
-    table = realizability_table(args.max, weight=weight, registry=args.registry)
-    lines = [
-        f"{d1} {d2} {d3} {entry.kind}"
-        for (d1, d2, d3), entry in sorted(table.items())
-    ]
-    body = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body + ("\n" if body else ""))
-        print(f"wrote {len(lines)} rows to {args.out}")
-    else:
-        print(body)
+    rows = realizability_table(args.max, weight=weight, registry=args.registry)
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     counts: dict[str, int] = {}
-    for entry in table.values():
-        counts[entry.kind] = counts.get(entry.kind, 0) + 1
+    try:
+        for (d1, d2, d3), entry in rows:
+            print(f"{d1} {d2} {d3} {entry.kind}", file=out)
+            counts[entry.kind] = counts.get(entry.kind, 0) + 1
+    finally:
+        if args.out:
+            out.close()
+    if args.out:
+        print(f"wrote {sum(counts.values())} rows to {args.out}")
     print("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
 
 

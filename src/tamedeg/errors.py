@@ -1,4 +1,5 @@
-"""Shared exception types, and the one way their messages show a value."""
+"""Shared exception types, the one way their messages show a value, and
+the one way an argument that must have entries is read."""
 
 from math import log10
 
@@ -23,6 +24,15 @@ def _show(value, limit: int = 40) -> str:
         text = repr(value)
     cut = 5 * limit
     return text if len(text) <= cut else f"{text[:cut]}... ({len(text)} characters)"
+
+
+def _entries(value, name: str) -> tuple:
+    """tuple(value), or DomainError "<name> must be a sequence" for a value
+    with no entries, such as an int."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {_show(value)}") from None
 
 
 class DomainError(ValueError):

@@ -38,7 +38,7 @@ from math import gcd as _int_gcd
 from operator import add as _add, sub as _sub
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConstructionError, DomainError, RankMismatchError, _show
+from .errors import ConstructionError, DomainError, RankMismatchError, _entries, _show
 
 
 _set = object.__setattr__
@@ -604,7 +604,8 @@ def coerce_weight_vector(weights, nvars: int) -> tuple[GroupElem, ...]:
     if weights is None:
         return tuple(GroupElem((1,)) for _ in range(nvars))
     trusted = isinstance(weights, Weight)
-    items = weights.components if trusted else tuple(as_group_elem(w) for w in weights)
+    items = (weights.components if trusted
+             else tuple(map(as_group_elem, _entries(weights, "weights"))))
     if len(items) != nvars:
         raise DomainError(f"expected {nvars} weights, got {len(items)}")
     if not trusted:

@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import mul as _mul
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError, DomainError, _show
+from .errors import BudgetExceededError, DomainError, _entries, _show
 from .ordgroup import GroupElem, coerce_weight_vector
 
 Monomial = tuple[int, ...]
@@ -184,10 +184,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff=1) -> "Polynomial":
-        try:
-            exponents = tuple(exponents)
-        except TypeError:
-            raise DomainError(f"exponents must be a sequence, got {_show(exponents)}") from None
+        exponents = _entries(exponents, "exponents")
         return cls(len(exponents), {exponents: coeff})
 
     @property

@@ -17,8 +17,8 @@ dropped silently.  ``consistency_check`` and ``run_search`` share one
 loop that classifies each realized multidegree once per weight, with the
 verdicts cached by (weight, sorted multidegree); ``certify_wild`` screens
 each realized map's Jacobian as it does for every caller.
-``realizability_table`` maps each sorted degree triple to the verdict
-object the classifier returned for it.
+``realizability_table`` streams each sorted degree triple, in sorted
+order, with the verdict object the classifier returned for it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .automorphisms import ElementaryAut, Endo, TameWord, _Fold
@@ -517,10 +517,11 @@ def realizability_table(
     max_degree: int,
     weight=None,
     registry: Optional[DeltaBoundRegistry] = None,
-) -> dict[tuple[int, int, int], ClassificationResult]:
-    """Verdict per sorted triple with entries up to max_degree.
+) -> Iterator[tuple[tuple[int, int, int], ClassificationResult]]:
+    """(triple, verdict) per sorted triple with entries up to max_degree, in
+    sorted order, classified when read; the arguments are checked at the call.
 
-    Each value is the Realizable, Excluded or Unknown object the classifier
+    Each verdict is the Realizable, Excluded or Unknown object the classifier
     returned: classify_total's under total degree (weight None), and
     classify_weighted's under an integer weight triple.
     """
@@ -529,13 +530,11 @@ def realizability_table(
     w = None if weight is None else as_weight(weight)
     if w is not None and w.rank != 1:
         raise DomainError("tables index integer degree triples: rank-1 weights only")
-    table: dict[tuple[int, int, int], ClassificationResult] = {}
-    for triple in combinations_with_replacement(range(1, max_degree + 1), 3):
-        if w is None:
-            table[triple] = classify_total(*triple, registry)
-        else:
-            table[triple] = classify_weighted(triple, w, registry)
-    return table
+    ds = range(1, max_degree + 1)  # sliced, not copied as combinations_with_replacement does
+    triples = ((a, b, c) for a in ds for b in ds[a - 1:] for c in ds[b - 1:])
+    if w is None:
+        return ((t, classify_total(*t, registry)) for t in triples)
+    return ((t, classify_weighted(t, w, registry)) for t in triples)
 
 
 class SearchRecord(_Value):

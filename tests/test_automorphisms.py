@@ -314,7 +314,7 @@ class TestPermutationHelpers:
             assert word == permutation_word(perm, 3)
             assert word is permutation_word(perm, 3)
 
-    @pytest.mark.parametrize("perm", [[0, 0, 1], (1, 2, 3), [0, 1]])
+    @pytest.mark.parametrize("perm", [[0, 0, 1], (1, 2, 3), [0, 1], [0, "a", 2], (True, 0, 2)])
     def test_bad_permutation_raises_every_time(self, perm):
         before = _permutation_word.cache_info()
         for _ in range(3):
@@ -323,6 +323,14 @@ class TestPermutationHelpers:
             assert str(err.value) == f"{perm} is not a permutation of 0..2"
         after = _permutation_word.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_permutation_without_entries_raises(self):
+        with pytest.raises(DomainError, match="^perm must be a sequence, got 5$"):
+            permutation_word(5, 3)
+
+    def test_permutation_read_once(self):
+        # an iterator is read into the word's key, not exhausted by the check
+        assert permutation_word(iter([2, 0, 1]), 3) is permutation_word((2, 0, 1), 3)
 
 
 class TestPermutationAction:

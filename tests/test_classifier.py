@@ -51,6 +51,7 @@ from tamedeg import (
     realize,
     semigroup_witness,
     shear,
+    wedge2_degree,
 )
 from tamedeg.automorphisms import _verify_realization, _witness_word
 from tamedeg import ordgroup
@@ -204,7 +205,7 @@ class TestDefaultRegistry:
         lambda reg: certify_wild(nagata(), (4, 3, 3), reg),
         _weighted_report,
         lambda reg: corollary_verdict("karas-four", (5, 9), reg),
-        lambda reg: realizability_table(8, registry=reg),
+        lambda reg: dict(realizability_table(8, registry=reg)),
     ], ids=["classify_total", "classify_weighted", "certify_wild",
             "check_weighted_conditions", "corollary_verdict", "realizability_table"])
     def test_none_is_the_builtin_registry(self, call):
@@ -1115,6 +1116,12 @@ class TestRankOneDegreeForms:
         for form in _degree_forms(degrees):
             assert _weighted_outcome(form, weight) == error
 
+    @pytest.mark.parametrize("degrees", [5, None])
+    def test_degrees_without_entries_rejected(self, degrees):
+        assert _weighted_outcome(degrees, W111) == (
+            DomainError, f"degrees must be a sequence, got {degrees}"
+        )
+
     def test_bool_degrees_rejected(self):
         # a bool has no GroupElem form; its other forms keep their messages
         assert _weighted_outcome((True, 2, 3), W111) == (
@@ -1555,12 +1562,18 @@ class TestWeightCoercion:
             lambda w: certify_wild(nagata(), w),
             lambda w: realizability_table(5, weight=w),
             lambda w: degree_w(nagata().components[0], w),
+            lambda w: wedge2_degree(*nagata().components[:2], w),
         ],
-        ids=["classify_weighted", "certify_wild", "realizability_table", "degree_w"],
+        ids=["classify_weighted", "certify_wild", "realizability_table", "degree_w",
+             "wedge2_degree"],
     )
-    @pytest.mark.parametrize("weight", [(1, 2), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("weight", [(1, 2), (1, 2, 3, 4), 5, object()])
     def test_wrong_entry_count_is_a_domain_error(self, call, weight):
-        with pytest.raises(DomainError, match=f"expected 3 weights, got {len(weight)}"):
+        if isinstance(weight, tuple):
+            message = f"expected 3 weights, got {len(weight)}"
+        else:  # no entries at all
+            message = "weights must be a sequence, got "
+        with pytest.raises(DomainError, match=message):
             call(weight)
 
     def test_weight_kept_and_entries_read(self):

@@ -37,6 +37,14 @@ def _process_env() -> dict:
     return env
 
 
+def _cap_memory() -> None:
+    """Run in a child before it starts: a table that is held whole, not
+    streamed, ends in a MemoryError instead of filling the machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -994,22 +1002,35 @@ class TestProcess:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
     def test_closed_stdout_exits_1_quietly(self):
-        # the table is far larger than a pipe buffer, so printing it meets
-        # the closed pipe
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "tamedeg", "table", "--max", "40"], env=_process_env(),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        # each table is far larger than a pipe buffer, so printing it meets
+        # the closed pipe; the rows stream, so the one up to 100000, which
+        # no memory could hold, meets it as soon as the first one does
+        for bound in ("40", "100000"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tamedeg", "table", "--max", bound],
+                env=_process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                preexec_fn=_cap_memory,
+            )
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=10)
+            finally:
+                proc.kill()
+            assert first == b"1 1 1 realizable\n", bound
+            assert code == 1, bound
+            assert proc.stderr.read() == b"", bound
+            proc.stderr.close()
+
+    def test_table_opens_out_before_classifying(self, tmp_path):
+        out = tmp_path / "missing" / "t.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tamedeg", "table", "--max", "100000", "--out", str(out)],
+            env=_process_env(), capture_output=True, text=True, timeout=10,
+            preexec_fn=_cap_memory,
         )
-        try:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            code = proc.wait(timeout=60)
-        finally:
-            proc.kill()
-        assert first == b"1 1 1 realizable\n"
-        assert code == 1
-        assert proc.stderr.read() == b""
-        proc.stderr.close()
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_public_names_are_the_used_surface():
