@@ -14,17 +14,17 @@ total-degree criteria, and 1..2 for the independent-weights criterion.
 
 Deciding comes before explaining.  Whether a condition holds is decided at
 once, in exact integer arithmetic; the text of its clauses is built only
-when its clauses are first read.  That holds inside a certificate too: an
-Excluded verdict keeps its theorem, its registry bounds and the report
-that decided it, and builds neither its conditions nor their clauses
-until they are read (by .conditions, to_json(), equality, hash, repr or
-pickling; the clause text waits for .clauses, describe() or to_json()),
-so a caller that reads only the verdict kind, such as the table command,
-makes none.  A wildness certificate makes its conditions at once, but no
-clause text until it is read.  An Unknown verdict, which keeps only the
-names of the failed conditions, builds none at all.  Rank-1 weights, which every Karas-type corollary and
-the search harness use, are decided on plain ints rather than GroupElems;
-reports and certificates are the same as at any rank.
+when its clauses are first read.  Every certificate, Excluded or wild,
+follows one rule: its theorem, its registry bounds and the decisions exist
+as soon as the verdict does; its conditions are built on the first read
+of .conditions (by to_json(), equality, hash, repr or pickling too); the
+clause text is built on the first read of .clauses (by describe() or
+to_json() too).  So a caller that reads only the verdict kind, such as
+the table command, makes none.  An Unknown verdict, which keeps only the
+names of the failed conditions, builds none at all.  Rank-1 weights, which
+every Karas-type corollary and the search harness use, are decided on
+plain ints rather than GroupElems; reports and certificates are the same
+as at any rank.
 
 The quantity Delta(d, e) (minimal wedge degree over tame maps with two
 prescribed component degrees) is never computed exactly; every use is
@@ -66,8 +66,6 @@ from .ordgroup import (
 )
 from .poly import _degree_w, _wedge_degree
 
-_new = object.__new__
-
 
 class Theorem(str, Enum):
     TOTAL_DEGREE = "TotalDegree"
@@ -94,28 +92,20 @@ class Clause(_Value):
 class Condition(_Value):
     """A named condition, whether it holds, and the clauses that show why.
 
-    A condition made by _deferred holds a builder of its clauses instead:
-    the first read of .clauses runs it and keeps the clauses in its place.
-    A Condition is immutable, and equality, hash and repr are those of the
-    value (name, holds, clauses), so they read the clauses."""
+    The clauses are given as a sequence, stored as a tuple, or as a
+    zero-argument builder of them: the first read of .clauses runs it and
+    keeps the tuple in its place.  A Condition is immutable, and equality,
+    hash and repr are those of the value (name, holds, clauses), so they
+    read the clauses."""
 
     __slots__ = ("name", "holds", "_clauses")
     _fields = ("name", "holds", "clauses")
 
-    def __init__(self, name: str, holds: bool, clauses: tuple[Clause, ...]):
+    def __init__(self, name: str, holds: bool,
+                 clauses: Union[Sequence[Clause], Callable[[], Sequence[Clause]]]):
         _set_name(self, name)
         _set_holds(self, holds)
-        _set_clauses(self, clauses)
-
-    @classmethod
-    def _deferred(
-        cls, name: str, holds: bool, build: Callable[[], tuple[Clause, ...]]
-    ) -> "Condition":
-        cond = _new(cls)  # skips __init__: runs for every certified condition
-        _set_name(cond, name)
-        _set_holds(cond, holds)
-        _set_clauses(cond, build)
-        return cond
+        _set_clauses(self, clauses if callable(clauses) else tuple(clauses))
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -154,35 +144,27 @@ class Certificate(_Value):
     """The theorem that excludes a triple (or certifies a map wild), the
     chain of conditions it rests on, and the registry bounds it used.
 
-    A certificate made by _deferred holds the ConditionReport that decided
-    it instead: the first read of .conditions takes the report's conditions
-    and keeps the tuple in its place, as Condition does with its clauses.
+    The conditions are given as a sequence, stored as a tuple, or as a
+    zero-argument builder of them, as Condition takes its clauses: the
+    first read of .conditions runs it and keeps the tuple in its place.
     Equality, hash, repr, pickling and to_json() read .conditions, so they
     see the built tuple."""
 
     __slots__ = ("theorem", "_conditions", "delta_bounds_used")
     _fields = ("theorem", "conditions", "delta_bounds_used")
 
-    def __init__(self, theorem: Theorem, conditions: Sequence[Condition],
+    def __init__(self, theorem: Theorem,
+                 conditions: Union[Sequence[Condition], Callable[[], Sequence[Condition]]],
                  delta_bounds_used: Sequence[DeltaBoundUse] = ()):
         _set_theorem(self, theorem)
-        _set_conditions(self, tuple(conditions))
+        _set_conditions(self, conditions if callable(conditions) else tuple(conditions))
         _set_bounds(self, tuple(delta_bounds_used))
-
-    @classmethod
-    def _deferred(cls, theorem: Theorem, report: "ConditionReport",
-                  delta_bounds_used: tuple[DeltaBoundUse, ...] = ()) -> "Certificate":
-        cert = _new(cls)  # skips __init__: runs for every Excluded verdict
-        _set_theorem(cert, theorem)
-        _set_conditions(cert, report)
-        _set_bounds(cert, delta_bounds_used)
-        return cert
 
     @property
     def conditions(self) -> tuple[Condition, ...]:
         conditions = self._conditions
-        if type(conditions) is not tuple:  # one slot, swapped once: safe under threads
-            conditions = conditions.conditions()
+        if callable(conditions):  # one slot, swapped once: safe under threads
+            conditions = tuple(conditions())
             _set_conditions(self, conditions)
         return conditions
 
@@ -472,15 +454,15 @@ class ConditionReport:
         self._builders[name] = build
 
     def __getitem__(self, name: str) -> Condition:
-        return Condition._deferred(name, self._holds[name], self._builders[name])
+        return Condition(name, self._holds[name], self._builders[name])
 
     def holds(self, name: str) -> bool:
         return self._holds[name]
 
     def conditions(self) -> tuple[Condition, ...]:
         """Every condition in put() order, each made anew."""
-        holds, deferred = self._holds, Condition._deferred
-        return tuple(deferred(name, holds[name], build) for name, build in self._builders.items())
+        holds = self._holds
+        return tuple(Condition(name, holds[name], build) for name, build in self._builders.items())
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(n for n, h in self._holds.items() if not h)
@@ -812,9 +794,7 @@ def classify_weighted(
         pairs = {(i, j): _pair(ds[i], ds[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
         rep = _independent_weights_report(ds, pairs)
         if rep.holds("1") and rep.holds("2"):
-            return Excluded(
-                Certificate._deferred(Theorem.INDEPENDENT_WEIGHTS, rep)
-            )
+            return Excluded(Certificate(Theorem.INDEPENDENT_WEIGHTS, rep.conditions))
         reasons.extend(rep.failed_names())
     d1, d2, d3 = sorted(ds)
     if d1 < d2 < d3:
@@ -825,9 +805,7 @@ def classify_weighted(
         rep = check_weighted_conditions(d1, d2, d3, w, registry, _pair12=pair)
         h = rep._holds
         if h["K1"] and h["K2"] and (h["A1"] or h["A2"] or h["A3"]) and (h["B1"] or h["B2"]):
-            return Excluded(
-                Certificate._deferred(Theorem.MAIN_WEIGHTED, rep, tuple(rep.uses))
-            )
+            return Excluded(Certificate(Theorem.MAIN_WEIGHTED, rep.conditions, rep.uses))
         reasons.extend(
             n for n in rep.failed_names() if n not in reasons
         )
@@ -871,7 +849,7 @@ def classify_total(
     rep = check_total_abc(t1, t2, t3)
     holds = rep.holds
     if (holds("a1") or holds("a2")) and (holds("b1") or holds("b2")) and holds("c"):
-        return Excluded(Certificate._deferred(Theorem.TOTAL_DEGREE, rep))
+        return Excluded(Certificate(Theorem.TOTAL_DEGREE, rep.conditions))
     weighted = classify_weighted((t1, t2, t3), _UNIT, registry)
     if isinstance(weighted, Excluded):
         return weighted
@@ -934,29 +912,32 @@ def certify_wild(
     h = rep._holds
     if not (h["K1"] and h["K2"] and h["K3"] and h["K4"]):
         return Unknown(tuple(n for n in ("K1", "K2", "K3", "K4") if not h[n]))
-    conditions = [rep["K1"], rep["K2"], rep["K3"], rep["K4"]]
-    if pair is not None:
-        if not rep.holds("K5"):
+    names = ("K1", "K2", "K3", "K4")
+    if pair is None:
+        last = "1"
+
+        def explain():
+            return (Clause("d1, d2", "linearly independent over Z", "", True),)
+    else:
+        if not h["K5"]:
             return Unknown(("K5",))
-        conditions.append(rep["K5"])
         l = (pair[0] * pair[1]) * pair[2]  # lcm(d1, d2) = u1*u2*gcd
         wedge = _wedge_degree(jacobian.minors(low, mid), 3, jacobian.width, w.components)
         total = d1 + d2 + d3
         if wedge is None or not total < l + wedge:
             return Unknown(("prop:main",))
-        conditions.append(Condition._deferred("prop:main", True, lambda: (
-            Clause(
+        names, last = names + ("K5",), "prop:main"
+
+        def explain():
+            return (Clause(
                 left=f"d1+d2+d3 = {_fmt(total)}",
                 relation="<",
                 right=f"lcm(d1,d2)+deg_w(df1^df2) = {_fmt(l + wedge)}",
                 holds=True,
-            ),
-        )))
-    else:
-        conditions.append(Condition._deferred("1", True, lambda: (
-            Clause("d1, d2", "linearly independent over Z", "", True),
-        )))
-    return Certificate(Theorem.F_SPECIFIC, tuple(conditions), tuple(rep.uses))
+            ),)
+    return Certificate(Theorem.F_SPECIFIC, lambda: (
+        *map(rep.__getitem__, names), Condition(last, True, explain)
+    ), rep.uses)
 
 
 def _hyp(cond: bool, name: str):

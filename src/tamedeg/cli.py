@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 = ran and printed a verdict, 1 = stdout was closed before the
-output was written (as by `| head`), 2 = usage error, 3 = bad input (any
-DomainError, which covers parse failures, rank mismatches, violated
-hypotheses and malformed records; a budget overrun; an unreadable file, a
-file that is not valid JSON or not UTF-8), 4 = internal soundness failure
-(a witness failed its own verification, or an internal invariant did not
-hold).  Any other exception is a bug and propagates with its traceback.
+output was written (as by `| head`), 2 = usage error, 3 = bad input or a
+failed file (any DomainError, which covers parse failures, rank
+mismatches, violated hypotheses and malformed records; a budget overrun;
+a file that is not valid JSON or not UTF-8; any OSError with an errno, so
+a file or stream that cannot be opened, read, written or closed, --out
+and stdout included), 4 = internal soundness failure (a witness failed its
+own verification, or an internal invariant did not hold).  Any other
+exception, an OSError without an errno too, is a bug and propagates with
+its traceback.
 
 main is the one path of every command: it reads the integer arguments,
 starts the --json timer, loads --registry for each command that takes it,
@@ -70,13 +73,10 @@ REPORT_SCHEMA = "tamedeg.report/1"
 _INPUT_ERRORS = (
     DomainError,  # every fault of the input: parse, rank, hypothesis, schema
     BudgetExceededError,
-    # what opening a user's --config, --registry or --out path raises; any
-    # other OSError is not the input's fault
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
     UnicodeDecodeError,  # a config or registry file that is not UTF-8
+    # with an errno, a user's file or stdout that cannot be opened, read,
+    # written or closed; main re-raises one without, which is a bug
+    OSError,
 )
 
 # Integer arguments, read by the entry grammar (parse._integer) in main once
@@ -138,8 +138,6 @@ def _print_result(result, out) -> None:
 
 def _print_steps(word: TameWord, out) -> None:
     print(f"word ({len(word)} steps):", file=out)
-    if not word.steps:
-        print("  (identity)", file=out)
     for i, step in enumerate(word.steps, start=1):
         print(f"  step {i}: {step.render()}", file=out)
 
@@ -430,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if verdict is not None:
             _emit(_REPORT_TOO_LONG, _write_report, args, *verdict, started)
         if sys.stdout is not None:  # None when Python started with no stdout
-            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            sys.stdout.flush()  # so that a closed pipe or a full disk raises here, not at exit
         return 0
     except BrokenPipeError:
         # Python's recipe for SIGPIPE: the flush at exit writes to devnull
@@ -440,6 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: internal soundness failure: {exc}", file=sys.stderr)
         return 4
     except _INPUT_ERRORS as exc:
+        if isinstance(exc, OSError) and exc.errno is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -412,8 +412,6 @@ def substitute(
         raise DomainError(
             f"need {f.nvars} replacement polynomials, got {len(replacements)}"
         )
-    if not replacements:
-        raise DomainError("need at least one replacement")
     m = replacements[0].nvars
     for r in replacements:
         if r.nvars != m:

@@ -164,9 +164,12 @@ class TestDeltaLowerBound:
          DomainError, "cannot interpret 'x' as a group element"),
         (lambda: check_weighted_conditions(ge(1), ge(2), ge(3), "1,1,1"), DomainError,
          "cannot interpret '1' as a group element"),
+        (lambda: delta_lower_bound(ge(0), ge(3), W111), DomainError, "degrees must be positive"),
+        (lambda: check_weighted_conditions(0, 1, 2, (1, 1, 1)), DomainError,
+         "degrees must be positive"),
     ], ids=["delta-ints", "delta-tuple", "delta-rank", "delta-weight-count", "with_entry-ints",
             "with_entry-bound", "lookup-ints", "lookup-bool", "conditions-ints-rank-2",
-            "conditions-str", "conditions-str-weight"])
+            "conditions-str", "conditions-str-weight", "delta-zero", "conditions-zero"])
     def test_other_types_are_domain_errors(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()
@@ -873,31 +876,35 @@ class TestDecideBeforeExplaining:
         reference, eager = make(), self.eager_certificate(case)
         names = [c.name for c in reference.conditions]  # built before counting
         made, reports = [], []
-        deferred, report_init = Condition._deferred, ConditionReport.__init__
+        condition_init, report_init = Condition.__init__, ConditionReport.__init__
 
-        def counting(name, holds, build):
-            made.append(name)
-            return deferred(name, holds, build)
+        def counting(cond, name, holds, clauses):
+            made.append(cond)
+            condition_init(cond, name, holds, clauses)
 
         def recording(rep):
             reports.append(rep)
             report_init(rep)
 
-        monkeypatch.setattr(Condition, "_deferred", staticmethod(counting))
+        monkeypatch.setattr(Condition, "__init__", counting)
         monkeypatch.setattr(ConditionReport, "__init__", recording)
         cert = make()
         assert cert.theorem is theorem
         assert cert.delta_bounds_used == reference.delta_bounds_used
-        # an Excluded verdict, its theorem and bounds: no Condition; a
-        # wildness certificate, which every caller of certify_wild reads,
-        # makes its conditions at once
-        assert made == (names if theorem is Theorem.F_SPECIFIC else []) and reports
+        # a verdict of any theorem, wild included, its theorem and bounds:
+        # no Condition
+        assert made == [] and reports
+        # unpickling makes the copy its own conditions, through __init__
+        copies = len(names) if reader == "pickle" else 0
         assert self.READERS[reader](cert, reference)
-        assert made == names  # the first read made each condition once
+        stored = cert.conditions
+        # the first read made each condition once
+        assert len(stored) == len(names) and len(made) == len(names) + copies
+        assert all(m is c for m, c in zip(made, stored)) and [c.name for c in stored] == names
         for read in self.READERS.values():
             assert read(cert, reference)
-        assert made == names  # and the later reads made none
-        stored = cert.conditions
+        # and the later reads made none but the copy's, in the pickle round trip
+        assert len(made) == 2 * len(names) + copies
         assert cert.conditions is stored
         if eager is not None:
             assert cert == eager and hash(cert) == hash(eager) and repr(cert) == repr(eager)
@@ -942,6 +949,11 @@ class TestDecideBeforeExplaining:
             sys.setswitchinterval(interval)
 
     def test_certificate_stores_tuples(self):
+        clause = Clause("d1 = 1", "<", "d2 = 2", True)
+        listed_cond = Condition("c", True, [clause])
+        tupled_cond = Condition("c", True, (clause,))
+        assert listed_cond == tupled_cond and hash(listed_cond) == hash(tupled_cond)
+        assert type(listed_cond.clauses) is tuple
         cond = Condition("c", True, ())
         use = DeltaBoundUse(((1,), (1,), (1,)), ((4,), (6,)), ge(4))
         listed = Certificate(Theorem.TOTAL_DEGREE, [cond], [use])
@@ -1109,9 +1121,11 @@ class TestRankOneDegreeForms:
         ((0, 2, 3), (1, 2), (DomainError, "expected 3 weights, got 2")),
         ((0, 2, 3), ((1, 0), (0, 1), (1, 1)),
          (DomainError, "degrees and weights must share one rank")),
+        (((0, -1), (1, 0), (2, 0)), ((1, 0), (1, 1), (0, 1)),
+         (DomainError, "degrees must be positive")),
     ], ids=["short", "long", "int-rank-2-weight", "mixed-ranks", "zero", "negative", "float",
             "entry-before-count", "count-before-weight", "weight-before-positivity",
-            "rank-before-positivity"])
+            "rank-before-positivity", "rank-2-nonpositive"])
     def test_errors(self, degrees, weight, error):
         for form in _degree_forms(degrees):
             assert _weighted_outcome(form, weight) == error

@@ -240,7 +240,7 @@ class TestParser:
         assert parse_vector(" [-1, 0 ,+2] ").coords == (-1, 0, 2)
 
     @pytest.mark.parametrize(
-        "text", ["\u0663", "[1,\u0662]", "1_000", "[1_0,2]", "5.0", "--5", "+", "", "[1,,2]"]
+        "text", ["\u0663", "[1,\u0662]", "1_000", "[1_0,2]", "5.0", "--5", "+", "", "[1,,2]", "[]"]
     )
     def test_vector_entry_outside_the_grammar(self, text):
         with pytest.raises(DomainError):
@@ -1031,6 +1031,26 @@ class TestProcess:
         )
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, stdout_full", [
+        (["table", "--max", "5", "--out", "/dev/full"], False),
+        (["classify", "3", "4", "5"], True),
+        (["search", "--config", "{config}", "--out", "/dev/full"], False),
+        (["witness", "2", "3", "4", "--verify"], True),
+    ], ids=["table-out", "classify-stdout", "search-out", "witness-stdout"])
+    def test_failed_write_exits_3_with_one_line(self, tmp_path, argv, stdout_full):
+        # /dev/full refuses every write with ENOSPC
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 3, "sample_count": 20}')
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tamedeg", *(a.format(config=config) for a in argv)],
+                env=_process_env(), stdout=full if stdout_full else subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
 def test_public_names_are_the_used_surface():

@@ -325,9 +325,10 @@ class TestIsPrime:
     (lambda: frobenius_number(2.5, 3), "generators must be integers"),
     (lambda: frobenius_number(3, True), "generators must be integers"),
     (lambda: is_prime(7.0), "expected an integer, got 7.0"),
+    (lambda: GroupElem(()), "group element needs rank >= 1"),
 ], ids=["w_star", "w_star-mixed", "semigroup_member", "least_combination_exceeding",
         "semigroup_member-target", "rank_profile", "least_combination_exceeding-threshold",
-        "Weight", "frobenius_number", "frobenius_number-bool", "is_prime"])
+        "Weight", "frobenius_number", "frobenius_number-bool", "is_prime", "GroupElem-empty"])
 def test_building_blocks_reject_other_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()

@@ -30,8 +30,11 @@ from tamedeg import (
     certify_wild,
     degree_w,
     ge,
+    intro_family,
     jacobian_det,
+    mdeg,
     parse_polynomial,
+    parse_vector_list,
     realize,
     render,
     shear,
@@ -46,6 +49,7 @@ from tamedeg.poly import (
 )
 
 X1, X2, X3 = (Polynomial.variable(i, 3) for i in range(3))
+Y1, Y2 = (Polynomial.variable(i, 2) for i in range(2))
 
 
 def random_poly(rng, nvars=3, max_deg=6, max_terms=6):
@@ -138,6 +142,21 @@ class TestRingOps:
         (lambda: Endo(5), "components must be a sequence, got 5"),
         (lambda: TameWord((), True), "a word needs at least one variable, got nvars=True"),
         (lambda: TameWord((), 0), "a word needs at least one variable, got nvars=0"),
+        (lambda: TameWord((shear(0, X2), shear(0, Y2)), 3),
+         "all steps must use the same variable count"),
+        (lambda: Endo((Y1, X2)), "each component must use n variables"),
+        (lambda: mdeg(Endo((X1, X2, Polynomial(3, {})))), "zero component has no total degree"),
+        (lambda: intro_family((2,)), r"need at least two primes \(n >= 3\)"),
+        (lambda: certify_wild(Endo((Y1, Y2)), (1, 1, 1)),
+         "wildness certification works in three variables"),
+        (lambda: parse_vector_list("1]"), "unbalanced ']' in '1]'"),
+        (lambda: parse_vector_list("[1,2"), r"unbalanced '\[' in '\[1,2'"),
+        (lambda: parse_vector_list(","), "empty entry list"),
+        (lambda: multiply(X1, Y1), "variable counts differ"),
+        (lambda: wedge2_degree(X1, Y1), "variable counts differ"),
+        (lambda: jacobian_det([X1, X2, Y1]), "need as many variables as components"),
+        (lambda: substitute(X1, [X1, X2]), "need 3 replacement polynomials, got 2"),
+        (lambda: substitute(X1, [X1, X2, Y1]), "replacements must share one variable count"),
     ], ids=["float-exponent", "bool-exponent", "negative-exponent", "short-exponents",
             "int-key", "str-key", "bool-nvars", "str-nvars",
             "zero-nvars", "parse-str-nvars", "bool-index", "str-coefficient", "none-coefficient",
@@ -147,7 +166,11 @@ class TestRingOps:
             "bool-exponent-cap", "int-text", "str-shift", "int-steps", "int-word",
             "int-certified-map", "int-realized-word", "int-degree-polynomial",
             "int-wedge-factor", "int-jacobian-component", "int-components", "int-endo",
-            "bool-word-nvars", "zero-word-nvars"])
+            "bool-word-nvars", "zero-word-nvars", "mixed-word-nvars", "mixed-endo-nvars",
+            "zero-mdeg-component", "one-prime", "two-variable-certified-map",
+            "unbalanced-close", "unbalanced-open", "no-entries", "mixed-product-nvars",
+            "mixed-wedge-nvars", "mixed-jacobian-nvars", "substitute-arity",
+            "mixed-replacement-nvars"])
     def test_input_faults_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call()
