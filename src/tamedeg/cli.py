@@ -431,17 +431,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()  # so that a closed pipe or a full disk raises here, not at exit
         return 0
     except BrokenPipeError:
-        # Python's recipe for SIGPIPE: the flush at exit writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return 1
     except ConstructionError as exc:
-        print(f"error: internal soundness failure: {exc}", file=sys.stderr)
-        return 4
+        message, status = f"internal soundness failure: {exc}", 4
     except _INPUT_ERRORS as exc:
         if isinstance(exc, OSError) and exc.errno is None:
             raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, status = str(exc), 3
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself cannot be written, as when it is a full disk
+            _discard_stdout()
+    print(f"error: {message}", file=sys.stderr)
+    return status
+
+
+def _discard_stdout() -> None:
+    """Point stdout at devnull.  A failed flush keeps its bytes in the
+    buffer, so Python's flush at exit would write them to the same stream,
+    fail again and change the exit status to 120; this is Python's recipe
+    for SIGPIPE."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -1039,14 +1039,20 @@ class TestProcess:
         (["search", "--config", "{config}", "--out", "/dev/full"], False),
         (["witness", "2", "3", "4", "--verify"], True),
     ], ids=["table-out", "classify-stdout", "search-out", "witness-stdout"])
-    def test_failed_write_exits_3_with_one_line(self, tmp_path, argv, stdout_full):
-        # /dev/full refuses every write with ENOSPC
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_failed_write_exits_3_with_one_line(self, tmp_path, argv, stdout_full, buffered):
+        # /dev/full refuses every write with ENOSPC.  Buffered, a failed flush
+        # keeps the bytes, and the flush at exit must not write them again
         config = tmp_path / "config.json"
         config.write_text('{"seed": 3, "sample_count": 20}')
+        env = _process_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "tamedeg", *(a.format(config=config) for a in argv)],
-                env=_process_env(), stdout=full if stdout_full else subprocess.PIPE,
+                env=env, stdout=full if stdout_full else subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True, timeout=60,
             )
         assert proc.returncode == 3
