@@ -8,6 +8,10 @@ Public surface, bottom up:
   classifier     exclusion certificates, wildness certification, corollaries
   search         bounded word generation and the search-vs-classifier oracle
   parse / cli    expression grammar and the command-line surface
+
+The search names (SearchConfig, consistency_check, ..., word_fingerprint)
+load on first read: ``import tamedeg`` and the verdict commands leave
+search.py uncompiled, while tamedeg.search sits in sys.modules all along.
 """
 
 from .automorphisms import (
@@ -74,17 +78,46 @@ from .poly import (
     substitute,
     wedge2_degree,
 )
-from .search import (
-    ConsistencyReport,
-    SearchConfig,
-    SearchRecord,
-    consistency_check,
-    generate,
-    load,
-    persist,
-    realizability_table,
-    run_search,
-    word_fingerprint,
-)
+
+
+def _lazy_module(name: str):
+    """The module ``name``, put in sys.modules and returned unexecuted: its
+    source is compiled and run when one of its attributes is first read
+    (the importlib.util.LazyLoader recipe)."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only the search, check and table commands run the harness, the costliest
+# module to compile; every other module is imported eagerly above.
+search = _lazy_module(f"{__name__}.search")
+
+_SEARCH_NAMES = frozenset((
+    "ConsistencyReport", "SearchConfig", "SearchRecord", "consistency_check", "generate",
+    "load", "persist", "realizability_table", "run_search", "word_fingerprint",
+))
+
+
+def __getattr__(name: str):
+    # read from the module on every access, with no copy kept here, so a
+    # patched tamedeg.search attribute shows through the package and its
+    # restoration does too
+    if name in _SEARCH_NAMES:
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_SEARCH_NAMES})
+
 
 __version__ = "0.1.0"
+# without it a star import would take only the names bound here
+__all__ = [name for name in __dir__() if not name.startswith("_")]

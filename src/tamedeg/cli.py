@@ -42,7 +42,7 @@ import io
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .automorphisms import Endo, TameWord, _verify_realization, mdeg, semigroup_witness
 from .classifier import (
@@ -60,13 +60,9 @@ from .classifier import (
 from .errors import BudgetExceededError, ConstructionError, DomainError, _show
 from .ordgroup import _render_coords, frobenius_number, w_star
 from .parse import _integer, parse_polynomial, parse_vector_list
-from .search import (
-    SearchConfig,
-    consistency_check,
-    persist,
-    realizability_table,
-    run_search,
-)
+
+if TYPE_CHECKING:
+    from .search import SearchConfig
 
 REPORT_SCHEMA = "tamedeg.report/1"
 
@@ -283,6 +279,8 @@ def _load_config(path: str) -> SearchConfig:
     reads them, so one past Python's digit limit is named by its length."""
     import json
 
+    from .search import SearchConfig  # the search harness loads only for its commands
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_integer)
@@ -292,6 +290,8 @@ def _load_config(path: str) -> SearchConfig:
 
 
 def _cmd_search(args) -> None:
+    from .search import persist, run_search
+
     records, stats = run_search(_load_config(args.config), args.registry)
     persist(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -303,6 +303,8 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_check(args) -> None:
+    from .search import consistency_check
+
     report = consistency_check(_load_config(args.config), args.registry)
     if args.json:
         import json
@@ -314,6 +316,8 @@ def _cmd_check(args) -> None:
 def _cmd_table(args) -> None:
     if args.max < 1:
         raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
+    from .search import realizability_table
+
     weight = parse_vector_list(args.weight) if args.weight else None
     rows = realizability_table(args.max, weight=weight, registry=args.registry)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

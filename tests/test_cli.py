@@ -968,20 +968,30 @@ class TestProcess:
 
     def test_start_up_leaves_out_heavy_modules(self):
         script = (
-            "import sys\n"
+            "import sys, types\n"
+            "def executed():\n"
+            "    return type(sys.modules['tamedeg.search']) is types.ModuleType\n"
             "before = set(sys.modules)\n"
             "import tamedeg.cli\n"
             "imported = sorted(set(sys.modules) - before)\n"
+            "states = [executed()]\n"
             "codes = [tamedeg.cli.main(['wstar', '1', '1', '1']),\n"
             "         tamedeg.cli.main(['classify', '2', '3', '4'])]\n"
-            "print(repr((codes, imported, sorted(set(sys.modules) - before))))\n"
+            "after_main = sorted(set(sys.modules) - before)\n"
+            "states.append(executed())\n"
+            "codes.append(tamedeg.cli.main(['table', '--max', '3']))\n"
+            "states.append(executed())\n"
+            "print(repr((codes, states, imported, after_main)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=_process_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and proc.stderr == ""
-        codes, imported, after_main = ast.literal_eval(proc.stdout.splitlines()[-1])
-        assert codes == [0, 0]
-        assert "tamedeg.search" in imported  # the package still loads every module
+        codes, states, imported, after_main = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        # the package registers the search harness without running it, and
+        # only a command that uses the harness runs it
+        assert "tamedeg.search" in imported
+        assert states == [False, False, True]
         assert self.HEAVY.isdisjoint(imported)
         assert self.HEAVY.isdisjoint(after_main)
 
@@ -1084,3 +1094,60 @@ def test_public_names_are_the_used_surface():
         "semigroup_member", "semigroup_witness", "shear", "substitute",
         "transposition_word", "w_star", "wedge2_degree", "word_fingerprint",
     }
+
+
+SEARCH_NAMES = ("ConsistencyReport", "SearchConfig", "SearchRecord", "consistency_check",
+                "generate", "load", "persist", "realizability_table", "run_search",
+                "word_fingerprint")
+
+
+class TestLazySearchNames:
+    """The package serves the search names from tamedeg.search, which loads
+    on first read, and keeps no copy of them."""
+
+    @pytest.mark.parametrize("name", SEARCH_NAMES)
+    def test_name_is_the_search_module_attribute(self, name):
+        import tamedeg
+        import tamedeg.search
+
+        assert getattr(tamedeg, name) is getattr(tamedeg.search, name)
+
+    def test_from_import_in_a_fresh_interpreter(self):
+        script = ("import sys, types\n"
+                  "from tamedeg import consistency_check\n"
+                  "search = sys.modules['tamedeg.search']\n"
+                  "print(type(search) is types.ModuleType,\n"
+                  "      consistency_check is search.consistency_check)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=_process_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+
+    def test_star_import_takes_the_search_names(self):
+        import tamedeg
+
+        namespace = {}
+        exec("from tamedeg import *", namespace)
+        assert set(SEARCH_NAMES) <= namespace.keys()
+        assert all(namespace[name] is getattr(tamedeg.search, name) for name in SEARCH_NAMES)
+        assert {"classify_total", "search", "classifier"} <= namespace.keys()
+
+    def test_unknown_name_raises_attribute_error(self):
+        import tamedeg
+
+        with pytest.raises(AttributeError, match="module 'tamedeg' has no attribute 'no_such_name'"):
+            tamedeg.no_such_name
+
+    def test_patched_search_attribute_shows_through(self, monkeypatch):
+        import tamedeg
+        import tamedeg.search
+
+        original = tamedeg.search.consistency_check
+
+        def fake(*args, **kwargs):
+            raise AssertionError("not to be called")
+
+        monkeypatch.setattr(tamedeg.search, "consistency_check", fake)
+        assert tamedeg.consistency_check is fake
+        monkeypatch.undo()
+        assert tamedeg.consistency_check is original
+        assert "consistency_check" not in vars(tamedeg)
