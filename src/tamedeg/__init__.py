@@ -5,13 +5,13 @@ Public surface, bottom up:
   ordgroup       the ordered group Z^k (lex), semigroup arithmetic, w_star
   poly           exact rational polynomials, weighted degrees, wedge degrees
   automorphisms  elementary steps, tame words, realization, witnesses
-  classifier     exclusion certificates, wildness certification, corollaries
-  search         bounded word generation and the search-vs-classifier oracle
+  classifier     exclusion certificates, wildness, corollaries, the table
+  search         word generation, the search-vs-classifier oracle, records
   parse / cli    expression grammar and the command-line surface
 
 The search names (SearchConfig, consistency_check, ..., word_fingerprint)
-load on first read: ``import tamedeg`` and the verdict commands leave
-search.py uncompiled, while tamedeg.search sits in sys.modules all along.
+load on first read: ``import tamedeg``, the verdict commands and ``table``
+leave search.py uncompiled; tamedeg.search sits in sys.modules all along.
 """
 
 from .automorphisms import (
@@ -45,6 +45,7 @@ from .classifier import (
     corollary_names,
     delta_lower_bound,
     make_realizable,
+    realizability_table,
 )
 from .errors import (
     BudgetExceededError,
@@ -95,13 +96,13 @@ def _lazy_module(name: str):
     return module
 
 
-# Only the search, check and table commands run the harness, the costliest
-# module to compile; every other module is imported eagerly above.
+# Only the search and check commands run the harness, the costliest module
+# to compile; every other module is imported eagerly above.
 search = _lazy_module(f"{__name__}.search")
 
 _SEARCH_NAMES = frozenset((
     "ConsistencyReport", "SearchConfig", "SearchRecord", "consistency_check", "generate",
-    "load", "persist", "realizability_table", "run_search", "word_fingerprint",
+    "load", "persist", "run_search", "word_fingerprint",
 ))
 
 

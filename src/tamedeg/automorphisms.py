@@ -136,6 +136,8 @@ class TameWord(_Value):
         return len(self.steps)
 
     def __add__(self, other: "TameWord") -> "TameWord":
+        if not isinstance(other, TameWord):
+            return NotImplemented
         if other.nvars != self.nvars:
             raise DomainError("variable counts differ")
         word = object.__new__(TameWord)  # each step was checked in its own word

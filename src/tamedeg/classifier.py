@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .automorphisms import (
     Endo,
@@ -342,6 +342,15 @@ def builtin_registry() -> DeltaBoundRegistry:
     return _BUILTIN_REGISTRY
 
 
+def _registry(registry) -> DeltaBoundRegistry:
+    """registry as given, builtin_registry() for None; DomainError if it is neither."""
+    if registry is None:
+        return builtin_registry()
+    if isinstance(registry, DeltaBoundRegistry):
+        return registry
+    raise DomainError(f"expected a DeltaBoundRegistry, got {_show(registry)}")
+
+
 def delta_lower_bound(
     d: GroupElem,
     e: GroupElem,
@@ -359,8 +368,7 @@ def delta_lower_bound(
     registry None means builtin_registry(); this is the one place in the
     classifier that resolves it, and its callers pass None down unchanged.
     """
-    if registry is None:
-        registry = builtin_registry()
+    registry = _registry(registry)
     w = as_weight(w)
     _require_elems(d, e, w.components[0])
     if not (d.is_positive and e.is_positive):
@@ -858,6 +866,30 @@ def classify_total(
         if name not in reasons:
             reasons.append(name)
     return Unknown(tuple(reasons))
+
+
+def realizability_table(
+    max_degree: int,
+    weight=None,
+    registry: Optional[DeltaBoundRegistry] = None,
+) -> Iterator[tuple[tuple[int, int, int], ClassificationResult]]:
+    """(triple, verdict) per sorted triple with entries up to max_degree, in
+    sorted order, classified when read; the arguments are checked at the call.
+
+    Each verdict is the Realizable, Excluded or Unknown object the classifier
+    returned: classify_total's under total degree (weight None), and
+    classify_weighted's under an integer weight triple.
+    """
+    if type(max_degree) is not int or max_degree < 1:
+        raise DomainError(f"max_degree must be an int >= 1, got {_show(max_degree)}")
+    w = None if weight is None else as_weight(weight)
+    if w is not None and w.rank != 1:
+        raise DomainError("tables index integer degree triples: rank-1 weights only")
+    ds = range(1, max_degree + 1)  # sliced, not copied as combinations_with_replacement does
+    triples = ((a, b, c) for a in ds for b in ds[a - 1:] for c in ds[b - 1:])
+    if w is None:
+        return ((t, classify_total(*t, registry)) for t in triples)
+    return ((t, classify_weighted(t, w, registry)) for t in triples)
 
 
 _NOT_AUTOMORPHISM = "rejected input: Jacobian is not a nonzero constant"

@@ -26,7 +26,8 @@ Commands:
   witness D1 D2 D3             constructive tame word for a triple
   wstar W1 W2 W3               the staircase invariant of a weight
   frobenius U1 U2              Sylvester's Frobenius number
-  search / check / table       search harness entry points
+  search / check               search harness entry points
+  table --max N                realizability table up to a bound
   corollary NAME ARGS...       named corollary instances
 
 The --registry option takes a file of lines 'W1,W2,W3 ; D,E ; BOUND'
@@ -42,8 +43,9 @@ import io
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import search  # registered by the package, run only by search and check
 from .automorphisms import Endo, TameWord, _verify_realization, mdeg, semigroup_witness
 from .classifier import (
     Certificate,
@@ -56,13 +58,11 @@ from .classifier import (
     classify_weighted,
     corollary_inputs,
     corollary_names,
+    realizability_table,
 )
 from .errors import BudgetExceededError, ConstructionError, DomainError, _show
 from .ordgroup import _render_coords, frobenius_number, w_star
 from .parse import _integer, parse_polynomial, parse_vector_list
-
-if TYPE_CHECKING:
-    from .search import SearchConfig
 
 REPORT_SCHEMA = "tamedeg.report/1"
 
@@ -274,26 +274,22 @@ def _write_coords(coords: tuple, out) -> None:
     print(_render_coords(coords), file=out)
 
 
-def _load_config(path: str) -> SearchConfig:
+def _load_config(path: str) -> search.SearchConfig:
     """The search config in a JSON file; its integers are read as parse
     reads them, so one past Python's digit limit is named by its length."""
     import json
-
-    from .search import SearchConfig  # the search harness loads only for its commands
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_integer)
         except (DomainError, json.JSONDecodeError) as exc:
             raise DomainError(f"config: {exc}") from None
-    return SearchConfig.from_json(data)
+    return search.SearchConfig.from_json(data)
 
 
 def _cmd_search(args) -> None:
-    from .search import persist, run_search
-
-    records, stats = run_search(_load_config(args.config), args.registry)
-    persist(records, args.out)
+    records, stats = search.run_search(_load_config(args.config), args.registry)
+    search.persist(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     print(
         f"samples {stats.samples_drawn}, emitted {stats.emitted}, "
@@ -303,9 +299,7 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_check(args) -> None:
-    from .search import consistency_check
-
-    report = consistency_check(_load_config(args.config), args.registry)
+    report = search.consistency_check(_load_config(args.config), args.registry)
     if args.json:
         import json
         print(json.dumps(report.to_json(), indent=2))
@@ -316,8 +310,6 @@ def _cmd_check(args) -> None:
 def _cmd_table(args) -> None:
     if args.max < 1:
         raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
-    from .search import realizability_table
-
     weight = parse_vector_list(args.weight) if args.weight else None
     rows = realizability_table(args.max, weight=weight, registry=args.registry)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

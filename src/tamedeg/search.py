@@ -1,4 +1,4 @@
-"""Bounded generation of tame words and the search-vs-classifier oracle.
+"""Bounded generation of tame words, the search-vs-classifier oracle, records.
 
 The harness samples or enumerates tame words, realizes them, and checks the
 single most important property of the whole artifact: no realized
@@ -17,8 +17,6 @@ dropped silently.  ``consistency_check`` and ``run_search`` share one
 loop that classifies each realized multidegree once per weight, with the
 verdicts cached by (weight, sorted multidegree); ``certify_wild`` screens
 each realized map's Jacobian as it does for every caller.
-``realizability_table`` streams each sorted degree triple, in sorted
-order, with the verdict object the classifier returned for it.
 """
 
 from __future__ import annotations
@@ -33,13 +31,11 @@ from typing import Callable, Iterator, Optional, Sequence
 from .automorphisms import ElementaryAut, Endo, TameWord, _Fold
 from .classifier import (
     Certificate,
-    ClassificationResult,
     DeltaBoundRegistry,
     Excluded,
     Unknown,
-    builtin_registry,
+    _registry,
     certify_wild,
-    classify_total,
     classify_weighted,
 )
 from .errors import (
@@ -49,7 +45,7 @@ from .errors import (
     SchemaVersionError,
     _show,
 )
-from .ordgroup import GroupElem, Weight, _render_coords, _set, _Value, as_weight
+from .ordgroup import GroupElem, Weight, _render_coords, _set, _Value
 from .parse import _integer
 from .poly import DEFAULT_TERM_BUDGET, Budget, _canonical, _settle, _trusted
 
@@ -477,8 +473,7 @@ def consistency_check(
     Every other row goes to certify_wild, which checks K1..K4 itself after
     its Jacobian screen, passed by every tame word's realization.
     """
-    if registry is None:
-        registry = builtin_registry()
+    registry = _registry(registry)
     if classify_fn is None:
         classify_fn = classify_weighted
     stats = GenerationStats()
@@ -511,30 +506,6 @@ def consistency_check(
         distinct_multidegrees={k: len(v) for k, v in mdeg_counts.items()},
         violations=tuple(violations),
     )
-
-
-def realizability_table(
-    max_degree: int,
-    weight=None,
-    registry: Optional[DeltaBoundRegistry] = None,
-) -> Iterator[tuple[tuple[int, int, int], ClassificationResult]]:
-    """(triple, verdict) per sorted triple with entries up to max_degree, in
-    sorted order, classified when read; the arguments are checked at the call.
-
-    Each verdict is the Realizable, Excluded or Unknown object the classifier
-    returned: classify_total's under total degree (weight None), and
-    classify_weighted's under an integer weight triple.
-    """
-    if type(max_degree) is not int or max_degree < 1:
-        raise DomainError(f"max_degree must be an int >= 1, got {_show(max_degree)}")
-    w = None if weight is None else as_weight(weight)
-    if w is not None and w.rank != 1:
-        raise DomainError("tables index integer degree triples: rank-1 weights only")
-    ds = range(1, max_degree + 1)  # sliced, not copied as combinations_with_replacement does
-    triples = ((a, b, c) for a in ds for b in ds[a - 1:] for c in ds[b - 1:])
-    if w is None:
-        return ((t, classify_total(*t, registry)) for t in triples)
-    return ((t, classify_weighted(t, w, registry)) for t in triples)
 
 
 class SearchRecord(_Value):
@@ -628,8 +599,7 @@ def run_search(
     config: SearchConfig, registry: Optional[DeltaBoundRegistry] = None
 ) -> tuple[list[SearchRecord], GenerationStats]:
     """Generate, classify under every configured weight, and build records."""
-    if registry is None:
-        registry = builtin_registry()
+    registry = _registry(registry)
     reg_fp = registry.fingerprint()
     stats = GenerationStats()
     records: list[SearchRecord] = []

@@ -195,6 +195,7 @@ class TestElementarySteps:
 class TestRealize:
     def test_empty_word(self):
         assert realize(TameWord((), 3)) == Endo.identity(3)
+        assert TameWord(()).render() == "(identity)"
 
     def test_single_step(self):
         word = TameWord((shear(2, mono3(2, 0, 0)),), 3)
@@ -303,6 +304,7 @@ class TestPermutationHelpers:
     def test_transposition(self):
         endo = realize(transposition_word(0, 2, 3))
         assert endo == Endo((X3, X2, X1))
+        assert transposition_word(1, 1) == TameWord((), 3)
 
     def test_permutation(self):
         endo = realize(permutation_word((2, 0, 1), 3))

@@ -49,6 +49,7 @@ from tamedeg import (
     parse_vector_list,
     realizability_table,
     realize,
+    run_search,
     semigroup_witness,
     shear,
     wedge2_degree,
@@ -217,6 +218,23 @@ class TestDefaultRegistry:
     def test_explicit_empty_registry_stays_empty(self):
         assert isinstance(classify_total(4, 5, 6, DeltaBoundRegistry()), Unknown)
         assert isinstance(classify_total(4, 5, 6, None), Excluded)
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: classify_total(4, 5, 6, 5), "5"),
+        (lambda: classify_weighted((4, 5, 6), (1, 1, 1), "x"), "'x'"),
+        (lambda: delta_lower_bound(ge(4), ge(6), W111, [1]), r"\[1\]"),
+        (lambda: list(realizability_table(6, registry=5)), "5"),
+        (lambda: consistency_check(SearchConfig(seed=1, sample_count=3), 5), "5"),
+        (lambda: run_search(SearchConfig(seed=1, sample_count=3), 5), "5"),
+    ], ids=["classify_total", "classify_weighted", "delta_lower_bound",
+            "realizability_table", "consistency_check", "run_search"])
+    def test_other_registries_are_domain_errors(self, call, shown):
+        with pytest.raises(DomainError, match=f"^expected a DeltaBoundRegistry, got {shown}$"):
+            call()
+
+    def test_a_call_that_reads_no_bound_never_looks_at_its_registry(self):
+        # (3, 4, 5) is excluded by a1/a2, b1/b2 and c, which read no Delta bound
+        assert classify_total(3, 4, 5, 5) == classify_total(3, 4, 5)
 
 
 class TestTotalConditions:
@@ -1553,6 +1571,43 @@ class TestCorollaries:
         # 4d = ta for odd t: a=5, d=5 gives t=4 (even, fine); a=4, d=3: 12=3*4 odd t=3 -> violation
         with pytest.raises(HypothesisViolation):
             corollary_verdict("progression", (4, 3))
+
+
+class TestRealizabilityTable:
+    def test_total_degree_table(self):
+        table = dict(realizability_table(10))
+        assert len(table) == 220  # every sorted triple up to 10 is tagged
+        for triple in ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 5, 6)):
+            assert table[triple].kind == "excluded"
+        assert table[(1, 1, 1)].kind == "realizable"
+        for (d1, d2, d3), entry in table.items():
+            if d2 % d1 == 0 or triple_semigroup_member(d3, (d1, d2)):
+                assert entry.kind == "realizable", (d1, d2, d3)
+            if entry.kind == "realizable":
+                assert mdeg(realize(entry.witness)) == (d1, d2, d3)
+
+    def test_bound_below_one_is_rejected(self):
+        # at the call: no row is read here
+        for bound in (0, -3, True, 2.5, "3"):
+            with pytest.raises(DomainError, match="max_degree"):
+                realizability_table(bound)
+
+    def test_registry_changes_single_cell(self):
+        empty = dict(realizability_table(6, registry=DeltaBoundRegistry()))
+        assert empty[(4, 5, 6)].kind == "unknown"
+
+    def test_weight_above_rank_1_is_rejected(self):
+        with pytest.raises(DomainError, match="rank-1 weights only"):
+            realizability_table(3, weight=((1, 0), (0, 1), (1, 1)))
+
+    def test_rows_stream_in_sorted_order(self):
+        # the first row of a table far too large to hold is read at once
+        triple, verdict = next(realizability_table(10**9))
+        assert triple == (1, 1, 1) and isinstance(verdict, Realizable)
+        rows = list(realizability_table(6, weight=(1, 2, 3)))
+        triples = [t for t, _ in rows]
+        assert len(triples) == 56 and triples == sorted({tuple(sorted(t)) for t in triples})
+        assert all(v == classify_weighted(t, (1, 2, 3)) for t, v in rows)
 
 
 class TestSoundnessAgainstWitnesses:

@@ -966,7 +966,9 @@ class TestProcess:
     # to a process; the commands below need none of them
     HEAVY = {"dataclasses", "inspect", "hashlib", "json"}
 
-    def test_start_up_leaves_out_heavy_modules(self):
+    def test_start_up_leaves_out_heavy_modules(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1, "sample_count": 3}')
         script = (
             "import sys, types\n"
             "def executed():\n"
@@ -978,18 +980,20 @@ class TestProcess:
             "codes = [tamedeg.cli.main(['wstar', '1', '1', '1']),\n"
             "         tamedeg.cli.main(['classify', '2', '3', '4'])]\n"
             "after_main = sorted(set(sys.modules) - before)\n"
-            "states.append(executed())\n"
             "codes.append(tamedeg.cli.main(['table', '--max', '3']))\n"
+            "states.append(executed())\n"
+            "codes.append(tamedeg.cli.main(['check', '--config', sys.argv[1]]))\n"
             "states.append(executed())\n"
             "print(repr((codes, states, imported, after_main)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], env=_process_env(),
+        proc = subprocess.run([sys.executable, "-c", script, str(config)], env=_process_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and proc.stderr == ""
         codes, states, imported, after_main = ast.literal_eval(proc.stdout.splitlines()[-1])
-        assert codes == [0, 0, 0]
-        # the package registers the search harness without running it, and
-        # only a command that uses the harness runs it
+        assert codes == [0, 0, 0, 0]
+        # the package registers the search harness without running it; the
+        # verdict commands and the table leave it unrun, and a command that
+        # uses the harness runs it
         assert "tamedeg.search" in imported
         assert states == [False, False, True]
         assert self.HEAVY.isdisjoint(imported)
@@ -1097,8 +1101,7 @@ def test_public_names_are_the_used_surface():
 
 
 SEARCH_NAMES = ("ConsistencyReport", "SearchConfig", "SearchRecord", "consistency_check",
-                "generate", "load", "persist", "realizability_table", "run_search",
-                "word_fingerprint")
+                "generate", "load", "persist", "run_search", "word_fingerprint")
 
 
 class TestLazySearchNames:
@@ -1130,6 +1133,13 @@ class TestLazySearchNames:
         assert set(SEARCH_NAMES) <= namespace.keys()
         assert all(namespace[name] is getattr(tamedeg.search, name) for name in SEARCH_NAMES)
         assert {"classify_total", "search", "classifier"} <= namespace.keys()
+
+    def test_the_table_is_the_classifier_attribute(self):
+        import tamedeg
+        import tamedeg.classifier
+
+        assert tamedeg.realizability_table is tamedeg.classifier.realizability_table
+        assert "realizability_table" in vars(tamedeg)
 
     def test_unknown_name_raises_attribute_error(self):
         import tamedeg

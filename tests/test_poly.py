@@ -175,6 +175,20 @@ class TestRingOps:
         with pytest.raises(DomainError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: X1 + "a",
+        lambda: "a" + X1,
+        lambda: X1 - "a",
+        lambda: X1 * "a",
+        lambda: ge(1) * 1.5,
+        lambda: TameWord((), 3) + 5,
+    ], ids=["str-summand", "str-left-summand", "str-subtrahend", "str-factor",
+            "float-multiplier", "int-word"])
+    def test_other_operands_are_type_errors(self, call):
+        # each operator returns NotImplemented, so Python raises the TypeError
+        with pytest.raises(TypeError):
+            call()
+
 
 class TestDegrees:
     def test_degree_examples(self):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from tamedeg import (
     Budget,
-    DeltaBoundRegistry,
     DomainError,
     Excluded,
-    Realizable,
     SchemaVersionError,
     SearchConfig,
     TameWord,
@@ -30,7 +28,6 @@ from tamedeg import (
     mdeg,
     persist,
     realize,
-    realizability_table,
     run_search,
     shear,
     word_fingerprint,
@@ -454,45 +451,6 @@ class TestWildnessScreen:
         uncertified = consistency_check(config, classify_fn=corrupted)
         assert report.to_json() == uncertified.to_json()
         assert Counter(v.kind for v in report.violations) == {"excluded": 47}
-
-
-class TestRealizabilityTable:
-    def test_total_degree_table(self):
-        from oracles import triple_semigroup_member
-
-        table = dict(realizability_table(10))
-        assert len(table) == 220  # every sorted triple up to 10 is tagged
-        for triple in ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 5, 6)):
-            assert table[triple].kind == "excluded"
-        assert table[(1, 1, 1)].kind == "realizable"
-        for (d1, d2, d3), entry in table.items():
-            if d2 % d1 == 0 or triple_semigroup_member(d3, (d1, d2)):
-                assert entry.kind == "realizable", (d1, d2, d3)
-            if entry.kind == "realizable":
-                assert mdeg(realize(entry.witness)) == (d1, d2, d3)
-
-    def test_bound_below_one_is_rejected(self):
-        # at the call: no row is read here
-        for bound in (0, -3, True, 2.5, "3"):
-            with pytest.raises(DomainError, match="max_degree"):
-                realizability_table(bound)
-
-    def test_registry_changes_single_cell(self):
-        empty = dict(realizability_table(6, registry=DeltaBoundRegistry()))
-        assert empty[(4, 5, 6)].kind == "unknown"
-
-    def test_weight_above_rank_1_is_rejected(self):
-        with pytest.raises(DomainError, match="rank-1 weights only"):
-            realizability_table(3, weight=((1, 0), (0, 1), (1, 1)))
-
-    def test_rows_stream_in_sorted_order(self):
-        # the first row of a table far too large to hold is read at once
-        triple, verdict = next(realizability_table(10**9))
-        assert triple == (1, 1, 1) and isinstance(verdict, Realizable)
-        rows = list(realizability_table(6, weight=(1, 2, 3)))
-        triples = [t for t, _ in rows]
-        assert len(triples) == 56 and triples == sorted({tuple(sorted(t)) for t in triples})
-        assert all(v == classify_weighted(t, (1, 2, 3)) for t, v in rows)
 
 
 class TestPersistence:
