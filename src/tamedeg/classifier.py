@@ -56,7 +56,6 @@ from .ordgroup import (
     _pair1,
     _render_coords,
     _require_elems,
-    _set,
     _swapped,
     _Value,
     as_group_elem,
@@ -76,12 +75,6 @@ class Theorem(str, Enum):
 
 class Clause(_Value):
     _fields = ("left", "relation", "right", "holds")
-
-    def __init__(self, left: str, relation: str, right: str, holds: bool):
-        _set(self, "left", left)
-        _set(self, "relation", relation)
-        _set(self, "right", right)
-        _set(self, "holds", holds)
 
     def describe(self) -> str:
         mark = "yes" if self.holds else "NO"
@@ -129,11 +122,6 @@ _set_name, _set_holds, _set_clauses = (
 
 class DeltaBoundUse(_Value):
     _fields = ("weight", "pair", "bound")
-
-    def __init__(self, weight: tuple, pair: tuple, bound: GroupElem):
-        _set(self, "weight", weight)
-        _set(self, "pair", pair)
-        _set(self, "bound", bound)
 
     def describe(self) -> str:
         d, e = self.pair
@@ -207,25 +195,15 @@ class Excluded(_Value):
     _fields = ("certificate",)
     kind = "excluded"
 
-    def __init__(self, certificate: Certificate):
-        _set(self, "certificate", certificate)
-
 
 class Realizable(_Value):
     _fields = ("witness", "multidegree")
     kind = "realizable"
 
-    def __init__(self, witness: TameWord, multidegree: tuple[int, ...]):
-        _set(self, "witness", witness)
-        _set(self, "multidegree", multidegree)
-
 
 class Unknown(_Value):
     _fields = ("reasons",)
     kind = "unknown"
-
-    def __init__(self, reasons: tuple[str, ...]):
-        _set(self, "reasons", reasons)
 
 
 ClassificationResult = Union[Excluded, Realizable, Unknown]

@@ -310,7 +310,7 @@ def _cmd_check(args) -> None:
 def _cmd_table(args) -> None:
     if args.max < 1:
         raise DomainError(f"--max must be at least 1, got {_show(args.max)}")
-    weight = parse_vector_list(args.weight) if args.weight else None
+    weight = parse_vector_list(args.weight) if args.weight is not None else None
     rows = realizability_table(args.max, weight=weight, registry=args.registry)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     counts: dict[str, int] = {}

@@ -11,7 +11,8 @@ threshold, and the derived invariant ``w_star``.
 
 Everything here is an immutable value and every function is pure; a Weight
 keeps its |w|, its |w|* and whether it is Z-independent (Weight.total,
-Weight.star, Weight.independent) once they are first read.
+Weight.star, Weight.independent) once they are first read.  A value class
+with no __init__ of its own gets one compiled when the class is created.
 
 The public functions validate their input once per call, then call a
 private kernel that trusts its input (_member, _combination_exceeding,
@@ -50,7 +51,9 @@ class _Value:
     Name(field=value, ...) repr, pickling through __init__, and
     FrozenInstanceError on assignment or deletion, unless the subclass is
     declared frozen=False (mutable and unhashable).  Frozen subclasses set
-    their fields with _set.  No class is generated at import time."""
+    their fields with _set.  A subclass with no __init__ of its own gets the
+    one a dataclass would write, compiled from its _fields when the class is
+    created: one parameter per field, in order, each stored with _set."""
 
     __slots__ = ()
 
@@ -59,6 +62,12 @@ class _Value:
             cls.__hash__ = None
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
+        if "__init__" not in cls.__dict__:
+            stores = "".join(f"\n _set(self, {name!r}, {name})" for name in cls._fields)
+            namespace = {"_set": _set, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{stores}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -514,12 +523,6 @@ class RankProfile(_Value):
 
     _fields = ("pair_12_dependent", "pair_13_dependent", "pair_23_dependent",
                "triple_dependent")
-
-    def __init__(self, pair_12_dependent: bool, pair_13_dependent: bool,
-                 pair_23_dependent: bool, triple_dependent: bool):
-        given = locals()
-        for name in self._fields:
-            _set(self, name, given[name])
 
 
 def independent_triple(

@@ -212,7 +212,8 @@ def parse_vector(text: str) -> GroupElem:
 
 
 def split_vector_entries(text: str) -> list[str]:
-    """Split on commas that sit outside brackets."""
+    """Split on commas that sit outside brackets.  An empty entry raises
+    DomainError, unless every entry is empty: then the list is []."""
     parts = []
     depth = 0
     current = []
@@ -231,7 +232,10 @@ def split_vector_entries(text: str) -> list[str]:
     if depth != 0:
         raise DomainError(f"unbalanced '[' in {_show(text)}")
     parts.append("".join(current))
-    return [p for p in (q.strip() for q in parts) if p]
+    parts = [p.strip() for p in parts]
+    if any(parts) and "" in parts:
+        raise DomainError(f"empty entry in {_show(text)}")
+    return [p for p in parts if p]
 
 
 def parse_vector_list(text: str, rank: Optional[int] = None) -> list[GroupElem]:

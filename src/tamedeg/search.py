@@ -326,18 +326,10 @@ def generate(
 
 
 class Violation(_Value):
+    """A word that the classifier contradicts: kind is "excluded" or "certified-wild"."""
+
     _fields = ("kind", "weight", "fingerprint", "word", "realization", "multidegree",
                "certificate")
-
-    def __init__(self, kind: str, weight: tuple, fingerprint: str, word: str,
-                 realization: str, multidegree: tuple, certificate: dict):
-        _set(self, "kind", kind)  # "excluded" or "certified-wild"
-        _set(self, "weight", weight)
-        _set(self, "fingerprint", fingerprint)
-        _set(self, "word", word)
-        _set(self, "realization", realization)
-        _set(self, "multidegree", multidegree)
-        _set(self, "certificate", certificate)
 
     @classmethod
     def of(cls, kind, weight: Weight, word, endo, mdeg, cert):
@@ -366,15 +358,6 @@ class Violation(_Value):
 class ConsistencyReport(_Value, frozen=False):
     _fields = ("registry_fingerprint", "stats", "words_checked", "distinct_multidegrees",
                "violations")
-
-    def __init__(self, registry_fingerprint: str, stats: GenerationStats,
-                 words_checked: int, distinct_multidegrees: dict,
-                 violations: tuple[Violation, ...]):
-        self.registry_fingerprint = registry_fingerprint
-        self.stats = stats
-        self.words_checked = words_checked
-        self.distinct_multidegrees = distinct_multidegrees
-        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -509,22 +492,11 @@ def consistency_check(
 
 
 class SearchRecord(_Value):
-    """One (word, weight) observation, as persisted."""
+    """One (word, weight) observation, as persisted; word is TameWord.to_json(),
+    shared by the word's records."""
 
     _fields = ("seed", "fingerprint", "word", "weight", "multidegree", "verdict",
                "registry_fingerprint", "timestamp")
-
-    def __init__(self, seed: int, fingerprint: str, word: list, weight: tuple,
-                 multidegree: tuple, verdict: str, registry_fingerprint: str,
-                 timestamp: float):
-        _set(self, "seed", seed)
-        _set(self, "fingerprint", fingerprint)
-        _set(self, "word", word)  # TameWord.to_json(), shared by the word's records
-        _set(self, "weight", weight)
-        _set(self, "multidegree", multidegree)
-        _set(self, "verdict", verdict)
-        _set(self, "registry_fingerprint", registry_fingerprint)
-        _set(self, "timestamp", timestamp)
 
     def to_json(self) -> dict:
         return {

@@ -86,6 +86,12 @@ class TestDeltaLowerBound:
     def test_floor_when_multiplicity_blocks(self):
         assert delta_lower_bound(ge(2), ge(4), W111, DeltaBoundRegistry()) == ge(2)
 
+    def test_entry_at_the_star_route_is_not_cited(self):
+        # |w|* = 3 bounds Delta(4,6) already, so an entry of 3 raises nothing
+        reg = DeltaBoundRegistry().with_entry(W111, ge(4), ge(6), ge(3))
+        assert delta_lower_bound(ge(4), ge(6), W111, reg) == ge(3)
+        assert check_weighted_conditions(4, 5, 6, W111, reg).uses == []
+
     def test_registry_file_round_trip(self):
         reg = builtin_registry().with_entry(
             Weight.of(1, 2, 3), ge(5), ge(7), ge(6)
@@ -110,9 +116,10 @@ class TestDeltaLowerBound:
             ("1,1,1 ; 4,6 ; -5", "registry bounds must be positive"),
             ("1,1,1 ; 4,6 ; [5,0]", "degrees and bound need the weight's rank 1"),
             ("1,1,1 ; [4,0],[6,0] ; 5", "degrees and bound need the weight's rank 1"),
+            ("1,1,1, ; 4,6 ; 5", "empty entry in '1,1,1,'"),
         ],
         ids=["entry", "shape", "counts", "weight", "negative-degree", "zero-degree", "bound",
-             "bound-rank", "degree-rank"],
+             "bound-rank", "degree-rank", "trailing-comma"],
     )
     def test_registry_errors_name_their_line(self, line, message):
         with pytest.raises(DomainError) as err:
@@ -168,9 +175,14 @@ class TestDeltaLowerBound:
         (lambda: delta_lower_bound(ge(0), ge(3), W111), DomainError, "degrees must be positive"),
         (lambda: check_weighted_conditions(0, 1, 2, (1, 1, 1)), DomainError,
          "degrees must be positive"),
+        (lambda: check_weighted_conditions(3, 5, 5, Weight.of(1, 2, 3)), DomainError,
+         "degrees must be strictly ascending"),
+        (lambda: check_total_abc(0, 1, 2), DomainError,
+         "degrees must satisfy 0 < d1 <= d2 <= d3"),
     ], ids=["delta-ints", "delta-tuple", "delta-rank", "delta-weight-count", "with_entry-ints",
             "with_entry-bound", "lookup-ints", "lookup-bool", "conditions-ints-rank-2",
-            "conditions-str", "conditions-str-weight", "delta-zero", "conditions-zero"])
+            "conditions-str", "conditions-str-weight", "delta-zero", "conditions-zero",
+            "conditions-repeated-top", "total-zero"])
     def test_other_types_are_domain_errors(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()

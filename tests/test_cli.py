@@ -631,9 +631,21 @@ class TestVectorEntries:
             (("corollary", "two-three", "7.9"), "bad integer '7.9'"),
             (("table", "--max", "1_0"), "bad integer '1_0'"),
             (("wstar", "1", "1", "1", "--rank", "\u0661"), "bad integer '\u0661'"),
+            (("classify-weighted", "--deg", "3,,5,7", "--weight", "1,2,3"),
+             "empty entry in '3,,5,7'"),
+            (("classify-weighted", "--deg", "3,5,7", "--weight", "1,2,3,"),
+             "empty entry in '1,2,3,'"),
+            (("classify-weighted", "--deg", "3,5,7", "--weight", ",1,2,3"),
+             "empty entry in ',1,2,3'"),
+            (("certify-wild", "--f1", "x1", "--f2", "x2", "--f3", "x3", "--weight", "1,,1,1"),
+             "empty entry in '1,,1,1'"),
+            (("wstar", "1", "", "3"), "empty entry in '1,,3'"),
+            (("table", "--max", "3", "--weight", ""), "empty entry list"),
         ],
         ids=["underscore", "non-ascii", "huge", "long-malformed", "decimal", "corollary",
-             "max", "rank"],
+             "max", "rank", "inner-empty-degree", "trailing-comma-weight",
+             "leading-comma-weight", "certify-wild-empty-weight", "wstar-empty-weight",
+             "table-empty-weight"],
     )
     def test_integer_arguments(self, capsys, argv, needle):
         self.assert_one_short_error(*run_cli(capsys, *argv), needle)

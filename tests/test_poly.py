@@ -152,6 +152,8 @@ class TestRingOps:
         (lambda: parse_vector_list("1]"), "unbalanced ']' in '1]'"),
         (lambda: parse_vector_list("[1,2"), r"unbalanced '\[' in '\[1,2'"),
         (lambda: parse_vector_list(","), "empty entry list"),
+        (lambda: parse_vector_list("3,,5"), "empty entry in '3,,5'"),
+        (lambda: parse_vector_list("1,2,"), "empty entry in '1,2,'"),
         (lambda: multiply(X1, Y1), "variable counts differ"),
         (lambda: wedge2_degree(X1, Y1), "variable counts differ"),
         (lambda: jacobian_det([X1, X2, Y1]), "need as many variables as components"),
@@ -168,7 +170,8 @@ class TestRingOps:
             "int-wedge-factor", "int-jacobian-component", "int-components", "int-endo",
             "bool-word-nvars", "zero-word-nvars", "mixed-word-nvars", "mixed-endo-nvars",
             "zero-mdeg-component", "one-prime", "two-variable-certified-map",
-            "unbalanced-close", "unbalanced-open", "no-entries", "mixed-product-nvars",
+            "unbalanced-close", "unbalanced-open", "no-entries", "inner-empty-entry",
+            "trailing-empty-entry", "mixed-product-nvars",
             "mixed-wedge-nvars", "mixed-jacobian-nvars", "substitute-arity",
             "mixed-replacement-nvars"])
     def test_input_faults_are_domain_errors(self, call, message):

@@ -4,7 +4,8 @@ Each class is checked against a reference built with
 dataclasses.make_dataclass from its field list (with the defaults it has):
 the same constructor signature, equality, hash, repr and pickling, and
 FrozenInstanceError on assignment or deletion, except for the two mutable,
-unhashable classes."""
+unhashable classes.  A wrong call to a constructor names the class, as a
+dataclass's does."""
 
 import inspect
 import pickle
@@ -103,6 +104,16 @@ class TestMatchesDataclass:
             return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
 
         assert parameters(cls) == parameters(_reference(cls, fields))
+
+    def test_argument_errors_name_the_class(self, cls, fields, sample):
+        with pytest.raises(TypeError) as info:
+            cls(bogus=1)
+        assert str(info.value).startswith(
+            f"{cls.__name__}.__init__() got an unexpected keyword argument 'bogus'")
+        if not all(isinstance(f, tuple) for f in fields):  # some field has no default
+            with pytest.raises(TypeError) as info:
+                cls()
+            assert str(info.value).startswith(f"{cls.__name__}.__init__() missing ")
 
     def test_equality_hash_and_repr(self, cls, fields, sample):
         obj = sample()
